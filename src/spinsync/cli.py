@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -40,8 +39,6 @@ from .phasespace import (
     visibility,
 )
 from .system import DriveConfig, SpinSystemConfig, thermal_state
-
-WORKERS_ENV_VAR = "SPINSYNC_WORKERS"
 
 _SYSTEM_KEYS = (
     "j_coupling_hz",
@@ -273,19 +270,6 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times), np.asarray(signals)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer") from exc
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1")
-    return workers
-
-
 def _load_runconfig(args) -> RunConfig:
     if args.config is None:
         return RunConfig()
@@ -313,6 +297,14 @@ def _grid_shape(rc: RunConfig, args) -> tuple[int, int]:
     if n_theta < 8 or n_phi < 8:
         raise ConfigError("grid resolutions must be >= 8")
     return n_theta, n_phi
+
+
+def _check_sweep_flags(name: str, low: float, high: float, n: int) -> None:
+    """A sweep axis needs a point, and an ascending range for more than one."""
+    if n < 1:
+        raise ConfigError(f"--n-{name} must be >= 1")
+    if n > 1 and low >= high:
+        raise ConfigError(f"--{name}-min must be below --{name}-max")
 
 
 def _prepared_state(rc: RunConfig, drive: DriveConfig, use_steady: bool):
@@ -405,13 +397,13 @@ def _cmd_series(args) -> int:
 
 def _cmd_amp_sweep(args) -> int:
     rc = _load_runconfig(args)
+    _check_sweep_flags("omega", args.omega_min, args.omega_max, args.n_omega)
     omegas = np.logspace(
         math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega
     )
     t0 = time.perf_counter()
     result = run_amplitude_sweep(
-        rc.system, omegas, n_theta=rc.n_theta, n_phi=rc.n_phi,
-        workers=_workers_from_env(),
+        rc.system, omegas, n_theta=rc.n_theta, n_phi=rc.n_phi
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         write_sweep_csv(fh, result, rc)
@@ -426,8 +418,17 @@ def _cmd_amp_sweep(args) -> int:
 
 def _cmd_arnold(args) -> int:
     rc = _load_runconfig(args)
-    if args.detuning_min != -args.detuning_max:
-        raise ConfigError("detuning range must be symmetric about zero")
+    # a one-point grid holds only detuning_min
+    if args.detuning_min != -args.detuning_max or (
+        args.n_detuning == 1 and args.detuning_min != 0.0
+    ):
+        raise ConfigError("detuning grid must be symmetric about zero")
+    if args.duration is not None and args.duration <= 0.0:
+        raise ConfigError("--duration must be positive")
+    _check_sweep_flags("omega", args.omega_min, args.omega_max, args.n_omega)
+    _check_sweep_flags(
+        "detuning", args.detuning_min, args.detuning_max, args.n_detuning
+    )
     omegas = np.logspace(
         math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega
     )
@@ -439,7 +440,6 @@ def _cmd_arnold(args) -> int:
         detunings,
         duration_s=args.duration if args.duration is not None else 100.0,
         use_steady_state=args.steady,
-        workers=_workers_from_env(),
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         write_sweep_csv(fh, result, rc)

@@ -1,20 +1,24 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Sweeps evaluate cells
-independently in a deterministic axis order; ``workers`` > 1 distributes
-cells over threads without changing results.
+generator and reports phase-space observables.  Sweeps build the
+generator's affine terms once and evaluate cells one by one in axis
+order, so each cell equals the single-drive result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouville import build_liouvillian, propagate, steady_state
+from .liouville import (
+    build_affine_liouvillian,
+    build_liouvillian,
+    propagate,
+    steady_state,
+)
 from .phasespace import HusimiGrid, husimi_grid, sync_measure_max, visibility
 from .system import DriveConfig, SpinSystemConfig, thermal_state
 
@@ -31,17 +35,6 @@ def default_arnold_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced amplitudes in [1e-2, 1] Hz, linear detunings in [-3, 3] Hz."""
     return np.logspace(-2.0, 0.0, n_omega), np.linspace(-3.0, 3.0, n_detuning)
-
-
-def _map_indexed(func, n: int, workers: int) -> list:
-    """Evaluate func(i) for i in range(n), results in index order."""
-    if workers <= 1:
-        return [func(i) for i in range(n)]
-    out = [None] * n
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, value in zip(range(n), pool.map(func, range(n))):
-            out[i] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,6 @@ def run_amplitude_sweep(
     omegas_hz=None,
     n_theta: int = 64,
     n_phi: int = 128,
-    workers: int = 1,
 ) -> SweepResult:
     """Steady-state visibility versus drive amplitude.
 
@@ -161,13 +153,11 @@ def run_amplitude_sweep(
     omegas = _check_axis(
         default_amplitude_grid() if omegas_hz is None else omegas_hz, "omegas_hz"
     )
-
-    def cell(i: int) -> float:
-        drive = DriveConfig(amplitude_hz=float(omegas[i]))
-        rho = steady_state(build_liouvillian(config, drive))
-        return visibility(husimi_grid(rho, n_theta=n_theta, n_phi=n_phi))
-
-    values = np.array(_map_indexed(cell, omegas.size, workers))
+    terms = build_affine_liouvillian(config)
+    values = np.empty(omegas.size)
+    for i, omega in enumerate(omegas):
+        rho = steady_state(terms.at(DriveConfig(amplitude_hz=float(omega))))
+        values[i] = visibility(husimi_grid(rho, n_theta=n_theta, n_phi=n_phi))
     peak = int(np.argmax(values))
     return SweepResult(
         axes={"omega_hz": omegas},
@@ -188,7 +178,6 @@ def run_arnold_tongue(
     detunings_hz=None,
     duration_s: float = 100.0,
     use_steady_state: bool = False,
-    workers: int = 1,
 ) -> SweepResult:
     """Peak synchronization over an amplitude x detuning grid.
 
@@ -205,69 +194,23 @@ def run_arnold_tongue(
     if duration_s <= 0.0 and not use_steady_state:
         raise ValueError("duration must be positive")
     rho0 = thermal_state(config)
-
-    def row(i: int) -> np.ndarray:
-        out = np.empty(detunings.size)
+    terms = build_affine_liouvillian(config)
+    values = np.empty((omegas.size, detunings.size))
+    for i, omega in enumerate(omegas):
         for j, delta in enumerate(detunings):
-            drive = DriveConfig(
-                amplitude_hz=float(omegas[i]), detuning_hz=float(delta)
+            liouville = terms.at(
+                DriveConfig(amplitude_hz=float(omega), detuning_hz=float(delta))
             )
-            liouville = build_liouvillian(config, drive)
             if use_steady_state:
                 rho = steady_state(liouville)
             else:
                 rho = propagate(liouville, rho0, duration_s)
-            out[j] = sync_measure_max(rho)
-        return out
-
-    values = np.vstack(_map_indexed(row, omegas.size, workers))
+            values[i, j] = sync_measure_max(rho)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=values,
         observable="max-sync",
         metadata={"duration_s": duration_s, "steady_state": use_steady_state},
-    )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated description of a sweep, as consumed by the CLI."""
-
-    omegas_hz: np.ndarray
-    detunings_hz: np.ndarray | None = None
-    duration_s: float = 100.0
-    use_steady_state: bool = False
-    n_theta: int = 64
-    n_phi: int = 128
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omegas_hz", _check_axis(self.omegas_hz, "omegas_hz"))
-        if self.detunings_hz is not None:
-            object.__setattr__(
-                self, "detunings_hz", _check_axis(self.detunings_hz, "detunings_hz")
-            )
-
-    @property
-    def observable(self) -> str:
-        return "visibility" if self.detunings_hz is None else "max-sync"
-
-
-def run_sweep(
-    config: SpinSystemConfig, spec: SweepSpec, workers: int = 1
-) -> SweepResult:
-    """Dispatch a SweepSpec to the matching experiment."""
-    if spec.detunings_hz is None:
-        return run_amplitude_sweep(
-            config, spec.omegas_hz, n_theta=spec.n_theta, n_phi=spec.n_phi,
-            workers=workers,
-        )
-    return run_arnold_tongue(
-        config,
-        spec.omegas_hz,
-        spec.detunings_hz,
-        duration_s=spec.duration_s,
-        use_steady_state=spec.use_steady_state,
-        workers=workers,
     )
 
 

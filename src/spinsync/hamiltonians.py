@@ -64,18 +64,25 @@ def build_lab_hamiltonian(
     return Hamiltonian(h, "lab")
 
 
+def detuning_term(detuning_hz: float) -> np.ndarray:
+    """Drive detuning as a P offset shift, -2pi delta Iz^P (rad/s).
+
+    The detuning shifts the P carrier, so it adds to offset_p.
+    """
+    return -tau * detuning_hz * spin_operator("P", "z")
+
+
 def rotating_drift(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
     """Drift part of the doubly-rotating-frame Hamiltonian (rad/s).
 
-    The drive detuning shifts the P carrier, so it enters here as an
-    offset shift; at offset_p = -J/2 and zero detuning the |2><->|4>
-    transition has zero frequency in this frame.
+    At offset_p = -J/2 and zero detuning the |2><->|4> transition has
+    zero frequency in this frame.
     """
-    nu_p = config.offset_p_hz + drive.detuning_hz
     return (
-        -tau * nu_p * spin_operator("P", "z")
+        -tau * config.offset_p_hz * spin_operator("P", "z")
         - tau * config.offset_f_hz * spin_operator("F", "z")
         + tau * config.j_coupling_hz * spin_operator("P", "z") @ spin_operator("F", "z")
+        + detuning_term(drive.detuning_hz)
     )
 
 

@@ -3,7 +3,10 @@
 Density matrices are flattened by column stacking, so a triple product
 B rho C maps to (C^T kron B) vec(rho).  The generator splits into a
 drift part (coherent drift plus dissipation) and a drive part; both are
-dense 16x16 matrices and propagation uses the matrix exponential.
+dense 16x16 matrices and propagation uses the matrix exponential.  The
+generator is affine in the drive, L(Omega, delta) = base + delta
+per_detuning + Omega per_amplitude, so those three terms are built once
+per system and every generator is assembled from them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from .dissipation import JumpOperator, build_jump_operators
-from .hamiltonians import Hamiltonian, as_matrix, drive_term, rotating_drift
+from .hamiltonians import (
+    Hamiltonian,
+    as_matrix,
+    detuning_term,
+    drive_term,
+    rotating_drift,
+)
 from .system import DriveConfig, SpinSystemConfig
 
 # Ratio of second-smallest to largest singular value below which the
@@ -90,11 +99,42 @@ class Liouvillian:
         return self.drift + self.drive
 
 
+@dataclass(frozen=True)
+class AffineLiouvillian:
+    """Drive-independent terms of L = base + delta per_detuning + Omega per_amplitude.
+
+    ``base`` is the undriven, undetuned drift plus all dissipators;
+    ``per_detuning`` and ``per_amplitude`` are the generator per Hz of
+    detuning and of drive amplitude.
+    """
+
+    base: np.ndarray
+    per_detuning: np.ndarray
+    per_amplitude: np.ndarray
+
+    def at(self, drive: DriveConfig) -> Liouvillian:
+        """The generator for one drive; detuning counts as drift."""
+        return Liouvillian(
+            drift=self.base + drive.detuning_hz * self.per_detuning,
+            drive=drive.amplitude_hz * self.per_amplitude,
+        )
+
+
+def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
+    """Build the generator's affine terms once for a configured system."""
+    return AffineLiouvillian(
+        base=build_l0(
+            rotating_drift(config, DriveConfig(amplitude_hz=0.0)),
+            build_jump_operators(config),
+        ),
+        per_detuning=build_lv(detuning_term(1.0)),
+        per_amplitude=build_lv(drive_term(DriveConfig(amplitude_hz=1.0))),
+    )
+
+
 def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> Liouvillian:
     """Assemble the full generator for a configured system and drive."""
-    l0 = build_l0(rotating_drift(config, drive), build_jump_operators(config))
-    lv = build_lv(drive_term(drive))
-    return Liouvillian(drift=l0, drive=lv)
+    return build_affine_liouvillian(config).at(drive)
 
 
 def _total(liouvillian: Liouvillian | np.ndarray) -> np.ndarray:
@@ -148,7 +188,7 @@ def steady_state(liouvillian: Liouvillian | np.ndarray) -> np.ndarray:
     rho = rho / trace
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(l_total @ vectorize(rho))
-    bound = RESIDUAL_RTOL * np.linalg.norm(l_total, 2)
+    bound = RESIDUAL_RTOL * s[0]  # the largest singular value is ||L||_2
     if residual > bound:
         raise np.linalg.LinAlgError(
             f"steady-state residual {residual:.3e} exceeds {bound:.3e}"

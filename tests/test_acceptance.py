@@ -137,7 +137,7 @@ def half_max_width(detunings, row):
 
 def test_criterion_04_arnold_tongue(config, capsys):
     t0 = time.perf_counter()
-    tongue = run_arnold_tongue(config, workers=1)  # 21 x 41 default grid
+    tongue = run_arnold_tongue(config)  # 21 x 41 default grid
     elapsed = time.perf_counter() - t0
     values = tongue.values
     detunings = tongue.axes["detuning_hz"]

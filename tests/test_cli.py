@@ -18,7 +18,6 @@ from spinsync import (
 from spinsync.cli import (
     ConfigError,
     RunConfig,
-    WORKERS_ENV_VAR,
     dumps_json,
     main,
     parse_config,
@@ -282,14 +281,10 @@ class TestSeriesCommand:
 class TestAmpSweepCommand:
     ARGS = ["--omega-min", "0.05", "--omega-max", "0.2", "--n-omega", "2"]
 
-    def run(self, tmp_path, monkeypatch=None, workers=None, name="amp.csv"):
-        out = tmp_path / name
+    def run(self, tmp_path, args=ARGS):
+        out = tmp_path / "amp.csv"
         src = write_config(tmp_path, {"n_theta": 16, "n_phi": 16})
-        if workers is not None:
-            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
-        code = main(
-            ["amp-sweep", "--config", src, "--output", str(out)] + self.ARGS
-        )
+        code = main(["amp-sweep", "--config", src, "--output", str(out)] + args)
         return code, out
 
     def test_writes_sweep_csv(self, tmp_path):
@@ -308,18 +303,18 @@ class TestAmpSweepCommand:
             assert got_x == x
             assert got_v == v
 
-    def test_worker_env_does_not_change_output(self, tmp_path, monkeypatch):
-        _, serial = self.run(tmp_path, name="serial.csv")
-        code, parallel = self.run(
-            tmp_path, monkeypatch, workers="3", name="parallel.csv"
-        )
-        assert code == 0
-        assert parallel.read_text() == serial.read_text()
-
-    @pytest.mark.parametrize("value", ["zero?", "0", "-2"])
-    def test_bad_worker_env_exits_config(self, tmp_path, monkeypatch, value):
-        code, _ = self.run(tmp_path, monkeypatch, workers=value)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n-omega", "0"],
+            ["--omega-min", "2", "--omega-max", "1"],
+            ["--omega-min", "1", "--omega-max", "1", "--n-omega", "2"],
+        ],
+    )
+    def test_bad_flags_exit_config(self, tmp_path, args):
+        code, out = self.run(tmp_path, args)
         assert code == 2
+        assert not out.exists()
 
 
 class TestArnoldCommand:
@@ -356,6 +351,22 @@ class TestArnoldCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n-omega", "0"],
+            ["--duration", "-1"],
+            ["--duration", "0"],
+            ["--n-detuning", "0"],
+            ["--n-detuning", "1"],
+            ["--detuning-min", "1", "--detuning-max", "-1"],
+        ],
+    )
+    def test_bad_flags_exit_config(self, tmp_path, args):
+        out = tmp_path / "a.csv"
+        assert main(["arnold", "--output", str(out)] + args) == 2
+        assert not out.exists()
 
 
 class TestImhdVerifyCommand:

@@ -11,17 +11,17 @@ from spinsync import (
     HusimiGrid,
     SpinSystemConfig,
     SweepResult,
-    SweepSpec,
     build_liouvillian,
     calibrate_drive,
     check_density_matrix,
     husimi_grid,
+    propagate,
     run_amplitude_sweep,
     run_arnold_tongue,
     run_drive_series,
     run_limit_cycle,
-    run_sweep,
     steady_state,
+    sync_measure_max,
     thermal_state,
     visibility,
 )
@@ -146,11 +146,13 @@ class TestAmplitudeSweep:
         assert amp_sweep.metadata["peak_value"] == amp_sweep.values[1]
         assert amp_sweep.metadata["n_theta"] == 32
 
-    def test_workers_do_not_change_values(self, config, amp_sweep):
-        parallel = run_amplitude_sweep(
-            config, omegas_hz=AMP_OMEGAS, n_theta=32, n_phi=64, workers=4
-        )
-        np.testing.assert_array_equal(parallel.values, amp_sweep.values)
+    def test_cells_match_per_cell_reference(self, config, amp_sweep):
+        """Each cell equals a generator built for that drive alone."""
+        for omega, value in zip(AMP_OMEGAS, amp_sweep.values):
+            rho = steady_state(
+                build_liouvillian(config, DriveConfig(amplitude_hz=omega))
+            )
+            assert value == visibility(husimi_grid(rho, n_theta=32, n_phi=64))
 
     def test_default_grid(self):
         grid = default_amplitude_grid()
@@ -208,14 +210,39 @@ class TestArnoldTongue:
         np.testing.assert_allclose(steady.values, finite.values, rtol=1e-6)
         assert steady.metadata["steady_state"] is True
 
-    def test_workers_do_not_change_values(self, config, tongue):
-        parallel = run_arnold_tongue(
-            config,
-            omegas_hz=ARNOLD_OMEGAS,
-            detunings_hz=ARNOLD_DETUNINGS,
-            workers=4,
+    @pytest.mark.parametrize(
+        "use_steady_state", [False, True], ids=["propagate", "steady"]
+    )
+    def test_cells_match_per_cell_reference(self, config, tongue, use_steady_state):
+        """Each cell equals a generator built for that drive alone."""
+        values = tongue.values
+        if use_steady_state:
+            values = run_arnold_tongue(
+                config,
+                omegas_hz=ARNOLD_OMEGAS,
+                detunings_hz=ARNOLD_DETUNINGS,
+                use_steady_state=True,
+            ).values
+        rho0 = thermal_state(config)
+        for i, omega in enumerate(ARNOLD_OMEGAS):
+            for j, delta in enumerate(ARNOLD_DETUNINGS):
+                liouville = build_liouvillian(
+                    config, DriveConfig(amplitude_hz=omega, detuning_hz=delta)
+                )
+                if use_steady_state:
+                    rho = steady_state(liouville)
+                else:
+                    rho = propagate(liouville, rho0, 100.0)
+                assert values[i, j] == sync_measure_max(rho)
+
+    def test_repeat_runs_are_bit_identical(self, config):
+        """Identical inputs and config must reproduce every bit."""
+        kwargs = dict(
+            omegas_hz=[0.05, 0.1], detunings_hz=[-2.0, 0.0, 2.0], duration_s=50.0
         )
-        np.testing.assert_array_equal(parallel.values, tongue.values)
+        first = run_arnold_tongue(config, **kwargs)
+        second = run_arnold_tongue(config, **kwargs)
+        np.testing.assert_array_equal(first.values, second.values)
 
     def test_asymmetric_detunings_rejected(self, config):
         with pytest.raises(ValueError, match="symmetric"):
@@ -268,62 +295,6 @@ class TestSweepResultValidation:
                 values=np.array([0.0, np.nan]),
                 observable="visibility",
             )
-
-
-class TestSweepSpecDispatch:
-    def test_observable_property(self):
-        amp = SweepSpec(omegas_hz=np.array([0.1, 0.2]))
-        assert amp.observable == "visibility"
-        arnold = SweepSpec(
-            omegas_hz=np.array([0.1, 0.2]),
-            detunings_hz=np.array([-1.0, 0.0, 1.0]),
-        )
-        assert arnold.observable == "max-sync"
-
-    def test_axes_validated_at_construction(self):
-        with pytest.raises(ValueError):
-            SweepSpec(omegas_hz=np.array([]))
-        with pytest.raises(ValueError):
-            SweepSpec(
-                omegas_hz=np.array([0.1]), detunings_hz=np.array([1.0, -1.0])
-            )
-
-    def test_dispatch_matches_direct_amplitude_call(self, config):
-        spec = SweepSpec(
-            omegas_hz=np.array([1e-3, 0.1]), n_theta=16, n_phi=32
-        )
-        via_spec = run_sweep(config, spec)
-        direct = run_amplitude_sweep(
-            config, omegas_hz=[1e-3, 0.1], n_theta=16, n_phi=32
-        )
-        assert via_spec.observable == direct.observable
-        np.testing.assert_array_equal(via_spec.values, direct.values)
-
-    def test_dispatch_matches_direct_arnold_call(self, config):
-        spec = SweepSpec(
-            omegas_hz=np.array([0.1]),
-            detunings_hz=np.array([-1.0, 0.0, 1.0]),
-            duration_s=10.0,
-        )
-        via_spec = run_sweep(config, spec)
-        direct = run_arnold_tongue(
-            config,
-            omegas_hz=[0.1],
-            detunings_hz=[-1.0, 0.0, 1.0],
-            duration_s=10.0,
-        )
-        np.testing.assert_array_equal(via_spec.values, direct.values)
-
-    def test_repeat_runs_are_bit_identical(self, config):
-        """Identical spec and config must reproduce every bit."""
-        spec = SweepSpec(
-            omegas_hz=np.array([0.05, 0.1]),
-            detunings_hz=np.array([-2.0, 0.0, 2.0]),
-            duration_s=50.0,
-        )
-        first = run_sweep(config, spec)
-        second = run_sweep(config, spec)
-        np.testing.assert_array_equal(first.values, second.values)
 
 
 class TestCalibrateDrive:

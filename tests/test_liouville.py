@@ -9,6 +9,7 @@ import scipy.integrate
 from spinsync import (
     DriveConfig,
     SpinSystemConfig,
+    build_affine_liouvillian,
     build_jump_operators,
     build_l0,
     build_liouvillian,
@@ -148,6 +149,24 @@ class TestBuildLV:
         v[2, 0] = 1j
         with pytest.raises(ValueError):
             build_lv(v)
+
+
+class TestAffineLiouvillian:
+    def test_agrees_with_direct_assembly(self, config):
+        """base + delta L_delta + Omega L_Omega differs from building each
+        generator from its own Hamiltonians only by rounding."""
+        terms = build_affine_liouvillian(config)
+        jumps = build_jump_operators(config)
+        eps = np.finfo(float).eps
+        for omega in (0.0, 0.01, 0.126, 1.0, 1e3):
+            for delta in (-3.0, -0.35, 0.0, 0.7, 3.0):
+                drive = DriveConfig(amplitude_hz=omega, detuning_hz=delta)
+                direct = build_l0(rotating_drift(config, drive), jumps) + build_lv(
+                    drive_term(drive)
+                )
+                affine = terms.at(drive).total
+                bound = 4.0 * eps * np.linalg.norm(direct, 1)
+                assert np.max(np.abs(affine - direct)) <= bound
 
 
 class TestPropagate:
