@@ -29,7 +29,7 @@ from .experiments import (
     run_arnold_tongue,
     run_drive_series,
 )
-from .imhd import VARIANTS, imhd_scan
+from .imhd import VARIANTS, imhd_scan, leakage_bound
 from .liouville import build_liouvillian, propagate, steady_state
 from .phasespace import (
     HUSIMI_PREFACTOR,
@@ -461,15 +461,14 @@ def _cmd_imhd_verify(args) -> int:
     scan = imhd_scan(rho, n_theta=n_theta, n_phi=n_phi, variant=args.variant)
     direct = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     deviation = float(np.max(np.abs(scan.values - direct.values)))
-    if args.variant == "exact-populations":
-        bound = args.tolerance
-    else:
+    # Both variants carry the circuit's exact rho31 leakage term.
+    bound = leakage_bound(rho) + args.tolerance
+    if args.variant == "quarter-approximation":
         # The quarter approximation is exact only when the undriven
         # populations sit at 1/4; its error bound follows from that.
-        bound = float(
+        bound += float(
             HUSIMI_PREFACTOR
             * (abs(rho[3, 3].real - 0.25) + abs(rho[1, 1].real - 0.25))
-            + args.tolerance
         )
     passed = bool(deviation < bound)
     report = {

@@ -6,8 +6,21 @@ Hadamard pulse puts F in a superposition, the inverse scan rotation maps
 the probed coherent state of P back to the pole, a controlled phase
 correlates the two spins, and the F transverse magnetization is read
 out.  Axis conventions are fixed so that the scan pole coincides with
-level |4>; with these conventions the gate-simulated signal reproduces
-the closed form exactly for states whose only coherence is rho42.
+level |4>.
+
+With these conventions the exact-populations reconstruction differs from
+the reduced Husimi value by one exact leakage term, for any state:
+
+    Q_circuit - Q_direct = -(24/pi^3) sin(theta) Re(rho31 e^{i phi}),
+
+with rho31 = ``rho[1, 3]``; no other coherence leaks.  The readout is
+exact when rho31 = 0 and its deviation never exceeds (24/pi^3) |rho31|
+(``leakage_bound``).
+
+The circuit factorizes as G = CP (R^dagger x I)(I x H), so the signal is
+Tr[(R^dagger x I) rho_H (R x I) A] with rho_H = (I x H) rho (I x H)^dagger
+and A = CP^dagger F_x CP built once per call; only the 2x2 scan rotation
+R varies over the probe grid, and one einsum evaluates every point.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import HUSIMI_PREFACTOR, HusimiGrid
+from .phasespace import HUSIMI_PREFACTOR, HusimiGrid, grid_axes
 from .system import SpinSystemConfig, spin_operator
 
 GATE_LABELS = (
@@ -44,19 +57,30 @@ class Gate:
     def __post_init__(self) -> None:
         if self.label not in GATE_LABELS:
             raise ValueError(f"unknown gate label {self.label!r}")
-        dev = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(4)))
-        if dev > 1e-12:
-            raise ValueError(f"gate not unitary: deviation {dev:.3e}")
+        _require_unitary(self.matrix)
 
 
-def _scan_rotation(theta: float, phi: float) -> np.ndarray:
+def _require_unitary(u: np.ndarray) -> None:
+    """Raise unless every matrix in the (..., n, n) stack is unitary.
+
+    A NaN deviation fails the check.
+    """
+    dev = np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(u.shape[-1])))
+    if not dev <= 1e-12:
+        raise ValueError(f"gate not unitary: deviation {dev:.3e}")
+
+
+def _scan_rotation(theta, phi) -> np.ndarray:
     # 2x2 rotation taking the P part of |4> to the (theta, phi) coherent
     # state, up to global phase: exp(-i phi Sz') exp(-i theta Sy') with
     # the scan axes oriented so the pole is the m_P = -1/2 state.
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    ry = np.array([[c, -s], [s, c]], dtype=complex)
-    rz = np.diag([np.exp(-0.5j * phi), np.exp(+0.5j * phi)])
-    return rz @ ry
+    # Broadcasts over array angles to a (..., 2, 2) stack.
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    c, s, z = np.broadcast_arrays(c, s, np.exp(-0.5j * phi))
+    return np.stack(
+        [np.stack([z * c, -z * s], -1), np.stack([z.conj() * s, z.conj() * c], -1)],
+        -2,
+    )
 
 
 def build_u_theta_phi(theta: float, phi: float, adjoint: bool = False) -> Gate:
@@ -100,8 +124,9 @@ class ImhdReading:
     """One interferometric sample: signal and reconstructed Husimi value.
 
     ``signal`` is the gate-simulated transverse F magnetization, the
-    ground truth; ``closed_form_signal`` is the algebraic prediction that
-    matches it when rho42 is the only coherence present.
+    ground truth; ``closed_form_signal`` is the algebraic prediction, which
+    exceeds it by sin(theta) Re(rho31 e^{i phi}) and so matches it
+    whenever rho31 = 0.
     """
 
     theta: float
@@ -118,6 +143,44 @@ def _closed_form_signal(rho: np.ndarray, theta: float, phi: float) -> float:
     return 0.5 * (math.cos(theta) * pop_term + math.sin(theta) * coh_term)
 
 
+def leakage_bound(rho: np.ndarray) -> float:
+    """Largest |Q_circuit - Q_direct| of the exact variant: (24/pi^3) |rho31|."""
+    return float(HUSIMI_PREFACTOR * abs(np.asarray(rho)[1, 3]))
+
+
+def _readout(
+    rho: np.ndarray, theta, phi, variant: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit signal and reconstructed Q at broadcast probe angles."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("probe angles must be finite")
+    if ((theta < 0.0) | (theta > math.pi)).any():
+        raise ValueError("polar angle must lie in [0, pi]")
+    rho = np.asarray(rho, dtype=complex)
+    h = build_pseudo_hadamard().matrix
+    cp = build_controlled_phase().matrix
+    # index order (P, F, P, F): rho_h[p, i, q, j], a[r, j, s, i]
+    rho_h = (h @ rho @ h.conj().T).reshape(2, 2, 2, 2)
+    a = (cp.conj().T @ spin_operator("F", "x") @ cp).reshape(2, 2, 2, 2)
+    t = np.einsum("piqj,rjsi->pqrs", rho_h, a)
+    r = _scan_rotation(theta, phi)
+    _require_unitary(r)
+    signal = np.einsum("...ps,...qr,pqrs->...", r.conj(), r, t).real
+    if variant == "exact-populations":
+        spectator = (
+            rho[3, 3].real * np.cos(theta / 2.0) ** 2
+            + rho[1, 1].real * np.sin(theta / 2.0) ** 2
+        )
+        q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
+    else:
+        q = HUSIMI_PREFACTOR * (signal + 0.25)
+    return signal, q
+
+
 def run_imhd(
     rho: np.ndarray,
     theta: float,
@@ -126,32 +189,21 @@ def run_imhd(
 ) -> ImhdReading:
     """Simulate the readout circuit at one (theta, phi) probe point.
 
-    The reconstruction uses the gate-simulated signal.  The exact variant
-    subtracts the spectator populations rho11 and rho33; the quarter
-    variant approximates both by 1/4, adding an error bounded by
-    (24/pi^3) (|rho11 - 1/4| + |rho33 - 1/4|).
+    The one-point case of the grid kernel ``imhd_scan`` uses.  The exact
+    variant subtracts the spectator populations rho11 and rho33; its
+    reconstruction differs from the reduced Husimi value by
+    -(24/pi^3) sin(theta) Re(rho31 e^{i phi}).  The quarter variant
+    approximates both populations by 1/4, adding an error bounded by
+    (24/pi^3) (|rho11 - 1/4| + |rho33 - 1/4|).  Angles must be finite
+    with theta in [0, pi].
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    rho = np.asarray(rho, dtype=complex)
-    pre = build_u_theta_phi(theta, phi, adjoint=True).matrix @ build_pseudo_hadamard().matrix
-    g = build_controlled_phase().matrix @ pre
-    rho_out = g @ rho @ g.conj().T
-    signal = float(np.real(np.trace(rho_out @ spin_operator("F", "x"))))
-    if variant == "exact-populations":
-        spectator = (
-            rho[3, 3].real * math.cos(theta / 2.0) ** 2
-            + rho[1, 1].real * math.sin(theta / 2.0) ** 2
-        )
-        q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
-    else:
-        q = HUSIMI_PREFACTOR * (signal + 0.25)
+    signal, q = _readout(rho, theta, phi, variant)
     return ImhdReading(
         theta=theta,
         phi=phi,
-        signal=signal,
-        closed_form_signal=_closed_form_signal(rho, theta, phi),
-        q_value=q,
+        signal=float(signal),
+        closed_form_signal=_closed_form_signal(np.asarray(rho), theta, phi),
+        q_value=float(q),
         variant=variant,
     )
 
@@ -162,11 +214,7 @@ def imhd_scan(
     n_phi: int = 128,
     variant: str = "exact-populations",
 ) -> HusimiGrid:
-    """Pointwise circuit scan over the standard theta x phi grid."""
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    values = np.empty((n_theta, n_phi))
-    for i, th in enumerate(thetas):
-        for j, ph in enumerate(phis):
-            values[i, j] = run_imhd(rho, th, ph, variant=variant).q_value
+    """Circuit scan over the standard theta x phi grid, in one kernel call."""
+    thetas, phis = grid_axes(n_theta, n_phi)
+    _, values = _readout(rho, thetas[:, None], phis[None, :], variant)
     return HusimiGrid(thetas=thetas, phis=phis, values=values)

@@ -142,20 +142,24 @@ class HusimiGrid:
             raise ValueError("grid axes must be strictly increasing")
 
 
+def grid_axes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard grid axes: theta over [0, pi] inclusive, phi over [0, 2 pi)."""
+    if n_theta < 2 or n_phi < 2:
+        raise ValueError("grid needs at least two points per axis")
+    return (
+        np.linspace(0.0, math.pi, n_theta),
+        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+    )
+
+
 def husimi_grid(
     rho: np.ndarray,
     n_theta: int = 64,
     n_phi: int = 128,
     include_prefactor: bool = True,
 ) -> HusimiGrid:
-    """Reduced Husimi distribution on a regular grid.
-
-    theta spans [0, pi] inclusive, phi spans [0, 2 pi) half-open.
-    """
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("grid needs at least two points per axis")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    """Reduced Husimi distribution on the ``grid_axes`` grid."""
+    thetas, phis = grid_axes(n_theta, n_phi)
     values = husimi_reduced(
         rho, thetas[:, None], phis[None, :], include_prefactor=include_prefactor
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinsync import (
+    HUSIMI_PREFACTOR,
     DriveConfig,
     SpinSystemConfig,
     build_liouvillian,
@@ -24,6 +25,7 @@ from spinsync.cli import (
     read_samples_csv,
     resolved_config_dict,
 )
+from spinsync.imhd import VARIANTS
 from spinsync.system import default_purity_factors
 
 
@@ -385,13 +387,31 @@ class TestImhdVerifyCommand:
         assert "passed=true" in capsys.readouterr().out
 
     def test_tight_tolerance_fails(self, tmp_path):
+        # undriven, rho31 = 0: the bound is the tolerance alone and the
+        # deviation is rounding, about 1e-16
         report_path = tmp_path / "report.json"
         code = main(
-            ["imhd-verify", "--output", str(report_path),
-             "--tolerance", "1e-13"] + self.COMMON
+            ["imhd-verify", "--output", str(report_path), "--amplitude", "0",
+             "--tolerance", "1e-17"] + self.COMMON
         )
         assert code == 1
         assert json.loads(report_path.read_text())["passed"] is False
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bound_includes_rho31_leakage(self, tmp_path, variant):
+        # at 1 Hz the exact rho31 leakage (about 2e-8) exceeds the tolerance
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["imhd-verify", "--output", str(report_path), "--amplitude", "1.0",
+             "--variant", variant] + self.COMMON
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        rho = steady_state(
+            build_liouvillian(SpinSystemConfig(), DriveConfig(amplitude_hz=1.0))
+        )
+        assert report["bound"] >= HUSIMI_PREFACTOR * abs(rho[1, 3]) + 1e-9
+        assert 1e-9 < report["max_abs_deviation"] < report["bound"]
 
     def test_quarter_variant_within_population_bound(self, tmp_path):
         report_path = tmp_path / "report.json"

@@ -18,16 +18,20 @@ from spinsync import (
     build_u_theta_phi,
     husimi_reduced,
     imhd_scan,
+    leakage_bound,
     run_imhd,
+    spin_operator,
     steady_state,
     thermal_state,
     visibility,
 )
+from spinsync.imhd import _require_unitary
 
 from conftest import doublet_coherent_density, random_density
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+EPS = np.finfo(float).eps
 
 
 def sparse_family(rng, count):
@@ -47,6 +51,14 @@ class TestGates:
             Gate(np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex), "controlled-phase")
         with pytest.raises(ValueError):
             Gate(np.eye(4, dtype=complex), "swap")
+
+    def test_gate_check_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Gate(np.full((4, 4), np.nan, dtype=complex), "controlled-phase")
+        stack = np.stack([np.eye(2, dtype=complex)] * 3)
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            _require_unitary(stack)
 
     def test_scan_rotation_identity(self):
         np.testing.assert_allclose(
@@ -120,6 +132,15 @@ class TestRunImhd:
     def test_rejects_unknown_variant(self, rng):
         with pytest.raises(ValueError):
             run_imhd(random_density(rng), 0.1, 0.2, variant="thirds")
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(math.nan, 0.3), (0.3, math.inf), (0.3, math.nan), (-math.inf, 0.3),
+         (7.0, 0.1), (-0.1, 0.0), (math.pi + 1e-12, 0.0)],
+    )
+    def test_rejects_bad_angles(self, rng, theta, phi):
+        with pytest.raises(ValueError):
+            run_imhd(random_density(rng), theta, phi)
 
     def test_circuit_matches_closed_form_on_sparse_family(self, rng):
         """Gate simulation reproduces the closed-form signal."""
@@ -203,9 +224,54 @@ class TestImhdScan:
         grid = imhd_scan(rho, n_theta=8, n_phi=16)
         assert grid.values.min() >= -1e-12
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(1, 8), (4, 1)])
+    def test_rejects_single_point_axis(self, n_theta, n_phi):
+        with pytest.raises(ValueError):
+            imhd_scan(np.eye(4) / 4.0, n_theta=n_theta, n_phi=n_phi)
+
     def test_scan_equals_pointwise_calls(self, rng):
         rho = sparse_family(rng, 1)[0]
         grid = imhd_scan(rho, n_theta=4, n_phi=8)
         for i, theta in enumerate(grid.thetas):
             for j, phi in enumerate(grid.phis):
                 assert grid.values[i, j] == run_imhd(rho, theta, phi).q_value
+
+
+def reference_signal(rho, theta, phi):
+    """Circuit signal from the explicit per-point 4x4 gate product."""
+    g = (
+        build_controlled_phase().matrix
+        @ build_u_theta_phi(theta, phi, adjoint=True).matrix
+        @ build_pseudo_hadamard().matrix
+    )
+    return np.real(np.trace(g @ rho @ g.conj().T @ spin_operator("F", "x")))
+
+
+class TestKernel:
+    """The grid kernel against the gate-level reference, on general states."""
+
+    def test_matches_gate_product(self, rng):
+        for _ in range(5):
+            rho = random_density(rng)
+            grid = imhd_scan(rho, n_theta=5, n_phi=7)
+            for i, theta in enumerate(grid.thetas):
+                for j, phi in enumerate(grid.phis):
+                    signal = reference_signal(rho, theta, phi)
+                    assert abs(run_imhd(rho, theta, phi).signal - signal) <= 4 * EPS
+                    spectator = (
+                        rho[3, 3].real * math.cos(theta / 2.0) ** 2
+                        + rho[1, 1].real * math.sin(theta / 2.0) ** 2
+                    )
+                    q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
+                    assert abs(grid.values[i, j] - q) <= 4 * EPS
+
+    def test_rho31_leakage_formula(self, rng):
+        """Q_circuit - Q_direct = -(24/pi^3) sin(theta) Re(rho31 e^{i phi})."""
+        for _ in range(10):
+            rho = random_density(rng)
+            grid = imhd_scan(rho, n_theta=9, n_phi=16)
+            th, ph = grid.thetas[:, None], grid.phis[None, :]
+            gap = grid.values - husimi_reduced(rho, th, ph)
+            leak = -HUSIMI_PREFACTOR * np.sin(th) * np.real(rho[1, 3] * np.exp(1j * ph))
+            assert np.max(np.abs(gap - leak)) <= 4 * EPS
+            assert np.max(np.abs(gap)) <= leakage_bound(rho) + 4 * EPS
