@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    AMPLITUDE_SWEEP_AXIS,
+    ARNOLD_DETUNING_AXIS,
+    ARNOLD_DURATION_S,
+    ARNOLD_OMEGA_AXIS,
+    DEFAULT_SERIES_DURATIONS,
     calibrate_drive,
+    log_axis,
     run_amplitude_sweep,
     run_arnold_tongue,
     run_drive_series,
@@ -136,14 +143,11 @@ def resolved_config_dict(rc: RunConfig) -> dict:
     Feeding this back through parse_config reproduces the RunConfig
     exactly; it is also what reproducibility headers embed.
     """
-    out: dict = {}
-    for key in _SYSTEM_KEYS:
-        out[key] = getattr(rc.system, key)
-    for key in _DRIVE_KEYS:
-        out[key] = getattr(rc.drive, key)
-    for key in _INT_KEYS:
-        out[key] = getattr(rc, key)
-    return out
+    return {
+        **{key: getattr(rc.system, key) for key in _SYSTEM_KEYS},
+        **{key: getattr(rc.drive, key) for key in _DRIVE_KEYS},
+        **{key: getattr(rc, key) for key in _INT_KEYS},
+    }
 
 
 def _format_number(x) -> str:
@@ -160,96 +164,76 @@ def dumps_json(obj, indent: int | None = 0) -> str:
 
     indent=None produces a single line (used for header embedding).
     """
+    inner = None if indent is None else indent + 2
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if indent is None:
-            items = [
-                f"{json.dumps(str(k))}: {dumps_json(v, None)}"
-                for k, v in obj.items()
-            ]
-            return "{" + ", ".join(items) + "}"
-        inner = " " * (indent + 2)
+        brackets = "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {dumps_json(v, indent + 2)}"
-            for k, v in obj.items()
+            f"{json.dumps(str(k))}: {dumps_json(v, inner)}" for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        if indent is None:
-            return "[" + ", ".join(dumps_json(v, None) for v in obj) + "]"
-        inner = " " * (indent + 2)
-        items = [f"{inner}{dumps_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
-    if obj is None:
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [dumps_json(v, inner) for v in obj]
+    elif obj is None:
         return "null"
-    if isinstance(obj, (bool, int, float, np.floating, np.integer)):
+    elif isinstance(obj, (bool, int, float, np.floating, np.integer)):
         return _format_number(obj)
-    if isinstance(obj, str):
+    elif isinstance(obj, str):
         return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + " " * inner
+    tail = "\n" + " " * indent + brackets[1]
+    return brackets[0] + pad + ("," + pad).join(items) + tail
 
 
-def _config_header(rc: RunConfig, kind: str) -> list[str]:
+def _cells(values: np.ndarray, *axes):
+    """Formatted (axis..., value) rows in row-major order.
+
+    Each axis value is formatted once, not once per row it appears in.
+    """
+    labels = [[_format_number(x) for x in axis] for axis in axes]
+    for key, value in zip(itertools.product(*labels), values.flat):
+        yield (*key, _format_number(value))
+
+
+def _csv_text(rc: RunConfig, kind: str, columns, rows) -> str:
+    """CSV under the reproducibility header; ``rows`` yields formatted cells."""
     blob = dumps_json(resolved_config_dict(rc), indent=None)
-    return [f"# spinsync {kind}", f"# config {blob}"]
+    lines = [f"# spinsync {kind}", f"# config {blob}", ",".join(columns)]
+    lines += map(",".join, rows)
+    return "\n".join(lines) + "\n"
 
 
-def write_grid_csv(fh, grid: HusimiGrid, rc: RunConfig) -> None:
-    """Husimi grid as CSV rows (theta, phi, Q), theta-major order."""
-    for line in _config_header(rc, "husimi-grid"):
-        fh.write(line + "\n")
-    fh.write("theta,phi,Q\n")
-    for i, theta in enumerate(grid.thetas):
-        for j, phi in enumerate(grid.phis):
-            fh.write(
-                f"{_format_number(theta)},{_format_number(phi)},"
-                f"{_format_number(grid.values[i, j])}\n"
-            )
+def _report(kind: str, rc: RunConfig, **fields) -> str:
+    """JSON report text: ``kind`` first, the resolved config last."""
+    report = {"kind": kind, **fields, "config": resolved_config_dict(rc)}
+    return dumps_json(report) + "\n"
 
 
-def write_sweep_csv(fh, result, rc: RunConfig) -> None:
-    """Sweep values as CSV; the observable column is identified in the header."""
-    for line in _config_header(rc, f"sweep {result.observable}"):
-        fh.write(line + "\n")
-    names = list(result.axes)
-    if len(names) == 1:
-        axis = result.axes[names[0]]
-        fh.write(f"{names[0]},observable\n")
-        for x, v in zip(axis, result.values):
-            fh.write(f"{_format_number(x)},{_format_number(v)}\n")
-        return
-    first, second = (result.axes[n] for n in names)
-    fh.write(f"{names[0]},{names[1]},observable\n")
-    for i, x in enumerate(first):
-        for j, y in enumerate(second):
-            fh.write(
-                f"{_format_number(x)},{_format_number(y)},"
-                f"{_format_number(result.values[i, j])}\n"
-            )
+def write_grid_csv(grid: HusimiGrid, rc: RunConfig) -> str:
+    """Husimi grid as CSV text: rows (theta, phi, Q), theta-major order."""
+    rows = _cells(grid.values, grid.thetas, grid.phis)
+    return _csv_text(rc, "husimi-grid", ("theta", "phi", "Q"), rows)
 
 
-def write_series_csv(fh, points, rc: RunConfig) -> None:
-    for line in _config_header(rc, "drive-series"):
-        fh.write(line + "\n")
-    fh.write("duration_s,visibility,abs_coherence\n")
-    for p in points:
-        fh.write(
-            f"{_format_number(p.duration_s)},{_format_number(p.visibility)},"
-            f"{_format_number(p.coherence_abs)}\n"
-        )
+def write_sweep_csv(result, rc: RunConfig) -> str:
+    """Sweep values as CSV text; the header names the observable column."""
+    rows = _cells(result.values, *result.axes.values())
+    columns = (*result.axes, "observable")
+    return _csv_text(rc, f"sweep {result.observable}", columns, rows)
 
 
-def density_matrix_dict(rho: np.ndarray, rc: RunConfig) -> dict:
-    return {
-        "kind": "density-matrix",
-        "basis": BASIS_DESCRIPTION,
-        "real": [[float(v) for v in row] for row in rho.real],
-        "imag": [[float(v) for v in row] for row in rho.imag],
-        "config": resolved_config_dict(rc),
-    }
+def write_series_csv(points, rc: RunConfig) -> str:
+    rows = (
+        map(_format_number, (p.duration_s, p.visibility, p.coherence_abs))
+        for p in points
+    )
+    columns = ("duration_s", "visibility", "abs_coherence")
+    return _csv_text(rc, "drive-series", columns, rows)
 
 
 def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -268,12 +252,6 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             except ValueError as exc:
                 raise ConfigError(f"{path}: non-numeric row {row!r}") from exc
     return np.asarray(times), np.asarray(signals)
-
-
-def _load_runconfig(args) -> RunConfig:
-    if args.config is None:
-        return RunConfig()
-    return parse_config(args.config)
 
 
 def _drive_from_args(rc: RunConfig, args) -> DriveConfig:
@@ -307,6 +285,12 @@ def _check_sweep_flags(name: str, low: float, high: float, n: int) -> None:
         raise ConfigError(f"--{name}-min must be below --{name}-max")
 
 
+def _omega_axis(args) -> np.ndarray:
+    """The log-spaced amplitude axis of the --omega-* flags."""
+    _check_sweep_flags("omega", args.omega_min, args.omega_max, args.n_omega)
+    return log_axis(args.omega_min, args.omega_max, args.n_omega)
+
+
 def _prepared_state(rc: RunConfig, drive: DriveConfig, use_steady: bool):
     liouville = build_liouvillian(rc.system, drive)
     if use_steady:
@@ -319,144 +303,82 @@ def _write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _summary(name: str, runtime: float, observable: str, outputs) -> None:
-    paths = " ".join(str(p) for p in outputs)
-    print(f"{name}: {observable} runtime={runtime:.3f}s wrote {paths}")
+# Each handler takes (rc, args) and returns (observable, [(path, text)],
+# exit code); _run writes the outputs and prints the summary line.
 
 
-def _cmd_steady(args) -> int:
-    rc = _load_runconfig(args)
-    drive = _drive_from_args(rc, args)
-    t0 = time.perf_counter()
-    rho = steady_state(build_liouvillian(rc.system, drive))
-    _write_text(args.output, dumps_json(density_matrix_dict(rho, rc)) + "\n")
-    _summary(
-        "steady",
-        time.perf_counter() - t0,
-        f"max_sync={sync_measure_max(rho):.6g}",
-        [args.output],
+def _cmd_steady(rc: RunConfig, args):
+    rho = steady_state(build_liouvillian(rc.system, _drive_from_args(rc, args)))
+    report = _report(
+        "density-matrix", rc, basis=BASIS_DESCRIPTION,
+        real=rho.real.tolist(), imag=rho.imag.tolist(),
     )
-    return 0
+    return f"max_sync={sync_measure_max(rho):.6g}", [(args.output, report)], 0
 
 
-def _cmd_husimi(args) -> int:
-    rc = _load_runconfig(args)
+def _cmd_husimi(rc: RunConfig, args):
     drive = _drive_from_args(rc, args)
     n_theta, n_phi = _grid_shape(rc, args)
-    t0 = time.perf_counter()
     rho = _prepared_state(rc, drive, args.steady)
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
-    out_csv = Path(args.output)
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        write_grid_csv(fh, grid, rc)
-    meta = {
-        "kind": "husimi-metadata",
-        "visibility": visibility(grid),
-        "max_sync": sync_measure_max(rho),
-        "steady_state": bool(args.steady),
-        "n_theta": n_theta,
-        "n_phi": n_phi,
-        "config": resolved_config_dict(rc),
-    }
-    out_json = out_csv.with_suffix(".json")
-    _write_text(out_json, dumps_json(meta) + "\n")
-    _summary(
-        "husimi",
-        time.perf_counter() - t0,
-        f"visibility={meta['visibility']:.6g}",
-        [out_csv, out_json],
+    vis = visibility(grid)
+    meta = _report(
+        "husimi-metadata", rc, visibility=vis, max_sync=sync_measure_max(rho),
+        steady_state=bool(args.steady), n_theta=n_theta, n_phi=n_phi,
     )
-    return 0
+    out_csv = Path(args.output)
+    outputs = [
+        (out_csv, write_grid_csv(grid, rc)),
+        (out_csv.with_suffix(".json"), meta),
+    ]
+    return f"visibility={vis:.6g}", outputs, 0
 
 
-def _cmd_series(args) -> int:
-    rc = _load_runconfig(args)
+def _cmd_series(rc: RunConfig, args):
     drive = _drive_from_args(rc, args)
     if any(t <= 0.0 for t in args.durations) or \
             sorted(args.durations) != list(args.durations):
         raise ConfigError("durations must be positive and ascending")
-    t0 = time.perf_counter()
     points = run_drive_series(
-        rc.system,
-        drive.amplitude_hz,
-        durations=args.durations,
-        detuning_hz=drive.detuning_hz,
-        n_theta=rc.n_theta,
-        n_phi=rc.n_phi,
+        rc.system, drive.amplitude_hz, durations=args.durations,
+        detuning_hz=drive.detuning_hz, n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_series_csv(fh, points, rc)
-    _summary(
-        "series",
-        time.perf_counter() - t0,
-        f"final_visibility={points[-1].visibility:.6g}",
-        [args.output],
-    )
-    return 0
+    observable = f"final_visibility={points[-1].visibility:.6g}"
+    return observable, [(args.output, write_series_csv(points, rc))], 0
 
 
-def _cmd_amp_sweep(args) -> int:
-    rc = _load_runconfig(args)
-    _check_sweep_flags("omega", args.omega_min, args.omega_max, args.n_omega)
-    omegas = np.logspace(
-        math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega
-    )
-    t0 = time.perf_counter()
+def _cmd_amp_sweep(rc: RunConfig, args):
     result = run_amplitude_sweep(
-        rc.system, omegas, n_theta=rc.n_theta, n_phi=rc.n_phi
+        rc.system, _omega_axis(args), n_theta=rc.n_theta, n_phi=rc.n_phi
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_sweep_csv(fh, result, rc)
-    _summary(
-        "amp-sweep",
-        time.perf_counter() - t0,
-        f"peak_omega_hz={result.metadata['peak_omega_hz']:.6g}",
-        [args.output],
-    )
-    return 0
+    observable = f"peak_omega_hz={result.metadata['peak_omega_hz']:.6g}"
+    return observable, [(args.output, write_sweep_csv(result, rc))], 0
 
 
-def _cmd_arnold(args) -> int:
-    rc = _load_runconfig(args)
+def _cmd_arnold(rc: RunConfig, args):
     # a one-point grid holds only detuning_min
     if args.detuning_min != -args.detuning_max or (
         args.n_detuning == 1 and args.detuning_min != 0.0
     ):
         raise ConfigError("detuning grid must be symmetric about zero")
-    if args.duration is not None and args.duration <= 0.0:
+    if args.duration <= 0.0:
         raise ConfigError("--duration must be positive")
-    _check_sweep_flags("omega", args.omega_min, args.omega_max, args.n_omega)
+    omegas = _omega_axis(args)
     _check_sweep_flags(
         "detuning", args.detuning_min, args.detuning_max, args.n_detuning
     )
-    omegas = np.logspace(
-        math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega
-    )
     detunings = np.linspace(args.detuning_min, args.detuning_max, args.n_detuning)
-    t0 = time.perf_counter()
     result = run_arnold_tongue(
-        rc.system,
-        omegas,
-        detunings,
-        duration_s=args.duration if args.duration is not None else 100.0,
-        use_steady_state=args.steady,
+        rc.system, omegas, detunings,
+        duration_s=args.duration, use_steady_state=args.steady,
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_sweep_csv(fh, result, rc)
-    _summary(
-        "arnold",
-        time.perf_counter() - t0,
-        f"max_observable={float(result.values.max()):.6g}",
-        [args.output],
-    )
-    return 0
+    observable = f"max_observable={float(result.values.max()):.6g}"
+    return observable, [(args.output, write_sweep_csv(result, rc))], 0
 
 
-def _cmd_imhd_verify(args) -> int:
-    rc = _load_runconfig(args)
+def _cmd_imhd_verify(rc: RunConfig, args):
     drive = _drive_from_args(rc, args)
     n_theta, n_phi = _grid_shape(rc, args)
-    t0 = time.perf_counter()
     rho = _prepared_state(rc, drive, args.steady)
     scan = imhd_scan(rho, n_theta=n_theta, n_phi=n_phi, variant=args.variant)
     direct = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
@@ -471,33 +393,19 @@ def _cmd_imhd_verify(args) -> int:
             * (abs(rho[3, 3].real - 0.25) + abs(rho[1, 1].real - 0.25))
         )
     passed = bool(deviation < bound)
-    report = {
-        "kind": "imhd-verify",
-        "variant": args.variant,
-        "max_abs_deviation": deviation,
-        "bound": bound,
-        "passed": passed,
-        "n_theta": n_theta,
-        "n_phi": n_phi,
-        "config": resolved_config_dict(rc),
-    }
-    outputs = []
-    if args.output is not None:
-        _write_text(args.output, dumps_json(report) + "\n")
-        outputs.append(args.output)
-    _summary(
-        "imhd-verify",
-        time.perf_counter() - t0,
-        f"max_abs_deviation={deviation:.6g} bound={bound:.6g} "
-        f"passed={str(passed).lower()}",
-        outputs,
+    report = _report(
+        "imhd-verify", rc, variant=args.variant, max_abs_deviation=deviation,
+        bound=bound, passed=passed, n_theta=n_theta, n_phi=n_phi,
     )
-    return 0 if passed else 1
+    outputs = [] if args.output is None else [(args.output, report)]
+    observable = (
+        f"max_abs_deviation={deviation:.6g} bound={bound:.6g} "
+        f"passed={str(passed).lower()}"
+    )
+    return observable, outputs, 0 if passed else 1
 
 
-def _cmd_calibrate(args) -> int:
-    rc = _load_runconfig(args)
-    t0 = time.perf_counter()
+def _cmd_calibrate(rc: RunConfig, args):
     if args.noise < 0.0:
         raise ConfigError("noise must be non-negative")
     if args.n_samples < 3:
@@ -512,46 +420,43 @@ def _cmd_calibrate(args) -> int:
         signals = np.sin(2.0 * math.pi * amplitude * times)
         signals = signals + args.noise * rng.standard_normal(times.size)
         source = {
-            "kind": "synthetic",
-            "true_amplitude_hz": amplitude,
-            "noise": args.noise,
-            "n_samples": args.n_samples,
-            "seed": rc.seed,
+            "kind": "synthetic", "true_amplitude_hz": amplitude,
+            "noise": args.noise, "n_samples": args.n_samples, "seed": rc.seed,
         }
     try:
         fit = calibrate_drive(times, signals)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = {
-        "kind": "calibration",
-        "amplitude_hz": fit.amplitude_hz,
-        "slope_rad_per_s": fit.slope_rad_per_s,
-        "small_angle": fit.small_angle,
-        "residual_rms": fit.residual_rms,
-        "n_samples": fit.n_samples,
-        "source": source,
-        "config": resolved_config_dict(rc),
-    }
-    _write_text(args.output, dumps_json(report) + "\n")
-    _summary(
-        "calibrate",
-        time.perf_counter() - t0,
-        f"amplitude_hz={fit.amplitude_hz:.6g}",
-        [args.output],
+    report = _report(
+        "calibration", rc, amplitude_hz=fit.amplitude_hz,
+        slope_rad_per_s=fit.slope_rad_per_s, small_angle=fit.small_angle,
+        residual_rms=fit.residual_rms, n_samples=fit.n_samples, source=source,
     )
-    return 0
+    return f"amplitude_hz={fit.amplitude_hz:.6g}", [(args.output, report)], 0
 
 
-def _cmd_emit_config(args) -> int:
-    rc = _load_runconfig(args)
+def _cmd_emit_config(rc: RunConfig, args):
     text = dumps_json(resolved_config_dict(rc)) + "\n"
     if args.output is None:
         sys.stdout.write(text)
-        return 0
+        return None
+    return "config", [(args.output, text)], 0
+
+
+def _run(args) -> int:
+    """Load the config, run the subcommand, write its outputs, summarise."""
+    rc = RunConfig() if args.config is None else parse_config(args.config)
     t0 = time.perf_counter()
-    _write_text(args.output, text)
-    _summary("emit-config", time.perf_counter() - t0, "config", [args.output])
-    return 0
+    result = args.handler(rc, args)
+    if result is None:
+        return 0
+    observable, outputs, code = result
+    for path, text in outputs:
+        _write_text(path, text)
+    paths = " ".join(str(path) for path, _ in outputs)
+    runtime = time.perf_counter() - t0
+    print(f"{args.command}: {observable} runtime={runtime:.3f}s wrote {paths}")
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -562,15 +467,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
+# argparse names the type in its "invalid <type> value" message
+_finite_float.__name__ = "float"
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if value <= 0.0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
 def _duration_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+    values = [_finite_float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty duration list")
     return values
@@ -583,104 +499,97 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, output_required: bool = True):
+    def add(name: str, help_text: str, handler, output_required: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument(
-            "--output", required=output_required, help="output file path"
-        )
+        p.add_argument("--output", required=output_required, help="output file path")
+        p.set_defaults(handler=handler)
         return p
 
     def add_drive_flags(p, duration: bool = True):
-        p.add_argument("--amplitude", type=float, help="drive amplitude in Hz")
-        p.add_argument("--detuning", type=float, help="drive detuning in Hz")
+        p.add_argument("--amplitude", type=_finite_float, help="drive amplitude in Hz")
+        p.add_argument("--detuning", type=_finite_float, help="drive detuning in Hz")
         if duration:
-            p.add_argument("--duration", type=float, help="evolution time in s")
+            p.add_argument("--duration", type=_finite_float, help="evolution time in s")
 
     def add_grid_flags(p):
         p.add_argument("--n-theta", type=int, help="polar grid points")
         p.add_argument("--n-phi", type=int, help="azimuthal grid points")
 
-    p = add("steady", "steady state density matrix as JSON")
-    add_drive_flags(p, duration=False)
-    p.set_defaults(handler=_cmd_steady)
+    def add_axis_flags(p, name: str, axis, value_type):
+        low, high, n = axis
+        p.add_argument(f"--{name}-min", type=value_type, default=low)
+        p.add_argument(f"--{name}-max", type=value_type, default=high)
+        p.add_argument(f"--n-{name}", type=int, default=n)
 
-    p = add("husimi", "phase-space grid as CSV plus metadata JSON")
+    p = add("steady", "steady state density matrix as JSON", _cmd_steady)
+    add_drive_flags(p, duration=False)
+
+    p = add("husimi", "phase-space grid as CSV plus metadata JSON", _cmd_husimi)
     add_drive_flags(p)
     add_grid_flags(p)
     p.add_argument(
         "--steady", action="store_true",
         help="use the steady state instead of evolving for --duration",
     )
-    p.set_defaults(handler=_cmd_husimi)
 
-    p = add("series", "phase localization versus drive duration")
+    p = add("series", "phase localization versus drive duration", _cmd_series)
     add_drive_flags(p, duration=False)
     p.add_argument(
-        "--durations", type=_duration_list, default=[0.05, 0.1, 1.0, 10.0, 100.0],
+        "--durations", type=_duration_list, default=DEFAULT_SERIES_DURATIONS,
         help="comma-separated durations in s",
     )
-    p.set_defaults(handler=_cmd_series)
-
-    p = add("amp-sweep", "steady-state visibility versus drive amplitude")
-    p.add_argument("--omega-min", type=_positive_float, default=1e-3)
-    p.add_argument("--omega-max", type=_positive_float, default=1e3)
-    p.add_argument("--n-omega", type=int, default=61)
-    p.set_defaults(handler=_cmd_amp_sweep)
-
-    p = add("arnold", "synchronization over an amplitude x detuning grid")
-    p.add_argument("--omega-min", type=_positive_float, default=1e-2)
-    p.add_argument("--omega-max", type=_positive_float, default=1.0)
-    p.add_argument("--n-omega", type=int, default=21)
-    p.add_argument("--detuning-min", type=float, default=-3.0)
-    p.add_argument("--detuning-max", type=float, default=3.0)
-    p.add_argument("--n-detuning", type=int, default=41)
-    p.add_argument("--duration", type=float, help="evolution time per cell in s")
-    p.add_argument(
-        "--steady", action="store_true", help="use steady states per cell"
-    )
-    p.set_defaults(handler=_cmd_arnold)
 
     p = add(
-        "imhd-verify",
-        "compare the gate-level readout scan against the direct grid",
-        output_required=False,
+        "amp-sweep", "steady-state visibility versus drive amplitude", _cmd_amp_sweep
+    )
+    add_axis_flags(p, "omega", AMPLITUDE_SWEEP_AXIS, _positive_float)
+
+    p = add("arnold", "synchronization over an amplitude x detuning grid", _cmd_arnold)
+    add_axis_flags(p, "omega", ARNOLD_OMEGA_AXIS, _positive_float)
+    add_axis_flags(p, "detuning", ARNOLD_DETUNING_AXIS, _finite_float)
+    p.add_argument(
+        "--duration", type=_finite_float, default=ARNOLD_DURATION_S,
+        help="evolution time per cell in s",
+    )
+    p.add_argument("--steady", action="store_true", help="use steady states per cell")
+
+    p = add(
+        "imhd-verify", "compare the gate-level readout scan against the direct grid",
+        _cmd_imhd_verify, output_required=False,
     )
     add_drive_flags(p)
     add_grid_flags(p)
     p.add_argument("--steady", action="store_true")
     p.add_argument("--variant", choices=VARIANTS, default="exact-populations")
     p.add_argument("--tolerance", type=_positive_float, default=1e-9)
-    p.set_defaults(handler=_cmd_imhd_verify)
 
-    p = add("calibrate", "fit a drive amplitude from nutation samples")
+    p = add("calibrate", "fit a drive amplitude from nutation samples", _cmd_calibrate)
     p.add_argument("--input", help="CSV of time_s,signal samples")
-    p.add_argument("--amplitude", type=float, help="synthetic true amplitude")
-    p.add_argument("--noise", type=float, default=0.0, help="synthetic noise rms")
+    p.add_argument("--amplitude", type=_finite_float, help="synthetic true amplitude")
+    p.add_argument(
+        "--noise", type=_finite_float, default=0.0, help="synthetic noise rms"
+    )
     p.add_argument("--n-samples", type=int, default=20)
-    p.set_defaults(handler=_cmd_calibrate)
 
-    p = add("emit-config", "write the resolved config JSON", output_required=False)
-    p.set_defaults(handler=_cmd_emit_config)
-
+    add(
+        "emit-config", "write the resolved config JSON", _cmd_emit_config,
+        output_required=False,
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"spinsync: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"spinsync: i/o error: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"spinsync: engine error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
         print(f"spinsync: engine error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,17 +24,32 @@ from .system import DriveConfig, SpinSystemConfig, thermal_state
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 
+# Default sweep axes as (low, high, points) in Hz; the CLI flags default
+# to these.  Amplitudes are log-spaced, detunings linear.
+AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
+ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
+ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
+ARNOLD_DURATION_S = 100.0
 
-def default_amplitude_grid(n: int = 61) -> np.ndarray:
+
+def log_axis(low: float, high: float, n: int) -> np.ndarray:
+    """n log-spaced points from low to high (both positive)."""
+    return np.logspace(math.log10(low), math.log10(high), n)
+
+
+def default_amplitude_grid(n: int = AMPLITUDE_SWEEP_AXIS[2]) -> np.ndarray:
     """Log-spaced drive amplitudes from 1e-3 to 1e3 Hz."""
-    return np.logspace(-3.0, 3.0, n)
+    return log_axis(*AMPLITUDE_SWEEP_AXIS[:2], n)
 
 
 def default_arnold_grid(
-    n_omega: int = 21, n_detuning: int = 41
+    n_omega: int = ARNOLD_OMEGA_AXIS[2], n_detuning: int = ARNOLD_DETUNING_AXIS[2]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced amplitudes in [1e-2, 1] Hz, linear detunings in [-3, 3] Hz."""
-    return np.logspace(-2.0, 0.0, n_omega), np.linspace(-3.0, 3.0, n_detuning)
+    return (
+        log_axis(*ARNOLD_OMEGA_AXIS[:2], n_omega),
+        np.linspace(*ARNOLD_DETUNING_AXIS[:2], n_detuning),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +191,7 @@ def run_arnold_tongue(
     config: SpinSystemConfig,
     omegas_hz=None,
     detunings_hz=None,
-    duration_s: float = 100.0,
+    duration_s: float = ARNOLD_DURATION_S,
     use_steady_state: bool = False,
 ) -> SweepResult:
     """Peak synchronization over an amplitude x detuning grid.

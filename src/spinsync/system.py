@@ -180,8 +180,13 @@ class DriveConfig:
             raise ValueError("drive amplitude must be non-negative")
         if self.duration_s < 0.0:
             raise ValueError("drive duration must be non-negative")
-        if not math.isfinite(self.detuning_hz):
-            raise ValueError("detuning must be finite")
+        for value, what in (
+            (self.amplitude_hz, "drive amplitude"),
+            (self.duration_s, "drive duration"),
+            (self.detuning_hz, "detuning"),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite")
 
 
 def larmor_frequencies(config: SpinSystemConfig) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,19 @@ from spinsync import (
 from spinsync.cli import (
     ConfigError,
     RunConfig,
+    build_parser,
     dumps_json,
     main,
     parse_config,
     read_samples_csv,
     resolved_config_dict,
+)
+from spinsync.experiments import (
+    ARNOLD_DURATION_S,
+    DEFAULT_SERIES_DURATIONS,
+    default_amplitude_grid,
+    default_arnold_grid,
+    log_axis,
 )
 from spinsync.imhd import VARIANTS
 from spinsync.system import default_purity_factors
@@ -570,3 +579,131 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 64
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity literals."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_round_trips(tmp_path, config: dict, expected: RunConfig) -> None:
+    path = tmp_path / "round-trip.json"
+    path.write_text(json.dumps(config))
+    assert parse_config(path) == expected
+
+
+class TestRunnerContract:
+    """Every subcommand: summary line, strict outputs, config header last."""
+
+    CONFIG = {"n_theta": 8, "n_phi": 8, "amplitude_hz": 0.2, "seed": 7}
+    # subcommand: (extra flags, output file names, CSV kind or None for JSON)
+    CASES = {
+        "steady": ([], ["out.json"], None),
+        "husimi": (["--steady"], ["out.csv", "out.json"], "husimi-grid"),
+        "series": (["--durations", "0.05,1"], ["out.csv"], "drive-series"),
+        "amp-sweep": (
+            ["--omega-min", "0.05", "--omega-max", "0.2", "--n-omega", "2"],
+            ["out.csv"], "sweep visibility",
+        ),
+        "arnold": (
+            ["--omega-min", "0.1", "--omega-max", "0.2", "--n-omega", "2",
+             "--detuning-min", "-1", "--detuning-max", "1", "--n-detuning", "3",
+             "--duration", "10"],
+            ["out.csv"], "sweep max-sync",
+        ),
+        "imhd-verify": (["--steady"], ["out.json"], None),
+        "calibrate": (["--noise", "0.01"], ["out.json"], None),
+        "emit-config": ([], ["out.json"], None),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_outputs_and_summary(self, tmp_path, capsys, command):
+        extra, names, csv_kind = self.CASES[command]
+        src = write_config(tmp_path, self.CONFIG)
+        expected = parse_config(src)
+        out = tmp_path / names[0]
+        code = main([command, "--config", src, "--output", str(out)] + extra)
+        assert code == 0
+        paths = " ".join(str(tmp_path / name) for name in names)
+        summary = capsys.readouterr().out
+        assert re.fullmatch(
+            rf"{command}: \S.* runtime=\d+\.\d{{3}}s wrote {re.escape(paths)}\n",
+            summary,
+        )
+        for name in names:
+            text = (tmp_path / name).read_text()
+            if name.endswith(".csv"):
+                headers, columns, rows = read_csv_body(tmp_path / name)
+                assert headers[0] == f"# spinsync {csv_kind}"
+                blob = strict_json(headers[1].removeprefix("# config "))
+                assert_round_trips(tmp_path, blob, expected)
+                width = len(columns.split(","))
+                for row in rows:
+                    cells = [float(v) for v in row.split(",")]
+                    assert len(cells) == width
+                    assert all(math.isfinite(v) for v in cells)
+            elif command == "emit-config":
+                assert_round_trips(tmp_path, strict_json(text), expected)
+            else:
+                report = strict_json(text)
+                assert list(report)[0] == "kind"
+                assert list(report)[-1] == "config"
+                assert_round_trips(tmp_path, report["config"], expected)
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("steady", "--amplitude", "nan"),
+            ("steady", "--detuning", "inf"),
+            ("husimi", "--amplitude", "inf"),
+            ("husimi", "--duration", "nan"),
+            ("series", "--amplitude", "-inf"),
+            ("series", "--durations", "0.1,nan"),
+            ("amp-sweep", "--omega-min", "nan"),
+            ("amp-sweep", "--omega-max", "inf"),
+            ("arnold", "--omega-min", "nan"),
+            ("arnold", "--omega-max", "inf"),
+            ("arnold", "--detuning-min", "-inf"),
+            ("arnold", "--detuning-max", "nan"),
+            ("arnold", "--duration", "inf"),
+            ("imhd-verify", "--detuning", "nan"),
+            ("imhd-verify", "--duration", "inf"),
+            ("imhd-verify", "--tolerance", "inf"),
+            ("calibrate", "--amplitude", "nan"),
+            ("calibrate", "--noise", "nan"),
+        ],
+    )
+    def test_non_finite_is_usage_error(self, tmp_path, command, flag, value):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--output", str(out), f"{flag}={value}"])
+        assert exc.value.code == 64
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_defaults_are_the_experiment_defaults(self):
+        parser = build_parser()
+        amp = parser.parse_args(["amp-sweep", "--output", "x"])
+        np.testing.assert_array_equal(
+            log_axis(amp.omega_min, amp.omega_max, amp.n_omega),
+            default_amplitude_grid(),
+        )
+        arnold = parser.parse_args(["arnold", "--output", "x"])
+        omegas, detunings = default_arnold_grid()
+        np.testing.assert_array_equal(
+            log_axis(arnold.omega_min, arnold.omega_max, arnold.n_omega), omegas
+        )
+        np.testing.assert_array_equal(
+            np.linspace(
+                arnold.detuning_min, arnold.detuning_max, arnold.n_detuning
+            ),
+            detunings,
+        )
+        assert arnold.duration == ARNOLD_DURATION_S
+        series = parser.parse_args(["series", "--output", "x"])
+        assert series.durations == DEFAULT_SERIES_DURATIONS

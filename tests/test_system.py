@@ -185,6 +185,11 @@ class TestConfigValidation:
             {"amplitude_hz": -0.1},
             {"duration_s": -1.0},
             {"detuning_hz": math.nan},
+            {"amplitude_hz": math.nan},
+            {"amplitude_hz": math.inf},
+            {"duration_s": math.nan},
+            {"duration_s": math.inf},
+            {"detuning_hz": -math.inf},
         ],
     )
     def test_rejects_invalid_drive(self, kwargs):
