@@ -2,32 +2,23 @@
 
 The library models a heteronuclear two-spin system under weak resonant
 driving and thermal relaxation, and analyses the resulting states with
-SU(4) spin-coherent phase-space tools: Husimi distributions, a phase
-synchronization measure, and a gate-level interferometric readout of the
-same distribution.
+SU(4) spin-coherent phase-space tools: the reduced Husimi distribution,
+a phase synchronization measure, and a gate-level interferometric
+readout of the same distribution.
 """
 
 from .system import (
-    BasisOrdering,
-    DEFAULT_BASIS,
     DriveConfig,
     SpinSystemConfig,
     check_density_matrix,
     default_purity_factors,
-    larmor_frequencies,
     spin_operator,
     thermal_state,
 )
 from .hamiltonians import (
-    Hamiltonian,
-    build_four_level_drive_hamiltonian,
-    build_lab_hamiltonian,
-    build_reduced_rotating_hamiltonian,
-    build_rotating_hamiltonian,
     detuning_term,
     drive_term,
     rotating_drift,
-    rotating_frame_unitary,
 )
 from .dissipation import (
     JumpOperator,
@@ -37,7 +28,6 @@ from .dissipation import (
 )
 from .liouville import (
     AffineLiouvillian,
-    Liouvillian,
     SpectralReport,
     build_affine_liouvillian,
     build_l0,
@@ -45,7 +35,6 @@ from .liouville import (
     build_lv,
     devectorize,
     propagate,
-    propagator,
     spectral_report,
     steady_state,
     vectorize,
@@ -54,31 +43,23 @@ from .phasespace import (
     HUSIMI_PREFACTOR,
     SYNC_COEFFICIENT,
     UNIFORM_PHASE_DENSITY,
-    CoherentStateSU4,
     HaarQuadrature,
     HusimiGrid,
-    coherent_state_su2,
-    coherent_state_sun,
     completeness_check,
-    free_phase_evolution,
     haar_quadrature,
-    husimi_full,
     husimi_grid,
     husimi_normalization,
     husimi_reduced,
     sync_measure_full,
     sync_measure_max,
     sync_measure_quadrature,
-    sync_measure_reduced,
     visibility,
 )
 from .imhd import (
     Gate,
     ImhdReading,
     build_controlled_phase,
-    build_j_evolution,
     build_pseudo_hadamard,
-    build_u_theta_phi,
     imhd_scan,
     leakage_bound,
     run_imhd,
@@ -102,59 +83,41 @@ __all__ = [
     "SYNC_COEFFICIENT",
     "UNIFORM_PHASE_DENSITY",
     "AffineLiouvillian",
-    "BasisOrdering",
     "CalibrationResult",
-    "CoherentStateSU4",
-    "DEFAULT_BASIS",
     "DriveConfig",
     "DriveSeriesPoint",
     "Gate",
     "HaarQuadrature",
-    "Hamiltonian",
     "HusimiGrid",
     "ImhdReading",
     "JumpOperator",
     "LimitCycleResult",
-    "Liouvillian",
     "SpectralReport",
     "SpinSystemConfig",
     "SweepResult",
     "build_affine_liouvillian",
     "build_controlled_phase",
-    "build_four_level_drive_hamiltonian",
-    "build_j_evolution",
     "build_jump_operators",
     "build_l0",
-    "build_lab_hamiltonian",
     "build_liouvillian",
     "build_lv",
     "build_pseudo_hadamard",
-    "build_reduced_rotating_hamiltonian",
-    "build_rotating_hamiltonian",
-    "build_u_theta_phi",
     "calibrate_drive",
     "check_density_matrix",
-    "coherent_state_su2",
-    "coherent_state_sun",
     "completeness_check",
     "default_purity_factors",
     "detuning_term",
     "devectorize",
     "drive_term",
     "fermionic_probabilities",
-    "free_phase_evolution",
     "haar_quadrature",
-    "husimi_full",
     "husimi_grid",
     "husimi_normalization",
     "husimi_reduced",
     "imhd_scan",
-    "larmor_frequencies",
     "leakage_bound",
     "propagate",
-    "propagator",
     "rotating_drift",
-    "rotating_frame_unitary",
     "run_amplitude_sweep",
     "run_arnold_tongue",
     "run_drive_series",
@@ -166,7 +129,6 @@ __all__ = [
     "sync_measure_full",
     "sync_measure_max",
     "sync_measure_quadrature",
-    "sync_measure_reduced",
     "thermal_state",
     "transition_rate",
     "vectorize",

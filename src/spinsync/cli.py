@@ -451,9 +451,12 @@ def _run(args) -> int:
     if result is None:
         return 0
     observable, outputs, code = result
+    paths = " ".join(str(path) for path, _ in outputs)
+    # checked before any write, so a collision leaves no file behind
+    if len({Path(path).resolve() for path, _ in outputs}) < len(outputs):
+        raise ConfigError(f"output paths collide: {paths}")
     for path, text in outputs:
         _write_text(path, text)
-    paths = " ".join(str(path) for path, _ in outputs)
     runtime = time.perf_counter() - t0
     print(f"{args.command}: {observable} runtime={runtime:.3f}s wrote {paths}")
     return code

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SpinSystemConfig
+from .system import LEVEL_LABELS, LEVELS, SpinSystemConfig
 
 
 def fermionic_probabilities(epsilon: float) -> tuple[float, float]:
@@ -56,13 +56,11 @@ def build_jump_operators(config: SpinSystemConfig) -> list[JumpOperator]:
     flipping spin moves from m = +1/2 to m = -1/2 (its higher-energy
     orientation for the positive gyromagnetic ratios used here).
     """
-    basis = config.basis
     params = {
         "P": (transition_rate(config.t1_p_s), fermionic_probabilities(config.epsilon_p)),
         "F": (transition_rate(config.t1_f_s), fermionic_probabilities(config.epsilon_f)),
     }
-    index_of = {qn: i for i, qn in enumerate(basis.levels)}
-    label_of = {i: label for i, label in enumerate((4, 3, 2, 1))}
+    index_of = {qn: i for i, qn in enumerate(LEVELS)}
 
     ops = []
     for species, flip_slot in (("P", 0), ("F", 1)):
@@ -85,8 +83,8 @@ def build_jump_operators(config: SpinSystemConfig) -> list[JumpOperator]:
                         matrix=m,
                         species=species,
                         direction=direction,
-                        source=label_of[i_src],
-                        target=label_of[i_tgt],
+                        source=LEVEL_LABELS[i_src],
+                        target=LEVEL_LABELS[i_tgt],
                     )
                 )
     return ops

@@ -31,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasespace import HUSIMI_PREFACTOR, HusimiGrid, grid_axes
-from .system import SpinSystemConfig, spin_operator
+from .system import spin_operator
 
-GATE_LABELS = (
-    "pseudo-hadamard-F",
-    "u-theta-phi-P",
-    "u-theta-phi-dagger-P",
-    "controlled-phase",
-    "j-evolution",
-)
+GATE_LABELS = ("pseudo-hadamard-F", "controlled-phase")
 
 VARIANTS = ("exact-populations", "quarter-approximation")
 
@@ -48,11 +42,10 @@ _EYE2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class Gate:
-    """A 4x4 unitary with a label and, where meaningful, a duration."""
+    """A fixed 4x4 unitary of the readout circuit, with its label."""
 
     matrix: np.ndarray
     label: str
-    duration_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.label not in GATE_LABELS:
@@ -83,14 +76,6 @@ def _scan_rotation(theta, phi) -> np.ndarray:
     )
 
 
-def build_u_theta_phi(theta: float, phi: float, adjoint: bool = False) -> Gate:
-    """Scan rotation on P (identity on F); ``adjoint`` gives the inverse."""
-    u = np.kron(_scan_rotation(theta, phi), _EYE2)
-    if adjoint:
-        return Gate(u.conj().T, "u-theta-phi-dagger-P")
-    return Gate(u, "u-theta-phi-P")
-
-
 def build_pseudo_hadamard() -> Gate:
     """90-degree scan-frame y rotation on F (identity on P)."""
     h = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -104,19 +89,6 @@ def build_controlled_phase() -> Gate:
     orientation picks up the P scan-frame sign.
     """
     return Gate(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), "controlled-phase")
-
-
-def build_j_evolution(config: SpinSystemConfig) -> Gate:
-    """Free scalar-coupling evolution for 1/(2J) seconds.
-
-    Equal to the controlled phase up to a global phase and diagonal
-    single-spin z rotations.
-    """
-    duration = 1.0 / (2.0 * config.j_coupling_hz)
-    izz = spin_operator("P", "z") @ spin_operator("F", "z")
-    angle = 2.0 * math.pi * config.j_coupling_hz * duration  # = pi
-    u = np.diag(np.exp(-1j * angle * np.diag(izz)))
-    return Gate(u, "j-evolution", duration_s=duration)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Vectorized master-equation engine.
 
 Density matrices are flattened by column stacking, so a triple product
-B rho C maps to (C^T kron B) vec(rho).  The generator splits into a
-drift part (coherent drift plus dissipation) and a drive part; both are
-dense 16x16 matrices and propagation uses the matrix exponential.  The
-generator is affine in the drive, L(Omega, delta) = base + delta
-per_detuning + Omega per_amplitude, so those three terms are built once
-per system and every generator is assembled from them.
+B rho C maps to (C^T kron B) vec(rho).  The generator is a dense 16x16
+array, affine in the drive: L(Omega, delta) = base + delta per_detuning
++ Omega per_amplitude, so those three terms are built once per system
+and every generator is assembled from them.  Propagation uses the
+matrix exponential.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .dissipation import JumpOperator, build_jump_operators
-from .hamiltonians import (
-    Hamiltonian,
-    as_matrix,
-    detuning_term,
-    drive_term,
-    rotating_drift,
-)
+from .hamiltonians import detuning_term, drive_term, rotating_drift
 from .system import DriveConfig, SpinSystemConfig
 
 # Ratio of second-smallest to largest singular value below which the
@@ -63,8 +56,8 @@ def _dissipator_superoperator(o: np.ndarray) -> np.ndarray:
     )
 
 
-def _hermitian_part(h0: Hamiltonian | np.ndarray, name: str) -> np.ndarray:
-    h = np.asarray(as_matrix(h0), dtype=complex)
+def _hermitian_part(h0: np.ndarray, name: str) -> np.ndarray:
+    h = np.asarray(h0, dtype=complex)
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-12:
         raise ValueError(f"{name} must be Hermitian, deviation {dev:.3e}")
@@ -72,7 +65,7 @@ def _hermitian_part(h0: Hamiltonian | np.ndarray, name: str) -> np.ndarray:
 
 
 def build_l0(
-    h0: Hamiltonian | np.ndarray,
+    h0: np.ndarray,
     jumps: list[JumpOperator] | list[np.ndarray],
 ) -> np.ndarray:
     """Drift generator: -i[H0, .] plus the sum of all dissipators."""
@@ -82,21 +75,9 @@ def build_l0(
     return l0
 
 
-def build_lv(v: Hamiltonian | np.ndarray) -> np.ndarray:
+def build_lv(v: np.ndarray) -> np.ndarray:
     """Drive generator -i[V, .]."""
     return _commutator_superoperator(_hermitian_part(v, "drive term"))
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Generator split into drift and drive addends (16x16 each)."""
-
-    drift: np.ndarray
-    drive: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.drift + self.drive
 
 
 @dataclass(frozen=True)
@@ -112,11 +93,12 @@ class AffineLiouvillian:
     per_detuning: np.ndarray
     per_amplitude: np.ndarray
 
-    def at(self, drive: DriveConfig) -> Liouvillian:
-        """The generator for one drive; detuning counts as drift."""
-        return Liouvillian(
-            drift=self.base + drive.detuning_hz * self.per_detuning,
-            drive=drive.amplitude_hz * self.per_amplitude,
+    def at(self, drive: DriveConfig) -> np.ndarray:
+        """The 16x16 generator for one drive."""
+        return (
+            self.base
+            + drive.detuning_hz * self.per_detuning
+            + drive.amplitude_hz * self.per_amplitude
         )
 
 
@@ -132,42 +114,30 @@ def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
     )
 
 
-def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> Liouvillian:
+def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
     """Assemble the full generator for a configured system and drive."""
     return build_affine_liouvillian(config).at(drive)
 
 
-def _total(liouvillian: Liouvillian | np.ndarray) -> np.ndarray:
-    if isinstance(liouvillian, Liouvillian):
-        return liouvillian.total
-    return np.asarray(liouvillian, dtype=complex)
-
-
-def propagate(
-    liouvillian: Liouvillian | np.ndarray, rho0: np.ndarray, t: float
-) -> np.ndarray:
+def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 via expm(L t).
 
-    Scaling-and-squaring Pade approximation; exact semigroup property up
-    to rounding, trace and Hermiticity preserved by construction of L.
+    Scaling-and-squaring Pade approximation.  L preserves trace and
+    Hermiticity exactly, but the computed map does so only up to
+    rounding that grows with ||L|| t through the squaring steps, so the
+    trace drift is largest at long times (criterion 8 widens its trace
+    window above 100 s for this reason).
     """
     if t < 0.0:
         raise ValueError("propagation time must be non-negative")
-    l_total = _total(liouvillian)
+    l_total = np.asarray(liouvillian, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
     return devectorize(scipy.linalg.expm(l_total * t) @ vectorize(rho0))
 
 
-def propagator(liouvillian: Liouvillian | np.ndarray, t: float) -> np.ndarray:
-    """The 16x16 map expm(L t); useful when many states share one time."""
-    if t < 0.0:
-        raise ValueError("propagation time must be non-negative")
-    return scipy.linalg.expm(_total(liouvillian) * t)
-
-
-def steady_state(liouvillian: Liouvillian | np.ndarray) -> np.ndarray:
+def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Stationary density matrix from the null space of the generator.
 
     Found as the singular vector of the smallest singular value, then
@@ -175,7 +145,7 @@ def steady_state(liouvillian: Liouvillian | np.ndarray) -> np.ndarray:
     (numerically) more than one-dimensional or if the residual after
     normalization is not small.
     """
-    l_total = _total(liouvillian)
+    l_total = np.asarray(liouvillian, dtype=complex)
     _, s, vh = np.linalg.svd(l_total)
     if s[0] == 0.0 or s[-2] < DEGENERACY_RATIO * s[0]:
         raise np.linalg.LinAlgError(
@@ -204,13 +174,13 @@ class SpectralReport:
     gap: float  # |Re| of the slowest decaying mode
 
 
-def spectral_report(liouvillian: Liouvillian | np.ndarray) -> SpectralReport:
+def spectral_report(liouvillian: np.ndarray) -> SpectralReport:
     """Eigenvalue summary; the gap sets the equilibration time scale.
 
     All real parts are non-positive for a valid generator (one eigenvalue
     is zero up to rounding).
     """
-    eigs = np.linalg.eigvals(_total(liouvillian))
+    eigs = np.linalg.eigvals(np.asarray(liouvillian, dtype=complex))
     order = np.argsort(-eigs.real)
     eigs = eigs[order]
     return SpectralReport(eigenvalues=eigs, gap=float(-eigs[1].real))

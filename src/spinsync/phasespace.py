@@ -1,12 +1,17 @@
-"""Spin coherent states, Husimi distribution and synchronization measures.
+"""Husimi distribution and synchronization measures of the four-level state.
 
 The four-level Husimi function is Q = (24/pi^3) <n|rho|n> over SU(4)
-coherent states |n(theta_1..3, phi_1..3)>, component 1 overlapping the
-highest level |4> and component 4 the lowest |1>.  The group measure is
-parametrized with full angles alpha_i = theta_i / 2 in [0, pi/2] and
-weights cos(a1) sin^5(a1) cos(a2) sin^3(a2) cos(a3) sin(a3), the unique
+coherent states |n(theta_1..3, phi_1..3)>.  With full angles alpha_i =
+theta_i / 2 in [0, pi/2] the components are cos(a1), e^{i phi_1} sin(a1)
+cos(a2), e^{i phi_2} sin(a1) sin(a2) cos(a3) and e^{i phi_3} sin(a1)
+sin(a2) sin(a3); component 1 overlaps the highest level |4> and
+component 4 the lowest |1>.  The group measure has weights
+cos(a1) sin^5(a1) cos(a2) sin^3(a2) cos(a3) sin(a3), the unique
 normalization for which the states resolve the identity as
 integral |n><n| dmu = (pi^3 / 24) * I; see ``completeness_check``.
+Q is sampled on the (theta, phi) section through |4> and |2>
+(``husimi_reduced``); the full distribution enters only through its
+group integrals (``HaarQuadrature``).
 
 Synchronization is measured by S(phi_1..3) = integral Q dTheta -
 1/(2 pi)^3, which reduces to a closed form linear in the upper-triangle
@@ -26,84 +31,6 @@ HUSIMI_PREFACTOR = 24.0 / math.pi**3
 UNIFORM_PHASE_DENSITY = 1.0 / (2.0 * math.pi) ** 3
 # Closed-form coefficient of each coherence in the sync measure.
 SYNC_COEFFICIENT = 1.0 / (16.0 * math.pi**2)
-
-
-def coherent_state_su2(theta: float, phi: float) -> np.ndarray:
-    """Spin-1/2 coherent state (cos(theta/2), e^{i phi} sin(theta/2))."""
-    return np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)],
-        dtype=complex,
-    )
-
-
-def coherent_state_sun(n: int, thetas, phis) -> np.ndarray:
-    """SU(n) coherent state from n-1 polar and n-1 azimuthal angles.
-
-    Built by the recursion |n_k> = (cos(theta/2), e^{i phi} sin(theta/2)
-    |n_{k-1}>), unrolled with absolute phases: component k > 1 carries
-    e^{i phi_{k-1}} times a product of half-angle sines and one cosine.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    if n < 2:
-        raise ValueError("need n >= 2 levels")
-    if thetas.shape != (n - 1,) or phis.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} polar and azimuthal angles")
-    if np.any(thetas < 0.0) or np.any(thetas > math.pi):
-        raise ValueError("polar angles must lie in [0, pi]")
-    half = thetas / 2.0
-    state = np.empty(n, dtype=complex)
-    sine_running = 1.0
-    for k in range(n - 1):
-        state[k] = sine_running * math.cos(half[k])
-        if k > 0:
-            state[k] *= np.exp(1j * phis[k - 1])
-        sine_running *= math.sin(half[k])
-    state[n - 1] = sine_running * np.exp(1j * phis[n - 2])
-    return state
-
-
-@dataclass(frozen=True)
-class CoherentStateSU4:
-    """SU(4) coherent state angles; component i overlaps level |5-i>."""
-
-    thetas: tuple[float, float, float]
-    phis: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.thetas) != 3 or len(self.phis) != 3:
-            raise ValueError("need three polar and three azimuthal angles")
-        if any(t < 0.0 or t > math.pi for t in self.thetas):
-            raise ValueError("polar angles must lie in [0, pi]")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return coherent_state_sun(4, self.thetas, self.phis)
-
-
-def free_phase_evolution(
-    state: CoherentStateSU4, frequencies, t: float
-) -> CoherentStateSU4:
-    """Coherent state after free diagonal evolution for time t.
-
-    ``frequencies`` are the four level frequencies (rad/s) in component
-    order; each azimuthal angle shifts by -(omega_{i+1} - omega_1) t, the
-    global phase being unobservable.
-    """
-    w = np.asarray(frequencies, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("need four level frequencies")
-    shifted = tuple(
-        float(np.mod(p - (w[i + 1] - w[0]) * t, 2.0 * math.pi))
-        for i, p in enumerate(state.phis)
-    )
-    return CoherentStateSU4(thetas=state.thetas, phis=shifted)
-
-
-def husimi_full(rho: np.ndarray, state: CoherentStateSU4) -> float:
-    """Husimi value (24/pi^3) <n|rho|n> at one SU(4) coherent state."""
-    n = state.vector
-    return float(HUSIMI_PREFACTOR * np.real(n.conj() @ np.asarray(rho) @ n))
 
 
 def husimi_reduced(rho, theta, phi, include_prefactor: bool = True):
@@ -198,11 +125,6 @@ def sync_measure_full(rho: np.ndarray, phi1: float, phi2: float, phi3: float) ->
     return float(SYNC_COEFFICIENT * total.real)
 
 
-def sync_measure_reduced(rho: np.ndarray, phi: float) -> float:
-    """S(phi) = Re(rho42 e^{i phi}) / (16 pi^2) on the reduced section."""
-    return float(SYNC_COEFFICIENT * np.real(np.asarray(rho)[0, 2] * np.exp(1j * phi)))
-
-
 def sync_measure_max(rho: np.ndarray) -> float:
     """Peak of the reduced measure over phi: |rho42| / (16 pi^2)."""
     return float(SYNC_COEFFICIENT * abs(np.asarray(rho)[0, 2]))
@@ -213,7 +135,7 @@ def sync_measure_max(rho: np.ndarray) -> float:
 # Which azimuthal angle each state component carries (0 = none).
 _PHASE_SLOT = (0, 1, 2, 3)
 # Per-axis radial factors of the components: axis k contributes cos or
-# sin of alpha_k (or 1) to component i; see coherent_state_sun.
+# sin of alpha_k (or 1) to component i; see the module docstring.
 _RADIAL_KIND = (
     ("cos", "one", "one"),
     ("sin", "cos", "one"),

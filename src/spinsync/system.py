@@ -9,7 +9,7 @@ plain Hz; operator-valued functions return matrices in rad/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,15 @@ DEFAULT_TEMPERATURE_K = 298.0
 # Energy-ordered level labels.  Index 0 of every matrix is the highest
 # level |4>, index 3 the lowest |1>.
 LEVEL_LABELS = (4, 3, 2, 1)
+# (m_P, m_F) of the level at each matrix index.  {|4>, |2>} and
+# {|3>, |1>} are the P-spin-flip pairs (each pair shares its F
+# orientation); spin_operator's Kronecker order yields this ordering.
+LEVELS = (
+    (-0.5, -0.5),  # |4>  highest energy
+    (-0.5, +0.5),  # |3>
+    (+0.5, -0.5),  # |2>  P-flip partner of |4>
+    (+0.5, +0.5),  # |1>  lowest energy
+)
 
 _SINGLE_SPIN = {
     # Single-spin operators in the (m=-1/2, m=+1/2) basis ordering used
@@ -36,36 +45,6 @@ _SINGLE_SPIN = {
     "y": np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex),
     "z": np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class BasisOrdering:
-    """Mapping between energy-ordered level labels and product states.
-
-    ``levels[k]`` gives the (m_P, m_F) quantum numbers of the level in
-    matrix row/column k.  The default ordering puts the highest-energy
-    level first and fixes the two middle levels so that {|4>, |2>} and
-    {|3>, |1>} are the P-spin-flip pairs (each pair shares its F
-    orientation); |4> and |1> are always the energy extremes.
-    """
-
-    levels: tuple[tuple[float, float], ...] = (
-        (-0.5, -0.5),  # |4>  highest energy
-        (-0.5, +0.5),  # |3>
-        (+0.5, -0.5),  # |2>  P-flip partner of |4>
-        (+0.5, +0.5),  # |1>  lowest energy
-    )
-
-    def index_of_level(self, label: int) -> int:
-        """Matrix index of the level with the given label (4, 3, 2 or 1)."""
-        return LEVEL_LABELS.index(label)
-
-    def quantum_numbers(self, label: int) -> tuple[float, float]:
-        """(m_P, m_F) of a labelled level."""
-        return self.levels[self.index_of_level(label)]
-
-
-DEFAULT_BASIS = BasisOrdering()
 
 
 def spin_operator(species: str, axis: str) -> np.ndarray:
@@ -135,7 +114,6 @@ class SpinSystemConfig:
     temperature_k: float = DEFAULT_TEMPERATURE_K
     gamma_p_hz_per_tesla: float = GAMMA_P_HZ_PER_TESLA
     gamma_f_hz_per_tesla: float = GAMMA_F_HZ_PER_TESLA
-    basis: BasisOrdering = field(default=DEFAULT_BASIS)
 
     def __post_init__(self) -> None:
         if not self.j_coupling_hz > 0.0:
@@ -144,6 +122,10 @@ class SpinSystemConfig:
             raise ValueError("relaxation times must be positive")
         if self.gamma_p_hz_per_tesla <= 0.0 or self.gamma_f_hz_per_tesla <= 0.0:
             raise ValueError("gyromagnetic ratios must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.offset_p_hz is None:
             object.__setattr__(self, "offset_p_hz", -0.5 * self.j_coupling_hz)
         if self.epsilon_p is None or self.epsilon_f is None:
@@ -161,10 +143,6 @@ class SpinSystemConfig:
             # The high-temperature treatment breaks down well before 0.1.
             if not 0.0 <= eps < 0.1:
                 raise ValueError("purity factors must lie in [0, 0.1)")
-        if not (
-            math.isfinite(self.offset_p_hz) and math.isfinite(self.offset_f_hz)
-        ):
-            raise ValueError("offsets must be finite")
 
 
 @dataclass(frozen=True)
@@ -189,19 +167,6 @@ class DriveConfig:
                 raise ValueError(f"{what} must be finite")
 
 
-def larmor_frequencies(config: SpinSystemConfig) -> tuple[float, float]:
-    """Lab-frame Larmor frequencies (omega_P, omega_F) in rad/s.
-
-    omega = -gamma * B0; negative for the positive gyromagnetic ratios
-    used here, so m = +1/2 states sit lowest.
-    """
-    b0 = config.field_tesla
-    return (
-        -2.0 * math.pi * config.gamma_p_hz_per_tesla * b0,
-        -2.0 * math.pi * config.gamma_f_hz_per_tesla * b0,
-    )
-
-
 def _spin_weights(epsilon: float) -> tuple[float, float]:
     # Boltzmann weights (w_minus, w_plus) of the m = -1/2 / +1/2 states of
     # one spin; w_minus / w_plus = exp(-4 epsilon) exactly.
@@ -222,7 +187,7 @@ def thermal_state(config: SpinSystemConfig) -> np.ndarray:
     wf = _spin_weights(config.epsilon_f)
     pops = [
         wp[0 if mp < 0 else 1] * wf[0 if mf < 0 else 1]
-        for mp, mf in config.basis.levels
+        for mp, mf in LEVELS
     ]
     return np.diag(np.asarray(pops, dtype=complex))
 

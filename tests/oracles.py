@@ -1,0 +1,190 @@
+"""Reference implementations the tests compare the simulator against.
+
+None of these feed the simulator.  They keep the paper's derivations
+checkable:
+
+* the frame derivation, from the lab-frame Hamiltonian and the driven
+  four-level system down to the static rotating-frame forms whose terms
+  the generator is built from;
+* the full SU(4) coherent state and Husimi value, of which the
+  simulator's reduced Husimi section is one slice;
+* the per-gate IMHD circuit, which the grid kernel evaluates in
+  factorized form.
+
+Matrices are in rad/s unless stated otherwise.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from math import tau
+
+import numpy as np
+
+from spinsync import HUSIMI_PREFACTOR, drive_term, rotating_drift, spin_operator
+
+# --- frame derivation ---------------------------------------------------------
+
+
+def larmor_frequencies(config) -> tuple[float, float]:
+    """Lab-frame Larmor frequencies (omega_P, omega_F) in rad/s.
+
+    omega = -gamma * B0; negative for the positive gyromagnetic ratios
+    used here, so m = +1/2 states sit lowest.
+    """
+    b0 = config.field_tesla
+    return (
+        -tau * config.gamma_p_hz_per_tesla * b0,
+        -tau * config.gamma_f_hz_per_tesla * b0,
+    )
+
+
+def build_lab_hamiltonian(config, larmor_p=None, larmor_f=None) -> np.ndarray:
+    """Lab-frame Hamiltonian omega_P Iz^P + omega_F Iz^F + 2pi J Iz^P Iz^F.
+
+    Larmor frequencies (rad/s) default to -gamma B0 from the config.
+    """
+    if larmor_p is None or larmor_f is None:
+        wp, wf = larmor_frequencies(config)
+        larmor_p = wp if larmor_p is None else larmor_p
+        larmor_f = wf if larmor_f is None else larmor_f
+    return (
+        larmor_p * spin_operator("P", "z")
+        + larmor_f * spin_operator("F", "z")
+        + tau * config.j_coupling_hz * spin_operator("P", "z") @ spin_operator("F", "z")
+    )
+
+
+def build_rotating_hamiltonian(config, drive) -> np.ndarray:
+    """Total doubly-rotating-frame Hamiltonian: drift plus drive."""
+    return rotating_drift(config, drive) + drive_term(drive)
+
+
+def build_four_level_drive_hamiltonian(
+    level_frequencies, amplitude: float, drive_frequency: float, t: float
+) -> np.ndarray:
+    """Driven four-level Hamiltonian at time t, all arguments in rad/s.
+
+    ``level_frequencies`` are (omega_1, ..., omega_4) by level label; the
+    drive couples |2> and |4> with a phase rotating at ``drive_frequency``.
+    """
+    w1, w2, w3, w4 = np.asarray(level_frequencies, dtype=float)
+    h = np.diag(np.array([w4, w3, w2, w1], dtype=complex))
+    # |2><4| carries e^{+i w_d t}; rows are ordered |4>, |3>, |2>, |1>.
+    h[2, 0] = amplitude * np.exp(1j * drive_frequency * t)
+    h[0, 2] = np.conj(h[2, 0])
+    return h
+
+
+def build_reduced_rotating_hamiltonian(delta: float, amplitude: float) -> np.ndarray:
+    """Static frame-rotated form: delta |4><4| + amplitude (|2><4| + h.c.).
+
+    Arguments in rad/s.  At delta = 0 the eigenvalues are {+amplitude,
+    -amplitude, 0, 0}.
+    """
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = delta
+    h[0, 2] = amplitude
+    h[2, 0] = amplitude
+    return h
+
+
+def rotating_frame_unitary(
+    level_frequencies, drive_frequency: float, t: float
+) -> np.ndarray:
+    """Unitary U(t) mapping the four-level lab frame to the drive frame.
+
+    U = exp(i K t) with K diagonal: K = (omega_d + omega_2)|4><4|
+    + omega_3 |3><3| + omega_2 |2><2| + omega_1 |1><1|.  Conjugating the
+    time-dependent four-level Hamiltonian by U and adding i U' U^dagger
+    yields the static reduced form with delta = (omega_4 - omega_2) -
+    omega_d.
+    """
+    w1, w2, w3, w4 = np.asarray(level_frequencies, dtype=float)
+    k = np.array([drive_frequency + w2, w3, w2, w1], dtype=float)
+    return np.diag(np.exp(1j * k * t))
+
+
+# --- full SU(4) Husimi distribution -------------------------------------------
+
+
+def coherent_state_sun(n: int, thetas, phis) -> np.ndarray:
+    """SU(n) coherent state from n-1 polar and n-1 azimuthal angles.
+
+    Built by the recursion |n_k> = (cos(theta/2), e^{i phi} sin(theta/2)
+    |n_{k-1}>), unrolled with absolute phases: component k > 1 carries
+    e^{i phi_{k-1}} times a product of half-angle sines and one cosine.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    if n < 2:
+        raise ValueError("need n >= 2 levels")
+    if thetas.shape != (n - 1,) or phis.shape != (n - 1,):
+        raise ValueError(f"expected {n - 1} polar and azimuthal angles")
+    if np.any(thetas < 0.0) or np.any(thetas > math.pi):
+        raise ValueError("polar angles must lie in [0, pi]")
+    half = thetas / 2.0
+    state = np.empty(n, dtype=complex)
+    sine_running = 1.0
+    for k in range(n - 1):
+        state[k] = sine_running * math.cos(half[k])
+        if k > 0:
+            state[k] *= np.exp(1j * phis[k - 1])
+        sine_running *= math.sin(half[k])
+    state[n - 1] = sine_running * np.exp(1j * phis[n - 2])
+    return state
+
+
+@dataclass(frozen=True)
+class CoherentStateSU4:
+    """SU(4) coherent state angles; component i overlaps level |5-i>."""
+
+    thetas: tuple[float, float, float]
+    phis: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        if len(self.thetas) != 3 or len(self.phis) != 3:
+            raise ValueError("need three polar and three azimuthal angles")
+        if any(t < 0.0 or t > math.pi for t in self.thetas):
+            raise ValueError("polar angles must lie in [0, pi]")
+
+    @property
+    def vector(self) -> np.ndarray:
+        return coherent_state_sun(4, self.thetas, self.phis)
+
+
+def husimi_full(rho: np.ndarray, state: CoherentStateSU4) -> float:
+    """Husimi value (24/pi^3) <n|rho|n> at one SU(4) coherent state."""
+    n = state.vector
+    return float(HUSIMI_PREFACTOR * np.real(n.conj() @ np.asarray(rho) @ n))
+
+
+# --- per-gate IMHD circuit ----------------------------------------------------
+
+
+def build_u_theta_phi(theta: float, phi: float, adjoint: bool = False) -> np.ndarray:
+    """Scan rotation exp(-i phi Sz') exp(-i theta Sy') on P, identity on F.
+
+    The scan axes are oriented so the pole is the m_P = -1/2 state;
+    ``adjoint`` gives the inverse.
+    """
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    z = np.exp(-0.5j * phi)
+    u = np.kron(
+        np.array([[z * c, -z * s], [z.conjugate() * s, z.conjugate() * c]]),
+        np.eye(2),
+    )
+    return u.conj().T if adjoint else u
+
+
+def build_j_evolution(config) -> np.ndarray:
+    """Free scalar-coupling evolution for 1/(2J) seconds.
+
+    Equal to the controlled phase up to a global phase and diagonal
+    single-spin z rotations.
+    """
+    duration = 1.0 / (2.0 * config.j_coupling_hz)
+    izz = spin_operator("P", "z") @ spin_operator("F", "z")
+    angle = tau * config.j_coupling_hz * duration  # = pi
+    return np.diag(np.exp(-1j * angle * np.diag(izz)))

@@ -229,7 +229,7 @@ def test_criterion_08_engine_correctness(config, capsys):
             detuning_hz=float(rng.uniform(-3.0, 3.0)),
         )
         lv = build_liouvillian(config, drive)
-        generator = lv.total
+        generator = lv
         ours = propagate(lv, rho0, 1.0)
         sol = solve_ivp(
             lambda _, v: generator @ v, (0.0, 1.0), v0,

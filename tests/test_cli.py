@@ -240,6 +240,14 @@ class TestHusimiCommand:
         meta = json.loads(out.with_suffix(".json").read_text())
         assert meta["steady_state"] is False
 
+    def test_json_output_collides_with_metadata(self, tmp_path, capsys):
+        # the grid and its .json metadata would both go to g.json
+        out = tmp_path / "g.json"
+        code = main(["husimi", "--output", str(out), "--steady"])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "output paths collide" in capsys.readouterr().err
+
     def test_coarse_grid_rejected(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(

@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from spinsync import (
-    DEFAULT_BASIS,
     DriveConfig,
     SpinSystemConfig,
     build_jump_operators,
@@ -17,6 +16,7 @@ from spinsync import (
     thermal_state,
     transition_rate,
 )
+from spinsync.system import LEVEL_LABELS, LEVELS
 
 
 class TestFermionicProbabilities:
@@ -92,8 +92,8 @@ class TestJumpOperators:
         for op in build_jump_operators(config):
             if op.direction != "up":
                 continue
-            src = DEFAULT_BASIS.quantum_numbers(op.source)
-            tgt = DEFAULT_BASIS.quantum_numbers(op.target)
+            src = LEVELS[LEVEL_LABELS.index(op.source)]
+            tgt = LEVELS[LEVEL_LABELS.index(op.target)]
             slot = 0 if op.species == "P" else 1
             assert src[slot] == +0.5 and tgt[slot] == -0.5
             assert src[1 - slot] == tgt[1 - slot]  # spectator untouched
@@ -107,7 +107,7 @@ class TestJumpOperators:
         g_p, g_f = transition_rate(5.0), transition_rate(20.0)
         pp = fermionic_probabilities(0.01)
         pf = fermionic_probabilities(0.03)
-        for idx, (m_p, m_f) in enumerate(DEFAULT_BASIS.levels):
+        for idx, (m_p, m_f) in enumerate(LEVELS):
             # a spin at m = +1/2 exits upward, at m = -1/2 downward
             expected = g_p * pp[0 if m_p > 0 else 1] + g_f * pf[0 if m_f > 0 else 1]
             assert rates[idx] == pytest.approx(expected, rel=1e-12)
@@ -129,8 +129,8 @@ class TestDetailedBalance:
         rates = np.zeros((4, 4))
         for op in ops:
             weight = np.max(np.abs(op.matrix)) ** 2
-            i_src = DEFAULT_BASIS.index_of_level(op.source)
-            i_tgt = DEFAULT_BASIS.index_of_level(op.target)
+            i_src = LEVEL_LABELS.index(op.source)
+            i_tgt = LEVEL_LABELS.index(op.target)
             rates[i_tgt, i_src] += weight
         rates -= np.diag(rates.sum(axis=0))
         null = scipy.linalg.null_space(rates)
@@ -143,8 +143,8 @@ class TestDetailedBalance:
         for op in ops:
             if op.direction != "up":
                 continue
-            upper = pops[DEFAULT_BASIS.index_of_level(op.target)]
-            lower = pops[DEFAULT_BASIS.index_of_level(op.source)]
+            upper = pops[LEVEL_LABELS.index(op.target)]
+            lower = pops[LEVEL_LABELS.index(op.source)]
             p_up, p_down = probs[op.species]
             assert upper / lower == pytest.approx(p_up / p_down, rel=1e-12)
 

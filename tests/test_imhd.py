@@ -12,10 +12,8 @@ from spinsync import (
     Gate,
     SpinSystemConfig,
     build_controlled_phase,
-    build_j_evolution,
     build_liouvillian,
     build_pseudo_hadamard,
-    build_u_theta_phi,
     husimi_reduced,
     imhd_scan,
     leakage_bound,
@@ -28,6 +26,7 @@ from spinsync import (
 from spinsync.imhd import _require_unitary
 
 from conftest import doublet_coherent_density, random_density
+from oracles import build_j_evolution, build_u_theta_phi
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -62,11 +61,11 @@ class TestGates:
 
     def test_scan_rotation_identity(self):
         np.testing.assert_allclose(
-            build_u_theta_phi(0.0, 0.0).matrix, np.eye(4), atol=1e-15
+            build_u_theta_phi(0.0, 0.0), np.eye(4), atol=1e-15
         )
 
     def test_scan_rotation_full_flip(self):
-        u = np.abs(build_u_theta_phi(math.pi, 0.0).matrix)
+        u = np.abs(build_u_theta_phi(math.pi, 0.0))
         flip = np.abs(np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)))
         np.testing.assert_allclose(u, flip, atol=1e-15)
 
@@ -76,13 +75,13 @@ class TestGates:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             gate = build_u_theta_phi(theta, phi)
             adj = build_u_theta_phi(theta, phi, adjoint=True)
-            assert np.max(np.abs(adj.matrix - gate.matrix.conj().T)) <= 1e-14
+            assert np.max(np.abs(adj - gate.conj().T)) <= 1e-14
             expected = np.kron(
                 scipy.linalg.expm(1j * theta * SIGMA_Y / 2.0)
                 @ scipy.linalg.expm(1j * phi * SIGMA_Z / 2.0),
                 np.eye(2),
             )
-            assert np.max(np.abs(adj.matrix - expected)) <= 1e-14
+            assert np.max(np.abs(adj - expected)) <= 1e-14
 
     def test_controlled_phase_entries_and_involution(self):
         cz = build_controlled_phase().matrix
@@ -90,12 +89,15 @@ class TestGates:
         np.testing.assert_allclose(cz @ cz, np.eye(4), atol=1e-15)
 
     def test_j_evolution_duration(self, config):
-        gate = build_j_evolution(config)
-        assert gate.duration_s == pytest.approx(1.0 / (2.0 * 868.0), rel=1e-15)
+        """The gate is exp(-i 2pi J Iz^P Iz^F t) at t = 1/(2J)."""
+        t = 1.0 / (2.0 * config.j_coupling_hz)
+        izz = spin_operator("P", "z") @ spin_operator("F", "z")
+        expected = scipy.linalg.expm(-2j * math.pi * config.j_coupling_hz * izz * t)
+        assert np.max(np.abs(build_j_evolution(config) - expected)) <= 1e-15
 
     def test_j_evolution_is_controlled_phase_up_to_local_phases(self, config):
         """Least-squares phase stripping aligns the two diagonal gates."""
-        uj = np.diag(build_j_evolution(config).matrix)
+        uj = np.diag(build_j_evolution(config))
         cz = np.diag(build_controlled_phase().matrix)
         delta = np.angle(cz / uj)
         # model: delta_k = alpha + beta [m_P = +1/2] + gamma [m_F = +1/2]
@@ -241,7 +243,7 @@ def reference_signal(rho, theta, phi):
     """Circuit signal from the explicit per-point 4x4 gate product."""
     g = (
         build_controlled_phase().matrix
-        @ build_u_theta_phi(theta, phi, adjoint=True).matrix
+        @ build_u_theta_phi(theta, phi, adjoint=True)
         @ build_pseudo_hadamard().matrix
     )
     return np.real(np.trace(g @ rho @ g.conj().T @ spin_operator("F", "x")))

@@ -5,31 +5,26 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from spinsync import (
     HUSIMI_PREFACTOR,
-    CoherentStateSU4,
+    SYNC_COEFFICIENT,
     HusimiGrid,
     SpinSystemConfig,
-    coherent_state_su2,
-    coherent_state_sun,
     completeness_check,
-    free_phase_evolution,
     haar_quadrature,
-    husimi_full,
     husimi_grid,
     husimi_normalization,
     husimi_reduced,
     sync_measure_full,
     sync_measure_max,
     sync_measure_quadrature,
-    sync_measure_reduced,
     thermal_state,
     visibility,
 )
 
 from conftest import doublet_coherent_density, random_density
+from oracles import CoherentStateSU4, coherent_state_sun, husimi_full
 
 
 @pytest.fixture(scope="module")
@@ -44,22 +39,26 @@ def random_angles(rng, count):
 
 
 class TestCoherentStateSU2:
+    """The n = 2 base case of the SU(n) recursion."""
+
     def test_pole(self):
-        np.testing.assert_array_equal(coherent_state_su2(0.0, 1.23), [1.0, 0.0])
+        v = coherent_state_sun(2, (0.0,), (1.23,))
+        np.testing.assert_array_equal(v, [1.0, 0.0])
 
     def test_antipode(self):
-        v = coherent_state_su2(math.pi, 0.0)
+        v = coherent_state_sun(2, (math.pi,), (0.0,))
         assert abs(v[0]) < 1e-15
         assert abs(v[1] - 1.0) < 1e-15
 
     def test_equator(self):
-        v = coherent_state_su2(math.pi / 2.0, math.pi / 2.0)
+        v = coherent_state_sun(2, (math.pi / 2.0,), (math.pi / 2.0,))
         s = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(v, [s, 1j * s], atol=1e-15)
 
     def test_unit_norm(self, rng):
         for _ in range(10):
-            v = coherent_state_su2(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            thetas, phis = random_angles(rng, 1)
+            v = coherent_state_sun(2, thetas, phis)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-14
 
 
@@ -288,7 +287,9 @@ class TestSyncMeasure:
         for _ in range(10):
             c = (rng.normal() + 1j * rng.normal()) * 0.05
             rho = doublet_coherent_density([0.3, 0.2, 0.3, 0.2], c)
-            grid_max = max(sync_measure_reduced(rho, p) for p in phis)
+            # S(phi) = Re(rho42 e^{i phi}) / (16 pi^2) on the reduced section
+            s_phi = SYNC_COEFFICIENT * np.real(rho[0, 2] * np.exp(1j * phis))
+            grid_max = s_phi.max()
             closed = sync_measure_max(rho)
             assert abs(grid_max - closed) / closed < 1e-4
 
@@ -322,34 +323,6 @@ class TestVisibility:
         )
         with pytest.raises(ValueError):
             visibility(grid)
-
-
-class TestFreePhaseEvolution:
-    FREQS = (0.0, 1.7, -0.4, 2.9)  # component order, rad/s
-
-    def test_zero_time(self, rng):
-        thetas, phis = random_angles(rng, 3)
-        state = CoherentStateSU4(thetas=thetas, phis=phis)
-        evolved = free_phase_evolution(state, self.FREQS, 0.0)
-        assert evolved.thetas == state.thetas
-        np.testing.assert_allclose(evolved.phis, state.phis, atol=1e-15)
-
-    def test_degenerate_frequencies(self, rng):
-        thetas, phis = random_angles(rng, 3)
-        state = CoherentStateSU4(thetas=thetas, phis=phis)
-        evolved = free_phase_evolution(state, (1.3, 1.3, 1.3, 1.3), 7.7)
-        np.testing.assert_allclose(evolved.phis, state.phis, atol=1e-15)
-
-    def test_matches_unitary_evolution(self, rng):
-        """Phase-shift rule agrees with exp(-i H0 t) up to global phase."""
-        h0 = np.diag(self.FREQS).astype(complex)
-        for t in (0.3, 2.0):
-            thetas, phis = random_angles(rng, 3)
-            state = CoherentStateSU4(thetas=thetas, phis=phis)
-            direct = scipy.linalg.expm(-1j * h0 * t) @ state.vector
-            shifted = free_phase_evolution(state, self.FREQS, t).vector
-            overlap = abs(np.vdot(direct, shifted))
-            assert abs(overlap - 1.0) < 1e-12
 
 
 class TestHaarQuadrature:

@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from spinsync import (
-    DEFAULT_BASIS,
     DriveConfig,
     SpinSystemConfig,
-    build_lab_hamiltonian,
     build_liouvillian,
     check_density_matrix,
     default_purity_factors,
-    larmor_frequencies,
     spin_operator,
     steady_state,
     thermal_state,
 )
-from spinsync.system import GAMMA_F_HZ_PER_TESLA, GAMMA_P_HZ_PER_TESLA
+from spinsync.system import (
+    GAMMA_F_HZ_PER_TESLA,
+    GAMMA_P_HZ_PER_TESLA,
+    LEVEL_LABELS,
+    LEVELS,
+)
+
+from oracles import build_lab_hamiltonian, larmor_frequencies
 
 
 def commutator(a, b):
@@ -68,18 +72,24 @@ class TestSpinOperator:
 
 class TestBasisOrdering:
     def test_level_labels_map_to_indices(self):
-        assert DEFAULT_BASIS.index_of_level(4) == 0
-        assert DEFAULT_BASIS.index_of_level(1) == 3
+        assert LEVEL_LABELS.index(4) == 0
+        assert LEVEL_LABELS.index(1) == 3
 
     def test_energy_extremes(self):
-        assert DEFAULT_BASIS.quantum_numbers(4) == (-0.5, -0.5)
-        assert DEFAULT_BASIS.quantum_numbers(1) == (+0.5, +0.5)
+        assert LEVELS[LEVEL_LABELS.index(4)] == (-0.5, -0.5)
+        assert LEVELS[LEVEL_LABELS.index(1)] == (+0.5, +0.5)
 
     def test_p_flip_pairs_share_f_orientation(self):
         # {|4>, |2>} and {|3>, |1>} differ only in m_P
-        lv = DEFAULT_BASIS.levels
+        lv = LEVELS
         assert lv[0][1] == lv[2][1] and lv[0][0] != lv[2][0]
         assert lv[1][1] == lv[3][1] and lv[1][0] != lv[3][0]
+
+    def test_levels_match_spin_operators(self):
+        """The level table is the diagonal of Iz^P and Iz^F."""
+        m_p = np.diag(spin_operator("P", "z")).real
+        m_f = np.diag(spin_operator("F", "z")).real
+        assert tuple(zip(m_p, m_f)) == LEVELS
 
 
 class TestThermalState:
@@ -113,13 +123,13 @@ class TestThermalState:
             SpinSystemConfig(epsilon_p=0.03, epsilon_f=0.03),
             SpinSystemConfig(epsilon_p=0.0, epsilon_f=0.09),
         ]:
-            energies = np.diag(build_lab_hamiltonian(cfg).matrix).real
+            energies = np.diag(build_lab_hamiltonian(cfg)).real
             pops = np.diag(thermal_state(cfg)).real
             ordered = pops[np.argsort(-energies)]
             assert np.all(np.diff(ordered) >= 0.0)
 
     def test_commutes_with_lab_hamiltonian(self, config):
-        h = build_lab_hamiltonian(config).matrix
+        h = build_lab_hamiltonian(config)
         rho = thermal_state(config)
         assert np.max(np.abs(h @ rho - rho @ h)) <= 1e-12
 
@@ -173,10 +183,23 @@ class TestConfigValidation:
             {"t1_p_s": 0.0},
             {"t1_f_s": -10.0},
             {"offset_p_hz": math.inf},
+            {"offset_f_hz": math.nan},
+            {"j_coupling_hz": math.inf},
+            {"t1_p_s": math.nan},
+            {"t1_f_s": math.inf},
+            {"epsilon_p": math.nan},
+            {"field_tesla": math.nan},
+            {"temperature_k": math.inf},
+            {"gamma_p_hz_per_tesla": math.nan, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
+            {"gamma_f_hz_per_tesla": math.inf, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
+            {"field_tesla": math.inf, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
         ],
     )
     def test_rejects_invalid_system(self, kwargs):
-        with pytest.raises(ValueError):
+        # a non-finite value is named in the message
+        bad = [key for key, value in kwargs.items() if not math.isfinite(value)]
+        match = f"^{bad[0]} must be finite" if bad else None
+        with pytest.raises(ValueError, match=match):
             SpinSystemConfig(**kwargs)
 
     @pytest.mark.parametrize(
