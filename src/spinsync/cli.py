@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +47,8 @@ from .phasespace import (
 )
 from .system import DriveConfig, SpinSystemConfig, thermal_state
 
-_SYSTEM_KEYS = (
-    "j_coupling_hz",
-    "offset_p_hz",
-    "offset_f_hz",
-    "t1_p_s",
-    "t1_f_s",
-    "epsilon_p",
-    "epsilon_f",
-    "field_tesla",
-    "temperature_k",
-    "gamma_p_hz_per_tesla",
-    "gamma_f_hz_per_tesla",
-)
-_DRIVE_KEYS = ("amplitude_hz", "detuning_hz", "duration_s")
+_SYSTEM_KEYS = tuple(f.name for f in fields(SpinSystemConfig))
+_DRIVE_KEYS = tuple(f.name for f in fields(DriveConfig))
 _INT_KEYS = ("n_theta", "n_phi", "seed")
 
 BASIS_DESCRIPTION = (
@@ -208,9 +196,9 @@ def _csv_text(rc: RunConfig, kind: str, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(kind: str, rc: RunConfig, **fields) -> str:
+def _report(kind: str, rc: RunConfig, **entries) -> str:
     """JSON report text: ``kind`` first, the resolved config last."""
-    report = {"kind": kind, **fields, "config": resolved_config_dict(rc)}
+    report = {"kind": kind, **entries, "config": resolved_config_dict(rc)}
     return dumps_json(report) + "\n"
 
 

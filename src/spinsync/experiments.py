@@ -2,8 +2,8 @@
 
 Every experiment starts from the thermal state, builds the rotating-frame
 generator and reports phase-space observables.  Sweeps build the
-generator's affine terms once and evaluate cells one by one in axis
-order, so each cell equals the single-drive result bit for bit.
+generator's affine terms once and solve or propagate one stack per axis
+or tongue row, so each cell equals the single-drive result bit for bit.
 """
 
 from __future__ import annotations
@@ -144,10 +144,13 @@ class SweepResult:
             raise ValueError("sweep produced non-finite values")
 
 
-def _check_axis(values, name: str) -> np.ndarray:
+def _check_axis(values, name: str, drive_field: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    # each cell's DriveConfig checks, made once on the extremes (NaN in both)
+    for value in (arr.min(), arr.max()):
+        DriveConfig(**{drive_field: float(value)})
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError(f"{name} must be strictly ascending")
     return arr
@@ -165,14 +168,11 @@ def run_amplitude_sweep(
     the amplitude matching the relaxation rate, and falls again when the
     drive saturates the transition.
     """
-    omegas = _check_axis(
-        default_amplitude_grid() if omegas_hz is None else omegas_hz, "omegas_hz"
-    )
-    terms = build_affine_liouvillian(config)
-    values = np.empty(omegas.size)
-    for i, omega in enumerate(omegas):
-        rho = steady_state(terms.at(DriveConfig(amplitude_hz=float(omega))))
-        values[i] = visibility(husimi_grid(rho, n_theta=n_theta, n_phi=n_phi))
+    omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
+    omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
+    states = steady_state(build_affine_liouvillian(config).at(omegas))
+    grids = (husimi_grid(rho, n_theta=n_theta, n_phi=n_phi) for rho in states)
+    values = np.array([visibility(grid) for grid in grids])
     peak = int(np.argmax(values))
     return SweepResult(
         axes={"omega_hz": omegas},
@@ -197,12 +197,13 @@ def run_arnold_tongue(
     """Peak synchronization over an amplitude x detuning grid.
 
     Each cell drives the thermal state for ``duration_s`` (or solves for
-    the steady state) and records max_phi S = |rho42| / (16 pi^2).
+    the steady state) and records max_phi S = |rho42| / (16 pi^2).  Rows,
+    not the whole grid, are stacked to keep the working set small.
     """
     if omegas_hz is None and detunings_hz is None:
         omegas_hz, detunings_hz = default_arnold_grid()
-    omegas = _check_axis(omegas_hz, "omegas_hz")
-    detunings = _check_axis(detunings_hz, "detunings_hz")
+    omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
+    detunings = _check_axis(detunings_hz, "detunings_hz", "detuning_hz")
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)
     if np.max(np.abs(detunings + detunings[::-1])) > 1e-9 * scale:
         raise ValueError("detuning grid must be symmetric about zero")
@@ -212,15 +213,12 @@ def run_arnold_tongue(
     terms = build_affine_liouvillian(config)
     values = np.empty((omegas.size, detunings.size))
     for i, omega in enumerate(omegas):
-        for j, delta in enumerate(detunings):
-            liouville = terms.at(
-                DriveConfig(amplitude_hz=float(omega), detuning_hz=float(delta))
-            )
-            if use_steady_state:
-                rho = steady_state(liouville)
-            else:
-                rho = propagate(liouville, rho0, duration_s)
-            values[i, j] = sync_measure_max(rho)
+        row = terms.at(omega, detunings)
+        if use_steady_state:
+            states = steady_state(row)
+        else:
+            states = propagate(row, rho0, duration_s)
+        values[i] = sync_measure_max(states)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=values,

@@ -4,8 +4,8 @@ Density matrices are flattened by column stacking, so a triple product
 B rho C maps to (C^T kron B) vec(rho).  The generator is a dense 16x16
 array, affine in the drive: L(Omega, delta) = base + delta per_detuning
 + Omega per_amplitude, so those three terms are built once per system
-and every generator is assembled from them.  Propagation uses the
-matrix exponential.
+and every generator is assembled from them.  Array drives give a
+(..., 16, 16) stack, which propagation and the steady state take alike.
 """
 
 from __future__ import annotations
@@ -22,23 +22,26 @@ from .system import DriveConfig, SpinSystemConfig
 # Ratio of second-smallest to largest singular value below which the
 # stationary subspace is treated as degenerate.
 DEGENERACY_RATIO = 1e-8
-# Residual bound for an accepted steady state, relative to ||L||.
-RESIDUAL_RTOL = 1e-10
+# Residual bound for an accepted steady state, relative to ||L||_2.  A
+# backward-stable solve of the 16-dimensional system leaves a residual of
+# about 16 eps ||L||_2 ||vec(rho)||, and ||vec(rho)|| <= 1 for a state.
+RESIDUAL_RTOL = 16 * np.finfo(float).eps
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Stack the columns of a 4x4 matrix into a 16-vector."""
+    """Stack the columns of a 4x4 matrix (or of each in a stack) into a 16-vector."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return rho.reshape(-1, order="F")
+    return rho.swapaxes(-1, -2).reshape(rho.shape[:-2] + (16,))
+
 
 def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize` for 16-element vectors."""
+    """Inverse of :func:`vectorize` for 16-element vectors (or a stack of them)."""
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (16,):
+    if vec.shape[-1:] != (16,):
         raise ValueError(f"expected a 16-vector, got shape {vec.shape}")
-    return vec.reshape((4, 4), order="F")
+    return vec.reshape(vec.shape[:-1] + (4, 4)).swapaxes(-1, -2)
 
 
 def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -64,14 +67,11 @@ def _hermitian_part(h0: np.ndarray, name: str) -> np.ndarray:
     return h
 
 
-def build_l0(
-    h0: np.ndarray,
-    jumps: list[JumpOperator] | list[np.ndarray],
-) -> np.ndarray:
+def build_l0(h0: np.ndarray, jumps: list[JumpOperator]) -> np.ndarray:
     """Drift generator: -i[H0, .] plus the sum of all dissipators."""
     l0 = _commutator_superoperator(_hermitian_part(h0, "drift Hamiltonian"))
     for jump in jumps:
-        l0 += _dissipator_superoperator(getattr(jump, "matrix", jump))
+        l0 += _dissipator_superoperator(jump.matrix)
     return l0
 
 
@@ -93,12 +93,14 @@ class AffineLiouvillian:
     per_detuning: np.ndarray
     per_amplitude: np.ndarray
 
-    def at(self, drive: DriveConfig) -> np.ndarray:
-        """The 16x16 generator for one drive."""
+    def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
+        """The generator for a drive in Hz (unchecked); array drives give a stack."""
+        amplitude = np.asarray(amplitude_hz, dtype=float)[..., None, None]
+        detuning = np.asarray(detuning_hz, dtype=float)[..., None, None]
         return (
             self.base
-            + drive.detuning_hz * self.per_detuning
-            + drive.amplitude_hz * self.per_amplitude
+            + detuning * self.per_detuning
+            + amplitude * self.per_amplitude
         )
 
 
@@ -116,17 +118,17 @@ def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
 
 def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
     """Assemble the full generator for a configured system and drive."""
-    return build_affine_liouvillian(config).at(drive)
+    return build_affine_liouvillian(config).at(drive.amplitude_hz, drive.detuning_hz)
 
 
 def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 via expm(L t).
 
-    Scaling-and-squaring Pade approximation.  L preserves trace and
-    Hermiticity exactly, but the computed map does so only up to
-    rounding that grows with ||L|| t through the squaring steps, so the
-    trace drift is largest at long times (criterion 8 widens its trace
-    window above 100 s for this reason).
+    Scaling-and-squaring Pade approximation, per generator of a stack.
+    L preserves trace and Hermiticity exactly, but the computed map does
+    so only up to rounding that grows with ||L|| t through the squaring
+    steps, so the trace drift is largest at long times (criterion 8
+    widens its trace window above 100 s for this reason).
     """
     if t < 0.0:
         raise ValueError("propagation time must be non-negative")
@@ -137,31 +139,40 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray
     return devectorize(scipy.linalg.expm(l_total * t) @ vectorize(rho0))
 
 
-def steady_state(liouvillian: np.ndarray) -> np.ndarray:
-    """Stationary density matrix from the null space of the generator.
+def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """A stack's most severe cell (() for one generator) and its error note."""
+    cell = tuple(int(i) for i in np.unravel_index(np.argmax(severity), severity.shape))
+    return cell, f" (worst cell {cell})" if cell else ""
 
-    Found as the singular vector of the smallest singular value, then
-    Hermitized and trace-normalized.  Raises if the null space is
-    (numerically) more than one-dimensional or if the residual after
-    normalization is not small.
+
+def steady_state(liouvillian: np.ndarray) -> np.ndarray:
+    """Stationary density matrix of a generator, or of each in a stack.
+
+    Solves L vec(rho) = 0 with row 0 (redundant, as L preserves the trace)
+    replaced by tr(rho) = 1, then Hermitizes.  Raises, naming a stack's
+    worst cell, if the null space is (numerically) more than one-dimensional
+    or if the residual is not small.
     """
     l_total = np.asarray(liouvillian, dtype=complex)
-    _, s, vh = np.linalg.svd(l_total)
-    if s[0] == 0.0 or s[-2] < DEGENERACY_RATIO * s[0]:
+    s = np.linalg.svd(l_total, compute_uv=False)
+    norm = s[..., 0]  # the largest singular value is ||L||_2
+    ratio = np.divide(s[..., -2], norm, out=np.zeros(norm.shape), where=norm > 0.0)
+    if np.any(ratio < DEGENERACY_RATIO):
+        _, note = _worst_cell(-ratio)
         raise np.linalg.LinAlgError(
-            "stationary subspace is degenerate; steady state ambiguous"
+            "stationary subspace is degenerate; steady state ambiguous" + note
         )
-    rho = devectorize(vh[-1].conj())
-    trace = rho.trace()
-    if abs(trace) < 1e-12:
-        raise np.linalg.LinAlgError("null vector has vanishing trace")
-    rho = rho / trace
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = np.linalg.norm(l_total @ vectorize(rho))
-    bound = RESIDUAL_RTOL * s[0]  # the largest singular value is ||L||_2
-    if residual > bound:
+    system = l_total.copy()
+    system[..., 0, :] = vectorize(np.eye(4))  # tr(rho) = 1, the right side e_0
+    rho = devectorize(np.linalg.solve(system, np.eye(16)[0]))
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    residual = np.linalg.norm((l_total @ vectorize(rho)[..., None])[..., 0], axis=-1)
+    bound = RESIDUAL_RTOL * norm
+    if np.any(residual > bound):
+        cell, note = _worst_cell(residual / bound)
         raise np.linalg.LinAlgError(
-            f"steady-state residual {residual:.3e} exceeds {bound:.3e}"
+            f"steady-state residual {residual[cell]:.3e} exceeds {bound[cell]:.3e}"
+            + note
         )
     return rho
 

@@ -125,9 +125,15 @@ def sync_measure_full(rho: np.ndarray, phi1: float, phi2: float, phi3: float) ->
     return float(SYNC_COEFFICIENT * total.real)
 
 
-def sync_measure_max(rho: np.ndarray) -> float:
-    """Peak of the reduced measure over phi: |rho42| / (16 pi^2)."""
-    return float(SYNC_COEFFICIENT * abs(np.asarray(rho)[0, 2]))
+def sync_measure_max(rho: np.ndarray) -> float | np.ndarray:
+    """Peak of the reduced measure over phi: |rho42| / (16 pi^2).
+
+    Takes one state or a (..., 4, 4) stack.  The modulus is np.hypot of
+    the parts, which agrees bit for bit with the scalar ``abs`` of one
+    state, where np.abs on an array can differ in the last bit.
+    """
+    z = np.asarray(rho)[..., 0, 2]
+    return SYNC_COEFFICIENT * np.hypot(z.real, z.imag)
 
 
 # --- group-measure quadrature ------------------------------------------------

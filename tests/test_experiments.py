@@ -21,7 +21,6 @@ from spinsync import (
     run_drive_series,
     run_limit_cycle,
     steady_state,
-    sync_measure_max,
     thermal_state,
     visibility,
 )
@@ -30,7 +29,7 @@ from spinsync.experiments import (
     default_amplitude_grid,
     default_arnold_grid,
 )
-from spinsync.phasespace import HUSIMI_PREFACTOR
+from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
 
@@ -162,9 +161,20 @@ class TestAmplitudeSweep:
         steps = np.diff(np.log10(grid))
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
 
-    @pytest.mark.parametrize("omegas", [[], [0.2, 0.1], [[0.1, 0.2]]])
+    @pytest.mark.parametrize(
+        "omegas",
+        [
+            [],
+            [0.2, 0.1],
+            [[0.1, 0.2]],
+            [-0.1, 0.1],
+            [0.1, math.nan],
+            [0.1, math.inf],
+            [-math.inf, 0.1],
+        ],
+    )
     def test_bad_axis_rejected(self, config, omegas):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="omegas_hz must|drive amplitude must"):
             run_amplitude_sweep(config, omegas_hz=omegas)
 
 
@@ -213,27 +223,32 @@ class TestArnoldTongue:
     @pytest.mark.parametrize(
         "use_steady_state", [False, True], ids=["propagate", "steady"]
     )
-    def test_cells_match_per_cell_reference(self, config, tongue, use_steady_state):
-        """Each cell equals a generator built for that drive alone."""
-        values = tongue.values
-        if use_steady_state:
+    def test_cells_match_per_cell_reference(self, config, use_steady_state):
+        """Each cell equals |rho42| / (16 pi^2), by scalar abs, of a generator
+        built for that drive alone, on the test grid and on one row as wide
+        as the CLI default (41 detunings)."""
+        rho0 = thermal_state(config)
+        grids = [
+            (ARNOLD_OMEGAS, ARNOLD_DETUNINGS),
+            ((0.1,), default_arnold_grid()[1]),
+        ]
+        for omegas, detunings in grids:
             values = run_arnold_tongue(
                 config,
-                omegas_hz=ARNOLD_OMEGAS,
-                detunings_hz=ARNOLD_DETUNINGS,
-                use_steady_state=True,
+                omegas_hz=omegas,
+                detunings_hz=detunings,
+                use_steady_state=use_steady_state,
             ).values
-        rho0 = thermal_state(config)
-        for i, omega in enumerate(ARNOLD_OMEGAS):
-            for j, delta in enumerate(ARNOLD_DETUNINGS):
-                liouville = build_liouvillian(
-                    config, DriveConfig(amplitude_hz=omega, detuning_hz=delta)
-                )
-                if use_steady_state:
-                    rho = steady_state(liouville)
-                else:
-                    rho = propagate(liouville, rho0, 100.0)
-                assert values[i, j] == sync_measure_max(rho)
+            for i, omega in enumerate(omegas):
+                for j, delta in enumerate(detunings):
+                    liouville = build_liouvillian(
+                        config, DriveConfig(amplitude_hz=omega, detuning_hz=delta)
+                    )
+                    if use_steady_state:
+                        rho = steady_state(liouville)
+                    else:
+                        rho = propagate(liouville, rho0, 100.0)
+                    assert values[i, j] == SYNC_COEFFICIENT * abs(rho[0, 2])
 
     def test_repeat_runs_are_bit_identical(self, config):
         """Identical inputs and config must reproduce every bit."""
@@ -243,6 +258,21 @@ class TestArnoldTongue:
         first = run_arnold_tongue(config, **kwargs)
         second = run_arnold_tongue(config, **kwargs)
         np.testing.assert_array_equal(first.values, second.values)
+
+    @pytest.mark.parametrize(
+        "omegas, detunings, message",
+        [
+            ([-0.1, 0.1], [-1.0, 0.0, 1.0], "drive amplitude must be non-negative"),
+            ([0.1, math.nan], [-1.0, 0.0, 1.0], "drive amplitude must be finite"),
+            ([0.1, math.inf], [-1.0, 0.0, 1.0], "drive amplitude must be finite"),
+            ([0.1], [-math.inf, 0.0, math.inf], "detuning must be finite"),
+            ([0.1], [-1.0, math.nan, 1.0], "detuning must be finite"),
+        ],
+    )
+    def test_bad_axis_rejected(self, config, omegas, detunings, message):
+        """Values each cell's DriveConfig would reject, with its messages."""
+        with pytest.raises(ValueError, match=message):
+            run_arnold_tongue(config, omegas_hz=omegas, detunings_hz=detunings)
 
     def test_asymmetric_detunings_rejected(self, config):
         with pytest.raises(ValueError, match="symmetric"):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,12 +18,14 @@ from spinsync import (
     build_lv,
     devectorize,
     propagate,
+    run_arnold_tongue,
     spectral_report,
     steady_state,
     thermal_state,
     vectorize,
 )
 from spinsync.hamiltonians import drive_term, rotating_drift
+from spinsync.liouville import RESIDUAL_RTOL
 
 from conftest import random_density
 from oracles import build_reduced_rotating_hamiltonian
@@ -155,18 +158,22 @@ class TestAffineLiouvillian:
     def test_agrees_with_direct_assembly(self, config):
         """base + delta L_delta + Omega L_Omega differs from building each
         generator from its own Hamiltonians only by rounding."""
-        terms = build_affine_liouvillian(config)
+        omegas = (0.0, 0.01, 0.126, 1.0, 1e3)
+        deltas = (-3.0, -0.35, 0.0, 0.7, 3.0)
+        stack = build_affine_liouvillian(config).at(
+            np.array(omegas)[:, None], np.array(deltas)
+        )
+        assert stack.shape == (5, 5, 16, 16)
         jumps = build_jump_operators(config)
         eps = np.finfo(float).eps
-        for omega in (0.0, 0.01, 0.126, 1.0, 1e3):
-            for delta in (-3.0, -0.35, 0.0, 0.7, 3.0):
+        for i, omega in enumerate(omegas):
+            for j, delta in enumerate(deltas):
                 drive = DriveConfig(amplitude_hz=omega, detuning_hz=delta)
                 direct = build_l0(rotating_drift(config, drive), jumps) + build_lv(
                     drive_term(drive)
                 )
-                affine = terms.at(drive)
                 bound = 4.0 * eps * np.linalg.norm(direct, 1)
-                assert np.max(np.abs(affine - direct)) <= bound
+                assert np.max(np.abs(stack[i, j] - direct)) <= bound
 
 
 class TestPropagate:
@@ -232,7 +239,8 @@ class TestSteadyState:
         _, _, lv = driven
         rho_ss = steady_state(lv)
         residual = np.linalg.norm(lv @ vectorize(rho_ss))
-        assert residual < 1e-10 * np.linalg.norm(lv, 2)
+        assert RESIDUAL_RTOL == 16 * np.finfo(float).eps
+        assert residual < RESIDUAL_RTOL * np.linalg.norm(lv, 2)
 
     def test_driven_coherence_dominates(self, driven):
         # the driven pair holds the only sizable coherence; a faint
@@ -257,6 +265,45 @@ class TestSteadyState:
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
             steady_state(build_l0(h, []))
+
+
+def high_precision_max_sync(generator: np.ndarray) -> float:
+    """|rho42| / (16 pi^2) from a 40-digit solve of L vec(rho) = 0, with the
+    rho44 population row (index 15) replaced by the trace row, a different
+    equation from the one the engine replaces."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix(
+            [[mpmath.mpc(z.real, z.imag) for z in row] for row in generator]
+        )
+        b = mpmath.matrix(16, 1)
+        for k in range(16):
+            a[15, k] = 1 if k in (0, 5, 10, 15) else 0
+        b[15] = 1
+        x = mpmath.lu_solve(a, b)
+        return float(abs(x[8]) / (16 * mpmath.pi**2))  # vec index of rho[0, 2]
+
+
+class TestSteadyStateOracle:
+    def test_tongue_cells_against_high_precision_solve(self, config):
+        """Steady max-sync on the default tongue grid, at the corners, on
+        resonance and at the strong-drive side peak, against a 40-digit
+        solve of the same float64 generators.  The trace-row solve lands
+        about 5e-12 of the tongue maximum away; the bound is 10x that."""
+        tongue = run_arnold_tongue(config, use_steady_state=True)
+        values = tongue.values
+        omegas, deltas = tongue.axes["omega_hz"], tongue.axes["detuning_hz"]
+        top, mid = len(omegas) - 1, len(deltas) // 2
+        assert deltas[mid] == 0.0
+        side = int(np.argmax(values[top]))
+        assert side != mid
+        corners = [(0, 0), (0, -1), (top, 0), (top, -1)]
+        cells = corners + [(0, mid), (top // 2, mid), (top, side)]
+        for i, j in cells:
+            generator = build_liouvillian(
+                config, DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
+            )
+            exact = high_precision_max_sync(generator)
+            assert abs(values[i, j] - exact) <= 5e-11 * values.max()
 
 
 class TestSpectralReport:
