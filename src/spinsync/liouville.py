@@ -6,6 +6,13 @@ array, affine in the drive: L(Omega, delta) = base + delta per_detuning
 + Omega per_amplitude, so those three terms are built once per system
 and every generator is assembled from them.  Array drives give a
 (..., 16, 16) stack, which propagation and the steady state take alike.
+
+Propagation works in real Hermitian-basis coordinates, where the
+generator splits exactly into two real 8x8 blocks because F-spin
+coherence order is conserved: the populations with rho42 and rho31, and
+the other coherences.  The first block carries the signal; it evolves as
+the deviation from tr(rho) I/4 with rho11 eliminated, so the trace is
+exact by construction.  The steady state solves the 16x16 generator.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import scipy.linalg
 
 from .dissipation import JumpOperator, build_jump_operators
 from .hamiltonians import detuning_term, drive_term, rotating_drift
-from .system import DriveConfig, SpinSystemConfig
+from .system import LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig
 
 # Ratio of second-smallest to largest singular value below which the
 # stationary subspace is treated as degenerate.
@@ -64,7 +71,9 @@ def _hermitian_part(h0: np.ndarray, name: str) -> np.ndarray:
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-12:
         raise ValueError(f"{name} must be Hermitian, deviation {dev:.3e}")
-    return h
+    # exactly Hermitian, so the generator preserves Hermiticity exactly as
+    # propagate requires; an exactly Hermitian h comes back unchanged
+    return 0.5 * (h + h.conj().T)
 
 
 def build_l0(h0: np.ndarray, jumps: list[JumpOperator]) -> np.ndarray:
@@ -121,22 +130,113 @@ def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarra
     return build_affine_liouvillian(config).at(drive.amplitude_hz, drive.detuning_hz)
 
 
-def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve rho0 for a time t >= 0 via expm(L t).
+def _real_coordinates() -> tuple[np.ndarray, np.ndarray]:
+    """Maps between vec(rho) and 16 real Hermitian-basis coordinates.
 
-    Scaling-and-squaring Pade approximation, per generator of a stack.
-    L preserves trace and Hermiticity exactly, but the computed map does
-    so only up to rounding that grows with ||L|| t through the squaring
-    steps, so the trace drift is largest at long times (criterion 8
-    widens its trace window above 100 s for this reason).
+    The coordinates are the populations, rho11 last, then Re and Im of
+    rho_ij (i < j) for the pairs sharing m_F (F-spin coherence order 0),
+    then for the others (order +-1).  Each row of either map has at most
+    two non-zero entries, from {1, 1/2, +-i, +-i/2}, so mapping costs one
+    rounding per entry and treats an entry and its transpose alike.
+    """
+    levels = sorted(range(4), key=lambda i: LEVEL_LABELS[i] == 1)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    order_zero = [(i, j) for i, j in pairs if LEVELS[i][1] == LEVELS[j][1]]
+    order_one = [pair for pair in pairs if pair not in order_zero]
+    to_real = np.zeros((16, 16), dtype=complex)
+    from_real = np.zeros((16, 16), dtype=complex)
+    for c, i in enumerate(levels):
+        to_real[c, 5 * i] = from_real[5 * i, c] = 1.0
+    for k, (i, j) in enumerate(order_zero + order_one):
+        re, im, ij, ji = 4 + 2 * k, 5 + 2 * k, i + 4 * j, j + 4 * i
+        # Re rho_ij = (rho_ij + rho_ji)/2, Im rho_ij = (rho_ij - rho_ji)/2i
+        to_real[re, [ij, ji]] = 0.5
+        to_real[im, [ij, ji]] = -0.5j, 0.5j
+        from_real[[ij, ji], re] = 1.0
+        from_real[[ij, ji], im] = 1.0j, -1.0j
+    return to_real, from_real
+
+
+_TO_REAL, _FROM_REAL = _real_coordinates()
+# The order-0 block evolves as the deviation y = x - tr I/4 without rho11
+# (coordinate 3, tr minus the other populations), augmented by tr:
+# d/dt (y, tr) = [[G K, G e/4], [0, 0]] (y, tr), where x = K y + tr e/4.
+# The populations sit near 1/4 and differ by ~1e-5, so expm's rounding
+# then scales with the deviation, not with 1/4, and tr never moves.
+_KEEP = np.array([0, 1, 2, 4, 5, 6, 7])
+_AUGMENT = np.zeros((8, 8))  # columns K, then e/4
+_AUGMENT[_KEEP, np.arange(7)] = 1.0
+_AUGMENT[3, :3] = -1.0
+_AUGMENT[:4, 7] = 0.25
+_DEVIATION = np.zeros((8, 8))  # x -> (y, tr)
+_DEVIATION[np.arange(7), _KEEP] = 1.0
+_DEVIATION[:3, :4] -= 0.25
+_DEVIATION[7, :4] = 1.0
+
+
+def _real_generator(l_total: np.ndarray) -> np.ndarray:
+    """A generator (or stack) in real coordinates.
+
+    Raises ValueError unless it maps Hermitian matrices to Hermitian ones
+    and keeps the two coherence-order blocks apart, both exactly.  The
+    conjugate entries of each coordinate are summed in one rounding, so an
+    exactly Hermiticity-preserving generator leaves no imaginary residue.
+    """
+    g = _TO_REAL @ l_total @ _FROM_REAL
+    if g.imag.any():
+        residue = np.abs(g.imag).max(axis=(-2, -1))
+        cell, note = _worst_cell(residue)
+        raise ValueError(
+            "generator does not preserve Hermiticity: imaginary residue "
+            f"{residue[cell]:.3e} in real coordinates" + note
+        )
+    g = g.real
+    if g[..., :8, 8:].any() or g[..., 8:, :8].any():
+        coupling = np.maximum(
+            np.abs(g[..., :8, 8:]).max(axis=(-2, -1)),
+            np.abs(g[..., 8:, :8]).max(axis=(-2, -1)),
+        )
+        cell, note = _worst_cell(coupling)
+        raise ValueError(
+            "generator couples the F-spin coherence-order blocks: entry "
+            f"{coupling[cell]:.3e}" + note
+        )
+    return g
+
+
+def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
+    """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
+
+    The generator is taken to real coordinates, where it must split
+    exactly into the two F-spin coherence-order blocks (ValueError
+    otherwise).  The order-0 block evolves as the deviation of rho from
+    tr(rho0) I/4 with rho11 eliminated, through expm of the augmented
+    real 8x8 generator; the order +-1 block has its own real 8x8 expm, taken
+    only when rho0 has support on it.  So the trace is exact up to the
+    rounding of one sum of populations, a Hermitian rho0 gives an exactly
+    Hermitian result, and the map stays linear on any complex rho0.
     """
     if t < 0.0:
         raise ValueError("propagation time must be non-negative")
-    l_total = np.asarray(liouvillian, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
-    return devectorize(scipy.linalg.expm(l_total * t) @ vectorize(rho0))
+    g = _real_generator(np.asarray(liouvillian, dtype=complex))
+    cells = g.shape[:-2]
+    if t == 0.0:
+        return np.broadcast_to(rho0, cells + (4, 4)).copy()
+    x0 = (_TO_REAL @ vectorize(rho0)).view(float).reshape(16, 2)  # re, im
+    u0 = _DEVIATION @ x0[:8]
+    trace = u0[7]
+    aug = np.zeros(cells + (8, 8))
+    aug[..., :7, :] = g[..., _KEEP, :8] @ _AUGMENT
+    x = np.zeros(cells + (16, 2))
+    x[..., _KEEP, :] = scipy.linalg.expm(aug * t)[..., :7, :] @ u0
+    x[..., :3, :] += 0.25 * trace
+    x[..., 3, :] = trace - ((x[..., 0, :] + x[..., 1, :]) + x[..., 2, :])
+    if x0[8:].any():
+        x[..., 8:, :] = scipy.linalg.expm(g[..., 8:, 8:] * t) @ x0[8:]
+    return devectorize(x.view(complex)[..., 0] @ _FROM_REAL.T)
 
 
 def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:

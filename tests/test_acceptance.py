@@ -240,23 +240,22 @@ def test_criterion_08_engine_correctness(config, capsys):
         ss = steady_state(lv)
         residual = max(residual, float(np.linalg.norm(generator @ vectorize(ss))))
 
-    # preservation along the actual driven evolution; the trace window
-    # widens at the top of the grid where |L|t reaches ~5e6 and the
-    # matrix exponential's squaring steps leave ~1e-10 of noise
+    # preservation along the actual driven evolution: the engine sets rho11
+    # to the trace minus the other populations, so the trace moves only by
+    # the rounding of that sum (a few ulp), and a Hermitian state stays
+    # exactly Hermitian
     lv = build_liouvillian(config, DriveConfig())
-    trace_ok = True
     trace_dev = herm_dev = 0.0
     min_eig = 1.0
     for t in np.logspace(-3.0, 3.0, 7):
         rho = propagate(lv, rho0, float(t))
-        dev = abs(rho.trace().real - 1.0)
-        trace_dev = max(trace_dev, dev)
-        trace_ok = trace_ok and dev < (1e-10 if t <= 100.0 else 5e-10)
+        trace_dev = max(trace_dev, abs(rho.trace().real - 1.0))
         herm_dev = max(herm_dev, float(np.max(np.abs(rho - rho.conj().T))))
         min_eig = min(
             min_eig, float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
         )
-    preserved = trace_ok and herm_dev < 1e-12 and min_eig > -1e-9
+    eps = np.finfo(float).eps
+    preserved = trace_dev <= 4 * eps and herm_dev == 0.0 and min_eig > -1e-9
 
     ok = prop_dev < 1e-8 and residual < 1e-10 and preserved
     announce(

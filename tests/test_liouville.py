@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.linalg
 
 from spinsync import (
+    SYNC_COEFFICIENT,
     DriveConfig,
     SpinSystemConfig,
     build_affine_liouvillian,
@@ -20,6 +21,7 @@ from spinsync import (
     propagate,
     run_arnold_tongue,
     spectral_report,
+    spin_operator,
     steady_state,
     thermal_state,
     vectorize,
@@ -29,6 +31,11 @@ from spinsync.liouville import RESIDUAL_RTOL
 
 from conftest import random_density
 from oracles import build_reduced_rotating_hamiltonian
+
+EPS = np.finfo(float).eps
+# The engine sets rho11 = tr(rho0) minus the other populations, so the
+# trace moves only by the rounding of that sum and of tr(rho0) itself.
+TRACE_ULPS = 4 * EPS
 
 
 def master_equation_rhs(rho, h, jump_matrices):
@@ -129,6 +136,16 @@ class TestBuildL0:
         with pytest.raises(ValueError):
             build_l0(h, [])
 
+    def test_tolerated_asymmetry_is_symmetrized(self, config, rng):
+        """A drift within the Hermiticity tolerance builds from its exact
+        Hermitian part, so propagate's exact checks accept the generator."""
+        h = rotating_drift(config, DriveConfig(amplitude_hz=0.0))
+        h[0, 2] += 1e-14
+        jumps = build_jump_operators(config)
+        l0 = build_l0(h, jumps)
+        np.testing.assert_array_equal(l0, build_l0(0.5 * (h + h.conj().T), jumps))
+        propagate(l0, random_density(rng), 1.0)
+
 
 class TestBuildLV:
     def test_zero_drive_is_zero(self):
@@ -183,9 +200,12 @@ class TestPropagate:
         np.testing.assert_array_equal(propagate(lv, rho, 0.0), rho)
 
     def test_thermal_state_stays_put(self, config):
+        """The thermal state is the undriven fixed point; only rebuilding
+        the populations as 1/4 + deviation rounds, at any time."""
         lv = build_liouvillian(config, DriveConfig(amplitude_hz=0.0))
         rho_eq = thermal_state(config)
-        assert np.max(np.abs(propagate(lv, rho_eq, 100.0) - rho_eq)) < 1e-8
+        for t in (100.0, 1e7):
+            assert np.max(np.abs(propagate(lv, rho_eq, t) - rho_eq)) <= 4 * EPS
 
     def test_against_adaptive_integrator(self, driven):
         """One second of driven evolution vs an independent ODE solve."""
@@ -227,13 +247,75 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lv, rho[:3, :3], 1.0)
 
+    def test_both_blocks_match_full_expm(self, config, rng):
+        """Random densities have support on both coherence-order blocks;
+        the engine matches expm of the 16x16 generator.  Each side's expm
+        has backward error below eps (Al-Mohy & Higham 2009), carried
+        forward by about ||L t||_1; the worst seen is 1.5 eps ||L t||_1."""
+        for _ in range(5):
+            rho0 = random_density(rng)
+            assert abs(rho0[0, 1]) > 0.0 and abs(rho0[0, 2]) > 0.0
+            for amplitude, detuning in ((0.1, 0.0), (0.3, 0.7), (1.0, -2.0)):
+                lv = build_liouvillian(
+                    config, DriveConfig(amplitude_hz=amplitude, detuning_hz=detuning)
+                )
+                for t in (0.1, 1.0, 10.0):
+                    full = devectorize(scipy.linalg.expm(lv * t) @ vectorize(rho0))
+                    bound = 16 * EPS * np.linalg.norm(lv * t, 1)
+                    assert np.max(np.abs(propagate(lv, rho0, t) - full)) <= bound
+
+    def test_non_hermitian_input_propagates_linearly(self, driven, rng):
+        """The real map acts on complex coordinates, so any 4x4 matrix
+        propagates as its Hermitian parts do: i h and the adjoint map
+        exactly, h1 + i h2 within the rounding of forming it, and a general
+        matrix matches the 16x16 expm within the bound above."""
+        _, _, lv = driven
+        for _ in range(5):
+            h1, h2 = random_density(rng), random_density(rng)
+            p1, p2 = propagate(lv, h1, 2.0), propagate(lv, h2, 2.0)
+            np.testing.assert_array_equal(propagate(lv, 1j * h1, 2.0), 1j * p1)
+            a = h1 + 1j * h2
+            evolved = propagate(lv, a, 2.0)
+            np.testing.assert_array_equal(
+                propagate(lv, a.conj().T, 2.0), evolved.conj().T
+            )
+            assert np.max(np.abs(evolved - (p1 + 1j * p2))) <= 4 * EPS
+            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            full = devectorize(scipy.linalg.expm(lv * 2.0) @ vectorize(b))
+            bound = 16 * EPS * np.linalg.norm(lv * 2.0, 1) * np.max(np.abs(b))
+            assert np.max(np.abs(propagate(lv, b, 2.0) - full)) <= bound
+
+    def test_rejects_generator_coupling_the_blocks(self, driven, rng):
+        """A drive on the F spin changes F-spin coherence order; the
+        engine names the coupling and, for a stack, the cell."""
+        _, _, lv = driven
+        rho = random_density(rng)
+        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
+            propagate(lv + flip, rho, 1.0)
+        stack = np.stack([lv, lv + flip, lv])
+        with pytest.raises(ValueError, match=r"worst cell \(1,\)"):
+            propagate(stack, rho, 1.0)
+
+    def test_rejects_generator_breaking_hermiticity(self, driven, rng):
+        _, _, lv = driven
+        rho = random_density(rng)
+        broken = lv.copy()
+        broken[8, 8] += 1e-12j  # rho42's own rate, without its conjugate's
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            propagate(broken, rho, 1.0)
+        with pytest.raises(ValueError, match=r"worst cell \(0, 2\)"):
+            propagate(np.stack([[lv, lv, broken]]), rho, 0.0)
+
 
 class TestSteadyState:
     def test_driven_matches_long_time_limit(self, driven):
         config, _, lv = driven
         rho_ss = steady_state(lv)
         rho_long = propagate(lv, thermal_state(config), 1000.0)
-        assert np.max(np.abs(rho_ss - rho_long)) < 1e-6
+        # both solvers sit within a few ulp of the exact state (see the
+        # oracle tests); the worst entry seen over 16 drives is 0.6 eps
+        assert np.max(np.abs(rho_ss - rho_long)) <= 4 * EPS
 
     def test_residual_is_defining_property(self, driven):
         _, _, lv = driven
@@ -267,6 +349,28 @@ class TestSteadyState:
             steady_state(build_l0(h, []))
 
 
+# Oracle bounds, as shares of the tongue maximum: about 10x the worst
+# error seen on the tongue cells of oracle_cells (BENCH_7.json, BENCH_8.json).
+STEADY_BOUND = 5e-11
+PROPAGATE_BOUND = 2e-12
+
+
+@pytest.fixture(scope="module")
+def steady_tongue(config):
+    return run_arnold_tongue(config, use_steady_state=True)
+
+
+def oracle_cells(values: np.ndarray) -> list[tuple[int, int]]:
+    """Corners (both detuning edges), resonance at the weakest and the
+    middle drive, the strong-drive side peak and the tongue's argmax."""
+    top, mid = values.shape[0] - 1, values.shape[1] // 2
+    side = int(np.argmax(values[top]))
+    assert side != mid
+    peak = tuple(int(k) for k in np.unravel_index(np.argmax(values), values.shape))
+    cells = [(0, 0), (0, -1), (top, 0), (top, -1), (0, mid), (top // 2, mid)]
+    return list(dict.fromkeys(cells + [(top, side), peak]))
+
+
 def high_precision_max_sync(generator: np.ndarray) -> float:
     """|rho42| / (16 pi^2) from a 40-digit solve of L vec(rho) = 0, with the
     rho44 population row (index 15) replaced by the trace row, a different
@@ -283,27 +387,98 @@ def high_precision_max_sync(generator: np.ndarray) -> float:
         return float(abs(x[8]) / (16 * mpmath.pi**2))  # vec index of rho[0, 2]
 
 
+# (i, j, part) of the coherence-order-0 coordinates: rho44, rho33, rho22,
+# rho11, then Re and Im of rho42 and of rho31.
+ORDER_ZERO = [(i, i, "re") for i in range(4)] + [
+    (i, j, part) for i, j in ((0, 2), (1, 3)) for part in ("re", "im")
+]
+
+
+def high_precision_propagated_max_sync(
+    generator: np.ndarray, rho0: np.ndarray, t: float
+) -> float:
+    """|rho42| / (16 pi^2) after time t from a 40-digit mpmath expm of the
+    generator's coherence-order-0 real block.  Column b of the block is L
+    applied to the Hermitian basis matrix of coordinate b, summed exactly
+    at 40 digits; rho0 must have no support outside the block."""
+    with mpmath.workdps(40):
+        lv = [[mpmath.mpc(z.real, z.imag) for z in row] for row in generator]
+        block = mpmath.matrix(8, 8)
+        for col, (k, m, part) in enumerate(ORDER_ZERO):
+            if k == m:
+                basis = {k + 4 * m: 1}
+            elif part == "re":
+                basis = {k + 4 * m: 1, m + 4 * k: 1}
+            else:
+                basis = {k + 4 * m: 1j, m + 4 * k: -1j}
+            image = [
+                mpmath.fsum(lv[u][v] * c for v, c in basis.items()) for u in range(16)
+            ]
+            for row, (i, j, part_out) in enumerate(ORDER_ZERO):
+                z = image[i + 4 * j]
+                block[row, col] = z.real if part_out == "re" else z.imag
+        x0 = mpmath.matrix(
+            [getattr(complex(rho0[i, j]), "real" if p == "re" else "imag")
+             for i, j, p in ORDER_ZERO]
+        )
+        x = mpmath.expm(block * t) * x0
+        return float(mpmath.hypot(x[4], x[5]) / (16 * mpmath.pi**2))
+
+
 class TestSteadyStateOracle:
-    def test_tongue_cells_against_high_precision_solve(self, config):
-        """Steady max-sync on the default tongue grid, at the corners, on
-        resonance and at the strong-drive side peak, against a 40-digit
+    def test_tongue_cells_against_high_precision_solve(self, config, steady_tongue):
+        """Steady max-sync on the default tongue grid against a 40-digit
         solve of the same float64 generators.  The trace-row solve lands
-        about 5e-12 of the tongue maximum away; the bound is 10x that."""
-        tongue = run_arnold_tongue(config, use_steady_state=True)
-        values = tongue.values
-        omegas, deltas = tongue.axes["omega_hz"], tongue.axes["detuning_hz"]
-        top, mid = len(omegas) - 1, len(deltas) // 2
-        assert deltas[mid] == 0.0
-        side = int(np.argmax(values[top]))
-        assert side != mid
-        corners = [(0, 0), (0, -1), (top, 0), (top, -1)]
-        cells = corners + [(0, mid), (top // 2, mid), (top, side)]
-        for i, j in cells:
+        at most 1.2e-11 of the tongue maximum away."""
+        values = steady_tongue.values
+        omegas = steady_tongue.axes["omega_hz"]
+        deltas = steady_tongue.axes["detuning_hz"]
+        assert deltas[values.shape[1] // 2] == 0.0
+        for i, j in oracle_cells(values):
             generator = build_liouvillian(
                 config, DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
             )
             exact = high_precision_max_sync(generator)
-            assert abs(values[i, j] - exact) <= 5e-11 * values.max()
+            assert abs(values[i, j] - exact) <= STEADY_BOUND * values.max()
+
+
+class TestPropagateOracle:
+    def test_tongue_cells_against_high_precision_expm(self, config):
+        """The propagated default tongue (100 s per cell) against a 40-digit
+        expm of each cell's exact real block, on the oracle cells and on
+        (14, 18), where the 16x16 expm erred most (1.1e-8 of the maximum).
+        The engine lands at most 2.3e-13 of the tongue maximum away."""
+        tongue = run_arnold_tongue(config)
+        values = tongue.values
+        omegas, deltas = tongue.axes["omega_hz"], tongue.axes["detuning_hz"]
+        rho0 = thermal_state(config)
+        for i, j in oracle_cells(values) + [(14, 18)]:
+            generator = build_liouvillian(
+                config, DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
+            )
+            exact = high_precision_propagated_max_sync(
+                generator, rho0, tongue.metadata["duration_s"]
+            )
+            assert abs(values[i, j] - exact) <= PROPAGATE_BOUND * values.max()
+
+    def test_long_time_limit_against_steady_state(self, config, driven, steady_tongue):
+        """Past 1e4 s, exp(-gap t) < 1e-1000, so the exact propagated state
+        is the exact steady state: propagate meets the 40-digit solve within
+        PROPAGATE_BOUND, steady_state within STEADY_BOUND, and so each
+        other within their sum (the 16x16 expm missed by 3.1e-7 at 1e7 s).
+        The trace stays within a few ulp."""
+        _, _, lv = driven
+        rho0 = thermal_state(config)
+        unit = steady_tongue.values.max()
+        exact = high_precision_max_sync(lv)
+        solved = SYNC_COEFFICIENT * abs(steady_state(lv)[0, 2])
+        assert abs(solved - exact) <= STEADY_BOUND * unit
+        for t in (1e4, 1e7):
+            rho = propagate(lv, rho0, t)
+            value = SYNC_COEFFICIENT * abs(rho[0, 2])
+            assert abs(value - exact) <= PROPAGATE_BOUND * unit
+            assert abs(value - solved) <= (PROPAGATE_BOUND + STEADY_BOUND) * unit
+            assert abs(rho.trace() - rho0.trace()) <= TRACE_ULPS
 
 
 class TestSpectralReport:
@@ -341,19 +516,13 @@ class TestGeneratorInvariants:
     def test_positivity_and_trace_over_log_times(self, driven, rng):
         _, _, lv = driven
         times = np.logspace(-3, 3, 7)
-        maps = [scipy.linalg.expm(lv * t) for t in times]
         for _ in range(20):
             rho0 = random_density(rng)
-            v0 = vectorize(rho0)
-            for t, mp in zip(times, maps):
-                rho = devectorize(mp @ v0)
-                # |L|t reaches ~5e6 at the top of the grid; the matrix
-                # exponential's squaring steps leave ~1e-10 trace noise
-                # there, an order above the drift seen at t <= 100 s
-                trace_tol = 1e-10 if t <= 100.0 else 5e-10
-                assert abs(rho.trace() - 1.0) < trace_tol
-                assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-                assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-9
+            for t in times:
+                rho = propagate(lv, rho0, float(t))
+                assert abs(rho.trace() - rho0.trace()) <= TRACE_ULPS
+                np.testing.assert_array_equal(rho, rho.conj().T)
+                assert np.linalg.eigvalsh(rho).min() > -1e-9
 
     def test_linearity(self, driven, rng):
         _, _, lv = driven
