@@ -13,6 +13,10 @@ coherence order is conserved: the populations with rho42 and rho31, and
 the other coherences.  The first block carries the signal; it evolves as
 the deviation from tr(rho) I/4 with rho11 eliminated, so the trace is
 exact by construction.  The steady state solves the 16x16 generator.
+
+scipy.linalg is imported on the first propagate call, its only user
+(expm), so importing the package and solving for steady states never
+load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dissipation import JumpOperator, build_jump_operators
 from .hamiltonians import detuning_term, drive_term, rotating_drift
@@ -216,6 +219,8 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray
     rounding of one sum of populations, a Hermitian rho0 gives an exactly
     Hermitian result, and the map stays linear on any complex rho0.
     """
+    import scipy.linalg  # here, not at module level: see the module docstring
+
     if t < 0.0:
         raise ValueError("propagation time must be non-negative")
     rho0 = np.asarray(rho0, dtype=complex)

@@ -207,21 +207,34 @@ class TestPropagate:
         for t in (100.0, 1e7):
             assert np.max(np.abs(propagate(lv, rho_eq, t) - rho_eq)) <= 4 * EPS
 
-    def test_against_adaptive_integrator(self, driven):
-        """One second of driven evolution vs an independent ODE solve."""
+    def test_against_adaptive_integrator(self, driven, rng):
+        """One second of driven evolution vs an independent ODE solve.
+
+        The right side is linear, so it is integrated as the matrix whose
+        columns are the matrix-form right side of the 16 basis matrices:
+        the same oracle, built without the library's Kronecker assembly,
+        at one matmul per evaluation.
+        """
         config, _, _ = driven
         drive = DriveConfig(amplitude_hz=0.3, detuning_hz=0.7)
         lv = build_liouvillian(config, drive)
         h = rotating_drift(config, drive) + drive_term(drive)
         mats = [j.matrix for j in build_jump_operators(config)]
         rho0 = thermal_state(config)
-
-        def rhs(_, y):
-            rho = y.reshape(4, 4)
-            return master_equation_rhs(rho, h, mats).reshape(-1)
+        m = np.stack(
+            [master_equation_rhs(e.reshape(4, 4), h, mats).reshape(-1)
+             for e in np.eye(16, dtype=complex)],
+            axis=1,
+        )
+        rho = random_density(rng)
+        direct = master_equation_rhs(rho, h, mats)
+        # |entries| <= ||m||_inf for a density, and each side rounds a few
+        # times (worst seen 0.39 eps ||m||_inf over 2000 densities)
+        bound = 4 * EPS * np.abs(m).sum(axis=1).max()
+        assert np.max(np.abs((m @ rho.reshape(-1)).reshape(4, 4) - direct)) <= bound
 
         sol = scipy.integrate.solve_ivp(
-            rhs,
+            lambda _, y: m @ y,
             (0.0, 1.0),
             rho0.reshape(-1),
             method="DOP853",

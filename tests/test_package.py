@@ -1,6 +1,11 @@
-"""Package surface: the exported names, each one used by the simulator."""
+"""Package surface: the exported names, each one used by the simulator,
+and what importing the package and running its CLI load."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spinsync
@@ -98,3 +103,58 @@ def test_every_export_is_used_or_kept():
     assert KEEP <= set(EXPORTS)
     read = names_read_in_package()
     assert sorted(set(EXPORTS) - read - KEEP) == []
+
+
+# Run in a fresh interpreter: imports spinsync and its CLI, runs each
+# subcommand that never propagates, then one that does, and prints one
+# JSON list of (step, exit code, scipy modules loaded after it).
+STARTUP_SCRIPT = """
+import contextlib, json, sys, tempfile
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import spinsync
+steps = [("import spinsync", 0, scipy_modules())]
+import spinsync.cli as cli
+steps.append(("import spinsync.cli", 0, scipy_modules()))
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in json.loads(sys.argv[1]):
+        out = str(Path(tmp) / (argv[0] + ".out"))
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli.main(argv + ["--output", out])
+        steps.append((" ".join(argv), code, scipy_modules()))
+print(json.dumps(steps))
+"""
+SCIPY_FREE = [
+    ["steady"],
+    ["husimi", "--steady"],
+    ["imhd-verify", "--steady"],
+    ["amp-sweep"],
+    ["arnold", "--steady"],
+    ["calibrate"],
+    ["emit-config"],
+]
+
+
+def test_startup_and_steady_subcommands_never_load_scipy():
+    """scipy.linalg serves only propagate's expm, so it loads on the first
+    propagation and not before: not on import, not for a steady state."""
+    src = str(Path(spinsync.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argvs = SCIPY_FREE + [["series"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    expected = ["import spinsync", "import spinsync.cli"]
+    expected += [" ".join(argv) for argv in argvs]
+    assert [step for step, _, _ in steps] == expected
+    for step, code, loaded in steps[:-1]:
+        assert (step, code, loaded) == (step, 0, [])
+    step, code, loaded = steps[-1]
+    assert code == 0
+    assert "scipy.linalg" in loaded
