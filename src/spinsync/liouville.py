@@ -7,12 +7,13 @@ array, affine in the drive: L(Omega, delta) = base + delta per_detuning
 and every generator is assembled from them.  Array drives give a
 (..., 16, 16) stack, which propagation and the steady state take alike.
 
-Propagation works in real Hermitian-basis coordinates, where the
-generator splits exactly into two real 8x8 blocks because F-spin
-coherence order is conserved: the populations with rho42 and rho31, and
-the other coherences.  The first block carries the signal; it evolves as
-the deviation from tr(rho) I/4 with rho11 eliminated, so the trace is
-exact by construction.  The steady state solves the 16x16 generator.
+Propagation and the steady state work in real Hermitian-basis
+coordinates, where the generator splits exactly into two real 8x8 blocks
+because F-spin coherence order is conserved: the populations with rho42
+and rho31, and the other coherences.  The first block carries the
+signal; it is evolved, or solved for, as the deviation from tr(rho) I/4
+with rho11 eliminated, so the trace is exact by construction.  Only the
+steady state's residual check uses the 16x16 generator itself.
 
 scipy.linalg is imported on the first propagate call, its only user
 (expm), so importing the package and solving for steady states never
@@ -175,6 +176,11 @@ _DEVIATION = np.zeros((8, 8))  # x -> (y, tr)
 _DEVIATION[np.arange(7), _KEEP] = 1.0
 _DEVIATION[:3, :4] -= 0.25
 _DEVIATION[7, :4] = 1.0
+# Scaling each Re/Im coordinate by sqrt(2) (each stands for two entries of
+# vec(rho)) makes the map to real coordinates unitary, so the singular
+# values of L are those of the two blocks scaled by s_i / s_j.
+_SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0)).reshape(2, 8)
+_BLOCK_SCALE = _SCALE[:, :, None] / _SCALE[:, None, :]
 
 
 def _real_generator(l_total: np.ndarray) -> np.ndarray:
@@ -250,16 +256,34 @@ def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:
     return cell, f" (worst cell {cell})" if cell else ""
 
 
+def _singular_values(g: np.ndarray) -> np.ndarray:
+    """Singular values of a generator (or stack), descending, from its real
+    coordinates: those of the two blocks with the unitary scaling."""
+    cells = g.shape[:-2]
+    blocks = np.einsum("...kikj->...kij", g.reshape(cells + (2, 8, 2, 8)))
+    s = np.linalg.svd(blocks * _BLOCK_SCALE, compute_uv=False)
+    return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]
+
+
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Stationary density matrix of a generator, or of each in a stack.
 
-    Solves L vec(rho) = 0 with row 0 (redundant, as L preserves the trace)
-    replaced by tr(rho) = 1, then Hermitizes.  Raises, naming a stack's
-    worst cell, if the null space is (numerically) more than one-dimensional
-    or if the residual is not small.
+    The generator is taken to real coordinates as in :func:`propagate`
+    (ValueError unless it splits exactly into the two coherence-order
+    blocks).  The singular values of both blocks, which are those of L,
+    give ||L||_2 and the degeneracy check.  The order-0 block is solved in
+    propagate's deviation form with tr(rho) = 1: 7 equations, the rho11
+    row (redundant, as L preserves the trace) dropped, for the deviation
+    from I/4 without rho11.  So the trace is exact up to one rounding, the
+    result is exactly Hermitian, and the order +-1 coherences, whose block
+    the degeneracy check shows to be regular, are exactly 0.  Raises,
+    naming a stack's worst cell, if the null space is (numerically) more
+    than one-dimensional or if the residual ||L vec(rho)|| of the 16x16
+    generator is not small.
     """
     l_total = np.asarray(liouvillian, dtype=complex)
-    s = np.linalg.svd(l_total, compute_uv=False)
+    g = _real_generator(l_total)
+    s = _singular_values(g)
     norm = s[..., 0]  # the largest singular value is ||L||_2
     ratio = np.divide(s[..., -2], norm, out=np.zeros(norm.shape), where=norm > 0.0)
     if np.any(ratio < DEGENERACY_RATIO):
@@ -267,11 +291,14 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             "stationary subspace is degenerate; steady state ambiguous" + note
         )
-    system = l_total.copy()
-    system[..., 0, :] = vectorize(np.eye(4))  # tr(rho) = 1, the right side e_0
-    rho = devectorize(np.linalg.solve(system, np.eye(16)[0]))
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    residual = np.linalg.norm((l_total @ vectorize(rho)[..., None])[..., 0], axis=-1)
+    aug = g[..., _KEEP, :8] @ _AUGMENT  # d/dt y = aug (y, tr)
+    x = np.zeros(g.shape[:-2] + (16,))
+    x[..., _KEEP] = np.linalg.solve(aug[..., :7], -aug[..., 7:])[..., 0]  # tr = 1
+    x[..., :3] += 0.25
+    x[..., 3] = 1.0 - ((x[..., 0] + x[..., 1]) + x[..., 2])
+    vec = x @ _FROM_REAL.T
+    rho = devectorize(vec)
+    residual = np.linalg.norm((l_total @ vec[..., None])[..., 0], axis=-1)
     bound = RESIDUAL_RTOL * norm
     if np.any(residual > bound):
         cell, note = _worst_cell(residual / bound)

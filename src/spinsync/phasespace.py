@@ -39,31 +39,36 @@ def husimi_reduced(rho, theta, phi, include_prefactor: bool = True):
     Equals the full distribution at (theta_1 = theta, theta_2 = pi,
     theta_3 = 0, phi_2 = phi): rho44 cos^2(theta/2) + Re(rho42 e^{i phi})
     sin(theta) + rho22 sin^2(theta/2), times 24/pi^3 unless
-    ``include_prefactor`` is false.  Broadcasts over array angles.
+    ``include_prefactor`` is false.  Broadcasts over array angles; a
+    (..., 4, 4) stack of states puts its axes in front of the angles'.
     """
     rho = np.asarray(rho)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    bracket = (
-        rho[0, 0].real * np.cos(theta / 2.0) ** 2
-        + rho[2, 2].real * np.sin(theta / 2.0) ** 2
-        + np.real(rho[0, 2] * np.exp(1j * phi)) * np.sin(theta)
+    angles = (None,) * max(theta.ndim, phi.ndim)  # a unit axis per angle axis
+    # the full-shape term first, so the rest is added in place and a
+    # stack's grid is allocated once
+    bracket = np.real(rho[(..., 0, 2) + angles] * np.exp(1j * phi)) * np.sin(theta)
+    bracket += (
+        rho[(..., 0, 0) + angles].real * np.cos(theta / 2.0) ** 2
+        + rho[(..., 2, 2) + angles].real * np.sin(theta / 2.0) ** 2
     )
     if include_prefactor:
-        return HUSIMI_PREFACTOR * bracket
+        bracket *= HUSIMI_PREFACTOR
     return bracket
 
 
 @dataclass(frozen=True)
 class HusimiGrid:
-    """Sampled reduced Husimi distribution over a theta x phi grid."""
+    """Sampled reduced Husimi distribution over a theta x phi grid, or one
+    grid per state of a stack."""
 
     thetas: np.ndarray
     phis: np.ndarray
-    values: np.ndarray  # shape (len(thetas), len(phis))
+    values: np.ndarray  # shape (..., len(thetas), len(phis))
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.thetas.size, self.phis.size):
+        if self.values.shape[-2:] != (self.thetas.size, self.phis.size):
             raise ValueError("grid values do not match the axes")
         if np.any(np.diff(self.thetas) <= 0.0) or np.any(np.diff(self.phis) <= 0.0):
             raise ValueError("grid axes must be strictly increasing")
@@ -85,7 +90,8 @@ def husimi_grid(
     n_phi: int = 128,
     include_prefactor: bool = True,
 ) -> HusimiGrid:
-    """Reduced Husimi distribution on the ``grid_axes`` grid."""
+    """Reduced Husimi distribution on the ``grid_axes`` grid, of one state
+    or of each in a (..., 4, 4) stack."""
     thetas, phis = grid_axes(n_theta, n_phi)
     values = husimi_reduced(
         rho, thetas[:, None], phis[None, :], include_prefactor=include_prefactor
@@ -93,17 +99,19 @@ def husimi_grid(
     return HusimiGrid(thetas=thetas, phis=phis, values=values)
 
 
-def visibility(grid: HusimiGrid) -> float:
+def visibility(grid: HusimiGrid) -> float | np.ndarray:
     """Contrast of the phase profile Q_phi = sum over theta of Q.
 
-    Returns (max - min) / (max + min) of the profile; raises on a grid
-    whose profile sums to zero (no meaningful contrast).
+    Returns (max - min) / (max + min) of the profile, one value per grid
+    of a stack; raises on a grid whose profile sums to zero (no
+    meaningful contrast).
     """
-    profile = grid.values.sum(axis=0)
-    top, bottom = float(profile.max()), float(profile.min())
-    if top + bottom == 0.0:
+    profile = grid.values.sum(axis=-2)
+    top, bottom = profile.max(axis=-1), profile.min(axis=-1)
+    if (top + bottom == 0.0).any():
         raise ValueError("degenerate grid: phase profile sums to zero")
-    return (top - bottom) / (top + bottom)
+    contrast = (top - bottom) / (top + bottom)
+    return float(contrast) if contrast.ndim == 0 else contrast
 
 
 def sync_measure_full(rho: np.ndarray, phi1: float, phi2: float, phi3: float) -> float:

@@ -203,7 +203,7 @@ def check_density_matrix(
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm_err = np.max(np.abs(rho - rho.conj().T))
     if herm_err > herm_tol:

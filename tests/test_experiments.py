@@ -153,6 +153,18 @@ class TestAmplitudeSweep:
             )
             assert value == visibility(husimi_grid(rho, n_theta=32, n_phi=64))
 
+    def test_chunked_grids_match_per_cell_reference(self, config):
+        """On the default 64 x 128 grid the Husimi grids are evaluated a
+        few states at a time; 11 amplitudes span two chunks, and each cell
+        still equals its own state's grid bit for bit."""
+        omegas = np.logspace(-2.0, 0.5, 11)
+        sweep = run_amplitude_sweep(config, omegas_hz=omegas)
+        for omega, value in zip(omegas, sweep.values):
+            rho = steady_state(
+                build_liouvillian(config, DriveConfig(amplitude_hz=omega))
+            )
+            assert value == visibility(husimi_grid(rho))
+
     def test_default_grid(self):
         grid = default_amplitude_grid()
         assert grid.shape == (61,)

@@ -27,7 +27,7 @@ from spinsync import (
     vectorize,
 )
 from spinsync.hamiltonians import drive_term, rotating_drift
-from spinsync.liouville import RESIDUAL_RTOL
+from spinsync.liouville import RESIDUAL_RTOL, _real_generator, _singular_values
 
 from conftest import random_density
 from oracles import build_reduced_rotating_hamiltonian
@@ -327,7 +327,7 @@ class TestSteadyState:
         rho_ss = steady_state(lv)
         rho_long = propagate(lv, thermal_state(config), 1000.0)
         # both solvers sit within a few ulp of the exact state (see the
-        # oracle tests); the worst entry seen over 16 drives is 0.6 eps
+        # oracle tests); the worst entry seen over 16 drives is 0.9 eps
         assert np.max(np.abs(rho_ss - rho_long)) <= 4 * EPS
 
     def test_residual_is_defining_property(self, driven):
@@ -361,10 +361,74 @@ class TestSteadyState:
         with pytest.raises(np.linalg.LinAlgError):
             steady_state(build_l0(h, []))
 
+    def test_degenerate_order_one_block_is_rejected(self, driven):
+        """Zeroing the columns of rho12 and rho21, an order +-1 pair, makes
+        Re and Im of rho12 stationary beside the unique order-0 state.
+        Only the order +-1 block's singular values show the degeneracy;
+        the solve itself would still meet its residual bound."""
+        _, _, lv = driven
+        degenerate = lv.copy()
+        degenerate[:, [4, 1]] = 0.0  # vec indices of rho[0, 1] and rho[1, 0]
+        with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+            steady_state(degenerate)
+        with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(2,\)"):
+            steady_state(np.stack([lv, lv, degenerate]))
+
+    def test_rejects_generator_coupling_the_blocks(self, driven):
+        """The solve takes the generator to propagate's real coordinates and
+        rejects what propagate rejects, naming a stack's worst cell."""
+        _, _, lv = driven
+        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
+            steady_state(lv + flip)
+        with pytest.raises(ValueError, match=r"worst cell \(1,\)"):
+            steady_state(np.stack([lv, lv + flip, lv]))
+
+    def test_rejects_generator_breaking_hermiticity(self, driven):
+        _, _, lv = driven
+        broken = lv.copy()
+        broken[8, 8] += 1e-12j  # rho42's own rate, without its conjugate's
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            steady_state(broken)
+        with pytest.raises(ValueError, match=r"worst cell \(0, 2\)"):
+            steady_state(np.stack([[lv, lv, broken]]))
+
+    def test_block_singular_values_match_full_svd(self, config, rng):
+        """The scaled real blocks are unitarily similar to L, so their
+        singular values are L's.  Each LAPACK SVD has backward error about
+        n eps ||A||_F <= n^1.5 eps ||A||_2 (64 eps for L, 23 for a block),
+        and forming the scaled blocks rounds each entry up to three times
+        (||.||_2 <= ||.||_F <= 4 sigma_0, so 12 eps): 100 eps sigma_0 in
+        all; the worst seen over 5000 random drives is 51 eps sigma_0."""
+        omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 400)])
+        detunings = rng.uniform(-5.0, 5.0, omegas.size)
+        stack = build_affine_liouvillian(config).at(omegas, detunings)
+        full = np.linalg.svd(stack, compute_uv=False)
+        blocks = _singular_values(_real_generator(stack))
+        gap = np.max(np.abs(blocks - full), axis=-1)
+        assert np.all(gap <= 100 * EPS * full[..., 0])
+
+    def test_stack_has_unit_trace_and_is_exactly_hermitian(self, config):
+        """rho11 is 1 minus the other populations, so the trace is 1 up to
+        the rounding of that sum; each coherence and its conjugate come from
+        one real pair, so rho is exactly its adjoint; and the order +-1
+        coherences, whose block is regular, are exactly 0."""
+        omegas = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 13)])
+        detunings = np.array([-2.5, 0.0, 0.7])
+        states = steady_state(
+            build_affine_liouvillian(config).at(omegas[:, None], detunings)
+        )
+        assert states.shape == (14, 3, 4, 4)
+        traces = np.trace(states, axis1=-2, axis2=-1)
+        assert np.max(np.abs(traces - 1.0)) <= TRACE_ULPS
+        np.testing.assert_array_equal(states, states.conj().swapaxes(-1, -2))
+        for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
+            assert not states[..., i, j].any()
+
 
 # Oracle bounds, as shares of the tongue maximum: about 10x the worst
-# error seen on the tongue cells of oracle_cells (BENCH_7.json, BENCH_8.json).
-STEADY_BOUND = 5e-11
+# error seen on the tongue cells of oracle_cells (BENCH_8.json, BENCH_10.json).
+STEADY_BOUND = 4e-15
 PROPAGATE_BOUND = 2e-12
 
 
@@ -441,8 +505,9 @@ def high_precision_propagated_max_sync(
 class TestSteadyStateOracle:
     def test_tongue_cells_against_high_precision_solve(self, config, steady_tongue):
         """Steady max-sync on the default tongue grid against a 40-digit
-        solve of the same float64 generators.  The trace-row solve lands
-        at most 1.2e-11 of the tongue maximum away."""
+        solve of the same float64 generators.  The order-0 block solve
+        lands at most 3.4e-16 of the tongue maximum away (4.6e-16 over all
+        861 cells; the 16x16 trace-row solve it replaced, 1.2e-11)."""
         values = steady_tongue.values
         omegas = steady_tongue.axes["omega_hz"]
         deltas = steady_tongue.axes["detuning_hz"]

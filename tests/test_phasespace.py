@@ -201,6 +201,21 @@ class TestHusimiGrid:
         q = husimi_reduced(rho, grid.thetas[3], grid.phis[7])
         assert grid.values[3, 7] == pytest.approx(q, rel=1e-15)
 
+    def test_stack_gives_each_state_its_grid(self, config, rng):
+        """A (..., 4, 4) stack of states gives a (..., n_theta, n_phi)
+        stack of grids, each equal bit for bit to its state's own grid,
+        and visibility then gives one value per grid."""
+        states = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        grids = husimi_grid(states, n_theta=16, n_phi=32)
+        assert grids.values.shape == (2, 3, 16, 32)
+        contrasts = visibility(grids)
+        assert contrasts.shape == (2, 3)
+        for cell in np.ndindex(2, 3):
+            single = husimi_grid(states[cell], n_theta=16, n_phi=32)
+            np.testing.assert_array_equal(grids.values[cell], single.values)
+            assert contrasts[cell] == visibility(single)
+        assert isinstance(visibility(single), float)
+
     def test_rejects_tiny_grids(self, config):
         with pytest.raises(ValueError):
             husimi_grid(thermal_state(config), n_theta=1)
@@ -323,6 +338,13 @@ class TestVisibility:
         )
         with pytest.raises(ValueError):
             visibility(grid)
+        stacked = HusimiGrid(
+            thetas=grid.thetas,
+            phis=grid.phis,
+            values=np.stack([np.full((4, 8), 0.3), grid.values]),
+        )
+        with pytest.raises(ValueError):
+            visibility(stacked)
 
 
 class TestHaarQuadrature:

@@ -11,6 +11,7 @@ from spinsync import (
     build_liouvillian,
     check_density_matrix,
     default_purity_factors,
+    propagate,
     spin_operator,
     steady_state,
     thermal_state,
@@ -233,6 +234,24 @@ class TestDensityMatrixChecker:
     def test_accepts_thermal(self, config):
         rho = thermal_state(config)
         assert check_density_matrix(rho) is rho
+
+    def test_accepts_non_contiguous_views(self, config):
+        """propagate returns a transposed view of its vectorized result;
+        the checker takes it, and any other strided 4x4 array, as is."""
+        rho = propagate(
+            build_liouvillian(config, DriveConfig(amplitude_hz=0.1)),
+            thermal_state(config),
+            10.0,
+        )
+        assert not rho.flags.c_contiguous
+        assert check_density_matrix(rho) is rho
+        rho_t = thermal_state(config).T
+        assert not rho_t.flags.c_contiguous
+        assert check_density_matrix(rho_t) is rho_t
+        nan = rho.copy().T
+        nan[1, 3] = complex(0.0, math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density_matrix(nan)
 
     def test_rejects_defects(self):
         good = np.eye(4, dtype=complex) / 4.0
