@@ -15,9 +15,9 @@ signal; it is evolved, or solved for, as the deviation from tr(rho) I/4
 with rho11 eliminated, so the trace is exact by construction.  Only the
 steady state's residual check uses the 16x16 generator itself.
 
-scipy.linalg is imported on the first propagate call, its only user
-(expm), so importing the package and solving for steady states never
-load scipy.
+The real blocks are exponentiated by a stacked scaling-and-squaring
+Pade-13 (``_expm``), so the package needs NumPy alone.  An array of
+durations broadcasts against a generator stack like the drives do.
 """
 
 from __future__ import annotations
@@ -213,41 +213,101 @@ def _real_generator(l_total: np.ndarray) -> np.ndarray:
     return g
 
 
-def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
+# Pade-13 numerator coefficients b_0..b_13, and theta_13, the 1-norm up to
+# which the approximant's backward error is below the unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a real (..., n, n) stack.
+
+    Scaling and squaring with the degree-13 Pade approximant R = (V - U)^-1
+    (V + U), evaluated once for the whole stack after each cell is scaled
+    by 2^-s, the least s >= 0 with ||A 2^-s||_1 <= theta_13.  The
+    approximant is kept as D = R - I = (V - U)^-1 2U and squared as
+    D <- D (D + 2I), so I + D is formed only at the end: a zero row of A
+    stays exactly zero, and the rounding of entries of R near 1 is not
+    raised to the power 2^s.  All cells share min(s) squarings; a mask
+    selects the cells that need more.  Each cell equals its own call bit
+    for bit.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise ValueError("matrix exponential of a non-finite matrix")
+    with np.errstate(divide="ignore"):  # a zero matrix has log2(0) = -inf
+        s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0).astype(int)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    d = np.linalg.solve(v - u, 2.0 * u)
+    two = 2.0 * eye
+    shared = int(s.min())
+    for _ in range(shared):
+        d = d @ (d + two)
+    for k in range(shared, int(s.max())):
+        more = s > k
+        rest = d[more]
+        d[more] = rest @ (rest + two)
+    return eye + d
+
+
+def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
 
-    The generator is taken to real coordinates, where it must split
-    exactly into the two F-spin coherence-order blocks (ValueError
-    otherwise).  The order-0 block evolves as the deviation of rho from
-    tr(rho0) I/4 with rho11 eliminated, through expm of the augmented
-    real 8x8 generator; the order +-1 block has its own real 8x8 expm, taken
-    only when rho0 has support on it.  So the trace is exact up to the
-    rounding of one sum of populations, a Hermitian rho0 gives an exactly
-    Hermitian result, and the map stays linear on any complex rho0.
+    ``t`` is a duration or an array of them that broadcasts against the
+    stack, so one generator and n durations give n states; cells with
+    t = 0 hold rho0 exactly.  The generator is taken to real coordinates,
+    where it must split exactly into the two F-spin coherence-order
+    blocks (ValueError otherwise).  The order-0 block evolves as the
+    deviation of rho from tr(rho0) I/4 with rho11 eliminated, through the
+    exponential of the augmented real 8x8 generator; the order +-1 block
+    has its own real 8x8 exponential, taken only when rho0 has support on
+    it.  So the trace is exact up to the rounding of one sum of
+    populations, a Hermitian rho0 gives an exactly Hermitian result, and
+    the map stays linear on any complex rho0.
     """
-    import scipy.linalg  # here, not at module level: see the module docstring
-
-    if t < 0.0:
-        raise ValueError("propagation time must be non-negative")
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
+        raise ValueError("propagation time must be finite and non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
     g = _real_generator(np.asarray(liouvillian, dtype=complex))
-    cells = g.shape[:-2]
-    if t == 0.0:
-        return np.broadcast_to(rho0, cells + (4, 4)).copy()
+    cells = np.broadcast_shapes(g.shape[:-2], t.shape)
+    # cells kept at rho0 itself, which the deviation form would round
+    still = np.broadcast_to(t == 0.0, cells)
+    t = t[..., None, None]
     x0 = (_TO_REAL @ vectorize(rho0)).view(float).reshape(16, 2)  # re, im
     u0 = _DEVIATION @ x0[:8]
     trace = u0[7]
-    aug = np.zeros(cells + (8, 8))
+    aug = np.zeros(g.shape[:-2] + (8, 8))
     aug[..., :7, :] = g[..., _KEEP, :8] @ _AUGMENT
     x = np.zeros(cells + (16, 2))
-    x[..., _KEEP, :] = scipy.linalg.expm(aug * t)[..., :7, :] @ u0
+    x[..., _KEEP, :] = _expm(aug * t)[..., :7, :] @ u0
     x[..., :3, :] += 0.25 * trace
     x[..., 3, :] = trace - ((x[..., 0, :] + x[..., 1, :]) + x[..., 2, :])
     if x0[8:].any():
-        x[..., 8:, :] = scipy.linalg.expm(g[..., 8:, 8:] * t) @ x0[8:]
-    return devectorize(x.view(complex)[..., 0] @ _FROM_REAL.T)
+        x[..., 8:, :] = _expm(g[..., 8:, 8:] * t) @ x0[8:]
+    rho = devectorize(x.view(complex)[..., 0] @ _FROM_REAL.T)
+    rho[still] = rho0
+    return rho
 
 
 def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:

@@ -108,6 +108,18 @@ class TestDriveSeries:
         for point in series:
             assert point.coherence_abs == abs(point.state[0, 2])
 
+    def test_points_match_per_duration_calls(self, series, config):
+        """One propagation and one Husimi grid serve all durations; each
+        point equals its own propagate and husimi_grid calls bit for bit."""
+        lv = build_liouvillian(config, DriveConfig(amplitude_hz=0.1))
+        rho0 = thermal_state(config)
+        for point in series:
+            rho = propagate(lv, rho0, point.duration_s)
+            grid = husimi_grid(rho, n_theta=32, n_phi=64)
+            np.testing.assert_array_equal(point.state, rho)
+            np.testing.assert_array_equal(point.grid.values, grid.values)
+            assert point.visibility == visibility(grid)
+
     def test_default_durations(self):
         assert DEFAULT_SERIES_DURATIONS == (0.05, 0.1, 1.0, 10.0, 100.0)
 
