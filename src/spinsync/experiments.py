@@ -2,10 +2,11 @@
 
 Every experiment starts from the thermal state, builds the rotating-frame
 generator and reports phase-space observables.  Sweeps build the
-generator's affine terms once and solve or propagate one stack per axis
-or tongue row, and the drive series propagates all its durations as one
-stack, so each cell equals the single-drive, single-duration result bit
-for bit.
+generator's affine terms and map them to real coordinates once, then
+solve or propagate one real stack per axis or tongue row with the
+engine's kernels; the drive series propagates all its durations as one
+stack.  Each cell equals the single-drive, single-duration result bit for
+bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liouville import (
+    _propagate,
+    _steady_state,
     build_affine_liouvillian,
     build_liouvillian,
     propagate,
@@ -174,7 +177,7 @@ def run_amplitude_sweep(
     """
     omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
     omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
-    states = steady_state(build_affine_liouvillian(config).at(omegas))
+    states = _steady_state(build_affine_liouvillian(config)._real.at(omegas))[0]
     step = max(1, _GRID_VALUES_PER_EVALUATION // max(1, n_theta * n_phi))
     values = np.concatenate([
         visibility(husimi_grid(chunk, n_theta=n_theta, n_phi=n_phi))
@@ -217,14 +220,14 @@ def run_arnold_tongue(
     if duration_s <= 0.0 and not use_steady_state:
         raise ValueError("duration must be positive")
     rho0 = thermal_state(config)
-    terms = build_affine_liouvillian(config)
+    terms = build_affine_liouvillian(config)._real
     values = np.empty((omegas.size, detunings.size))
     for i, omega in enumerate(omegas):
         row = terms.at(omega, detunings)
         if use_steady_state:
-            states = steady_state(row)
+            states = _steady_state(row)[0]
         else:
-            states = propagate(row, rho0, duration_s)
+            states = _propagate(row, rho0, duration_s)
         values[i] = sync_measure_max(states)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},

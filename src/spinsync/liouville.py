@@ -1,41 +1,39 @@
 """Vectorized master-equation engine.
 
-Density matrices are flattened by column stacking, so a triple product
-B rho C maps to (C^T kron B) vec(rho).  The generator is a dense 16x16
-array, affine in the drive: L(Omega, delta) = base + delta per_detuning
-+ Omega per_amplitude, so those three terms are built once per system
-and every generator is assembled from them.  Array drives give a
-(..., 16, 16) stack, which propagation and the steady state take alike.
+Density matrices are flattened by column stacking, so B rho C maps to
+(C^T kron B) vec(rho).  The dense 16x16 generator is affine in the
+drive, L(Omega, delta) = base + delta per_detuning + Omega per_amplitude,
+so those terms are built once per system; array drives give a stack.
 
 Propagation and the steady state work in real Hermitian-basis
 coordinates, where the generator splits exactly into two real 8x8 blocks
-because F-spin coherence order is conserved: the populations with rho42
-and rho31, and the other coherences.  The first block carries the
-signal; it is evolved, or solved for, as the deviation from tr(rho) I/4
-with rho11 eliminated, so the trace is exact by construction.  Only the
-steady state's residual check uses the 16x16 generator itself.
-
-The real blocks are exponentiated by a stacked scaling-and-squaring
-Pade-13 (``_expm``), so the package needs NumPy alone.  An array of
-durations broadcasts against a generator stack like the drives do.
+by F-spin coherence order: the populations with rho42 and rho31, and the
+other coherences.  The first block carries the signal and is evolved, or
+solved for, as the deviation from tr(rho) I/4 with rho11 eliminated, so
+the trace is exact.  The map is linear, so sweeps sum the three terms
+mapped once per system; one real kernel per operation serves them and
+the public functions.  The steady state needs no SVD, and ``_expm``, a
+stacked Pade-13, leaves NumPy the only dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dissipation import JumpOperator, build_jump_operators
 from .hamiltonians import detuning_term, drive_term, rotating_drift
-from .system import LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig
+from .system import LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig, _worst_cell
 
 # Ratio of second-smallest to largest singular value below which the
-# stationary subspace is treated as degenerate.
+# stationary subspace is treated as degenerate; checked on a lower bound.
 DEGENERACY_RATIO = 1e-8
 # Residual bound for an accepted steady state, relative to ||L||_2.  A
 # backward-stable solve of the 16-dimensional system leaves a residual of
 # about 16 eps ||L||_2 ||vec(rho)||, and ||vec(rho)|| <= 1 for a state.
+# Checked against ||L||_F / 4 <= ||L||_2 (rank <= 16).
 RESIDUAL_RTOL = 16 * np.finfo(float).eps
 
 
@@ -116,6 +114,14 @@ class AffineLiouvillian:
             + amplitude * self.per_amplitude
         )
 
+    @cached_property
+    def _real(self) -> AffineLiouvillian:
+        """The terms in real coordinates, checked once (a real combination of
+        split terms is split); ``_real.at`` is ``_real_generator`` of ``at``,
+        bit for bit."""
+        terms = (self.base, self.per_detuning, self.per_amplitude)
+        return AffineLiouvillian(*(_real_generator(term) for term in terms))
+
 
 def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
     """Build the generator's affine terms once for a configured system."""
@@ -135,14 +141,12 @@ def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarra
 
 
 def _real_coordinates() -> tuple[np.ndarray, np.ndarray]:
-    """Maps between vec(rho) and 16 real Hermitian-basis coordinates.
-
-    The coordinates are the populations, rho11 last, then Re and Im of
-    rho_ij (i < j) for the pairs sharing m_F (F-spin coherence order 0),
-    then for the others (order +-1).  Each row of either map has at most
-    two non-zero entries, from {1, 1/2, +-i, +-i/2}, so mapping costs one
-    rounding per entry and treats an entry and its transpose alike.
-    """
+    """Maps between vec(rho) and 16 real Hermitian-basis coordinates: the
+    populations, rho11 last, then Re and Im of rho_ij (i < j) for the pairs
+    sharing m_F (F-spin coherence order 0), then the others (order +-1).
+    Each row of either map has at most two non-zero entries, from {1, 1/2,
+    +-i, +-i/2}, so mapping rounds once per entry, an entry and its
+    transpose alike."""
     levels = sorted(range(4), key=lambda i: LEVEL_LABELS[i] == 1)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     order_zero = [(i, j) for i, j in pairs if LEVELS[i][1] == LEVELS[j][1]]
@@ -177,20 +181,18 @@ _DEVIATION[np.arange(7), _KEEP] = 1.0
 _DEVIATION[:3, :4] -= 0.25
 _DEVIATION[7, :4] = 1.0
 # Scaling each Re/Im coordinate by sqrt(2) (each stands for two entries of
-# vec(rho)) makes the map to real coordinates unitary, so the singular
-# values of L are those of the two blocks scaled by s_i / s_j.
-_SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0)).reshape(2, 8)
-_BLOCK_SCALE = _SCALE[:, :, None] / _SCALE[:, None, :]
+# vec(rho)) makes the map unitary: L's singular values and Frobenius norm
+# are those of the generator scaled by s_i / s_j.
+_SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0))
+_NORM_WEIGHT = (_SCALE[:, None] / _SCALE) ** 2  # ||L||_F^2 = sum W g^2
 
 
 def _real_generator(l_total: np.ndarray) -> np.ndarray:
-    """A generator (or stack) in real coordinates.
-
-    Raises ValueError unless it maps Hermitian matrices to Hermitian ones
-    and keeps the two coherence-order blocks apart, both exactly.  The
-    conjugate entries of each coordinate are summed in one rounding, so an
-    exactly Hermiticity-preserving generator leaves no imaginary residue.
-    """
+    """A generator (or stack) in real coordinates; ValueError unless it maps
+    Hermitian matrices to Hermitian ones and keeps the coherence-order
+    blocks apart, both exactly.  Conjugate entries are summed in one
+    rounding, so an exactly Hermiticity-preserving generator leaves no
+    imaginary residue."""
     g = _TO_REAL @ l_total @ _FROM_REAL
     if g.imag.any():
         residue = np.abs(g.imag).max(axis=(-2, -1))
@@ -228,14 +230,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of a real (..., n, n) stack.
 
     Scaling and squaring with the degree-13 Pade approximant R = (V - U)^-1
-    (V + U), evaluated once for the whole stack after each cell is scaled
-    by 2^-s, the least s >= 0 with ||A 2^-s||_1 <= theta_13.  The
-    approximant is kept as D = R - I = (V - U)^-1 2U and squared as
-    D <- D (D + 2I), so I + D is formed only at the end: a zero row of A
-    stays exactly zero, and the rounding of entries of R near 1 is not
-    raised to the power 2^s.  All cells share min(s) squarings; a mask
-    selects the cells that need more.  Each cell equals its own call bit
-    for bit.
+    (V + U), evaluated once for the stack after each cell is scaled by
+    2^-s, the least s >= 0 with ||A 2^-s||_1 <= theta_13.  R is kept as
+    D = R - I = (V - U)^-1 2U and squared as D <- D (D + 2I), so a zero row
+    of A stays exactly zero and the rounding of entries of R near 1 is not
+    raised to the power 2^s.  All cells share min(s) squarings, a mask
+    takes the rest; each cell equals its own call bit for bit.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     if not np.isfinite(norm).all():
@@ -272,24 +272,25 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
 
     ``t`` is a duration or an array of them that broadcasts against the
-    stack, so one generator and n durations give n states; cells with
-    t = 0 hold rho0 exactly.  The generator is taken to real coordinates,
-    where it must split exactly into the two F-spin coherence-order
-    blocks (ValueError otherwise).  The order-0 block evolves as the
-    deviation of rho from tr(rho0) I/4 with rho11 eliminated, through the
-    exponential of the augmented real 8x8 generator; the order +-1 block
-    has its own real 8x8 exponential, taken only when rho0 has support on
-    it.  So the trace is exact up to the rounding of one sum of
-    populations, a Hermitian rho0 gives an exactly Hermitian result, and
-    the map stays linear on any complex rho0.
+    stack; cells with t = 0 hold rho0 exactly.  In real coordinates
+    (ValueError unless the generator splits exactly into the two
+    coherence-order blocks), the order-0 block evolves as the deviation
+    from tr(rho0) I/4 with rho11 eliminated, by the exponential of the
+    augmented 8x8 generator; the order +-1 block, only where rho0 has
+    support on it, by its own.  So the trace is exact up to one rounding,
+    a Hermitian rho0 stays exactly Hermitian, and any rho0 maps linearly.
     """
+    return _propagate(_real_generator(np.asarray(liouvillian, dtype=complex)), rho0, t)
+
+
+def _propagate(g: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
+    """:func:`propagate` under a generator (or stack) in real coordinates."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
-    g = _real_generator(np.asarray(liouvillian, dtype=complex))
     cells = np.broadcast_shapes(g.shape[:-2], t.shape)
     # cells kept at rho0 itself, which the deviation form would round
     still = np.broadcast_to(t == 0.0, cells)
@@ -310,63 +311,58 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     return rho
 
 
-def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:
-    """A stack's most severe cell (() for one generator) and its error note."""
-    cell = tuple(int(i) for i in np.unravel_index(np.argmax(severity), severity.shape))
-    return cell, f" (worst cell {cell})" if cell else ""
-
-
-def _singular_values(g: np.ndarray) -> np.ndarray:
-    """Singular values of a generator (or stack), descending, from its real
-    coordinates: those of the two blocks with the unitary scaling."""
-    cells = g.shape[:-2]
-    blocks = np.einsum("...kikj->...kij", g.reshape(cells + (2, 8, 2, 8)))
-    s = np.linalg.svd(blocks * _BLOCK_SCALE, compute_uv=False)
-    return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]
-
-
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Stationary density matrix of a generator, or of each in a stack.
 
-    The generator is taken to real coordinates as in :func:`propagate`
-    (ValueError unless it splits exactly into the two coherence-order
-    blocks).  The singular values of both blocks, which are those of L,
-    give ||L||_2 and the degeneracy check.  The order-0 block is solved in
-    propagate's deviation form with tr(rho) = 1: 7 equations, the rho11
-    row (redundant, as L preserves the trace) dropped, for the deviation
-    from I/4 without rho11.  So the trace is exact up to one rounding, the
-    result is exactly Hermitian, and the order +-1 coherences, whose block
-    the degeneracy check shows to be regular, are exactly 0.  Raises,
-    naming a stack's worst cell, if the null space is (numerically) more
-    than one-dimensional or if the residual ||L vec(rho)|| of the 16x16
-    generator is not small.
+    In propagate's real coordinates and deviation form, with tr(rho) = 1,
+    the order-0 block gives 7 equations A y = b (the redundant rho11 row
+    dropped): the trace is exact up to one rounding, rho exactly Hermitian,
+    and the order +-1 coherences, whose block B must be regular, exactly 0.
+    Raises LinAlgError, naming a stack's worst cell, if sigma_-2 / sigma_0 <
+    DEGENERACY_RATIO or ||L vec(rho)|| > RESIDUAL_RTOL ||L||_2, checked
+    without an SVD on bounds that are never looser: in unitarily scaled
+    coordinates, Courant-Fischer on the deviation embedding (2-norm 2)
+    gives sigma_-2 >= min(sigma_min(A) / 2, sigma_min(B)), sigma_min(M) >=
+    1 / ||M^-1||_F, sigma_0 <= ||L||_F and ||L||_F / 4 <= ||L||_2.
     """
-    l_total = np.asarray(liouvillian, dtype=complex)
-    g = _real_generator(l_total)
-    s = _singular_values(g)
-    norm = s[..., 0]  # the largest singular value is ||L||_2
-    ratio = np.divide(s[..., -2], norm, out=np.zeros(norm.shape), where=norm > 0.0)
-    if np.any(ratio < DEGENERACY_RATIO):
+    return _steady_state(_real_generator(np.asarray(liouvillian, dtype=complex)))[0]
+
+
+def _steady_state(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`steady_state` of a real generator (or stack), with each cell's
+    bound on sigma_-2 / sigma_0 and residual ||L vec(rho)||."""
+    aug = g[..., _KEEP, :8] @ _AUGMENT  # d/dt y = aug (y, tr)
+    a, b = aug[..., :7], g[..., 8:, 8:]
+    norm = np.sqrt(np.einsum("...ij,ij,...ij->...", g, _NORM_WEIGHT, g))  # ||L||_F
+    try:  # the state from its own 1-column solve, for the same bits
+        y = np.linalg.solve(a, -aug[..., 7:])[..., 0]  # tr = 1
+        ratio = np.minimum(
+            0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
+            1.0 / np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)),
+        ) / norm
+    except np.linalg.LinAlgError:  # an exact zero pivot fails the stack
+        # det multiplies the same LU's pivots, so it is 0 in that cell
+        ratio = np.minimum(np.abs(np.linalg.det(a)), np.abs(np.linalg.det(b)))
+    if not np.all(ratio >= DEGENERACY_RATIO):  # NaN fails too
         _, note = _worst_cell(-ratio)
         raise np.linalg.LinAlgError(
             "stationary subspace is degenerate; steady state ambiguous" + note
         )
-    aug = g[..., _KEEP, :8] @ _AUGMENT  # d/dt y = aug (y, tr)
     x = np.zeros(g.shape[:-2] + (16,))
-    x[..., _KEEP] = np.linalg.solve(aug[..., :7], -aug[..., 7:])[..., 0]  # tr = 1
+    x[..., _KEEP] = y
     x[..., :3] += 0.25
     x[..., 3] = 1.0 - ((x[..., 0] + x[..., 1]) + x[..., 2])
-    vec = x @ _FROM_REAL.T
-    rho = devectorize(vec)
-    residual = np.linalg.norm((l_total @ vec[..., None])[..., 0], axis=-1)
-    bound = RESIDUAL_RTOL * norm
-    if np.any(residual > bound):
+    residual = np.linalg.norm(
+        _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
+    )
+    bound = RESIDUAL_RTOL / 4 * norm
+    if not np.all(residual <= bound):
         cell, note = _worst_cell(residual / bound)
         raise np.linalg.LinAlgError(
             f"steady-state residual {residual[cell]:.3e} exceeds {bound[cell]:.3e}"
             + note
         )
-    return rho
+    return devectorize(x @ _FROM_REAL.T), ratio, residual
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,12 @@ def thermal_state(config: SpinSystemConfig) -> np.ndarray:
     return np.diag(np.asarray(pops, dtype=complex))
 
 
+def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """A stack's most severe cell (() for a single matrix) and its error note."""
+    cell = tuple(int(i) for i in np.unravel_index(np.argmax(severity), severity.shape))
+    return cell, f" (worst cell {cell})" if cell else ""
+
+
 def check_density_matrix(
     rho: np.ndarray,
     *,
@@ -199,19 +205,29 @@ def check_density_matrix(
     trace_tol: float = 1e-10,
     psd_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Validate a 4x4 density matrix; returns it unchanged or raises."""
+    """Validate a 4x4 density matrix, or each of a (..., 4, 4) stack.
+
+    Returns it unchanged or raises ValueError, naming a stack's worst cell.
+    """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix has non-finite entries")
-    herm_err = np.max(np.abs(rho - rho.conj().T))
-    if herm_err > herm_tol:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm_err:.3e}")
-    trace_err = abs(rho.trace() - 1.0)
-    if trace_err > trace_tol:
-        raise ValueError(f"density matrix trace off by {trace_err:.3e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < -psd_tol:
-        raise ValueError(f"density matrix has eigenvalue {min_eig:.3e}")
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if not finite.all():
+        _, note = _worst_cell(~finite)
+        raise ValueError("density matrix has non-finite entries" + note)
+    herm_err = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(herm_err > herm_tol):
+        cell, note = _worst_cell(herm_err)
+        raise ValueError(
+            f"density matrix not Hermitian: deviation {herm_err[cell]:.3e}" + note
+        )
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    if np.any(trace_err > trace_tol):
+        cell, note = _worst_cell(trace_err)
+        raise ValueError(f"density matrix trace off by {trace_err[cell]:.3e}" + note)
+    min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2))).min(axis=-1)
+    if np.any(min_eig < -psd_tol):
+        cell, note = _worst_cell(-min_eig)
+        raise ValueError(f"density matrix has eigenvalue {min_eig[cell]:.3e}" + note)
     return rho

@@ -9,7 +9,9 @@ checkable:
 * the full SU(4) coherent state and Husimi value, of which the
   simulator's reduced Husimi section is one slice;
 * the per-gate IMHD circuit, which the grid kernel evaluates in
-  factorized form.
+  factorized form;
+* the singular values of a generator from its real blocks, which the
+  steady state's certified degeneracy bound must never exceed.
 
 Matrices are in rad/s unless stated otherwise.
 """
@@ -23,6 +25,7 @@ from math import tau
 import numpy as np
 
 from spinsync import HUSIMI_PREFACTOR, drive_term, rotating_drift, spin_operator
+from spinsync.liouville import _SCALE
 
 # --- frame derivation ---------------------------------------------------------
 
@@ -188,3 +191,16 @@ def build_j_evolution(config) -> np.ndarray:
     izz = spin_operator("P", "z") @ spin_operator("F", "z")
     angle = tau * config.j_coupling_hz * duration  # = pi
     return np.diag(np.exp(-1j * angle * np.diag(izz)))
+
+
+# --- singular values of the generator -----------------------------------------
+
+
+def singular_values(g: np.ndarray) -> np.ndarray:
+    """Singular values of a generator (or stack), descending, from its real
+    coordinates: those of the two blocks with the unitary scaling."""
+    cells = g.shape[:-2]
+    scaled = g * (_SCALE[:, None] / _SCALE)
+    blocks = np.einsum("...kikj->...kij", scaled.reshape(cells + (2, 8, 2, 8)))
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]

@@ -29,6 +29,7 @@ from spinsync.experiments import (
     default_amplitude_grid,
     default_arnold_grid,
 )
+from spinsync import liouville
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
@@ -320,6 +321,79 @@ class TestArnoldTongue:
         assert omegas[0] == pytest.approx(1e-2, rel=1e-12)
         assert omegas[-1] == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(detunings + detunings[::-1], 0.0, atol=1e-12)
+
+
+class TestSweepEngine:
+    def test_generator_mapped_once_per_system(self, config, monkeypatch):
+        """Sweeps map the three affine terms to real coordinates, one
+        16x16 term per call, and then sum real generators: no row or cell
+        maps or checks a generator of its own."""
+        shapes = []
+        original = liouville._real_generator
+
+        def counted(l_total):
+            shapes.append(np.shape(l_total))
+            return original(l_total)
+
+        monkeypatch.setattr(liouville, "_real_generator", counted)
+        for sweep in (
+            lambda: run_arnold_tongue(config, use_steady_state=True),
+            lambda: run_arnold_tongue(config),
+            lambda: run_amplitude_sweep(config, n_theta=8, n_phi=8),
+        ):
+            shapes.clear()
+            sweep()
+            assert shapes == [(16, 16)] * 3
+
+
+class TestDensityMatrixStack:
+    """check_density_matrix on a (..., 4, 4) stack: every cell with the
+    single-matrix tolerances, naming the worst cell."""
+
+    @pytest.fixture(scope="class")
+    def states(self, config):
+        omegas = np.array([0.0, 0.01, 0.1, 1.0, 10.0])
+        return steady_state(
+            liouville.build_affine_liouvillian(config).at(
+                omegas[:, None], np.array([-2.0, 0.0, 1.5])
+            )
+        )
+
+    def test_accepts_sweep_stacks(self, states, config):
+        assert check_density_matrix(states) is states
+        stack = steady_state(
+            liouville.build_affine_liouvillian(config).at(default_amplitude_grid())
+        )
+        assert check_density_matrix(stack) is stack
+
+    def test_names_the_worst_cell(self, states):
+        good = np.eye(4, dtype=complex) / 4.0
+        neg = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+        skew = good.copy()
+        skew[0, 1] = 1e-6
+        defects = [
+            ("non-finite", good * math.nan),
+            ("not Hermitian", skew),
+            ("trace off", good * 2.0),
+            ("eigenvalue", neg),
+        ]
+        for message, bad in defects:
+            stack = states.copy()
+            stack[3, 1] = bad
+            with pytest.raises(ValueError, match=message + r".*\(worst cell \(3, 1\)\)"):
+                check_density_matrix(stack)
+            with pytest.raises(ValueError, match=message) as single:
+                check_density_matrix(bad)
+            assert "worst cell" not in str(single.value)
+        stack = states.copy()
+        stack[1, 2, 0, 1] = 1e-9
+        stack[4, 0, 2, 3] = 1e-6
+        with pytest.raises(ValueError, match=r"1\.000e-06 \(worst cell \(4, 0\)\)"):
+            check_density_matrix(stack)
+
+    def test_rejects_non_4x4_stack(self, states):
+        with pytest.raises(ValueError, match="4x4"):
+            check_density_matrix(states[..., :3, :3])
 
 
 class TestSweepResultValidation:

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from spinsync import (
     SYNC_COEFFICIENT,
+    AffineLiouvillian,
     DriveConfig,
     SpinSystemConfig,
     build_affine_liouvillian,
@@ -26,18 +27,22 @@ from spinsync import (
     thermal_state,
     vectorize,
 )
+from spinsync.experiments import default_amplitude_grid, default_arnold_grid
 from spinsync.hamiltonians import drive_term, rotating_drift
 from spinsync.liouville import (
     _AUGMENT,
+    _FROM_REAL,
     _KEEP,
+    _SCALE,
+    DEGENERACY_RATIO,
     RESIDUAL_RTOL,
     _expm,
     _real_generator,
-    _singular_values,
+    _steady_state,
 )
 
 from conftest import random_density
-from oracles import build_reduced_rotating_hamiltonian
+from oracles import build_reduced_rotating_hamiltonian, singular_values
 
 EPS = np.finfo(float).eps
 # The engine sets rho11 = tr(rho0) minus the other populations, so the
@@ -198,6 +203,29 @@ class TestAffineLiouvillian:
                 )
                 bound = 4.0 * eps * np.linalg.norm(direct, 1)
                 assert np.max(np.abs(stack[i, j] - direct)) <= bound
+
+    def test_real_terms_sum_to_the_mapped_generator(self, config, rng):
+        """The map to real coordinates is linear and each of its entries
+        takes the real or imaginary part of one sum of conjugate entries,
+        so the mapped terms summed in ``at``'s order equal the mapped sum
+        bit for bit: on both default sweeps and on 500 random drives."""
+        terms = build_affine_liouvillian(config)
+        omegas, detunings = default_arnold_grid()
+        random = 10.0 ** rng.uniform(-3.5, 3.0, 500), rng.uniform(-5.0, 5.0, 500)
+        for drive in ((omegas[:, None], detunings), (default_amplitude_grid(), 0.0),
+                      random):
+            np.testing.assert_array_equal(
+                terms._real.at(*drive), _real_generator(terms.at(*drive))
+            )
+
+    def test_real_terms_are_checked(self, config):
+        """The real terms are mapped with the generator's checks, once per
+        system: a term that breaks Hermiticity is rejected there."""
+        terms = build_affine_liouvillian(config)
+        broken = terms.per_detuning.copy()
+        broken[8, 8] += 1e-12j
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            AffineLiouvillian(terms.base, broken, terms.per_amplitude)._real
 
 
 class TestPropagate:
@@ -501,9 +529,95 @@ class TestSteadyState:
         detunings = rng.uniform(-5.0, 5.0, omegas.size)
         stack = build_affine_liouvillian(config).at(omegas, detunings)
         full = np.linalg.svd(stack, compute_uv=False)
-        blocks = _singular_values(_real_generator(stack))
+        blocks = singular_values(_real_generator(stack))
         gap = np.max(np.abs(blocks - full), axis=-1)
         assert np.all(gap <= 100 * EPS * full[..., 0])
+
+    def test_certified_bound_never_exceeds_svd_ratio(self, config, rng):
+        """The degeneracy check's bound min(1 / (2 ||A^-1||_F), 1 /
+        ||B^-1||_F) / ||L||_F is a lower bound on sigma_-2 / sigma_0, so
+        DEGENERACY_RATIO rejects at least what the SVD ratio would.  Over
+        5000 random drives it stays below 0.17 of the SVD ratio."""
+        omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.5, 3.0, 4999)])
+        detunings = rng.uniform(-5.0, 5.0, omegas.size)
+        g = build_affine_liouvillian(config)._real.at(omegas, detunings)
+        _, bound, _ = _steady_state(g)
+        s = singular_values(g)
+        assert np.all(bound <= s[..., -2] / s[..., 0])
+
+    def test_near_degenerate_family_is_rejected(self, config):
+        """Scaling every jump rate by e -> 0 leaves the Hamiltonian part,
+        whose stationary subspace is degenerate: wherever the SVD ratio
+        falls below DEGENERACY_RATIO the solve raises, naming the cell."""
+        jumps = build_jump_operators(config)
+        dissipator = build_l0(np.zeros((4, 4)), jumps)
+        scales = np.logspace(-12.0, 0.0, 49)
+        for amplitude, detuning in ((0.0, 0.0), (0.1, 0.0), (1.0, -2.0), (30.0, 3.0)):
+            drive = DriveConfig(amplitude_hz=amplitude, detuning_hz=detuning)
+            coherent = build_l0(rotating_drift(config, drive) + drive_term(drive), [])
+            stack = coherent + scales[:, None, None] * dissipator
+            s = singular_values(_real_generator(stack))
+            ratio = s[..., -2] / s[..., 0]
+            assert ratio[0] < DEGENERACY_RATIO <= ratio[-1]
+            for lv, r in zip(stack, ratio):
+                if r < DEGENERACY_RATIO:
+                    with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+                        steady_state(lv)
+            steady_state(stack[-1])
+            with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(0,\)"):
+                steady_state(stack)
+
+    def test_check_margins_on_sweeps_and_bench_ranges(self, config):
+        """Every cell of both default sweeps and of the box the benchmark
+        draws its inputs from (amplitude 0 and 3e-4 to 1e3 Hz, detuning
+        +-4 Hz) clears DEGENERACY_RATIO by more than two decades (the
+        least bound is 8.7e-6), and ||L||_F / 4 <= ||L||_2 there (the ratio
+        ||L||_F / ||L||_2 is 2.0-2.5), so neither check is looser than the
+        SVD's.  One row at a time keeps the 16x16 stacks small."""
+        omegas, detunings = default_arnold_grid()
+        box = np.concatenate([[0.0], np.logspace(np.log10(3e-4), 3.0, 150)])
+        terms = build_affine_liouvillian(config)
+        rows = [(omega, detunings) for omega in omegas]
+        rows += [(default_amplitude_grid(), 0.0)]
+        rows += [(omega, np.linspace(-4.0, 4.0, 81)) for omega in box]
+        for drive in rows:
+            g = terms._real.at(*drive)
+            _, bound, _ = _steady_state(g)
+            s = singular_values(g)
+            assert bound.min() >= 100 * DEGENERACY_RATIO
+            assert np.all(bound <= s[..., -2] / s[..., 0])
+            frobenius = np.linalg.norm(terms.at(*drive), axis=(-2, -1))
+            assert np.all(frobenius / 4.0 <= s[..., 0])
+
+    def test_real_residual_equals_16x16_residual(self, config, rng):
+        """Scaling the Re/Im coordinates by sqrt(2) makes the real map
+        unitary, so ||S G x|| is ||L vec(rho)|| for any order-0 x.  Each
+        side's matrix-vector product rounds by at most (n + 2) eps
+        |L| |v| with n = 16 (8 for the real block, plus one rounding of
+        mapping L), so they differ by at most 32 eps ||L||_F ||vec(rho)||;
+        the worst seen is 0.05 eps ||L||_F for steady states."""
+        omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 200)])
+        stack = build_affine_liouvillian(config).at(
+            omegas, rng.uniform(-5.0, 5.0, omegas.size)
+        )
+        g = _real_generator(stack)
+        frobenius = np.linalg.norm(stack, axis=(-2, -1))
+        states, _, residual = _steady_state(g)
+        vec = vectorize(states)
+        direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
+        size = np.linalg.norm(vec, axis=-1)
+        assert np.all(np.abs(residual - direct) <= 32 * EPS * frobenius * size)
+        # a random, far from stationary, order-0 state: the same identity
+        x = np.zeros(omegas.shape + (16,))
+        x[..., :8] = rng.normal(size=omegas.shape + (8,))
+        vec = x @ _FROM_REAL.T
+        real = np.linalg.norm(
+            _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
+        )
+        direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
+        size = np.linalg.norm(vec, axis=-1)
+        assert np.all(np.abs(real - direct) <= 32 * EPS * frobenius * size)
+        assert np.all(direct > 1e-3 * frobenius * size)
 
     def test_stack_has_unit_trace_and_is_exactly_hermitian(self, config):
         """rho11 is 1 minus the other populations, so the trace is 1 up to

@@ -1,5 +1,5 @@
 """Package surface: the exported names, each one used by the simulator,
-and what importing the package and running its CLI load."""
+and what importing the package and running its CLI load or call."""
 
 import ast
 import json
@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import spinsync
+import spinsync.cli
 
 EXPORTS = [
     "AffineLiouvillian",
@@ -158,3 +161,28 @@ def test_no_subcommand_loads_scipy():
     assert [step for step, _, _ in steps] == expected
     for step, code, loaded in steps:
         assert (step, code, loaded) == (step, 0, [])
+
+
+def test_no_runtime_path_calls_svd(monkeypatch, tmp_path):
+    """The steady state is certified from block inverses and ||L||_F: with
+    np.linalg.svd raising, the solver, both sweeps, the propagated tongue
+    and every steady subcommand still run."""
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    config = spinsync.SpinSystemConfig()
+    spinsync.steady_state(spinsync.build_liouvillian(config, spinsync.DriveConfig()))
+    spinsync.run_amplitude_sweep(config, n_theta=8, n_phi=8)
+    spinsync.run_arnold_tongue(config, use_steady_state=True)
+    spinsync.run_arnold_tongue(config)
+    for argv in (
+        ["steady"],
+        ["husimi", "--steady"],
+        ["imhd-verify", "--steady"],
+        ["arnold", "--steady"],
+        ["amp-sweep"],
+    ):
+        out = str(tmp_path / (argv[0] + ".out"))
+        assert spinsync.cli.main(argv + ["--output", out]) == 0
