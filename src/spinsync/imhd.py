@@ -20,7 +20,9 @@ exact when rho31 = 0 and its deviation never exceeds (24/pi^3) |rho31|
 The circuit factorizes as G = CP (R^dagger x I)(I x H), so the signal is
 Tr[(R^dagger x I) rho_H (R x I) A] with rho_H = (I x H) rho (I x H)^dagger
 and A = CP^dagger F_x CP built once per call; only the 2x2 scan rotation
-R varies over the probe grid, and one einsum evaluates every point.
+R varies over the probe grid.  R is held matrix axes first, R[p, s, theta,
+phi], so its unitarity check and the one einsum that evaluates every
+point run over contiguous (theta, phi) grids, not 2x2 matrices one by one.
 """
 
 from __future__ import annotations
@@ -54,11 +56,16 @@ class Gate:
 
 
 def _require_unitary(u: np.ndarray) -> None:
-    """Raise unless every matrix in the (..., n, n) stack is unitary.
+    """Raise unless each matrix u[:, :, ...] of an (n, n, ...) array is unitary.
 
     A NaN deviation fails the check.
     """
-    dev = np.max(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(u.shape[-1])))
+    if u.ndim < 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"expected (n, n, ...) matrices, got shape {u.shape}")
+    n = u.shape[0]
+    gram = np.einsum("ik...,jk...->ij...", u, u.conj())
+    gram[range(n), range(n)] -= 1.0
+    dev = np.max(np.abs(gram))
     if not dev <= 1e-12:
         raise ValueError(f"gate not unitary: deviation {dev:.3e}")
 
@@ -67,13 +74,15 @@ def _scan_rotation(theta, phi) -> np.ndarray:
     # 2x2 rotation taking the P part of |4> to the (theta, phi) coherent
     # state, up to global phase: exp(-i phi Sz') exp(-i theta Sy') with
     # the scan axes oriented so the pole is the m_P = -1/2 state.
-    # Broadcasts over array angles to a (..., 2, 2) stack.
+    # Broadcasts over array angles, matrix axes first: (2, 2, ...).
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    c, s, z = np.broadcast_arrays(c, s, np.exp(-0.5j * phi))
-    return np.stack(
-        [np.stack([z * c, -z * s], -1), np.stack([z.conj() * s, z.conj() * c], -1)],
-        -2,
-    )
+    z = np.exp(-0.5j * phi)
+    r = np.empty((2, 2) + np.broadcast_shapes(c.shape, z.shape), dtype=complex)
+    np.multiply(z, c, out=r[0, 0, ...])
+    np.multiply(-z, s, out=r[0, 1, ...])
+    np.multiply(z.conj(), s, out=r[1, 0, ...])
+    np.multiply(z.conj(), c, out=r[1, 1, ...])
+    return r
 
 
 def build_pseudo_hadamard() -> Gate:
@@ -139,9 +148,9 @@ def _readout(
     rho_h = (h @ rho @ h.conj().T).reshape(2, 2, 2, 2)
     a = (cp.conj().T @ spin_operator("F", "x") @ cp).reshape(2, 2, 2, 2)
     t = np.einsum("piqj,rjsi->pqrs", rho_h, a)
-    r = _scan_rotation(theta, phi)
+    r = _scan_rotation(theta, phi)  # r[p, s, theta, phi]
     _require_unitary(r)
-    signal = np.einsum("...ps,...qr,pqrs->...", r.conj(), r, t).real
+    signal = np.einsum("ps...,qr...,pqrs->...", r.conj(), r, t).real
     if variant == "exact-populations":
         spectator = (
             rho[3, 3].real * np.cos(theta / 2.0) ** 2

@@ -53,18 +53,27 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(vec.shape[:-1] + (4, 4)).swapaxes(-1, -2)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the matrices in two broadcast (..., n, n) stacks: the
+    same products, as one broadcast multiply."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = prod.shape[-4] * prod.shape[-3]
+    return prod.reshape(prod.shape[:-4] + (n, n))
+
+
 def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * (_kron(eye, h) - _kron(h.T, eye))
 
 
 def _dissipator_superoperator(o: np.ndarray) -> np.ndarray:
-    eye = np.eye(o.shape[0], dtype=complex)
-    odo = o.conj().T @ o
+    """The dissipator of each jump operator in a (..., n, n) stack."""
+    eye = np.eye(o.shape[-1], dtype=complex)
+    odo = o.conj().swapaxes(-1, -2) @ o
     return (
-        np.kron(o.conj(), o)
-        - 0.5 * np.kron(eye, odo)
-        - 0.5 * np.kron(odo.T, eye)
+        _kron(o.conj(), o)
+        - 0.5 * _kron(eye, odo)
+        - 0.5 * _kron(odo.swapaxes(-1, -2), eye)
     )
 
 
@@ -80,9 +89,11 @@ def _hermitian_part(h0: np.ndarray, name: str) -> np.ndarray:
 
 def build_l0(h0: np.ndarray, jumps: list[JumpOperator]) -> np.ndarray:
     """Drift generator: -i[H0, .] plus the sum of all dissipators."""
-    l0 = _commutator_superoperator(_hermitian_part(h0, "drift Hamiltonian"))
-    for jump in jumps:
-        l0 += _dissipator_superoperator(jump.matrix)
+    h = _hermitian_part(h0, "drift Hamiltonian")
+    l0 = _commutator_superoperator(h)
+    ops = np.array([jump.matrix for jump in jumps], dtype=complex)
+    for dissipator in _dissipator_superoperator(ops.reshape((-1,) + h.shape)):
+        l0 += dissipator  # in list order
     return l0
 
 
@@ -328,6 +339,15 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     return _steady_state(_real_generator(np.asarray(liouvillian, dtype=complex)))[0]
 
 
+def _residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||L vec(rho)|| for real coordinates x (..., 16) of order 0 (x[8:] = 0)
+    under a real generator (or stack): ||S_0 G_0 x_0||, since scaling each
+    Re/Im coordinate by sqrt(2) makes the map to vec(rho) unitary."""
+    return np.linalg.norm(
+        _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
+    )
+
+
 def _steady_state(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`steady_state` of a real generator (or stack), with each cell's
     bound on sigma_-2 / sigma_0 and residual ||L vec(rho)||."""
@@ -352,9 +372,7 @@ def _steady_state(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x[..., _KEEP] = y
     x[..., :3] += 0.25
     x[..., 3] = 1.0 - ((x[..., 0] + x[..., 1]) + x[..., 2])
-    residual = np.linalg.norm(
-        _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
-    )
+    residual = _residual(g, x)
     bound = RESIDUAL_RTOL / 4 * norm
     if not np.all(residual <= bound):
         cell, note = _worst_cell(residual / bound)

@@ -9,7 +9,10 @@ checkable:
 * the full SU(4) coherent state and Husimi value, of which the
   simulator's reduced Husimi section is one slice;
 * the per-gate IMHD circuit, which the grid kernel evaluates in
-  factorized form;
+  factorized form, and the kernel's earlier trailing-axis layout, which
+  its matrix-axes-first layout must reproduce bit for bit;
+* the generator's affine terms assembled from ``np.kron`` products, which
+  the broadcast assembly must reproduce bit for bit;
 * the singular values of a generator from its real blocks, which the
   steady state's certified degeneracy bound must never exceed.
 
@@ -24,7 +27,18 @@ from math import tau
 
 import numpy as np
 
-from spinsync import HUSIMI_PREFACTOR, drive_term, rotating_drift, spin_operator
+from spinsync import (
+    HUSIMI_PREFACTOR,
+    AffineLiouvillian,
+    DriveConfig,
+    build_controlled_phase,
+    build_jump_operators,
+    build_pseudo_hadamard,
+    detuning_term,
+    drive_term,
+    rotating_drift,
+    spin_operator,
+)
 from spinsync.liouville import _SCALE
 
 # --- frame derivation ---------------------------------------------------------
@@ -191,6 +205,73 @@ def build_j_evolution(config) -> np.ndarray:
     izz = spin_operator("P", "z") @ spin_operator("F", "z")
     angle = tau * config.j_coupling_hz * duration  # = pi
     return np.diag(np.exp(-1j * angle * np.diag(izz)))
+
+
+def readout_trailing_axes(rho, theta, phi, variant):
+    """Circuit signal and reconstructed Q with the scan rotation as a
+    (..., 2, 2) stack: every check and contraction runs per 2x2 matrix.
+    Angles must be valid arrays; nothing is checked."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    c, s, z = np.broadcast_arrays(c, s, np.exp(-0.5j * phi))
+    r = np.stack(
+        [np.stack([z * c, -z * s], -1), np.stack([z.conj() * s, z.conj() * c], -1)],
+        -2,
+    )
+    dev = np.max(np.abs(r @ np.swapaxes(r.conj(), -1, -2) - np.eye(2)))
+    if not dev <= 1e-12:
+        raise ValueError(f"gate not unitary: deviation {dev:.3e}")
+    rho = np.asarray(rho, dtype=complex)
+    h = build_pseudo_hadamard().matrix
+    cp = build_controlled_phase().matrix
+    rho_h = (h @ rho @ h.conj().T).reshape(2, 2, 2, 2)
+    a = (cp.conj().T @ spin_operator("F", "x") @ cp).reshape(2, 2, 2, 2)
+    t = np.einsum("piqj,rjsi->pqrs", rho_h, a)
+    signal = np.einsum("...ps,...qr,pqrs->...", r.conj(), r, t).real
+    if variant == "exact-populations":
+        spectator = (
+            rho[3, 3].real * np.cos(theta / 2.0) ** 2
+            + rho[1, 1].real * np.sin(theta / 2.0) ** 2
+        )
+        q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
+    else:
+        q = HUSIMI_PREFACTOR * (signal + 0.25)
+    return signal, q
+
+
+# --- generator terms from Kronecker products -----------------------------------
+
+
+def kron_commutator(h0) -> np.ndarray:
+    """-i[H, .] as -i (I kron H - H^T kron I), H the Hermitian part of h0."""
+    h = np.asarray(h0, dtype=complex)
+    h = 0.5 * (h + h.conj().T)
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def kron_l0(h0, jump_matrices) -> np.ndarray:
+    """Drift commutator plus each dissipator, one np.kron per product,
+    added in list order."""
+    l0 = kron_commutator(h0)
+    eye = np.eye(4, dtype=complex)
+    for o in jump_matrices:
+        odo = o.conj().T @ o
+        l0 += (
+            np.kron(o.conj(), o)
+            - 0.5 * np.kron(eye, odo)
+            - 0.5 * np.kron(odo.T, eye)
+        )
+    return l0
+
+
+def kron_affine_liouvillian(config) -> AffineLiouvillian:
+    """``build_affine_liouvillian`` with every product from np.kron."""
+    jumps = [jump.matrix for jump in build_jump_operators(config)]
+    return AffineLiouvillian(
+        base=kron_l0(rotating_drift(config, DriveConfig(amplitude_hz=0.0)), jumps),
+        per_detuning=kron_commutator(detuning_term(1.0)),
+        per_amplitude=kron_commutator(drive_term(DriveConfig(amplitude_hz=1.0))),
+    )
 
 
 # --- singular values of the generator -----------------------------------------

@@ -23,10 +23,11 @@ from spinsync import (
     thermal_state,
     visibility,
 )
-from spinsync.imhd import _require_unitary
+from spinsync.imhd import _readout, _require_unitary, _scan_rotation
+from spinsync.phasespace import grid_axes
 
 from conftest import doublet_coherent_density, random_density
-from oracles import build_j_evolution, build_u_theta_phi
+from oracles import build_j_evolution, build_u_theta_phi, readout_trailing_axes
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -54,10 +55,29 @@ class TestGates:
     def test_gate_check_rejects_nan(self):
         with pytest.raises(ValueError):
             Gate(np.full((4, 4), np.nan, dtype=complex), "controlled-phase")
-        stack = np.stack([np.eye(2, dtype=complex)] * 3)
-        stack[1, 0, 0] = np.nan
+        stack = np.stack([np.eye(2, dtype=complex)] * 3, axis=-1)  # (2, 2, 3)
+        stack[0, 0, 1] = np.nan
         with pytest.raises(ValueError):
             _require_unitary(stack)
+
+    def test_grid_check_rejects_one_bad_cell(self):
+        """The check covers every cell of a (2, 2, 64, 128) scan rotation:
+        a 1e-9 error or a NaN in one entry of one cell fails it."""
+        thetas, phis = grid_axes(64, 128)
+        r = _scan_rotation(thetas[:, None], phis[None, :])
+        assert r.shape == (2, 2, 64, 128)
+        _require_unitary(r)
+        for bad in (1e-9, np.nan):
+            perturbed = r.copy()
+            perturbed[1, 0, 37, 101] += bad
+            with pytest.raises(ValueError, match="not unitary"):
+                _require_unitary(perturbed)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 4), (2,), (4, 2, 2)])
+    def test_check_rejects_non_square_leading_axes(self, shape):
+        u = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match="expected"):
+            _require_unitary(u)
 
     def test_scan_rotation_identity(self):
         np.testing.assert_allclose(
@@ -266,6 +286,24 @@ class TestKernel:
                     )
                     q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
                     assert abs(grid.values[i, j] - q) <= 4 * EPS
+
+    @pytest.mark.parametrize("variant", ["exact-populations", "quarter-approximation"])
+    @pytest.mark.parametrize("n_theta, n_phi", [(9, 16), (64, 128)])
+    def test_matches_trailing_axis_kernel_bit_for_bit(
+        self, rng, variant, n_theta, n_phi
+    ):
+        """Matrix axes first changes only the layout: the same products
+        summed in the same order as the (..., 2, 2) stack kernel."""
+        thetas, phis = grid_axes(n_theta, n_phi)
+        for _ in range(10):
+            rho = random_density(rng)
+            grid = imhd_scan(rho, n_theta, n_phi, variant)
+            signal, _ = _readout(rho, thetas[:, None], phis[None, :], variant)
+            want_signal, want_q = readout_trailing_axes(
+                rho, thetas[:, None], phis[None, :], variant
+            )
+            assert signal.tobytes() == want_signal.tobytes()
+            assert grid.values.tobytes() == want_q.tobytes()
 
     def test_rho31_leakage_formula(self, rng):
         """Q_circuit - Q_direct = -(24/pi^3) sin(theta) Re(rho31 e^{i phi})."""

@@ -27,22 +27,29 @@ from spinsync import (
     thermal_state,
     vectorize,
 )
+from spinsync.dissipation import JumpOperator
 from spinsync.experiments import default_amplitude_grid, default_arnold_grid
 from spinsync.hamiltonians import drive_term, rotating_drift
 from spinsync.liouville import (
     _AUGMENT,
     _FROM_REAL,
     _KEEP,
-    _SCALE,
+    _TO_REAL,
     DEGENERACY_RATIO,
     RESIDUAL_RTOL,
     _expm,
     _real_generator,
+    _residual,
     _steady_state,
 )
 
 from conftest import random_density
-from oracles import build_reduced_rotating_hamiltonian, singular_values
+from oracles import (
+    build_reduced_rotating_hamiltonian,
+    kron_affine_liouvillian,
+    kron_l0,
+    singular_values,
+)
 
 EPS = np.finfo(float).eps
 # The engine sets rho11 = tr(rho0) minus the other populations, so the
@@ -142,6 +149,21 @@ class TestBuildL0:
             direct = master_equation_rhs(rho, h0, mats)
             assert np.max(np.abs(devectorize(l0 @ vectorize(rho)) - direct)) < 1e-12
 
+    def test_equals_kron_assembly_bit_for_bit(self, rng):
+        """One broadcast product per term family over the stacked jump
+        operators makes the np.kron products, added in the same order:
+        random dense Hermitian drifts with 0 to 9 dense jump operators."""
+        for count in list(range(10)) * 3:
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = h + h.conj().T
+            mats = [
+                rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                for _ in range(count)
+            ]
+            jumps = [JumpOperator(m, "P", "up", 1, 3) for m in mats]
+            l0 = build_l0(h, jumps)
+            assert l0.tobytes() == kron_l0(h, mats).tobytes()
+
     def test_rejects_non_hermitian_drift(self):
         h = np.zeros((4, 4), dtype=complex)
         h[0, 1] = 1.0
@@ -203,6 +225,27 @@ class TestAffineLiouvillian:
                 )
                 bound = 4.0 * eps * np.linalg.norm(direct, 1)
                 assert np.max(np.abs(stack[i, j] - direct)) <= bound
+
+    def test_terms_equal_kron_assembly_bit_for_bit(self, rng):
+        """All three terms equal the np.kron assembly, bit for bit, on the
+        default system and 100 random ones."""
+        configs = [SpinSystemConfig()] + [
+            SpinSystemConfig(
+                j_coupling_hz=rng.uniform(1.0, 2000.0),
+                offset_f_hz=rng.uniform(-50.0, 50.0),
+                t1_p_s=10.0 ** rng.uniform(-1.0, 2.0),
+                t1_f_s=10.0 ** rng.uniform(-1.0, 2.0),
+                epsilon_p=rng.uniform(0.0, 1e-3),
+                epsilon_f=rng.uniform(0.0, 1e-3),
+            )
+            for _ in range(100)
+        ]
+        for config in configs:
+            terms = build_affine_liouvillian(config)
+            expected = kron_affine_liouvillian(config)
+            for name in ("base", "per_detuning", "per_amplitude"):
+                got, want = getattr(terms, name), getattr(expected, name)
+                assert got.tobytes() == want.tobytes(), name
 
     def test_real_terms_sum_to_the_mapped_generator(self, config, rng):
         """The map to real coordinates is linear and each of its entries
@@ -591,11 +634,13 @@ class TestSteadyState:
 
     def test_real_residual_equals_16x16_residual(self, config, rng):
         """Scaling the Re/Im coordinates by sqrt(2) makes the real map
-        unitary, so ||S G x|| is ||L vec(rho)|| for any order-0 x.  Each
-        side's matrix-vector product rounds by at most (n + 2) eps
-        |L| |v| with n = 16 (8 for the real block, plus one rounding of
-        mapping L), so they differ by at most 32 eps ||L||_F ||vec(rho)||;
-        the worst seen is 0.05 eps ||L||_F for steady states."""
+        unitary, so ``_residual`` (||S G x||) is ||L vec(rho)|| for any
+        order-0 x.  Each side's matrix-vector product rounds by at most
+        (n + 2) eps |L| |v| with n = 16 (8 for the real block, plus one
+        rounding of mapping L), so they differ by at most 32 eps ||L||_F
+        ||vec(rho)||; the worst seen is 0.05 eps ||L||_F for steady states.
+        On states far from stationary, dropping the scaling would be off by
+        up to sqrt(2)."""
         omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 200)])
         stack = build_affine_liouvillian(config).at(
             omegas, rng.uniform(-5.0, 5.0, omegas.size)
@@ -604,16 +649,16 @@ class TestSteadyState:
         frobenius = np.linalg.norm(stack, axis=(-2, -1))
         states, _, residual = _steady_state(g)
         vec = vectorize(states)
+        # the kernel's residual is the helper's, bit for bit
+        np.testing.assert_array_equal(residual, _residual(g, (vec @ _TO_REAL.T).real))
         direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
         size = np.linalg.norm(vec, axis=-1)
         assert np.all(np.abs(residual - direct) <= 32 * EPS * frobenius * size)
-        # a random, far from stationary, order-0 state: the same identity
+        # random, far from stationary, order-0 states: the same identity
         x = np.zeros(omegas.shape + (16,))
         x[..., :8] = rng.normal(size=omegas.shape + (8,))
         vec = x @ _FROM_REAL.T
-        real = np.linalg.norm(
-            _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
-        )
+        real = _residual(g, x)
         direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
         size = np.linalg.norm(vec, axis=-1)
         assert np.all(np.abs(real - direct) <= 32 * EPS * frobenius * size)
