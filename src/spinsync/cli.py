@@ -178,22 +178,21 @@ def dumps_json(obj, indent: int | None = 0) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + tail
 
 
-def _cells(values: np.ndarray, *axes):
-    """Formatted (axis..., value) rows in row-major order.
+def _csv_text(rc: RunConfig, kind: str, columns, values: np.ndarray, *axes) -> str:
+    """CSV under the reproducibility header, the body in one %-operation.
 
-    Each axis value is formatted once, not once per row it appears in.
+    Rows are (axis..., value...) in row-major order, one value or one row
+    of values per label row, each value "%.17g" as in _format_number.  Each
+    axis value is formatted once and enters as a %s argument, so a '%' in
+    it is never read as a format code.
     """
     labels = [[_format_number(x) for x in axis] for axis in axes]
-    for key, value in zip(itertools.product(*labels), values.flat):
-        yield (*key, _format_number(value))
-
-
-def _csv_text(rc: RunConfig, kind: str, columns, rows) -> str:
-    """CSV under the reproducibility header; ``rows`` yields formatted cells."""
+    keys = list(map(",".join, itertools.product(*labels)))
+    table = values.reshape(len(keys), -1)
+    cells = itertools.chain.from_iterable(zip(keys, *table.T.tolist()))
+    body = (("%s" + ",%.17g" * table.shape[1] + "\n") * len(keys)) % tuple(cells)
     blob = dumps_json(resolved_config_dict(rc), indent=None)
-    lines = [f"# spinsync {kind}", f"# config {blob}", ",".join(columns)]
-    lines += map(",".join, rows)
-    return "\n".join(lines) + "\n"
+    return f"# spinsync {kind}\n# config {blob}\n{','.join(columns)}\n{body}"
 
 
 def _report(kind: str, rc: RunConfig, **entries) -> str:
@@ -204,30 +203,27 @@ def _report(kind: str, rc: RunConfig, **entries) -> str:
 
 def write_grid_csv(grid: HusimiGrid, rc: RunConfig) -> str:
     """Husimi grid as CSV text: rows (theta, phi, Q), theta-major order."""
-    rows = _cells(grid.values, grid.thetas, grid.phis)
-    return _csv_text(rc, "husimi-grid", ("theta", "phi", "Q"), rows)
+    columns = ("theta", "phi", "Q")
+    return _csv_text(rc, "husimi-grid", columns, grid.values, grid.thetas, grid.phis)
 
 
 def write_sweep_csv(result, rc: RunConfig) -> str:
     """Sweep values as CSV text; the header names the observable column."""
-    rows = _cells(result.values, *result.axes.values())
     columns = (*result.axes, "observable")
-    return _csv_text(rc, f"sweep {result.observable}", columns, rows)
+    kind = f"sweep {result.observable}"
+    return _csv_text(rc, kind, columns, result.values, *result.axes.values())
 
 
 def write_series_csv(points, rc: RunConfig) -> str:
-    rows = (
-        map(_format_number, (p.duration_s, p.visibility, p.coherence_abs))
-        for p in points
-    )
+    values = np.array([(p.visibility, p.coherence_abs) for p in points])
     columns = ("duration_s", "visibility", "abs_coherence")
-    return _csv_text(rc, "drive-series", columns, rows)
+    durations = [p.duration_s for p in points]
+    return _csv_text(rc, "drive-series", columns, values, durations)
 
 
 def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column (time_s, signal) CSV; '#' comment lines are skipped."""
-    times: list[float] = []
-    signals: list[float] = []
+    """Two-column (time_s, signal) CSV of finite numbers; '#' lines are skipped."""
+    samples: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
@@ -235,11 +231,12 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) < 2:
                 raise ConfigError(f"{path}: need two columns, got {row!r}")
             try:
-                times.append(float(row[0]))
-                signals.append(float(row[1]))
+                samples.append((float(row[0]), float(row[1])))
             except ValueError as exc:
                 raise ConfigError(f"{path}: non-numeric row {row!r}") from exc
-    return np.asarray(times), np.asarray(signals)
+            if not all(map(math.isfinite, samples[-1])):
+                raise ConfigError(f"{path}: non-finite row {row!r}")
+    return tuple(np.array(samples).reshape(-1, 2).T)
 
 
 def _drive_from_args(rc: RunConfig, args) -> DriveConfig:

@@ -14,13 +14,16 @@ checkable:
 * the generator's affine terms assembled from ``np.kron`` products, which
   the broadcast assembly must reproduce bit for bit;
 * the singular values of a generator from its real blocks, which the
-  steady state's certified degeneracy bound must never exceed.
+  steady state's certified degeneracy bound must never exceed;
+* the per-value CSV writer, one ``format(x, ".17g")`` per cell, whose
+  bytes the CLI's one-%-operation writers must reproduce.
 
 Matrices are in rad/s unless stated otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import tau
@@ -39,6 +42,7 @@ from spinsync import (
     rotating_drift,
     spin_operator,
 )
+from spinsync.cli import dumps_json, resolved_config_dict
 from spinsync.liouville import _SCALE
 
 # --- frame derivation ---------------------------------------------------------
@@ -285,3 +289,50 @@ def singular_values(g: np.ndarray) -> np.ndarray:
     blocks = np.einsum("...kikj->...kij", scaled.reshape(cells + (2, 8, 2, 8)))
     s = np.linalg.svd(blocks, compute_uv=False)
     return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]
+
+
+# --- per-value CSV writer -------------------------------------------------------
+
+
+def format_number(x) -> str:
+    """17 significant digits for floats; ints and bools as JSON writes them."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return format(float(x), ".17g")
+
+
+def csv_cells(values, *axes):
+    """Formatted (axis..., value) rows in row-major order, one call per value."""
+    labels = [[format_number(x) for x in axis] for axis in axes]
+    for key, value in zip(itertools.product(*labels), values.flat):
+        yield (*key, format_number(value))
+
+
+def csv_text(rc, kind: str, columns, rows) -> str:
+    """CSV under the reproducibility header; ``rows`` yields formatted cells."""
+    blob = dumps_json(resolved_config_dict(rc), indent=None)
+    lines = [f"# spinsync {kind}", f"# config {blob}", ",".join(columns)]
+    lines += map(",".join, rows)
+    return "\n".join(lines) + "\n"
+
+
+def grid_csv(grid, rc) -> str:
+    rows = csv_cells(grid.values, grid.thetas, grid.phis)
+    return csv_text(rc, "husimi-grid", ("theta", "phi", "Q"), rows)
+
+
+def sweep_csv(result, rc) -> str:
+    rows = csv_cells(result.values, *result.axes.values())
+    columns = (*result.axes, "observable")
+    return csv_text(rc, f"sweep {result.observable}", columns, rows)
+
+
+def series_csv(points, rc) -> str:
+    rows = (
+        map(format_number, (p.duration_s, p.visibility, p.coherence_abs))
+        for p in points
+    )
+    columns = ("duration_s", "visibility", "abs_coherence")
+    return csv_text(rc, "drive-series", columns, rows)

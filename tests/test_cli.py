@@ -3,17 +3,23 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
+import spinsync.cli as cli
+
 from spinsync import (
     HUSIMI_PREFACTOR,
     DriveConfig,
+    HusimiGrid,
     SpinSystemConfig,
     build_liouvillian,
     husimi_grid,
     run_amplitude_sweep,
+    run_arnold_tongue,
     run_drive_series,
     steady_state,
 )
@@ -26,6 +32,9 @@ from spinsync.cli import (
     parse_config,
     read_samples_csv,
     resolved_config_dict,
+    write_grid_csv,
+    write_series_csv,
+    write_sweep_csv,
 )
 from spinsync.experiments import (
     ARNOLD_DURATION_S,
@@ -523,6 +532,17 @@ class TestCalibrateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["0.1,nan", "nan,0.05", "0.1,-inf", "inf,0.05"])
+    def test_non_finite_input_exits_config(self, tmp_path, row, capsys):
+        # nan would be written as a bare `nan`, which is not JSON
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"0.02,0.01\n{row}\n0.2,0.11\n0.3,0.16\n")
+        out = tmp_path / "fit.json"
+        code = main(["calibrate", "--input", str(samples), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestReadSamplesCsv:
     def test_skips_comments_and_blanks(self, tmp_path):
@@ -543,6 +563,173 @@ class TestReadSamplesCsv:
         path.write_text("0.1,fast\n")
         with pytest.raises(ConfigError, match="non-numeric"):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["nan,0.5", "0.1,nan", "inf,0.5", "0.1,inf", "-inf,0.5", "0.1,-inf",
+         "1e400,0.5", "0.1,-1e400"],
+    )
+    def test_non_finite_rejected(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"0.05,0.2\n{row}\n")
+        with pytest.raises(ConfigError, match="non-finite"):
+            read_samples_csv(path)
+
+    def test_no_samples_gives_empty_arrays(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# only a header\n")
+        times, signals = read_samples_csv(path)
+        assert times.shape == signals.shape == (0,)
+
+
+# Values whose 17-digit text is easy to get wrong: non-finite, signed zero,
+# subnormals, the %g switch to exponent form at 1e16/1e17, integer-valued.
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5e-320,
+    2.2250738585072014e-308, 1e16, 1e16 - 2.0, 1e16 + 2.0, 9999999999999998.0,
+    1e17, 99999999999999984.0, -1e17, 1.0, -7.0, 3.0, 2.0**53, 2.0**53 + 2.0,
+    123456789.0, 0.1, 1.0 / 3.0, 1e-5, 1e-4, 1e300, -1.7976931348623157e308,
+]
+
+
+def special_grid_values(rng, shape) -> np.ndarray:
+    """The special values first, then doubles spread over every exponent."""
+    values = np.ldexp(rng.standard_normal(shape), rng.integers(-1080, 1020, shape))
+    flat = values.reshape(-1)
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: flat.size]
+    return values
+
+
+class TestCsvWriterBytes:
+    """The one-%-operation writers reproduce the per-value reference writer
+    of tests/oracles.py byte for byte."""
+
+    def test_grid_on_special_values(self, rng):
+        # the minimum 8x8 grid, with the special values on the theta axis too
+        thetas = np.array([-np.inf, -1e17, -0.0, 5e-324, 1.0, 1e16, 1e17, np.inf])
+        grid = HusimiGrid(
+            thetas=thetas,
+            phis=np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False),
+            values=special_grid_values(rng, (8, 8)),
+        )
+        rc = RunConfig(n_theta=8, n_phi=8)
+        assert write_grid_csv(grid, rc) == oracles.grid_csv(grid, rc)
+
+    def test_grid_of_a_steady_state(self):
+        rho = steady_state(build_liouvillian(SpinSystemConfig(), DriveConfig()))
+        grid = husimi_grid(rho, n_theta=64, n_phi=128)
+        rc = RunConfig()
+        assert write_grid_csv(grid, rc) == oracles.grid_csv(grid, rc)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            # np.float64 and Python-float axes
+            {
+                "omega_hz": np.array(SPECIAL_VALUES[:7]),
+                "detuning_hz": [-2.0, 0.0, 1e16],
+            },
+            {"amplitude_hz": list(SPECIAL_VALUES)},
+            # 1-point axes
+            {"omega_hz": np.array([1e17]), "detuning_hz": np.array([-0.0])},
+            {"omega_hz": [5e-324]},
+        ],
+    )
+    def test_sweep_on_special_values(self, rng, axes):
+        shape = tuple(len(axis) for axis in axes.values())
+        result = SimpleNamespace(
+            axes=axes, values=special_grid_values(rng, shape), observable="sync"
+        )
+        rc = RunConfig()
+        assert write_sweep_csv(result, rc) == oracles.sweep_csv(result, rc)
+
+    def test_sweep_names_with_percent_signs(self):
+        result = SimpleNamespace(
+            axes={"omega %s": np.array([0.5, 1.0]), "%d": np.array([2.0])},
+            values=np.array([[0.25], [np.nan]]),
+            observable="100% %(sync)s",
+        )
+        rc = RunConfig()
+        text = write_sweep_csv(result, rc)
+        assert text == oracles.sweep_csv(result, rc)
+        assert "\nomega %s,%d,observable\n" in text
+
+    def test_real_sweeps(self):
+        config = SpinSystemConfig()
+        rc = RunConfig()
+        for result in (
+            run_amplitude_sweep(config, n_theta=8, n_phi=8),
+            run_arnold_tongue(config, use_steady_state=True),
+        ):
+            assert write_sweep_csv(result, rc) == oracles.sweep_csv(result, rc)
+
+    @pytest.mark.parametrize("n_points", [1, len(SPECIAL_VALUES)])
+    def test_series_on_special_values(self, n_points):
+        points = [
+            SimpleNamespace(
+                duration_s=float(i) + 0.5,
+                visibility=np.float64(value),
+                coherence_abs=SPECIAL_VALUES[-1 - i],
+            )
+            for i, value in enumerate(SPECIAL_VALUES[:n_points])
+        ]
+        rc = RunConfig()
+        assert write_series_csv(points, rc) == oracles.series_csv(points, rc)
+
+    def test_real_series(self):
+        points = run_drive_series(
+            SpinSystemConfig(), 0.1, durations=(0.05, 1.0, 100.0), n_theta=8, n_phi=8
+        )
+        rc = RunConfig()
+        assert write_series_csv(points, rc) == oracles.series_csv(points, rc)
+
+
+def test_grid_writer_formats_axis_values_only(monkeypatch):
+    """Per-cell formatting must not return: on 64x128 the grid writer calls
+    _format_number once per axis value, plus once per number of the
+    config header."""
+    calls = []
+    format_number = cli._format_number
+
+    def counted(x):
+        calls.append(x)
+        return format_number(x)
+
+    monkeypatch.setattr(cli, "_format_number", counted)
+    rc = RunConfig()
+    grid = husimi_grid(
+        steady_state(build_liouvillian(rc.system, rc.drive)),
+        n_theta=rc.n_theta, n_phi=rc.n_phi,
+    )
+    write_grid_csv(grid, rc)
+    assert 0 < len(calls) <= 64 + 128 + len(resolved_config_dict(rc))
+
+
+@pytest.mark.parametrize(
+    "argv, writers",
+    [
+        (["husimi", "--steady", "--n-theta", "8", "--n-phi", "8"], ["write_grid_csv"]),
+        (["amp-sweep", "--n-omega", "3"], ["write_sweep_csv"]),
+        (["series", "--durations", "1"], ["write_series_csv"]),
+    ],
+)
+def test_handlers_call_writers_through_module_globals(
+    monkeypatch, tmp_path, argv, writers
+):
+    """The benchmark's tracer wraps these module-level names; a handler that
+    bound them any other way would put the writing time elsewhere."""
+    called = []
+    for name in writers + ["_write_text"]:
+        original = getattr(cli, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            called.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+    assert called[0] == writers[0]
+    assert set(called) == set(writers) | {"_write_text"}
 
 
 class TestExitCodes:
