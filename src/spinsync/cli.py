@@ -7,13 +7,16 @@ configuration as a reproducibility header, and all numbers are written
 with 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 1 engine failure, 2 config error, 3 I/O error,
-64 usage error.
+64 usage error.  ``main`` may be called repeatedly in one process: its
+parser is built on the first call and reused, and every call computes and
+writes its own results.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -228,7 +231,7 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ConfigError(f"{path}: need two columns, got {row!r}")
             try:
                 samples.append((float(row[0]), float(row[1])))
@@ -402,8 +405,11 @@ def _cmd_calibrate(rc: RunConfig, args):
         amplitude = 0.1 if args.amplitude is None else args.amplitude
         rng = np.random.default_rng(rc.seed)
         times = np.linspace(0.02, 0.4, args.n_samples)
-        signals = np.sin(2.0 * math.pi * amplitude * times)
-        signals = signals + args.noise * rng.standard_normal(times.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            signals = np.sin(2.0 * math.pi * amplitude * times)
+            signals = signals + args.noise * rng.standard_normal(times.size)
+        if not np.isfinite(signals).all():
+            raise ConfigError("synthetic samples are non-finite")
         source = {
             "kind": "synthetic", "true_amplitude_hz": amplitude,
             "noise": args.noise, "n_samples": args.n_samples, "seed": rc.seed,
@@ -567,8 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, never at import; build_parser() stays fresh
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return _run(args)
     except ConfigError as exc:

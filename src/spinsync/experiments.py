@@ -1,12 +1,12 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Sweeps build the
-generator's affine terms and map them to real coordinates once, then
-solve or propagate one real stack per axis or tongue row with the
-engine's kernels; the drive series propagates all its durations as one
-stack.  Each cell equals the single-drive, single-duration result bit for
-bit.
+generator and reports phase-space observables.  Sweeps take the
+generator's affine terms in real coordinates, built and mapped once per
+system and process, then solve or propagate one real stack per axis or
+tongue row with the engine's kernels; the drive series propagates all its
+durations as one stack.  Each cell equals the single-drive,
+single-duration result bit for bit.
 """
 
 from __future__ import annotations
@@ -252,7 +252,8 @@ def calibrate_drive(times_s, signals) -> CalibrationResult:
     The nutation signal follows sin(2 pi Omega t); for small angles this
     is linear in t, so a through-origin least-squares slope gives
     Omega = slope / (2 pi).  The result is flagged when the fitted angles
-    leave the small-angle regime (max |2 pi Omega t| >= 0.3 rad).
+    leave the small-angle regime (max |2 pi Omega t| >= 0.3 rad).  Samples
+    and fit must be finite.
     """
     t = np.asarray(times_s, dtype=float)
     s = np.asarray(signals, dtype=float)
@@ -260,11 +261,16 @@ def calibrate_drive(times_s, signals) -> CalibrationResult:
         raise ValueError("times and signals must be 1-D and equal length")
     if t.size < 3:
         raise ValueError("need at least three samples")
-    if np.any(np.diff(t) <= 0.0) or t[0] <= 0.0:
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        raise ValueError("samples must be finite")
+    if t[0] <= 0.0 or np.any(t[1:] <= t[:-1]):
         raise ValueError("times must be positive and strictly ascending")
-    slope = float(np.dot(t, s) / np.dot(t, t))
+    with np.errstate(all="ignore"):  # an overflow is checked below
+        slope = float(np.dot(t, s) / np.dot(t, t))
+        residual = float(np.sqrt(np.mean((s - slope * t) ** 2)))
+    if not (math.isfinite(slope) and math.isfinite(residual)):
+        raise ValueError("fit is non-finite: samples out of range")
     amplitude = slope / (2.0 * math.pi)
-    residual = float(np.sqrt(np.mean((s - slope * t) ** 2)))
     small_angle = bool(np.max(np.abs(2.0 * math.pi * amplitude * t)) < 0.3)
     return CalibrationResult(
         amplitude_hz=amplitude,

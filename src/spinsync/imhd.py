@@ -19,16 +19,18 @@ exact when rho31 = 0 and its deviation never exceeds (24/pi^3) |rho31|
 
 The circuit factorizes as G = CP (R^dagger x I)(I x H), so the signal is
 Tr[(R^dagger x I) rho_H (R x I) A] with rho_H = (I x H) rho (I x H)^dagger
-and A = CP^dagger F_x CP built once per call; only the 2x2 scan rotation
-R varies over the probe grid.  R is held matrix axes first, R[p, s, theta,
-phi], so its unitarity check and the one einsum that evaluates every
-point run over contiguous (theta, phi) grids, not 2x2 matrices one by one.
+and A = CP^dagger F_x CP, the gates built and checked once per process;
+only the 2x2 scan rotation R varies over the probe grid.  R is held
+matrix axes first, R[p, s, theta, phi], so its unitarity check and the
+one einsum that evaluates every point run over contiguous (theta, phi)
+grids, not 2x2 matrices one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +131,16 @@ def leakage_bound(rho: np.ndarray) -> float:
     return float(HUSIMI_PREFACTOR * abs(np.asarray(rho)[1, 3]))
 
 
+@lru_cache(maxsize=1)
+def _circuit_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The checked pseudo-Hadamard H and A = CP^dagger F_x CP, read-only."""
+    h = build_pseudo_hadamard().matrix
+    cp = build_controlled_phase().matrix
+    a = (cp.conj().T @ spin_operator("F", "x") @ cp).reshape(2, 2, 2, 2)
+    h.flags.writeable = a.flags.writeable = False
+    return h, a
+
+
 def _readout(
     rho: np.ndarray, theta, phi, variant: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,11 +154,9 @@ def _readout(
     if ((theta < 0.0) | (theta > math.pi)).any():
         raise ValueError("polar angle must lie in [0, pi]")
     rho = np.asarray(rho, dtype=complex)
-    h = build_pseudo_hadamard().matrix
-    cp = build_controlled_phase().matrix
+    h, a = _circuit_terms()
     # index order (P, F, P, F): rho_h[p, i, q, j], a[r, j, s, i]
     rho_h = (h @ rho @ h.conj().T).reshape(2, 2, 2, 2)
-    a = (cp.conj().T @ spin_operator("F", "x") @ cp).reshape(2, 2, 2, 2)
     t = np.einsum("piqj,rjsi->pqrs", rho_h, a)
     r = _scan_rotation(theta, phi)  # r[p, s, theta, phi]
     _require_unitary(r)

@@ -3,7 +3,8 @@
 Density matrices are flattened by column stacking, so B rho C maps to
 (C^T kron B) vec(rho).  The dense 16x16 generator is affine in the
 drive, L(Omega, delta) = base + delta per_detuning + Omega per_amplitude,
-so those terms are built once per system; array drives give a stack.
+so those terms are built once per system and process, and shared
+read-only; array drives give a stack.
 
 Propagation and the steady state work in real Hermitian-basis
 coordinates, where the generator splits exactly into two real 8x8 blocks
@@ -19,7 +20,7 @@ stacked Pade-13, leaves NumPy the only dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,18 +132,33 @@ class AffineLiouvillian:
         split terms is split); ``_real.at`` is ``_real_generator`` of ``at``,
         bit for bit."""
         terms = (self.base, self.per_detuning, self.per_amplitude)
-        return AffineLiouvillian(*(_real_generator(term) for term in terms))
+        return _read_only(*(_real_generator(term) for term in terms))
+
+
+def _read_only(*terms: np.ndarray) -> AffineLiouvillian:
+    for term in terms:
+        term.flags.writeable = False
+    return AffineLiouvillian(*terms)
 
 
 def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
-    """Build the generator's affine terms once for a configured system."""
-    return AffineLiouvillian(
-        base=build_l0(
+    """The generator's affine terms for a configured system, built once per
+    process (for the 8 systems used last) and shared: every array,
+    ``_real``'s too, is read-only (copy before editing).  Keyed on the
+    config's repr, so configs that compare equal but differ in a field's
+    type or sign of zero never share terms."""
+    return _affine_terms(repr(config), config)
+
+
+@lru_cache(maxsize=8)
+def _affine_terms(key: str, config: SpinSystemConfig) -> AffineLiouvillian:
+    return _read_only(
+        build_l0(
             rotating_drift(config, DriveConfig(amplitude_hz=0.0)),
             build_jump_operators(config),
         ),
-        per_detuning=build_lv(detuning_term(1.0)),
-        per_amplitude=build_lv(drive_term(DriveConfig(amplitude_hz=1.0))),
+        build_lv(detuning_term(1.0)),
+        build_lv(drive_term(DriveConfig(amplitude_hz=1.0))),
     )
 
 

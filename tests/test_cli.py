@@ -543,6 +543,43 @@ class TestCalibrateCommand:
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [], ["--amplitude", "1e300"], ["--amplitude", "-3"],
+            ["--amplitude", "1e308"], ["--amplitude", "1.7976931348623157e308"],
+            ["--noise", "1e308"], ["--noise", "1e200"], ["--n-samples", "500"],
+            ["--input", "{tiny}"], ["--input", "{huge}"], ["--input", "{large}"],
+        ],
+    )
+    def test_every_report_is_strict_json(self, tmp_path, capsys, extra):
+        """Each calibrate run writes standard JSON with finite numbers, or
+        exits 2 with nothing written; a warning fails the test."""
+        rows = {
+            "tiny": "1e-200,1\n2e-200,1\n3e-200,1\n",
+            "huge": "1e200,1e300\n2e200,1e300\n3e200,1e300\n",
+            "large": "1e100,1e100\n2e100,3e100\n3e100,2e100\n",
+        }
+        for name, text in rows.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        extra = [arg.format(**{k: tmp_path / f"{k}.csv" for k in rows}) for arg in extra]
+        out = tmp_path / "fit.json"
+        code = main(["calibrate", "--output", str(out)] + extra)
+        if code == 0:
+            report = strict_json(out.read_text())
+            assert math.isfinite(report["amplitude_hz"])
+            assert math.isfinite(report["residual_rms"])
+        else:
+            assert code == 2
+            assert not out.exists()
+            assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_synthetic_amplitude_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        assert main(["calibrate", "--output", str(out), "--amplitude", "1e308"]) == 2
+        assert not out.exists()
+        assert "synthetic samples are non-finite" in capsys.readouterr().err
+
 
 class TestReadSamplesCsv:
     def test_skips_comments_and_blanks(self, tmp_path):
@@ -557,6 +594,20 @@ class TestReadSamplesCsv:
         path.write_text("0.1\n")
         with pytest.raises(ConfigError, match="two columns"):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.02,0.01,junk", "0.02,0.01,0.5", "0.02,0.01,"])
+    def test_extra_columns_rejected(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"0.01,0.005\n{row}\n0.03,0.015\n")
+        with pytest.raises(ConfigError, match="two columns"):
+            read_samples_csv(path)
+
+    def test_extra_columns_exit_config(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("0.1,0.05\n0.2,0.11,junk\n0.3,0.16\n")
+        out = tmp_path / "fit.json"
+        assert main(["calibrate", "--input", str(samples), "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -775,6 +826,60 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 64
 
+
+class TestRepeatedMain:
+    """main runs many jobs in one process (its parser and each system's
+    generator terms are shared): every job's files depend on its own
+    arguments alone, whatever ran before it."""
+
+    RUNS = [
+        ["steady"], ["husimi"], ["husimi", "--steady"], ["series"],
+        ["amp-sweep"], ["arnold"], ["arnold", "--steady"], ["imhd-verify"],
+        ["imhd-verify", "--steady"], ["calibrate"], ["emit-config"],
+    ]
+    OTHER_SYSTEM = {"j_coupling_hz": 500.0, "t1_p_s": 4.0, "n_theta": 8, "n_phi": 8}
+
+    @staticmethod
+    def run(argv, out_dir, *extra):
+        out_dir.mkdir()
+        code = main(argv + ["--output", str(out_dir / "out"), *extra])
+        files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        return code, files
+
+    @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, argv):
+        other = write_config(tmp_path, self.OTHER_SYSTEM)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"t1_p_s": -1.0}))
+        first = self.run(argv, tmp_path / "first")
+        assert first[1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "x"), "--no-such-flag"])
+        assert exc.value.code == 64
+        assert main(argv + ["--output", str(tmp_path / "x"), "--config", str(bad)]) == 2
+        elsewhere = self.run(argv, tmp_path / "other", "--config", other)
+        assert elsewhere[1].keys() == first[1].keys()
+        assert all(elsewhere[1][name] != text for name, text in first[1].items())
+        assert self.run(argv, tmp_path / "again") == first
+        assert not (tmp_path / "x").exists()
+        capsys.readouterr()
+
+    def test_series_durations_do_not_leak(self, tmp_path):
+        first = self.run(["series"], tmp_path / "first")
+        assert self.run(["series", "--durations", "1,2"], tmp_path / "short")[0] == 0
+        again = self.run(["series"], tmp_path / "again")
+        assert again == first
+        _, _, rows = read_csv_body(tmp_path / "again" / "out")
+        durations = tuple(float(row.split(",")[0]) for row in rows)
+        assert durations == DEFAULT_SERIES_DURATIONS
+
+    def test_build_parser_is_fresh(self):
+        """Callers that inspect or extend build_parser()'s result cannot
+        change the parser main uses."""
+        shared = cli._shared_parser()
+        assert build_parser() is not shared
+        assert build_parser() is not build_parser()
+        assert cli._shared_parser() is shared
 
 def strict_json(text: str):
     """json.loads that rejects the NaN and Infinity literals."""

@@ -327,7 +327,9 @@ class TestSweepEngine:
     def test_generator_mapped_once_per_system(self, config, monkeypatch):
         """Sweeps map the three affine terms to real coordinates, one
         16x16 term per call, and then sum real generators: no row or cell
-        maps or checks a generator of its own."""
+        maps or checks a generator of its own.  The terms are shared per
+        process, so a system's first sweep maps them, its later sweeps map
+        nothing, and a new system maps its own."""
         shapes = []
         original = liouville._real_generator
 
@@ -336,14 +338,19 @@ class TestSweepEngine:
             return original(l_total)
 
         monkeypatch.setattr(liouville, "_real_generator", counted)
-        for sweep in (
-            lambda: run_arnold_tongue(config, use_steady_state=True),
-            lambda: run_arnold_tongue(config),
-            lambda: run_amplitude_sweep(config, n_theta=8, n_phi=8),
-        ):
-            shapes.clear()
-            sweep()
-            assert shapes == [(16, 16)] * 3
+        liouville._affine_terms.cache_clear()
+        other = SpinSystemConfig(t1_p_s=7.0)
+        for system in (config, other):
+            expected = 3
+            for sweep in (
+                lambda: run_arnold_tongue(system, use_steady_state=True),
+                lambda: run_arnold_tongue(system),
+                lambda: run_amplitude_sweep(system, n_theta=8, n_phi=8),
+            ):
+                shapes.clear()
+                sweep()
+                assert shapes == [(16, 16)] * expected
+                expected = 0
 
 
 class TestDensityMatrixStack:

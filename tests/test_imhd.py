@@ -23,6 +23,7 @@ from spinsync import (
     thermal_state,
     visibility,
 )
+from spinsync import imhd
 from spinsync.imhd import _readout, _require_unitary, _scan_rotation
 from spinsync.phasespace import grid_axes
 
@@ -315,3 +316,34 @@ class TestKernel:
             leak = -HUSIMI_PREFACTOR * np.sin(th) * np.real(rho[1, 3] * np.exp(1j * ph))
             assert np.max(np.abs(gap - leak)) <= 4 * EPS
             assert np.max(np.abs(gap)) <= leakage_bound(rho) + 4 * EPS
+
+
+def test_circuit_gates_built_and_checked_once(monkeypatch):
+    """The pseudo-Hadamard and controlled-phase gates, unitarity-checked on
+    their build, and A = CP^dagger F_x CP are built once per process and
+    shared read-only; the scans still agree with a fresh build."""
+    builds = []
+    for name in ("build_pseudo_hadamard", "build_controlled_phase"):
+        original = getattr(imhd, name)
+        monkeypatch.setattr(
+            imhd, name, lambda original=original: builds.append(1) or original()
+        )
+    imhd._circuit_terms.cache_clear()
+    rho = np.eye(4, dtype=complex) / 4.0
+    first = imhd_scan(rho, n_theta=8, n_phi=8)
+    second = imhd_scan(rho, n_theta=8, n_phi=8)
+    assert len(builds) == 2
+    assert first.values.tobytes() == second.values.tobytes()
+    h, a = imhd._circuit_terms()
+    for term in (h, a):
+        with pytest.raises(ValueError, match="read-only"):
+            term[(0,) * term.ndim] = 1.0
+    np.testing.assert_array_equal(h, build_pseudo_hadamard().matrix)
+
+    def broken():
+        return Gate(np.diag([1.0, 1.0, 1.0, 1.1]).astype(complex), "controlled-phase")
+
+    monkeypatch.setattr(imhd, "build_controlled_phase", broken)
+    imhd._circuit_terms.cache_clear()
+    with pytest.raises(ValueError, match="not unitary"):
+        imhd_scan(rho, n_theta=8, n_phi=8)

@@ -29,6 +29,7 @@ from spinsync import (
 )
 from spinsync.dissipation import JumpOperator
 from spinsync.experiments import default_amplitude_grid, default_arnold_grid
+from spinsync import liouville
 from spinsync.hamiltonians import drive_term, rotating_drift
 from spinsync.liouville import (
     _AUGMENT,
@@ -269,6 +270,59 @@ class TestAffineLiouvillian:
         broken[8, 8] += 1e-12j
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             AffineLiouvillian(terms.base, broken, terms.per_amplitude)._real
+
+
+def _terms_and_real(terms: AffineLiouvillian) -> dict:
+    names = ("base", "per_detuning", "per_amplitude")
+    return {
+        **{name: getattr(terms, name) for name in names},
+        **{f"_real.{name}": getattr(terms._real, name) for name in names},
+    }
+
+
+class TestSharedTerms:
+    """build_affine_liouvillian builds a system's terms once per process
+    and shares them read-only."""
+
+    def test_equal_configs_share_one_build(self):
+        first = build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0))
+        assert build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0)) is first
+        assert build_affine_liouvillian(SpinSystemConfig(t1_f_s=4.0)) is not first
+        assert first._real is build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0))._real
+
+    def test_every_shared_array_is_read_only(self, config):
+        for name, term in _terms_and_real(build_affine_liouvillian(config)).items():
+            with pytest.raises(ValueError, match="read-only"):
+                term[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                term += 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(term, 1.0, out=term)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ({"offset_f_hz": 0.0}, {"offset_f_hz": -0.0}),
+            ({"j_coupling_hz": 868}, {"j_coupling_hz": 868.0}),
+            # equal configs whose builds differ in the last bits
+            ({"j_coupling_hz": np.float32(868.1)},
+             {"j_coupling_hz": float(np.float32(868.1))}),
+        ],
+    )
+    def test_shared_terms_equal_an_uncached_build(self, pair):
+        """Configs that compare equal still get the bits of their own build,
+        sign bits included, whichever of them was built first."""
+        configs = [SpinSystemConfig(**kwargs) for kwargs in pair]
+        assert configs[0] == configs[1]
+        for order in (configs, configs[::-1]):
+            liouville._affine_terms.cache_clear()
+            for system in order:
+                shared = _terms_and_real(build_affine_liouvillian(system))
+                fresh = _terms_and_real(
+                    liouville._affine_terms.__wrapped__(repr(system), system)
+                )
+                for name, term in shared.items():
+                    assert term.tobytes() == fresh[name].tobytes(), name
 
 
 class TestPropagate:

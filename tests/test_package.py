@@ -109,26 +109,46 @@ def test_every_export_is_used_or_kept():
 
 
 # Run in a fresh interpreter: imports spinsync and its CLI, runs each
-# subcommand, and prints one JSON list of (step, exit code, scipy modules
-# loaded after it).
+# subcommand, and prints one JSON object: per step (step, exit code, scipy
+# modules loaded, argparse parsers constructed, systems whose generator
+# terms were built, readout-gate builds), all counted from the start, and
+# the number of parsers one build_parser() call constructs.
 STARTUP_SCRIPT = """
-import contextlib, json, sys, tempfile
+import argparse, contextlib, json, sys, tempfile
 from pathlib import Path
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+parsers = []
+init = argparse.ArgumentParser.__init__
+
+def counted_init(self, *args, **kwargs):
+    parsers.append(type(self).__name__)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted_init
+
+def state():
+    liouville = sys.modules["spinsync.liouville"]
+    imhd = sys.modules["spinsync.imhd"]
+    return [
+        sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+        len(parsers),
+        liouville._affine_terms.cache_info().misses,
+        imhd._circuit_terms.cache_info().misses,
+    ]
 
 import spinsync
-steps = [("import spinsync", 0, scipy_modules())]
+steps = [["import spinsync", 0] + state()]
 import spinsync.cli as cli
-steps.append(("import spinsync.cli", 0, scipy_modules()))
+steps.append(["import spinsync.cli", 0] + state())
 with tempfile.TemporaryDirectory() as tmp:
     for argv in json.loads(sys.argv[1]):
         out = str(Path(tmp) / (argv[0] + ".out"))
         with contextlib.redirect_stdout(sys.stderr):
             code = cli.main(argv + ["--output", out])
-        steps.append((" ".join(argv), code, scipy_modules()))
-print(json.dumps(steps))
+        steps.append([" ".join(argv), code] + state())
+before = len(parsers)
+cli.build_parser()
+print(json.dumps({"steps": steps, "tree": len(parsers) - before}))
 """
 SUBCOMMANDS = [
     ["steady"],
@@ -147,7 +167,10 @@ SUBCOMMANDS = [
 
 def test_no_subcommand_loads_scipy():
     """The runtime needs NumPy alone: importing the package and running
-    any subcommand, propagating or not, loads no scipy module."""
+    any subcommand, propagating or not, loads no scipy module.  Import
+    builds no parser and no generator terms; the first main() call builds
+    one parser tree, later calls reuse it, and one system's terms and the
+    readout gates are built once however many jobs use them."""
     src = str(Path(spinsync.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -155,12 +178,19 @@ def test_no_subcommand_loads_scipy():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout.splitlines()[-1])
+    record = json.loads(proc.stdout.splitlines()[-1])
+    steps, tree = record["steps"], record["tree"]
     expected = ["import spinsync", "import spinsync.cli"]
     expected += [" ".join(argv) for argv in SUBCOMMANDS]
-    assert [step for step, _, _ in steps] == expected
-    for step, code, loaded in steps:
+    assert [step[0] for step in steps] == expected
+    assert tree == 1 + 8  # the top-level parser and one per subcommand
+    for step, code, loaded, parsers, systems, gates in steps:
+        imported = step.startswith("import")
+        gates_expected = 0 if step in ("steady", "husimi --steady") else 1
         assert (step, code, loaded) == (step, 0, [])
+        assert parsers == (0 if imported else tree), step
+        assert systems == (0 if imported else 1), step
+        assert gates == (0 if imported else gates_expected), step
 
 
 def test_no_runtime_path_calls_svd(monkeypatch, tmp_path):
