@@ -57,12 +57,10 @@ from .phasespace import (
 )
 from .imhd import (
     Gate,
-    ImhdReading,
     build_controlled_phase,
     build_pseudo_hadamard,
     imhd_scan,
     leakage_bound,
-    run_imhd,
 )
 from .experiments import (
     CalibrationResult,
@@ -89,7 +87,6 @@ __all__ = [
     "Gate",
     "HaarQuadrature",
     "HusimiGrid",
-    "ImhdReading",
     "JumpOperator",
     "LimitCycleResult",
     "SpectralReport",
@@ -121,7 +118,6 @@ __all__ = [
     "run_amplitude_sweep",
     "run_arnold_tongue",
     "run_drive_series",
-    "run_imhd",
     "run_limit_cycle",
     "spectral_report",
     "spin_operator",

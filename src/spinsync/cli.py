@@ -20,9 +20,10 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,8 @@ from .phasespace import (
 )
 from .system import DriveConfig, SpinSystemConfig, thermal_state
 
-_SYSTEM_KEYS = tuple(f.name for f in fields(SpinSystemConfig))
-_DRIVE_KEYS = tuple(f.name for f in fields(DriveConfig))
+_SYSTEM_KEYS = SpinSystemConfig._fields
+_DRIVE_KEYS = DriveConfig._fields
 _INT_KEYS = ("n_theta", "n_phi", "seed")
 
 BASIS_DESCRIPTION = (
@@ -63,23 +64,27 @@ class ConfigError(Exception):
     """Schema or physical-invariant violation in configuration input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters: system, drive, grid resolution, seed."""
+class RunConfig(namedtuple("RunConfig", "system drive n_theta n_phi seed")):
+    """Resolved run parameters: system, drive, grid resolution, seed.  An
+    immutable named tuple, equal and hashed by value."""
 
-    system: SpinSystemConfig = SpinSystemConfig()
-    drive: DriveConfig = DriveConfig()
-    n_theta: int = 64
-    n_phi: int = 128
-    seed: int = 1234
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n_theta", "n_phi"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 8:
+    def __new__(
+        cls,
+        system: SpinSystemConfig = SpinSystemConfig(),
+        drive: DriveConfig = DriveConfig(),
+        n_theta: int = 64,
+        n_phi: int = 128,
+        seed: int = 1234,
+    ):
+        for name, value in (("n_theta", n_theta), ("n_phi", n_phi)):
+            # a bool is an int to Python, not to the JSON config
+            if isinstance(value, bool) or not isinstance(value, int) or value < 8:
                 raise ValueError(f"{name} must be an integer >= 8")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        return super().__new__(cls, system, drive, n_theta, n_phi, seed)
 
 
 def _require_number(key: str, value) -> float:
@@ -454,7 +459,15 @@ def _run(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the usage code on bad flags."""
+    """argparse that exits with the usage code on bad flags, and reads a
+    value such as -1e-3 or -.5 as a negative number, not as an option
+    (argparse's own pattern takes only -1 and -0.001 forms)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

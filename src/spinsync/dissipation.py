@@ -10,7 +10,7 @@ non-zero matrix element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,15 +37,16 @@ def transition_rate(t1_s: float) -> float:
     return 2.0 * math.pi / t1_s
 
 
-@dataclass(frozen=True)
-class JumpOperator:
-    """One weighted transition |target><source| in the four-level basis."""
+class JumpOperator(
+    namedtuple("JumpOperator", "matrix species direction source target")
+):
+    """One weighted transition |target><source| in the four-level basis.
 
-    matrix: np.ndarray
-    species: str  # "P" or "F"
-    direction: str  # "up" (energy-gaining) or "down"
-    source: int  # level label 1..4
-    target: int
+    ``species`` is "P" or "F", ``direction`` "up" (energy-gaining) or
+    "down", and ``source`` and ``target`` are level labels 1..4.
+    """
+
+    __slots__ = ()
 
 
 def build_jump_operators(config: SpinSystemConfig) -> list[JumpOperator]:

@@ -12,7 +12,7 @@ single-duration result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,14 +61,12 @@ def default_arnold_grid(
     )
 
 
-@dataclass(frozen=True)
-class LimitCycleResult:
+class LimitCycleResult(
+    namedtuple("LimitCycleResult", "state grid visibility max_sync")
+):
     """Undriven steady state and its (featureless) phase distribution."""
 
-    state: np.ndarray
-    grid: HusimiGrid
-    visibility: float
-    max_sync: float
+    __slots__ = ()
 
 
 def run_limit_cycle(
@@ -90,13 +88,12 @@ def run_limit_cycle(
     )
 
 
-@dataclass(frozen=True)
-class DriveSeriesPoint:
-    duration_s: float
-    state: np.ndarray
-    grid: HusimiGrid
-    visibility: float
-    coherence_abs: float  # |rho42|
+class DriveSeriesPoint(
+    namedtuple("DriveSeriesPoint", "duration_s state grid visibility coherence_abs")
+):
+    """One driven state of a series; ``coherence_abs`` is |rho42|."""
+
+    __slots__ = ()
 
 
 def run_drive_series(
@@ -132,23 +129,29 @@ def run_drive_series(
     ]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Observable values over one or two swept axes."""
+class SweepResult(namedtuple("SweepResult", "axes values observable metadata")):
+    """Observable values over one or two swept axes, named in ``axes``
+    (name to values); ``metadata`` defaults to a new empty dict."""
 
-    axes: dict[str, np.ndarray]
-    values: np.ndarray
-    observable: str
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        expected = tuple(v.size for v in self.axes.values())
-        if self.values.shape != expected:
+    def __new__(
+        cls,
+        axes: dict[str, np.ndarray],
+        values: np.ndarray,
+        observable: str,
+        metadata: dict | None = None,
+    ):
+        expected = tuple(v.size for v in axes.values())
+        if values.shape != expected:
             raise ValueError(
-                f"values shape {self.values.shape} does not match axes {expected}"
+                f"values shape {values.shape} does not match axes {expected}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("sweep produced non-finite values")
+        return super().__new__(
+            cls, axes, values, observable, {} if metadata is None else metadata
+        )
 
 
 def _check_axis(values, name: str, drive_field: str) -> np.ndarray:
@@ -237,13 +240,14 @@ def run_arnold_tongue(
     )
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    amplitude_hz: float
-    slope_rad_per_s: float
-    small_angle: bool  # False flags data outside the linear regime
-    residual_rms: float
-    n_samples: int
+class CalibrationResult(namedtuple(
+    "CalibrationResult",
+    "amplitude_hz slope_rad_per_s small_angle residual_rms n_samples",
+)):
+    """A fitted drive amplitude; ``small_angle`` False flags data outside
+    the linear regime."""
+
+    __slots__ = ()
 
 
 def calibrate_drive(times_s, signals) -> CalibrationResult:

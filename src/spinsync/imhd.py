@@ -29,7 +29,7 @@ grids, not 2x2 matrices one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -44,17 +44,16 @@ VARIANTS = ("exact-populations", "quarter-approximation")
 _EYE2 = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("Gate", "matrix label")):
     """A fixed 4x4 unitary of the readout circuit, with its label."""
 
-    matrix: np.ndarray
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.label not in GATE_LABELS:
-            raise ValueError(f"unknown gate label {self.label!r}")
-        _require_unitary(self.matrix)
+    def __new__(cls, matrix: np.ndarray, label: str):
+        if label not in GATE_LABELS:
+            raise ValueError(f"unknown gate label {label!r}")
+        _require_unitary(matrix)
+        return super().__new__(cls, matrix, label)
 
 
 def _require_unitary(u: np.ndarray) -> None:
@@ -102,30 +101,6 @@ def build_controlled_phase() -> Gate:
     return Gate(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), "controlled-phase")
 
 
-@dataclass(frozen=True)
-class ImhdReading:
-    """One interferometric sample: signal and reconstructed Husimi value.
-
-    ``signal`` is the gate-simulated transverse F magnetization, the
-    ground truth; ``closed_form_signal`` is the algebraic prediction, which
-    exceeds it by sin(theta) Re(rho31 e^{i phi}) and so matches it
-    whenever rho31 = 0.
-    """
-
-    theta: float
-    phi: float
-    signal: float
-    closed_form_signal: float
-    q_value: float
-    variant: str
-
-
-def _closed_form_signal(rho: np.ndarray, theta: float, phi: float) -> float:
-    pop_term = (rho[3, 3] - rho[2, 2] - rho[1, 1] + rho[0, 0]).real
-    coh_term = 2.0 * np.real(rho[0, 2] * np.exp(1j * phi))
-    return 0.5 * (math.cos(theta) * pop_term + math.sin(theta) * coh_term)
-
-
 def leakage_bound(rho: np.ndarray) -> float:
     """Largest |Q_circuit - Q_direct| of the exact variant: (24/pi^3) |rho31|."""
     return float(HUSIMI_PREFACTOR * abs(np.asarray(rho)[1, 3]))
@@ -170,33 +145,6 @@ def _readout(
     else:
         q = HUSIMI_PREFACTOR * (signal + 0.25)
     return signal, q
-
-
-def run_imhd(
-    rho: np.ndarray,
-    theta: float,
-    phi: float,
-    variant: str = "exact-populations",
-) -> ImhdReading:
-    """Simulate the readout circuit at one (theta, phi) probe point.
-
-    The one-point case of the grid kernel ``imhd_scan`` uses.  The exact
-    variant subtracts the spectator populations rho11 and rho33; its
-    reconstruction differs from the reduced Husimi value by
-    -(24/pi^3) sin(theta) Re(rho31 e^{i phi}).  The quarter variant
-    approximates both populations by 1/4, adding an error bounded by
-    (24/pi^3) (|rho11 - 1/4| + |rho33 - 1/4|).  Angles must be finite
-    with theta in [0, pi].
-    """
-    signal, q = _readout(rho, theta, phi, variant)
-    return ImhdReading(
-        theta=theta,
-        phi=phi,
-        signal=float(signal),
-        closed_form_signal=_closed_form_signal(np.asarray(rho), theta, phi),
-        q_value=float(q),
-        variant=variant,
-    )
 
 
 def imhd_scan(

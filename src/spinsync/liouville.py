@@ -19,7 +19,7 @@ stacked Pade-13, leaves NumPy the only dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -103,18 +103,16 @@ def build_lv(v: np.ndarray) -> np.ndarray:
     return _commutator_superoperator(_hermitian_part(v, "drive term"))
 
 
-@dataclass(frozen=True)
-class AffineLiouvillian:
+class AffineLiouvillian(
+    namedtuple("AffineLiouvillian", "base per_detuning per_amplitude")
+):
     """Drive-independent terms of L = base + delta per_detuning + Omega per_amplitude.
 
     ``base`` is the undriven, undetuned drift plus all dissipators;
     ``per_detuning`` and ``per_amplitude`` are the generator per Hz of
-    detuning and of drive amplitude.
+    detuning and of drive amplitude.  No ``__slots__``: the cached
+    ``_real`` lives in the instance dict.
     """
-
-    base: np.ndarray
-    per_detuning: np.ndarray
-    per_amplitude: np.ndarray
 
     def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
         """The generator for a drive in Hz (unchecked); array drives give a stack."""
@@ -399,12 +397,11 @@ def _steady_state(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return devectorize(x @ _FROM_REAL.T), ratio, residual
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigenvalues of the generator, sorted by descending real part."""
+class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):
+    """Eigenvalues of the generator, sorted by descending real part, and
+    the gap, |Re| of the slowest decaying mode."""
 
-    eigenvalues: np.ndarray
-    gap: float  # |Re| of the slowest decaying mode
+    __slots__ = ()
 
 
 def spectral_report(liouvillian: np.ndarray) -> SpectralReport:

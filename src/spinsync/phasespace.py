@@ -21,7 +21,7 @@ coherences with coefficient 1/(16 pi^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,20 +58,19 @@ def husimi_reduced(rho, theta, phi, include_prefactor: bool = True):
     return bracket
 
 
-@dataclass(frozen=True)
-class HusimiGrid:
+class HusimiGrid(namedtuple("HusimiGrid", "thetas phis values")):
     """Sampled reduced Husimi distribution over a theta x phi grid, or one
-    grid per state of a stack."""
+    grid per state of a stack: ``values`` has shape (..., len(thetas),
+    len(phis))."""
 
-    thetas: np.ndarray
-    phis: np.ndarray
-    values: np.ndarray  # shape (..., len(thetas), len(phis))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.values.shape[-2:] != (self.thetas.size, self.phis.size):
+    def __new__(cls, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
+        if values.shape[-2:] != (thetas.size, phis.size):
             raise ValueError("grid values do not match the axes")
-        if np.any(np.diff(self.thetas) <= 0.0) or np.any(np.diff(self.phis) <= 0.0):
+        if np.any(np.diff(thetas) <= 0.0) or np.any(np.diff(phis) <= 0.0):
             raise ValueError("grid axes must be strictly increasing")
+        return super().__new__(cls, thetas, phis, values)
 
 
 def grid_axes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +159,9 @@ _RADIAL_KIND = (
 _WEIGHT_SINE_POWER = (5, 3, 1)
 
 
-@dataclass(frozen=True)
-class HaarQuadrature:
+class HaarQuadrature(
+    namedtuple("HaarQuadrature", "alpha_nodes alpha_weights n_phi")
+):
     """Product quadrature for the SU(4) coherent-state measure.
 
     Gauss-Legendre nodes in each full angle alpha_i = theta_i / 2 on
@@ -170,9 +170,7 @@ class HaarQuadrature:
     the 6-D product rule is evaluated exactly in factorized form.
     """
 
-    alpha_nodes: np.ndarray
-    alpha_weights: np.ndarray
-    n_phi: int
+    __slots__ = ()
 
     def _radial_pair_integrals(self) -> np.ndarray:
         """R[i, j] = integral over alphas of r_i r_j times the weight."""

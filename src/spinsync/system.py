@@ -9,7 +9,7 @@ plain Hz; operator-valued functions return matrices in rad/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
@@ -94,77 +94,92 @@ def default_purity_factors(
     return scale * gamma_p_hz_per_tesla, scale * gamma_f_hz_per_tesla
 
 
-@dataclass(frozen=True)
-class SpinSystemConfig:
+class SpinSystemConfig(namedtuple("SpinSystemConfig", (
+    "j_coupling_hz", "offset_p_hz", "offset_f_hz", "t1_p_s", "t1_f_s",
+    "epsilon_p", "epsilon_f", "field_tesla", "temperature_k",
+    "gamma_p_hz_per_tesla", "gamma_f_hz_per_tesla",
+))):
     """Static parameters of the spin pair.
 
     Frequencies are in Hz.  ``offset_p_hz`` defaults to -J/2, which makes
     one P transition resonant in the doubly rotating frame; purity factors
-    default to the values for ``field_tesla`` and ``temperature_k``.
+    default to the values for ``field_tesla`` and ``temperature_k``.  An
+    immutable named tuple, equal and hashed by value.
     """
 
-    j_coupling_hz: float = 868.0
-    offset_p_hz: float | None = None
-    offset_f_hz: float = 0.0
-    t1_p_s: float = 10.0
-    t1_f_s: float = 10.0
-    epsilon_p: float | None = None
-    epsilon_f: float | None = None
-    field_tesla: float = DEFAULT_FIELD_TESLA
-    temperature_k: float = DEFAULT_TEMPERATURE_K
-    gamma_p_hz_per_tesla: float = GAMMA_P_HZ_PER_TESLA
-    gamma_f_hz_per_tesla: float = GAMMA_F_HZ_PER_TESLA
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.j_coupling_hz > 0.0:
+    def __new__(
+        cls,
+        j_coupling_hz: float = 868.0,
+        offset_p_hz: float | None = None,
+        offset_f_hz: float = 0.0,
+        t1_p_s: float = 10.0,
+        t1_f_s: float = 10.0,
+        epsilon_p: float | None = None,
+        epsilon_f: float | None = None,
+        field_tesla: float = DEFAULT_FIELD_TESLA,
+        temperature_k: float = DEFAULT_TEMPERATURE_K,
+        gamma_p_hz_per_tesla: float = GAMMA_P_HZ_PER_TESLA,
+        gamma_f_hz_per_tesla: float = GAMMA_F_HZ_PER_TESLA,
+    ):
+        if not j_coupling_hz > 0.0:
             raise ValueError("j_coupling_hz must be positive")
-        if self.t1_p_s <= 0.0 or self.t1_f_s <= 0.0:
+        if t1_p_s <= 0.0 or t1_f_s <= 0.0:
             raise ValueError("relaxation times must be positive")
-        if self.gamma_p_hz_per_tesla <= 0.0 or self.gamma_f_hz_per_tesla <= 0.0:
+        if gamma_p_hz_per_tesla <= 0.0 or gamma_f_hz_per_tesla <= 0.0:
             raise ValueError("gyromagnetic ratios must be positive")
-        for f in fields(self):
-            value = getattr(self, f.name)
+        given = super().__new__(
+            cls, j_coupling_hz, offset_p_hz, offset_f_hz, t1_p_s, t1_f_s,
+            epsilon_p, epsilon_f, field_tesla, temperature_k,
+            gamma_p_hz_per_tesla, gamma_f_hz_per_tesla,
+        )
+        for name, value in zip(cls._fields, given):
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-        if self.offset_p_hz is None:
-            object.__setattr__(self, "offset_p_hz", -0.5 * self.j_coupling_hz)
-        if self.epsilon_p is None or self.epsilon_f is None:
+                raise ValueError(f"{name} must be finite")
+        if offset_p_hz is None:
+            offset_p_hz = -0.5 * j_coupling_hz
+        if epsilon_p is None or epsilon_f is None:
             eps_p, eps_f = default_purity_factors(
-                self.field_tesla,
-                self.temperature_k,
-                self.gamma_p_hz_per_tesla,
-                self.gamma_f_hz_per_tesla,
+                field_tesla, temperature_k, gamma_p_hz_per_tesla, gamma_f_hz_per_tesla
             )
-            if self.epsilon_p is None:
-                object.__setattr__(self, "epsilon_p", eps_p)
-            if self.epsilon_f is None:
-                object.__setattr__(self, "epsilon_f", eps_f)
-        for eps in (self.epsilon_p, self.epsilon_f):
+            if epsilon_p is None:
+                epsilon_p = eps_p
+            if epsilon_f is None:
+                epsilon_f = eps_f
+        for eps in (epsilon_p, epsilon_f):
             # The high-temperature treatment breaks down well before 0.1.
             if not 0.0 <= eps < 0.1:
                 raise ValueError("purity factors must lie in [0, 0.1)")
+        return given._replace(
+            offset_p_hz=offset_p_hz, epsilon_p=epsilon_p, epsilon_f=epsilon_f
+        )
 
 
-@dataclass(frozen=True)
-class DriveConfig:
-    """Drive parameters: amplitude and detuning in Hz, duration in s."""
+class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s")):
+    """Drive parameters: amplitude and detuning in Hz, duration in s.  An
+    immutable named tuple, equal and hashed by value."""
 
-    amplitude_hz: float = 0.1
-    detuning_hz: float = 0.0
-    duration_s: float = 100.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.amplitude_hz < 0.0:
+    def __new__(
+        cls,
+        amplitude_hz: float = 0.1,
+        detuning_hz: float = 0.0,
+        duration_s: float = 100.0,
+    ):
+        if amplitude_hz < 0.0:
             raise ValueError("drive amplitude must be non-negative")
-        if self.duration_s < 0.0:
+        if duration_s < 0.0:
             raise ValueError("drive duration must be non-negative")
         for value, what in (
-            (self.amplitude_hz, "drive amplitude"),
-            (self.duration_s, "drive duration"),
-            (self.detuning_hz, "detuning"),
+            (amplitude_hz, "drive amplitude"),
+            (duration_s, "drive duration"),
+            (detuning_hz, "detuning"),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite")
+        return super().__new__(cls, amplitude_hz, detuning_hz, duration_s)
 
 
 def _spin_weights(epsilon: float) -> tuple[float, float]:

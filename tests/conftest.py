@@ -8,7 +8,7 @@ from spinsync import DriveConfig, SpinSystemConfig
 SEED = 20260819
 
 
-# session scope is safe: both config types are frozen dataclasses
+# session scope is safe: both config types are immutable named tuples
 @pytest.fixture(scope="session")
 def config() -> SpinSystemConfig:
     return SpinSystemConfig()

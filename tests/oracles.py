@@ -11,6 +11,8 @@ checkable:
 * the per-gate IMHD circuit, which the grid kernel evaluates in
   factorized form, and the kernel's earlier trailing-axis layout, which
   its matrix-axes-first layout must reproduce bit for bit;
+* the one-point IMHD readout, the grid kernel at a single probe point
+  beside the closed-form signal;
 * the generator's affine terms assembled from ``np.kron`` products, which
   the broadcast assembly must reproduce bit for bit;
 * the singular values of a generator from its real blocks, which the
@@ -43,6 +45,7 @@ from spinsync import (
     spin_operator,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
+from spinsync.imhd import _readout
 from spinsync.liouville import _SCALE
 
 # --- frame derivation ---------------------------------------------------------
@@ -240,6 +243,58 @@ def readout_trailing_axes(rho, theta, phi, variant):
     else:
         q = HUSIMI_PREFACTOR * (signal + 0.25)
     return signal, q
+
+
+@dataclass(frozen=True)
+class ImhdReading:
+    """One interferometric sample: signal and reconstructed Husimi value.
+
+    ``signal`` is the gate-simulated transverse F magnetization, the
+    ground truth; ``closed_form_signal`` is the algebraic prediction, which
+    exceeds it by sin(theta) Re(rho31 e^{i phi}) and so matches it
+    whenever rho31 = 0.
+    """
+
+    theta: float
+    phi: float
+    signal: float
+    closed_form_signal: float
+    q_value: float
+    variant: str
+
+
+def _closed_form_signal(rho: np.ndarray, theta: float, phi: float) -> float:
+    pop_term = (rho[3, 3] - rho[2, 2] - rho[1, 1] + rho[0, 0]).real
+    coh_term = 2.0 * np.real(rho[0, 2] * np.exp(1j * phi))
+    return 0.5 * (math.cos(theta) * pop_term + math.sin(theta) * coh_term)
+
+
+def run_imhd(
+    rho: np.ndarray,
+    theta: float,
+    phi: float,
+    variant: str = "exact-populations",
+) -> ImhdReading:
+    """Simulate the readout circuit at one (theta, phi) probe point.
+
+    The one-point case of the grid kernel ``imhd_scan`` uses, with the
+    closed-form signal next to the simulated one.  The exact
+    variant subtracts the spectator populations rho11 and rho33; its
+    reconstruction differs from the reduced Husimi value by
+    -(24/pi^3) sin(theta) Re(rho31 e^{i phi}).  The quarter variant
+    approximates both populations by 1/4, adding an error bounded by
+    (24/pi^3) (|rho11 - 1/4| + |rho33 - 1/4|).  Angles must be finite
+    with theta in [0, pi].
+    """
+    signal, q = _readout(rho, theta, phi, variant)
+    return ImhdReading(
+        theta=theta,
+        phi=phi,
+        signal=float(signal),
+        closed_form_signal=_closed_form_signal(np.asarray(rho), theta, phi),
+        q_value=float(q),
+        variant=variant,
+    )
 
 
 # --- generator terms from Kronecker products -----------------------------------

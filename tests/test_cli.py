@@ -122,8 +122,13 @@ class TestRunConfig:
         assert rc.system == SpinSystemConfig()
         assert rc.drive == DriveConfig()
 
+    # bools are ints to Python but not to the JSON schema parse_config reads
     @pytest.mark.parametrize(
-        "kwargs", [{"n_theta": 4}, {"n_phi": 7}, {"seed": -1}, {"n_theta": 16.0}]
+        "kwargs",
+        [
+            {"n_theta": 4}, {"n_phi": 7}, {"seed": -1}, {"n_theta": 16.0},
+            {"seed": True}, {"seed": False}, {"n_phi": True},
+        ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -985,6 +990,31 @@ class TestFlagValidation:
             main([command, "--output", str(out), f"{flag}={value}"])
         assert exc.value.code == 64
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags, code",
+        [
+            ("steady", ["--detuning", "-1e-3"], 0),
+            ("steady", ["--detuning", "-.5", "--amplitude", "2.5E-1"], 0),
+            ("steady", ["--detuning", "-2.5E+1"], 0),
+            ("arnold", ["--detuning-min", "-3e0", "--detuning-max", "3e0"], 0),
+            ("calibrate", ["--amplitude", "-1e308"], 2),
+        ],
+    )
+    def test_negative_exponent_values_are_numbers(
+        self, tmp_path, capsys, command, flags, code
+    ):
+        """A value such as -1e-3 or -.5 after its flag is read as a number,
+        as in the --flag=value form: the same exit code and bytes."""
+        joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        written = []
+        for form, args in (("spaced", flags), ("joined", joined)):
+            out_dir = tmp_path / form
+            out_dir.mkdir()
+            assert main([command, "--output", str(out_dir / "out"), *args]) == code
+            written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert written[0] == written[1]
+        capsys.readouterr()
 
     def test_sweep_defaults_are_the_experiment_defaults(self):
         parser = build_parser()

@@ -404,6 +404,15 @@ class TestDensityMatrixStack:
 
 
 class TestSweepResultValidation:
+    def test_metadata_defaults_to_a_new_dict(self):
+        axes = {"omega_hz": np.array([0.1, 0.2])}
+        first, second = (
+            SweepResult(axes=axes, values=np.zeros(2), observable="visibility")
+            for _ in range(2)
+        )
+        assert first.metadata == {}
+        assert first.metadata is not second.metadata
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SweepResult(

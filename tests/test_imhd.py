@@ -17,7 +17,6 @@ from spinsync import (
     husimi_reduced,
     imhd_scan,
     leakage_bound,
-    run_imhd,
     spin_operator,
     steady_state,
     thermal_state,
@@ -28,7 +27,12 @@ from spinsync.imhd import _readout, _require_unitary, _scan_rotation
 from spinsync.phasespace import grid_axes
 
 from conftest import doublet_coherent_density, random_density
-from oracles import build_j_evolution, build_u_theta_phi, readout_trailing_axes
+from oracles import (
+    build_j_evolution,
+    build_u_theta_phi,
+    readout_trailing_axes,
+    run_imhd,
+)
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)

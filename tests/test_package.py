@@ -1,5 +1,6 @@
 """Package surface: the exported names, each one used by the simulator,
-and what importing the package and running its CLI load or call."""
+the contract of its record types, and what importing the package and
+running its CLI load or call."""
 
 import ast
 import json
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import spinsync
 import spinsync.cli
@@ -22,7 +24,6 @@ EXPORTS = [
     "HUSIMI_PREFACTOR",
     "HaarQuadrature",
     "HusimiGrid",
-    "ImhdReading",
     "JumpOperator",
     "LimitCycleResult",
     "SYNC_COEFFICIENT",
@@ -56,7 +57,6 @@ EXPORTS = [
     "run_amplitude_sweep",
     "run_arnold_tongue",
     "run_drive_series",
-    "run_imhd",
     "run_limit_cycle",
     "spectral_report",
     "spin_operator",
@@ -75,7 +75,6 @@ EXPORTS = [
 KEEP = {
     "check_density_matrix",
     "husimi_normalization",
-    "run_imhd",
     "run_limit_cycle",
     "spectral_report",
     "sync_measure_full",
@@ -216,3 +215,93 @@ def test_no_runtime_path_calls_svd(monkeypatch, tmp_path):
     ):
         out = str(tmp_path / (argv[0] + ".out"))
         assert spinsync.cli.main(argv + ["--output", out]) == 0
+
+
+def record_instances() -> list:
+    """One instance of each record type the package exports, and RunConfig."""
+    config = spinsync.SpinSystemConfig()
+    liouville = spinsync.build_liouvillian(config, spinsync.DriveConfig())
+    rho = spinsync.steady_state(liouville)
+    return [
+        config,
+        spinsync.DriveConfig(),
+        spinsync.cli.RunConfig(),
+        spinsync.build_jump_operators(config)[0],
+        spinsync.build_affine_liouvillian(config),
+        spinsync.spectral_report(liouville),
+        spinsync.husimi_grid(rho, n_theta=8, n_phi=8),
+        spinsync.haar_quadrature(n_alpha=4, n_phi=8),
+        spinsync.build_pseudo_hadamard(),
+        spinsync.run_limit_cycle(config, n_theta=8, n_phi=8),
+        spinsync.run_drive_series(config, 0.1, durations=(1.0,), n_theta=8, n_phi=8)[0],
+        spinsync.run_amplitude_sweep(config, [0.1, 0.2], n_theta=8, n_phi=8),
+        spinsync.calibrate_drive([0.1, 0.2, 0.3], [0.01, 0.02, 0.03]),
+    ]
+
+
+def test_records_are_immutable():
+    """Every exported record type, and RunConfig, refuses field assignment."""
+    records = record_instances()
+    exported = {name for name in EXPORTS if isinstance(getattr(spinsync, name), type)}
+    assert {type(r).__name__ for r in records} == exported | {"RunConfig"}
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: spinsync.SpinSystemConfig(j_coupling_hz=500.0, t1_p_s=4.0),
+        lambda: spinsync.DriveConfig(amplitude_hz=0.3, detuning_hz=-1.0),
+        lambda: spinsync.cli.RunConfig(
+            system=spinsync.SpinSystemConfig(j_coupling_hz=500.0), n_phi=16, seed=9
+        ),
+    ],
+    ids=["SpinSystemConfig", "DriveConfig", "RunConfig"],
+)
+def test_configs_compare_and_hash_by_value(make):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != type(first)()
+    assert {first: 1}[second] == 1
+
+
+def test_system_config_repr_is_pinned():
+    """The repr keys the generator-term memo, so its format is part of the
+    contract: every field by name, in schema order, each value's repr."""
+    assert repr(spinsync.SpinSystemConfig()) == (
+        "SpinSystemConfig(j_coupling_hz=868.0, offset_p_hz=-434.0, "
+        "offset_f_hz=0.0, t1_p_s=10.0, t1_f_s=10.0, "
+        "epsilon_p=7.910658382836895e-06, epsilon_f=1.839532153567375e-05, "
+        "field_tesla=11.4, temperature_k=298.0, "
+        "gamma_p_hz_per_tesla=17235000.0, gamma_f_hz_per_tesla=40078000.0)"
+    )
+
+
+MODULES = [
+    "spinsync", "spinsync.cli", "spinsync.dissipation", "spinsync.experiments",
+    "spinsync.hamiltonians", "spinsync.imhd", "spinsync.liouville",
+    "spinsync.phasespace", "spinsync.system",
+]
+
+
+def test_cli_import_loads_every_module_without_dataclasses():
+    """``import spinsync.cli`` loads all nine package modules up front (no
+    module is deferred to a subcommand) and never loads ``dataclasses``:
+    the record types are named tuples, with no generated code to compile."""
+    src = str(Path(spinsync.__file__).resolve().parent.parent)
+    script = (
+        "import json, sys, spinsync.cli\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith("
+        "'spinsync')), 'dataclasses' in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [MODULES, False]
