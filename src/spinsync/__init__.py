@@ -50,6 +50,7 @@ from .phasespace import (
     husimi_grid,
     husimi_normalization,
     husimi_reduced,
+    state_visibility,
     sync_measure_full,
     sync_measure_max,
     sync_measure_quadrature,
@@ -121,6 +122,7 @@ __all__ = [
     "run_limit_cycle",
     "spectral_report",
     "spin_operator",
+    "state_visibility",
     "steady_state",
     "sync_measure_full",
     "sync_measure_max",

@@ -46,8 +46,8 @@ from .phasespace import (
     HUSIMI_PREFACTOR,
     HusimiGrid,
     husimi_grid,
+    state_visibility,
     sync_measure_max,
-    visibility,
 )
 from .system import DriveConfig, SpinSystemConfig, thermal_state
 
@@ -69,6 +69,7 @@ class RunConfig(namedtuple("RunConfig", "system drive n_theta n_phi seed")):
     immutable named tuple, equal and hashed by value."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(
         cls,
@@ -314,7 +315,7 @@ def _cmd_husimi(rc: RunConfig, args):
     n_theta, n_phi = _grid_shape(rc, args)
     rho = _prepared_state(rc, drive, args.steady)
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
-    vis = visibility(grid)
+    vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
     meta = _report(
         "husimi-metadata", rc, visibility=vis, max_sync=sync_measure_max(rho),
         steady_state=bool(args.steady), n_theta=n_theta, n_phi=n_phi,

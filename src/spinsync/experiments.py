@@ -24,7 +24,7 @@ from .liouville import (
     propagate,
     steady_state,
 )
-from .phasespace import HusimiGrid, husimi_grid, sync_measure_max, visibility
+from .phasespace import husimi_grid, state_visibility, sync_measure_max
 from .system import DriveConfig, SpinSystemConfig, thermal_state
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
@@ -35,10 +35,6 @@ AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
 ARNOLD_DURATION_S = 100.0
-# Husimi grid values evaluated at once by the amplitude sweep (0.5 MB, 8
-# states of the default 64 x 128 grid); the whole 61-state stack at once
-# raises the peak resident memory by about 4 MB.
-_GRID_VALUES_PER_EVALUATION = 2**16
 
 
 def log_axis(low: float, high: float, n: int) -> np.ndarray:
@@ -80,7 +76,7 @@ def run_limit_cycle(
     drive = DriveConfig(amplitude_hz=0.0)
     rho = steady_state(build_liouvillian(config, drive))
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
-    vis = visibility(grid)
+    vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
     if vis >= 1e-8:
         raise RuntimeError(f"undriven state shows phase contrast {vis:.3e}")
     return LimitCycleResult(
@@ -89,7 +85,7 @@ def run_limit_cycle(
 
 
 class DriveSeriesPoint(
-    namedtuple("DriveSeriesPoint", "duration_s state grid visibility coherence_abs")
+    namedtuple("DriveSeriesPoint", "duration_s state visibility coherence_abs")
 ):
     """One driven state of a series; ``coherence_abs`` is |rho42|."""
 
@@ -115,17 +111,15 @@ def run_drive_series(
     drive = DriveConfig(amplitude_hz=amplitude_hz, detuning_hz=detuning_hz)
     liouville = build_liouvillian(config, drive)
     states = propagate(liouville, thermal_state(config), np.array(durations))
-    grids = husimi_grid(states, n_theta=n_theta, n_phi=n_phi)
-    contrasts = visibility(grids)
+    contrasts = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     return [
         DriveSeriesPoint(
             duration_s=t,
             state=rho,
-            grid=HusimiGrid(thetas=grids.thetas, phis=grids.phis, values=values),
             visibility=float(contrast),
             coherence_abs=float(abs(rho[0, 2])),
         )
-        for t, rho, values, contrast in zip(durations, states, grids.values, contrasts)
+        for t, rho, contrast in zip(durations, states, contrasts)
     ]
 
 
@@ -134,6 +128,7 @@ class SweepResult(namedtuple("SweepResult", "axes values observable metadata")):
     (name to values); ``metadata`` defaults to a new empty dict."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(
         cls,
@@ -181,11 +176,7 @@ def run_amplitude_sweep(
     omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
     omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
     states = _steady_state(build_affine_liouvillian(config)._real.at(omegas))[0]
-    step = max(1, _GRID_VALUES_PER_EVALUATION // max(1, n_theta * n_phi))
-    values = np.concatenate([
-        visibility(husimi_grid(chunk, n_theta=n_theta, n_phi=n_phi))
-        for chunk in np.split(states, range(step, omegas.size, step))
-    ])
+    values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
         axes={"omega_hz": omegas},

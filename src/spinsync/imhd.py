@@ -48,6 +48,7 @@ class Gate(namedtuple("Gate", "matrix label")):
     """A fixed 4x4 unitary of the readout circuit, with its label."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(cls, matrix: np.ndarray, label: str):
         if label not in GATE_LABELS:

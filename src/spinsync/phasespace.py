@@ -64,6 +64,7 @@ class HusimiGrid(namedtuple("HusimiGrid", "thetas phis values")):
     len(phis))."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(cls, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
         if values.shape[-2:] != (thetas.size, phis.size):
@@ -110,6 +111,31 @@ def visibility(grid: HusimiGrid) -> float | np.ndarray:
     if (top + bottom == 0.0).any():
         raise ValueError("degenerate grid: phase profile sums to zero")
     contrast = (top - bottom) / (top + bottom)
+    return float(contrast) if contrast.ndim == 0 else contrast
+
+
+def state_visibility(
+    rho: np.ndarray, n_theta: int = 64, n_phi: int = 128
+) -> float | np.ndarray:
+    """``visibility(husimi_grid(rho, n_theta, n_phi))`` from rho, no grid.
+
+    The theta-summed profile is P (b + d(phi)): b = rho44 C + rho22 S and
+    d = W Re(rho42 e^{i phi}), with C, S, W the correctly rounded sums of
+    cos^2(theta/2), sin^2(theta/2), sin(theta) over the grid.  Its contrast
+    (d_max - d_min) / (2 b + d_max + d_min) never adds d to b, so it keeps
+    the accuracy of rho.  Takes one state or a (..., 4, 4) stack.
+    """
+    thetas, phis = grid_axes(n_theta, n_phi)
+    cos2 = math.fsum(np.cos(thetas / 2.0) ** 2)
+    sin2 = math.fsum(np.sin(thetas / 2.0) ** 2)
+    rho = np.asarray(rho)
+    d = math.fsum(np.sin(thetas)) * np.real(rho[..., 0, 2, None] * np.exp(1j * phis))
+    top, bottom = d.max(axis=-1), d.min(axis=-1)
+    base = rho[..., 0, 0].real * cos2 + rho[..., 2, 2].real * sin2
+    total = 2.0 * base + top + bottom
+    if (total == 0.0).any():
+        raise ValueError("degenerate state: phase profile sums to zero")
+    contrast = (top - bottom) / total
     return float(contrast) if contrast.ndim == 0 else contrast
 
 

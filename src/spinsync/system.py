@@ -104,10 +104,12 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
     Frequencies are in Hz.  ``offset_p_hz`` defaults to -J/2, which makes
     one P transition resonant in the doubly rotating frame; purity factors
     default to the values for ``field_tesla`` and ``temperature_k``.  An
-    immutable named tuple, equal and hashed by value.
+    immutable named tuple, equal and hashed by value; ``_replace`` checks
+    like the constructor but keeps the resolved offset and purity factors.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(
         cls,
@@ -151,9 +153,9 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
             # The high-temperature treatment breaks down well before 0.1.
             if not 0.0 <= eps < 0.1:
                 raise ValueError("purity factors must lie in [0, 0.1)")
-        return given._replace(
-            offset_p_hz=offset_p_hz, epsilon_p=epsilon_p, epsilon_f=epsilon_f
-        )
+        resolved = {**given._asdict(), "offset_p_hz": offset_p_hz}
+        resolved.update(epsilon_p=epsilon_p, epsilon_f=epsilon_f)
+        return super().__new__(cls, **resolved)
 
 
 class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s")):
@@ -161,6 +163,7 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
     immutable named tuple, equal and hashed by value."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
 
     def __new__(
         cls,

@@ -18,7 +18,10 @@ checkable:
 * the singular values of a generator from its real blocks, which the
   steady state's certified degeneracy bound must never exceed;
 * the per-value CSV writer, one ``format(x, ".17g")`` per cell, whose
-  bytes the CLI's one-%-operation writers must reproduce.
+  bytes the CLI's one-%-operation writers must reproduce;
+* 40-digit mpmath evaluations of the grid visibility and of the IMHD
+  reconstruction, with first-order rounding bounds for the double
+  precision routes (``U`` is the unit roundoff 2^-53).
 
 Matrices are in rad/s unless stated otherwise.
 """
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 from math import tau
 
+import mpmath
 import numpy as np
 
 from spinsync import (
@@ -45,8 +49,9 @@ from spinsync import (
     spin_operator,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
-from spinsync.imhd import _readout
+from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
 from spinsync.liouville import _SCALE
+from spinsync.phasespace import grid_axes
 
 # --- frame derivation ---------------------------------------------------------
 
@@ -391,3 +396,134 @@ def series_csv(points, rc) -> str:
     )
     columns = ("duration_s", "visibility", "abs_coherence")
     return csv_text(rc, "drive-series", columns, rows)
+
+
+# --- 40-digit references and rounding bounds -------------------------------------
+
+# Unit roundoff.  The bounds below take NumPy's float64 sin and cos (and
+# so exp of an imaginary argument), validated to 1 ulp, as off by 2 U.
+U = 2.0**-53
+
+
+def _mp(z) -> mpmath.mpc:
+    """A double or complex double, exactly."""
+    z = complex(z)
+    return mpmath.mpc(z.real, z.imag)
+
+
+def mp_visibility(rho: np.ndarray, n_theta: int, n_phi: int) -> mpmath.mpf:
+    """Visibility of the ``grid_axes`` grid's theta-summed profile at 40
+    digits: every Q(theta, phi) / (24/pi^3) and every column sum of the
+    double sum, at the double-precision angles and entries of rho."""
+    thetas, phis = grid_axes(n_theta, n_phi)
+    with mpmath.workdps(40):
+        r44, r22, r42 = _mp(rho[0, 0]).real, _mp(rho[2, 2]).real, _mp(rho[0, 2])
+        rows = [
+            (mpmath.cos(t / 2) ** 2, mpmath.sin(t / 2) ** 2, mpmath.sin(t))
+            for t in map(mpmath.mpf, thetas)
+        ]
+        profile = []
+        for phi in map(mpmath.mpf, phis):
+            coherence = mpmath.re(r42 * mpmath.expj(phi))
+            profile.append(
+                mpmath.fsum(r44 * c2 + r22 * s2 + w * coherence for c2, s2, w in rows)
+            )
+        top, bottom = max(profile), min(profile)
+        return (top - bottom) / (top + bottom)
+
+
+def _profile_scale(rho: np.ndarray, n_theta: int) -> tuple[float, float]:
+    """Base b = rho44 C + rho22 S and deviation amplitude W |rho42| of the
+    theta-summed profile (see ``state_visibility``)."""
+    thetas = grid_axes(n_theta, 2)[0]
+    base = (
+        rho[0, 0].real * np.sum(np.cos(thetas / 2.0) ** 2)
+        + rho[2, 2].real * np.sum(np.sin(thetas / 2.0) ** 2)
+    )
+    return float(base), float(np.sum(np.sin(thetas)) * abs(rho[0, 2]))
+
+
+def state_visibility_bound(rho: np.ndarray, n_theta: int, n_phi: int) -> float:
+    """First-order bound on the relative error of ``state_visibility``.
+
+    With A = |rho42|, W = sum sin(theta) and b = rho44 C + rho22 S:
+    C and S take cos^2 or sin^2 (2 U + 2 U + U) and a correctly rounded
+    sum (U/2), W a sine and the sum (2.5 U); so b carries 7.5 U.  Each
+    Re(rho42 e^{i phi}) takes cos, sin (2 U), two products and their
+    difference: 3 U (|Re a| + |Im a|) + U A <= (3 sqrt 2 + 1) U A; times
+    W adds 3.5 U, so each deviation is off by at most e = 8.75 U W A.
+    The numerator (2 e + U N) has N >= 2 W A cos(pi / n_phi), since a
+    grid point lies within pi / n_phi of each extremum; the denominator
+    2 b + top + bottom (two additions) is off by at most 15 U b + 2 e +
+    2 U (2 b + 2 W A) and is at least 2 b - 2 W A; the quotient adds U.
+    """
+    base, amplitude = _profile_scale(np.asarray(rho), n_theta)
+    numerator = 8.75 / math.cos(math.pi / n_phi) + 1.0
+    denominator = (19.0 * base + 21.5 * amplitude) / (2.0 * (base - amplitude))
+    return U * (numerator + denominator + 1.0)
+
+
+def grid_visibility_bound(rho: np.ndarray, n_theta: int, vis: float) -> float:
+    """First-order bound on the absolute error of ``visibility(husimi_grid(
+    rho, n_theta, n_phi))`` against its exact value on the same grid.
+
+    Each Q value takes cos^2 or sin^2 (5 U), a product with a population
+    (6 U), their sum (7 U), the addition of the coherence term (8 U) and
+    the prefactor product (9 U), whose own rounding scales every value
+    alike and cancels; the coherence term Re(rho42 e^{i phi}) sin(theta)
+    is off by at most (3 sqrt 2 + 4) U A sin(theta) <= 8.25 U A sin(theta)
+    besides.  Summing n_theta positive values in any order adds
+    (n_theta - 1) U of the column sum, so each column is off by E <= (n_theta + 8) U p + 8.25 U W A, p its
+    sum.  Then |dV| <= 2 E (1 + V) / (p_max + p_min) + 3 U V, with
+    2 p_max / (p_max + p_min) = 1 + V and p_min >= b - W A.
+    """
+    base, amplitude = _profile_scale(np.asarray(rho), n_theta)
+    column = (n_theta + 8.0) * (1.0 + vis) + 8.25 * amplitude / (base - amplitude)
+    return U * ((1.0 + vis) * column + 3.0 * vis)
+
+
+def mp_readout(rho: np.ndarray, theta: float, phi: float) -> mpmath.mpf:
+    """Exact-populations IMHD reconstruction Q / (24/pi^3) at 40 digits:
+    1/2 (1 + 2 s) minus the spectator populations, where the circuit
+    signal s is the closed form less sin(theta) Re(rho31 e^{i phi})."""
+    with mpmath.workdps(40):
+        t, e = mpmath.mpf(theta), mpmath.expj(mpmath.mpf(phi))
+        p = [_mp(rho[k, k]).real for k in range(4)]
+        closed = (
+            mpmath.cos(t) * (p[3] - p[2] - p[1] + p[0])
+            + 2 * mpmath.sin(t) * mpmath.re(_mp(rho[0, 2]) * e)
+        ) / 2
+        signal = closed - mpmath.sin(t) * mpmath.re(_mp(rho[1, 3]) * e)
+        spectator = p[3] * mpmath.cos(t / 2) ** 2 + p[1] * mpmath.sin(t / 2) ** 2
+        return (1 + 2 * signal) / 2 - spectator
+
+
+def readout_bound(rho: np.ndarray, theta: float, phi: float) -> float:
+    """First-order bound on |q - P mp_readout| / P of the exact-populations
+    ``_readout`` at one probe point, P the double ``HUSIMI_PREFACTOR``.
+
+    A complex inner product of length n, in any order of its 2n real
+    products and sums, is off by at most 2 sqrt(2) n U times the sum of
+    |x||y|.  H = [[1, -1], [1, 1]] / sqrt 2 carries 2 U, so rho_H = H rho
+    H^dagger (two length-4 products) is off by (16 sqrt 2 + 4) U R with
+    R = |H| |rho| |H|^T, and the contraction T with A (length 4) by
+    (24 sqrt 2 + 4) U T, T its magnitude.  Each scan-rotation entry
+    carries 5 U (cos, sin, exp and one product); the signal, 16 triple
+    products (4 sqrt 2 U) summed (15 U) and its real part taken, is off
+    by (28 sqrt 2 + 29) U S <= 69 U S, S = sum |r| |r| T.  Then
+    1/2 (1 + 2 s) adds U y, the spectator sigma (cos^2, product, sum)
+    7 U sigma, and the difference and the prefactor product 2 U |y - sigma|.
+    """
+    h, a = _circuit_terms()
+    rho = np.asarray(rho)
+    magnitude = (np.abs(h) @ np.abs(rho) @ np.abs(h).T).reshape(2, 2, 2, 2)
+    t = np.einsum("piqj,rjsi->pqrs", magnitude, np.abs(a))
+    r = np.abs(_scan_rotation(np.asarray(theta), np.asarray(phi)))
+    s_mag = np.einsum("ps,qr,pqrs->", r, r, t)
+    signal, _ = _readout(rho, theta, phi, "exact-populations")
+    y = 0.5 + float(signal)
+    sigma = (
+        rho[3, 3].real * math.cos(theta / 2.0) ** 2
+        + rho[1, 1].real * math.sin(theta / 2.0) ** 2
+    )
+    return U * (69.0 * float(s_mag) + abs(y) + 7.0 * sigma + 2.0 * abs(y - sigma))

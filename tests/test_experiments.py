@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from spinsync import (
     run_arnold_tongue,
     run_drive_series,
     run_limit_cycle,
+    state_visibility,
     steady_state,
     thermal_state,
     visibility,
@@ -29,10 +31,11 @@ from spinsync.experiments import (
     default_amplitude_grid,
     default_arnold_grid,
 )
-from spinsync import liouville
+from spinsync import experiments, liouville, phasespace
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
+from oracles import grid_visibility_bound, mp_visibility, state_visibility_bound
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +113,14 @@ class TestDriveSeries:
             assert point.coherence_abs == abs(point.state[0, 2])
 
     def test_points_match_per_duration_calls(self, series, config):
-        """One propagation and one Husimi grid serve all durations; each
-        point equals its own propagate and husimi_grid calls bit for bit."""
+        """One propagation serves all durations; each point equals its own
+        propagate and state_visibility calls bit for bit."""
         lv = build_liouvillian(config, DriveConfig(amplitude_hz=0.1))
         rho0 = thermal_state(config)
         for point in series:
             rho = propagate(lv, rho0, point.duration_s)
-            grid = husimi_grid(rho, n_theta=32, n_phi=64)
             np.testing.assert_array_equal(point.state, rho)
-            np.testing.assert_array_equal(point.grid.values, grid.values)
-            assert point.visibility == visibility(grid)
+            assert point.visibility == state_visibility(rho, n_theta=32, n_phi=64)
 
     def test_default_durations(self):
         assert DEFAULT_SERIES_DURATIONS == (0.05, 0.1, 1.0, 10.0, 100.0)
@@ -159,24 +160,29 @@ class TestAmplitudeSweep:
         assert amp_sweep.metadata["n_theta"] == 32
 
     def test_cells_match_per_cell_reference(self, config, amp_sweep):
-        """Each cell equals a generator built for that drive alone."""
+        """Each cell equals the visibility of a generator built for that
+        drive alone, bit for bit."""
         for omega, value in zip(AMP_OMEGAS, amp_sweep.values):
             rho = steady_state(
                 build_liouvillian(config, DriveConfig(amplitude_hz=omega))
             )
-            assert value == visibility(husimi_grid(rho, n_theta=32, n_phi=64))
+            assert value == state_visibility(rho, n_theta=32, n_phi=64)
 
-    def test_chunked_grids_match_per_cell_reference(self, config):
-        """On the default 64 x 128 grid the Husimi grids are evaluated a
-        few states at a time; 11 amplitudes span two chunks, and each cell
-        still equals its own state's grid bit for bit."""
+    def test_default_grid_cells_agree_with_grid_route(self, config):
+        """On the default 64 x 128 grid each cell is its own state's
+        state_visibility, and it agrees with the visibility of the state's
+        Husimi grid within both routes' derived rounding bounds."""
         omegas = np.logspace(-2.0, 0.5, 11)
         sweep = run_amplitude_sweep(config, omegas_hz=omegas)
         for omega, value in zip(omegas, sweep.values):
             rho = steady_state(
                 build_liouvillian(config, DriveConfig(amplitude_hz=omega))
             )
-            assert value == visibility(husimi_grid(rho))
+            assert value == state_visibility(rho)
+            bound = grid_visibility_bound(rho, 64, value) + value * (
+                state_visibility_bound(rho, 64, 128)
+            )
+            assert abs(value - visibility(husimi_grid(rho))) <= bound
 
     def test_default_grid(self):
         grid = default_amplitude_grid()
@@ -201,6 +207,51 @@ class TestAmplitudeSweep:
     def test_bad_axis_rejected(self, config, omegas):
         with pytest.raises(ValueError, match="omegas_hz must|drive amplitude must"):
             run_amplitude_sweep(config, omegas_hz=omegas)
+
+
+class TestVisibilityOracle:
+    """Sweep and series visibilities against the 40-digit double sum of the
+    same grid's theta-summed profile, within the state form's derived
+    rounding bound (about 20 units of 2^-53)."""
+
+    @staticmethod
+    def relative_error(value, rho, n_theta, n_phi):
+        with mpmath.workdps(40):
+            exact = mp_visibility(rho, n_theta, n_phi)
+            return float(abs(value - exact) / exact)
+
+    def test_sweep_decades(self, config):
+        sweep = run_amplitude_sweep(config)
+        for omega, value in zip(sweep.axes["omega_hz"][::10], sweep.values[::10]):
+            rho = steady_state(
+                build_liouvillian(config, DriveConfig(amplitude_hz=omega))
+            )
+            error = self.relative_error(float(value), rho, 64, 128)
+            assert error <= state_visibility_bound(rho, 64, 128), (omega, error)
+
+    @pytest.mark.parametrize("amplitude_hz", [0.1, 1e-3])
+    def test_series_durations(self, config, amplitude_hz):
+        points = run_drive_series(config, amplitude_hz, n_theta=32, n_phi=64)
+        assert [p.duration_s for p in points] == list(DEFAULT_SERIES_DURATIONS)
+        for point in points:
+            error = self.relative_error(point.visibility, point.state, 32, 64)
+            bound = state_visibility_bound(point.state, 32, 64)
+            assert error <= bound, (point.duration_s, error)
+
+
+def test_sweep_and_series_build_no_grid(config, monkeypatch):
+    """Visibilities come from the states: no Husimi grid is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Husimi grid was built")
+
+    monkeypatch.setattr(experiments, "husimi_grid", refuse)
+    monkeypatch.setattr(phasespace, "husimi_reduced", refuse)
+    sweep = run_amplitude_sweep(config)
+    points = run_drive_series(config, 0.1)
+    assert sweep.values.shape == (61,) and len(points) == 5
+    with pytest.raises(AssertionError, match="grid was built"):
+        run_limit_cycle(config)
 
 
 ARNOLD_OMEGAS = (0.0, 0.05, 0.1)

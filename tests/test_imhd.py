@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,6 +31,8 @@ from conftest import doublet_coherent_density, random_density
 from oracles import (
     build_j_evolution,
     build_u_theta_phi,
+    mp_readout,
+    readout_bound,
     readout_trailing_axes,
     run_imhd,
 )
@@ -239,6 +242,32 @@ class TestDrivenSteadyStateReadout:
             + abs(driven_state[1, 1].real - 0.25)
         )
         assert np.max(np.abs(exact.values - quarter.values)) <= bound + 1e-12
+
+
+class TestReconstructionFloor:
+    """The exact-populations reconstruction 1/2 (1 + 2 s) - spectator
+    subtracts quantities of about 1/4 to read a signal of order |rho42|."""
+
+    PROBES = ((0.0, 0.0), (0.3, 5.9), (1.1, 4.0), (math.pi / 2, 0.3), (2.5, 2.0),
+              (math.pi, 1.0))
+
+    @pytest.mark.parametrize("amplitude_hz", [1e-3, 0.1, 10.0])
+    def test_floor_against_40_digits(self, config, amplitude_hz):
+        """Each value is within its derived rounding bound of the 40-digit
+        circuit, and that bound stays six decades under the signal scale
+        (24/pi^3) |rho42| (measured floor: at most 0.75 units of 2^-53 of
+        24/pi^3, 2e-9 of the signal scale at 1e-3 Hz)."""
+        rho = steady_state(
+            build_liouvillian(config, DriveConfig(amplitude_hz=amplitude_hz))
+        )
+        signal_scale = HUSIMI_PREFACTOR * abs(rho[0, 2])
+        for theta, phi in self.PROBES:
+            _, q = _readout(rho, theta, phi, "exact-populations")
+            with mpmath.workdps(40):
+                error = abs(q - HUSIMI_PREFACTOR * mp_readout(rho, theta, phi))
+            bound = HUSIMI_PREFACTOR * readout_bound(rho, theta, phi)
+            assert float(error) <= bound, (theta, phi)
+            assert bound < 1e-6 * signal_scale
 
 
 class TestImhdScan:

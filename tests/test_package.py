@@ -4,6 +4,7 @@ running its CLI load or call."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,7 @@ EXPORTS = [
     "run_limit_cycle",
     "spectral_report",
     "spin_operator",
+    "state_visibility",
     "steady_state",
     "sync_measure_full",
     "sync_measure_max",
@@ -79,6 +81,7 @@ KEEP = {
     "spectral_report",
     "sync_measure_full",
     "sync_measure_quadrature",
+    "visibility",
 }
 
 
@@ -267,6 +270,62 @@ def test_configs_compare_and_hash_by_value(make):
     assert first == second and hash(first) == hash(second)
     assert first != type(first)()
     assert {first: 1}[second] == 1
+
+
+def checked_record(name: str):
+    """One instance of a type whose constructor checks its fields."""
+    if name == "HusimiGrid":
+        return spinsync.husimi_grid(np.eye(4) / 4.0, n_theta=8, n_phi=8)
+    if name == "Gate":
+        return spinsync.build_controlled_phase()
+    if name == "SweepResult":
+        return spinsync.run_amplitude_sweep(
+            spinsync.SpinSystemConfig(), [0.1, 0.2], n_theta=8, n_phi=8
+        )
+    if name == "RunConfig":
+        return spinsync.cli.RunConfig()
+    return getattr(spinsync, name)()
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("SpinSystemConfig", {"t1_p_s": -1.0}, "relaxation times must be positive"),
+        ("SpinSystemConfig", {"j_coupling_hz": 0.0}, "j_coupling_hz must be positive"),
+        ("SpinSystemConfig", {"epsilon_f": 0.5}, r"purity factors must lie in \[0, 0.1\)"),
+        ("SpinSystemConfig", {"field_tesla": math.nan}, "field_tesla must be finite"),
+        ("DriveConfig", {"amplitude_hz": -1.0}, "drive amplitude must be non-negative"),
+        ("DriveConfig", {"duration_s": math.inf}, "drive duration must be finite"),
+        ("RunConfig", {"n_theta": 4}, "n_theta must be an integer >= 8"),
+        ("RunConfig", {"seed": True}, "seed must be a non-negative integer"),
+        ("HusimiGrid", {"values": np.zeros((3, 8))}, "grid values do not match"),
+        ("HusimiGrid", {"phis": np.zeros(8)}, "grid axes must be strictly increasing"),
+        ("Gate", {"label": "swap"}, "unknown gate label"),
+        ("Gate", {"matrix": 2.0 * np.eye(4)}, "gate not unitary"),
+        ("SweepResult", {"values": np.zeros(3)}, "does not match axes"),
+        ("SweepResult", {"values": np.array([0.1, math.nan])}, "non-finite values"),
+    ],
+)
+def test_replace_and_make_run_the_constructor_checks(name, change, message):
+    record = checked_record(name)
+    assert record._replace() == record
+    assert type(record)._make(record) == record
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **change}.values())
+
+
+def test_replace_keeps_resolved_system_fields():
+    """_replace takes the resolved offset and purity factors as given; the
+    constructor derives them from the new fields."""
+    config = spinsync.SpinSystemConfig()
+    hotter = config._replace(j_coupling_hz=434.0, temperature_k=596.0)
+    assert hotter.offset_p_hz == config.offset_p_hz == -434.0
+    assert hotter.epsilon_p == config.epsilon_p
+    rebuilt = spinsync.SpinSystemConfig(j_coupling_hz=434.0, temperature_k=596.0)
+    assert rebuilt.offset_p_hz == -217.0
+    assert rebuilt.epsilon_p < config.epsilon_p
 
 
 def test_system_config_repr_is_pinned():

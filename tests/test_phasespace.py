@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from spinsync import (
     husimi_grid,
     husimi_normalization,
     husimi_reduced,
+    state_visibility,
     sync_measure_full,
     sync_measure_max,
     sync_measure_quadrature,
@@ -24,7 +26,14 @@ from spinsync import (
 )
 
 from conftest import doublet_coherent_density, random_density
-from oracles import CoherentStateSU4, coherent_state_sun, husimi_full
+from oracles import (
+    CoherentStateSU4,
+    coherent_state_sun,
+    grid_visibility_bound,
+    husimi_full,
+    mp_visibility,
+    state_visibility_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +354,49 @@ class TestVisibility:
         )
         with pytest.raises(ValueError):
             visibility(stacked)
+
+
+class TestStateVisibility:
+    def test_stack_gives_per_state_bits(self, rng):
+        states = np.stack([random_density(rng) for _ in range(6)])
+        stacked = state_visibility(states.reshape(2, 3, 4, 4), n_theta=16, n_phi=32)
+        assert stacked.shape == (2, 3)
+        for value, rho in zip(stacked.ravel(), states):
+            single = state_visibility(rho, n_theta=16, n_phi=32)
+            assert isinstance(single, float)
+            assert value == single
+
+    def test_agrees_with_grid_route(self, rng):
+        """Random states (contrast up to order one) on two grids, within
+        both routes' derived rounding bounds."""
+        for n_theta, n_phi in ((64, 128), (9, 13)):
+            for _ in range(5):
+                rho = random_density(rng)
+                value = state_visibility(rho, n_theta, n_phi)
+                grid = visibility(husimi_grid(rho, n_theta, n_phi))
+                bound = grid_visibility_bound(rho, n_theta, value) + value * (
+                    state_visibility_bound(rho, n_theta, n_phi)
+                )
+                assert abs(value - grid) <= bound
+
+    def test_matches_40_digit_profile(self, rng):
+        for _ in range(4):
+            rho = random_density(rng)
+            value = state_visibility(rho, 16, 32)
+            with mpmath.workdps(40):
+                exact = mp_visibility(rho, 16, 32)
+                error = float(abs(value - exact) / exact)
+            assert error <= state_visibility_bound(rho, 16, 32)
+
+    def test_diagonal_state_is_exactly_flat(self, config):
+        assert state_visibility(thermal_state(config)) == 0.0
+
+    def test_degenerate_state_rejected(self):
+        zero = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValueError, match="phase profile sums to zero"):
+            state_visibility(zero)
+        with pytest.raises(ValueError, match="phase profile sums to zero"):
+            state_visibility(np.stack([np.eye(4) / 4.0, zero]))
 
 
 class TestHaarQuadrature:
