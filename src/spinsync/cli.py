@@ -49,7 +49,7 @@ from .phasespace import (
     state_visibility,
     sync_measure_max,
 )
-from .system import DriveConfig, SpinSystemConfig, thermal_state
+from .system import DriveConfig, SpinSystemConfig, _checked_make, thermal_state
 
 _SYSTEM_KEYS = SpinSystemConfig._fields
 _DRIVE_KEYS = DriveConfig._fields
@@ -69,7 +69,7 @@ class RunConfig(namedtuple("RunConfig", "system drive n_theta n_phi seed")):
     immutable named tuple, equal and hashed by value."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(
         cls,

@@ -1,12 +1,14 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Sweeps take the
-generator's affine terms in real coordinates, built and mapped once per
-system and process, then solve or propagate one real stack per axis or
-tongue row with the engine's kernels; the drive series propagates all its
-durations as one stack.  Each cell equals the single-drive,
-single-duration result bit for bit.
+generator and reports phase-space observables.  Sweeps and the drive
+series take the generator's affine terms in real coordinates, built and
+mapped once per system and process, and hand them to the engine's
+kernels: the amplitude sweep solves one stack, the steady tongue one stack
+per row, and the drive series propagates all its durations as one stack.
+The propagated tongue evolves only the signal block's rows, in stacks of
+TONGUE_STACK_CELLS cells across rows, and reads rho42 alone.  Each cell
+equals the single-drive, single-duration result bit for bit.
 """
 
 from __future__ import annotations
@@ -18,14 +20,20 @@ import numpy as np
 
 from .liouville import (
     _propagate,
+    _real_start,
+    _signal_coherence,
     _steady_state,
     build_affine_liouvillian,
     build_liouvillian,
-    propagate,
     steady_state,
 )
-from .phasespace import husimi_grid, state_visibility, sync_measure_max
-from .system import DriveConfig, SpinSystemConfig, thermal_state
+from .phasespace import (
+    SYNC_COEFFICIENT,
+    husimi_grid,
+    state_visibility,
+    sync_measure_max,
+)
+from .system import DriveConfig, SpinSystemConfig, _checked_make, thermal_state
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 
@@ -35,6 +43,11 @@ AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
 ARNOLD_DURATION_S = 100.0
+# Cells per stack of the propagated tongue: the largest multiple of 8 whose
+# traced peak memory stays under that of one 41-cell row of 16x16
+# generators and density matrices (BENCH_18.json).  Larger stacks run
+# faster but raise the peak.
+TONGUE_STACK_CELLS = 56
 
 
 def log_axis(low: float, high: float, n: int) -> np.ndarray:
@@ -109,8 +122,8 @@ def run_drive_series(
     if any(t < 0.0 for t in durations) or sorted(durations) != durations:
         raise ValueError("durations must be non-negative and ascending")
     drive = DriveConfig(amplitude_hz=amplitude_hz, detuning_hz=detuning_hz)
-    liouville = build_liouvillian(config, drive)
-    states = propagate(liouville, thermal_state(config), np.array(durations))
+    g = build_affine_liouvillian(config)._real.at(drive.amplitude_hz, drive.detuning_hz)
+    states = _propagate(g, thermal_state(config), np.array(durations))
     contrasts = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     return [
         DriveSeriesPoint(
@@ -128,7 +141,7 @@ class SweepResult(namedtuple("SweepResult", "axes values observable metadata")):
     (name to values); ``metadata`` defaults to a new empty dict."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(
         cls,
@@ -201,8 +214,11 @@ def run_arnold_tongue(
     """Peak synchronization over an amplitude x detuning grid.
 
     Each cell drives the thermal state for ``duration_s`` (or solves for
-    the steady state) and records max_phi S = |rho42| / (16 pi^2).  Rows,
-    not the whole grid, are stacked to keep the working set small.
+    the steady state) and records max_phi S = |rho42| / (16 pi^2).  The
+    steady tongue solves one row per stack; the propagated one stacks
+    TONGUE_STACK_CELLS cells across rows, from the signal block's rows
+    alone, so its working set stays within that of one row of 16x16
+    generators and density matrices.
     """
     if omegas_hz is None and detunings_hz is None:
         omegas_hz, detunings_hz = default_arnold_grid()
@@ -213,16 +229,24 @@ def run_arnold_tongue(
         raise ValueError("detuning grid must be symmetric about zero")
     if duration_s <= 0.0 and not use_steady_state:
         raise ValueError("duration must be positive")
-    rho0 = thermal_state(config)
-    terms = build_affine_liouvillian(config)._real
-    values = np.empty((omegas.size, detunings.size))
-    for i, omega in enumerate(omegas):
-        row = terms.at(omega, detunings)
-        if use_steady_state:
-            states = _steady_state(row)[0]
-        else:
-            states = _propagate(row, rho0, duration_s)
-        values[i] = sync_measure_max(states)
+    terms = build_affine_liouvillian(config)
+    if use_steady_state:
+        values = np.empty((omegas.size, detunings.size))
+        for i, omega in enumerate(omegas):
+            values[i] = sync_measure_max(
+                _steady_state(terms._real.at(omega, detunings))[0]
+            )
+    else:
+        u0 = _real_start(thermal_state(config))[1]
+        size = omegas.size * detunings.size
+        values = np.empty(size)
+        for start in range(0, size, TONGUE_STACK_CELLS):
+            cells = np.arange(start, min(start + TONGUE_STACK_CELLS, size))
+            i, j = np.divmod(cells, detunings.size)
+            rows = terms._signal_rows.at(omegas[i], detunings[j])
+            re, im = _signal_coherence(rows, u0, duration_s)
+            values[cells] = SYNC_COEFFICIENT * np.hypot(re, im)
+        values = values.reshape(omegas.size, detunings.size)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=values,

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .phasespace import HUSIMI_PREFACTOR, HusimiGrid, grid_axes
-from .system import spin_operator
+from .system import _checked_make, spin_operator
 
 GATE_LABELS = ("pseudo-hadamard-F", "controlled-phase")
 
@@ -48,7 +48,7 @@ class Gate(namedtuple("Gate", "matrix label")):
     """A fixed 4x4 unitary of the readout circuit, with its label."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(cls, matrix: np.ndarray, label: str):
         if label not in GATE_LABELS:

@@ -13,8 +13,12 @@ other coherences.  The first block carries the signal and is evolved, or
 solved for, as the deviation from tr(rho) I/4 with rho11 eliminated, so
 the trace is exact.  The map is linear, so sweeps sum the three terms
 mapped once per system; one real kernel per operation serves them and
-the public functions.  The steady state needs no SVD, and ``_expm``, a
-stacked Pade-13, leaves NumPy the only dependency.
+the public functions.  One order-0 kernel, ``_evolve_signal``, evolves
+the signal block for ``_propagate`` and for the propagated tongue, which
+sums the terms' 7x8 signal-block rows, sliced once per system, and reads
+rho42 from two rows of the product: no 16x16 generator and no density
+matrix per cell.  The steady state needs no SVD, and ``_expm``, a stacked
+Pade-13, leaves NumPy the only dependency.
 """
 
 from __future__ import annotations
@@ -131,6 +135,12 @@ class AffineLiouvillian(
         bit for bit."""
         terms = (self.base, self.per_detuning, self.per_amplitude)
         return _read_only(*(_real_generator(term) for term in terms))
+
+    @cached_property
+    def _signal_rows(self) -> AffineLiouvillian:
+        """``_real``'s signal-block rows ``[..., _KEEP, :8]``, sliced once;
+        ``_signal_rows.at`` is those rows of ``_real.at``, bit for bit."""
+        return _read_only(*(term[_KEEP, :8] for term in self._real))
 
 
 def _read_only(*terms: np.ndarray) -> AffineLiouvillian:
@@ -311,22 +321,14 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
 def _propagate(g: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """:func:`propagate` under a generator (or stack) in real coordinates."""
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
-        raise ValueError("propagation time must be finite and non-negative")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
+    x0, u0 = _real_start(rho0)
     cells = np.broadcast_shapes(g.shape[:-2], t.shape)
     # cells kept at rho0 itself, which the deviation form would round
     still = np.broadcast_to(t == 0.0, cells)
     t = t[..., None, None]
-    x0 = (_TO_REAL @ vectorize(rho0)).view(float).reshape(16, 2)  # re, im
-    u0 = _DEVIATION @ x0[:8]
     trace = u0[7]
-    aug = np.zeros(g.shape[:-2] + (8, 8))
-    aug[..., :7, :] = g[..., _KEEP, :8] @ _AUGMENT
     x = np.zeros(cells + (16, 2))
-    x[..., _KEEP, :] = _expm(aug * t)[..., :7, :] @ u0
+    x[..., _KEEP, :] = _evolve_signal(g[..., _KEEP, :8], u0, t)
     x[..., :3, :] += 0.25 * trace
     x[..., 3, :] = trace - ((x[..., 0, :] + x[..., 1, :]) + x[..., 2, :])
     if x0[8:].any():
@@ -334,6 +336,40 @@ def _propagate(g: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     rho = devectorize(x.view(complex)[..., 0] @ _FROM_REAL.T)
     rho[still] = rho0
     return rho
+
+
+def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
+    """A 4x4 rho0's real coordinates as (16, 2) re and im columns, and the
+    order-0 block's start (y, tr) in deviation form."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (4, 4):
+        raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
+    x0 = (_TO_REAL @ vectorize(rho0)).view(float).reshape(16, 2)
+    return x0, _DEVIATION @ x0[:8]
+
+
+def _evolve_signal(rows: np.ndarray, u0: np.ndarray, t, out=slice(7)) -> np.ndarray:
+    """The order-0 block's deviation y after time t (broadcast against the
+    stack): rows ``out`` of e^{At} u0, where A is the augmented 8x8 generator
+    of each signal-block row stack ``g[..., _KEEP, :8]`` and u0 (y, tr) from
+    :func:`_real_start`.  Each cell's rows are those of its own full product,
+    bit for bit.  ValueError unless every t is finite and non-negative."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
+        raise ValueError("propagation time must be finite and non-negative")
+    aug = np.zeros(np.broadcast_shapes(rows.shape[:-2], t.shape[:-2]) + (8, 8))
+    aug[..., :7, :] = rows @ _AUGMENT
+    aug *= t
+    return _expm(aug)[..., out, :] @ u0
+
+
+def _signal_coherence(rows: np.ndarray, u0: np.ndarray, t) -> tuple:
+    """Re and Im of rho42 after time t under each generator of a stack of
+    signal-block rows, from only the rows of Re and Im rho42 (coordinates 4
+    and 5, y rows 3 and 4) of :func:`_evolve_signal`: the parts of
+    :func:`_propagate`'s ``rho[..., 0, 2]``, bit for bit."""
+    y = _evolve_signal(rows, u0, t, slice(3, 5))  # [Re, Im rho42] x [re, im]
+    return y[..., 0, 0] - y[..., 1, 1], y[..., 0, 1] + y[..., 1, 0]
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:

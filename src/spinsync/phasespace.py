@@ -25,6 +25,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .system import _checked_make
+
 # Q prefactor and max value; the flat state has Q = 6/pi^3 everywhere.
 HUSIMI_PREFACTOR = 24.0 / math.pi**3
 # phi-space density of a fully delocalized phase distribution.
@@ -64,7 +66,7 @@ class HusimiGrid(namedtuple("HusimiGrid", "thetas phis values")):
     len(phis))."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(cls, thetas: np.ndarray, phis: np.ndarray, values: np.ndarray):
         if values.shape[-2:] != (thetas.size, phis.size):

@@ -94,6 +94,17 @@ def default_purity_factors(
     return scale * gamma_p_hz_per_tesla, scale * gamma_f_hz_per_tesla
 
 
+@classmethod
+def _checked_make(cls, fields):
+    """``_make`` of a checked named tuple: the named tuple's own length
+    check (TypeError), then the constructor's checks, which ``_replace``
+    thereby runs too."""
+    fields = tuple(fields)
+    if len(fields) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
+    return cls(*fields)
+
+
 class SpinSystemConfig(namedtuple("SpinSystemConfig", (
     "j_coupling_hz", "offset_p_hz", "offset_f_hz", "t1_p_s", "t1_f_s",
     "epsilon_p", "epsilon_f", "field_tesla", "temperature_k",
@@ -109,7 +120,7 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(
         cls,
@@ -163,7 +174,7 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
     immutable named tuple, equal and hashed by value."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checks _replace too
+    _make = _checked_make
 
     def __new__(
         cls,

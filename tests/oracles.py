@@ -17,6 +17,8 @@ checkable:
   the broadcast assembly must reproduce bit for bit;
 * the singular values of a generator from its real blocks, which the
   steady state's certified degeneracy bound must never exceed;
+* the propagated Arnold tongue one row of density matrices at a time,
+  whose values the engine's cell stacks must reproduce bit for bit;
 * the per-value CSV writer, one ``format(x, ".17g")`` per cell, whose
   bytes the CLI's one-%-operation writers must reproduce;
 * 40-digit mpmath evaluations of the grid visibility and of the IMHD
@@ -40,6 +42,7 @@ from spinsync import (
     HUSIMI_PREFACTOR,
     AffineLiouvillian,
     DriveConfig,
+    build_affine_liouvillian,
     build_controlled_phase,
     build_jump_operators,
     build_pseudo_hadamard,
@@ -47,10 +50,12 @@ from spinsync import (
     drive_term,
     rotating_drift,
     spin_operator,
+    sync_measure_max,
+    thermal_state,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
 from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
-from spinsync.liouville import _SCALE
+from spinsync.liouville import _SCALE, _propagate
 from spinsync.phasespace import grid_axes
 
 # --- frame derivation ---------------------------------------------------------
@@ -398,7 +403,31 @@ def series_csv(points, rc) -> str:
     return csv_text(rc, "drive-series", columns, rows)
 
 
+# --- row-by-row propagated tongue ----------------------------------------------
+
+
+def propagated_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
+    """The propagated Arnold tongue one row at a time, as the engine once
+    computed it: each row's 16x16 real generators from the shared affine
+    terms, propagated to density matrices, then max-sync of each."""
+    rho0 = thermal_state(config)
+    terms = build_affine_liouvillian(config)._real
+    values = np.empty((len(omegas), len(detunings)))
+    for i, omega in enumerate(omegas):
+        row = terms.at(omega, np.asarray(detunings, dtype=float))
+        values[i] = sync_measure_max(_propagate(row, rho0, duration_s))
+    return values
+
+
 # --- 40-digit references and rounding bounds -------------------------------------
+
+# Bounds of the max-sync solvers against 40-digit references, as shares of
+# the tongue maximum: about 10x the worst error seen, on the tongue cells of
+# oracle_cells (tests/test_liouville.py) for the steady state (BENCH_10.json)
+# and on all 861 default-tongue cells and the 1e4 and 1e7 s limits for
+# propagation (4.1e-15, BENCH_11.json).
+STEADY_BOUND = 4e-15
+PROPAGATE_BOUND = 5e-14
 
 # Unit roundoff.  The bounds below take NumPy's float64 sin and cos (and
 # so exp of an imaginary argument), validated to 1 ulp, as off by 2 U.

@@ -46,6 +46,8 @@ from spinsync.liouville import (
 
 from conftest import random_density
 from oracles import (
+    PROPAGATE_BOUND,
+    STEADY_BOUND,
     build_reduced_rotating_hamiltonian,
     kron_affine_liouvillian,
     kron_l0,
@@ -414,6 +416,26 @@ class TestPropagate:
         for k, generator in enumerate(stack):
             np.testing.assert_array_equal(grid[1, k], propagate(generator, rho, 3.0))
 
+    def test_signal_coherence_matches_propagated_rho42(self, config, rng):
+        """The tongue's readout of rho42 from two rows of the signal block
+        equals _propagate's rho[..., 0, 2] bit for bit, also for a rho0 with
+        complex real coordinates (a non-Hermitian matrix), whose re and im
+        columns both feed rho42."""
+        terms = build_affine_liouvillian(config)
+        omegas, deltas = np.array([[0.01], [0.3], [5.0]]), np.array([-2.0, 0.0, 1.5])
+        rows = terms._signal_rows.at(omegas, deltas)
+        g = terms._real.at(omegas, deltas)
+        for rho0 in (
+            random_density(rng),
+            random_density(rng) + 0.1j * random_density(rng),
+        ):
+            u0 = liouville._real_start(rho0)[1]
+            for t in (0.05, 3.0, 100.0):
+                rho42 = liouville._propagate(g, rho0, t)[..., 0, 2]
+                re, im = liouville._signal_coherence(rows, u0, t)
+                np.testing.assert_array_equal(re, rho42.real)
+                np.testing.assert_array_equal(im, rho42.imag)
+
     def test_both_blocks_match_full_expm(self, config, rng):
         """Random densities have support on both coherence-order blocks;
         the engine matches expm of the 16x16 generator.  Each side's expm
@@ -734,14 +756,6 @@ class TestSteadyState:
         np.testing.assert_array_equal(states, states.conj().swapaxes(-1, -2))
         for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
             assert not states[..., i, j].any()
-
-
-# Oracle bounds, as shares of the tongue maximum: about 10x the worst
-# error seen, on the tongue cells of oracle_cells for the steady state
-# (BENCH_10.json) and on all 861 default-tongue cells and the 1e4 and 1e7 s
-# limits for propagation (4.1e-15, BENCH_11.json).
-STEADY_BOUND = 4e-15
-PROPAGATE_BOUND = 5e-14
 
 
 @pytest.fixture(scope="module")

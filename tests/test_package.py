@@ -316,6 +316,21 @@ def test_replace_and_make_run_the_constructor_checks(name, change, message):
         type(record)._make({**record._asdict(), **change}.values())
 
 
+@pytest.mark.parametrize("name", [
+    "SpinSystemConfig", "DriveConfig", "RunConfig", "HusimiGrid", "Gate",
+    "SweepResult",
+])
+def test_make_rejects_a_short_or_long_sequence(name):
+    """Like a plain named tuple's ``_make``: a sequence of the wrong length
+    raises TypeError, and is not completed with the constructor's defaults."""
+    record = checked_record(name)
+    n = len(record)
+    for fields in (tuple(record)[:1], tuple(record) + (None,)):
+        message = f"Expected {n} arguments, got {len(fields)}"
+        with pytest.raises(TypeError, match=message):
+            type(record)._make(fields)
+
+
 def test_replace_keeps_resolved_system_fields():
     """_replace takes the resolved offset and purity factors as given; the
     constructor derives them from the new fields."""
