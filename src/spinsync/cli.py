@@ -34,6 +34,7 @@ from .experiments import (
     ARNOLD_DURATION_S,
     ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
+    _steady_state_at,
     calibrate_drive,
     log_axis,
     run_amplitude_sweep,
@@ -41,7 +42,7 @@ from .experiments import (
     run_drive_series,
 )
 from .imhd import VARIANTS, imhd_scan, leakage_bound
-from .liouville import build_liouvillian, propagate, steady_state
+from .liouville import _propagate, build_affine_liouvillian
 from .phasespace import (
     HUSIMI_PREFACTOR,
     HusimiGrid,
@@ -286,10 +287,14 @@ def _omega_axis(args) -> np.ndarray:
 
 
 def _prepared_state(rc: RunConfig, drive: DriveConfig, use_steady: bool):
-    liouville = build_liouvillian(rc.system, drive)
+    """The steady state, or the thermal state driven for the drive's
+    duration, from the system's shared real terms."""
     if use_steady:
-        return steady_state(liouville)
-    return propagate(liouville, thermal_state(rc.system), drive.duration_s)
+        return _steady_state_at(rc.system, drive)
+    g = build_affine_liouvillian(rc.system)._real.at(
+        drive.amplitude_hz, drive.detuning_hz
+    )
+    return _propagate(g, thermal_state(rc.system), drive.duration_s)
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -302,7 +307,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _cmd_steady(rc: RunConfig, args):
-    rho = steady_state(build_liouvillian(rc.system, _drive_from_args(rc, args)))
+    rho = _prepared_state(rc, _drive_from_args(rc, args), use_steady=True)
     report = _report(
         "density-matrix", rc, basis=BASIS_DESCRIPTION,
         real=rho.real.tolist(), imag=rho.imag.tolist(),

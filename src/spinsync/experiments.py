@@ -1,14 +1,16 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Sweeps and the drive
-series take the generator's affine terms in real coordinates, built and
-mapped once per system and process, and hand them to the engine's
-kernels: the amplitude sweep solves one stack, the steady tongue one stack
-per row, and the drive series propagates all its durations as one stack.
-The propagated tongue evolves only the signal block's rows, in stacks of
-TONGUE_STACK_CELLS cells across rows, and reads rho42 alone.  Each cell
-equals the single-drive, single-duration result bit for bit.
+generator and reports phase-space observables.  Sweeps, the drive series
+and single steady states (the limit cycle and the CLI's jobs) take the
+generator's affine terms in real coordinates, built and mapped once per
+system and process, with the system's steady-state floor (computed once,
+from the dissipation), and hand them to the engine's kernels: the
+amplitude sweep solves one stack and the drive series propagates all its
+durations as one stack.  Both tongues work on the signal block alone, in
+stacks of TONGUE_STACK_CELLS cells across rows, and read rho42 alone: the
+propagated one evolves the block's rows, the steady one solves the block.
+Each cell equals the single-drive, single-duration result bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .liouville import (
     _propagate,
     _real_start,
     _signal_coherence,
+    _steady_signal,
     _steady_state,
     build_affine_liouvillian,
-    build_liouvillian,
-    steady_state,
 )
 from .phasespace import (
     SYNC_COEFFICIENT,
@@ -43,10 +44,11 @@ AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
 ARNOLD_DURATION_S = 100.0
-# Cells per stack of the propagated tongue: the largest multiple of 8 whose
-# traced peak memory stays under that of one 41-cell row of 16x16
-# generators and density matrices (BENCH_18.json).  Larger stacks run
-# faster but raise the peak.
+# Cells per stack of both tongues: for the propagated one, the largest
+# multiple of 8 whose traced peak memory stays under that of one 41-cell
+# row of 16x16 generators and density matrices (BENCH_18.json); the steady
+# one, with smaller blocks per cell, stays under its row loop's peak too
+# (BENCH_19.json).  Larger stacks run faster but raise the peak.
 TONGUE_STACK_CELLS = 56
 
 
@@ -70,6 +72,17 @@ def default_arnold_grid(
     )
 
 
+def _steady_state_at(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
+    """The steady state of a configured system at one drive, from the
+    system's shared real terms and cached floor: no 16x16 complex generator
+    is built, mapped or checked."""
+    terms = build_affine_liouvillian(config)
+    amplitude, detuning = drive.amplitude_hz, drive.detuning_hz
+    return _steady_state(
+        terms._real.at(amplitude, detuning), terms._floor.at(amplitude, detuning)
+    )[0]
+
+
 class LimitCycleResult(
     namedtuple("LimitCycleResult", "state grid visibility max_sync")
 ):
@@ -86,8 +99,7 @@ def run_limit_cycle(
     Raises if the computed visibility is not numerically negligible,
     since any contrast here would mean a spurious phase preference.
     """
-    drive = DriveConfig(amplitude_hz=0.0)
-    rho = steady_state(build_liouvillian(config, drive))
+    rho = _steady_state_at(config, DriveConfig(amplitude_hz=0.0))
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
     if vis >= 1e-8:
@@ -188,7 +200,8 @@ def run_amplitude_sweep(
     """
     omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
     omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
-    states = _steady_state(build_affine_liouvillian(config)._real.at(omegas))[0]
+    terms = build_affine_liouvillian(config)
+    states = _steady_state(terms._real.at(omegas), terms._floor.at(omegas))[0]
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -214,11 +227,13 @@ def run_arnold_tongue(
     """Peak synchronization over an amplitude x detuning grid.
 
     Each cell drives the thermal state for ``duration_s`` (or solves for
-    the steady state) and records max_phi S = |rho42| / (16 pi^2).  The
-    steady tongue solves one row per stack; the propagated one stacks
-    TONGUE_STACK_CELLS cells across rows, from the signal block's rows
-    alone, so its working set stays within that of one row of 16x16
-    generators and density matrices.
+    the steady state) and records max_phi S = |rho42| / (16 pi^2).  Both
+    tongues stack TONGUE_STACK_CELLS cells across rows and build no 16x16
+    generator and no density matrix: the propagated one evolves the signal
+    block's rows, the steady one solves the order-0 block, its uniqueness
+    certified by the system's floor and ||L||_F from the two 8x8 blocks.
+    So the working set stays within that of one row of 16x16 generators
+    and density matrices.
     """
     if omegas_hz is None and detunings_hz is None:
         omegas_hz, detunings_hz = default_arnold_grid()
@@ -231,25 +246,31 @@ def run_arnold_tongue(
         raise ValueError("duration must be positive")
     terms = build_affine_liouvillian(config)
     if use_steady_state:
-        values = np.empty((omegas.size, detunings.size))
-        for i, omega in enumerate(omegas):
-            values[i] = sync_measure_max(
-                _steady_state(terms._real.at(omega, detunings))[0]
-            )
+        (order_zero, order_one), floor = terms._blocks, terms._floor
+
+        def coherence(i, j):
+            omega, delta = omegas[i], detunings[j]
+            x = _steady_signal(
+                order_zero.at(omega, delta), order_one.at(omega, delta),
+                floor.at(omega, delta), (i, j),
+            )[0]
+            return x[..., 4], x[..., 5]  # Re and Im rho42
     else:
         u0 = _real_start(thermal_state(config))[1]
-        size = omegas.size * detunings.size
-        values = np.empty(size)
-        for start in range(0, size, TONGUE_STACK_CELLS):
-            cells = np.arange(start, min(start + TONGUE_STACK_CELLS, size))
-            i, j = np.divmod(cells, detunings.size)
+
+        def coherence(i, j):
             rows = terms._signal_rows.at(omegas[i], detunings[j])
-            re, im = _signal_coherence(rows, u0, duration_s)
-            values[cells] = SYNC_COEFFICIENT * np.hypot(re, im)
-        values = values.reshape(omegas.size, detunings.size)
+            return _signal_coherence(rows, u0, duration_s)
+
+    size = omegas.size * detunings.size
+    values = np.empty(size)
+    for start in range(0, size, TONGUE_STACK_CELLS):
+        cells = np.arange(start, min(start + TONGUE_STACK_CELLS, size))
+        re, im = coherence(*np.divmod(cells, detunings.size))
+        values[cells] = SYNC_COEFFICIENT * np.hypot(re, im)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
-        values=values,
+        values=values.reshape(omegas.size, detunings.size),
         observable="max-sync",
         metadata={"duration_s": duration_s, "steady_state": use_steady_state},
     )

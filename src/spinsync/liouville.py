@@ -17,8 +17,20 @@ the public functions.  One order-0 kernel, ``_evolve_signal``, evolves
 the signal block for ``_propagate`` and for the propagated tongue, which
 sums the terms' 7x8 signal-block rows, sliced once per system, and reads
 rho42 from two rows of the product: no 16x16 generator and no density
-matrix per cell.  The steady state needs no SVD, and ``_expm``, a stacked
-Pade-13, leaves NumPy the only dependency.
+matrix per cell.  One order-0 steady kernel, ``_steady_signal``, likewise
+solves the signal block for ``_steady_state`` and for the steady tongue.
+
+The steady state needs no SVD to be certified unique.  In the unitarily
+scaled real coordinates M, the field of values gives ||M x|| >= -x^T
+sym(M) x for a unit x, and every eigenvector of a non-zero eigenvalue is
+traceless (tr is a left null vector), so Courant-Fischer on the
+15-dimensional traceless subspace gives sigma_-2 >= the least eigenvalue
+of -sym(M) there: a floor that depends only on the symmetric part.  The
+drive terms are exactly skew in those coordinates, so a system's floor
+comes from its dissipator once, with a derived allowance for rounding,
+and holds at every drive.  Only a cell it cannot certify inverts its
+blocks, for the bound the solver used before the floor.  ``_expm``, a
+stacked Pade-13, leaves NumPy the only dependency.
 """
 
 from __future__ import annotations
@@ -142,6 +154,48 @@ class AffineLiouvillian(
         ``_signal_rows.at`` is those rows of ``_real.at``, bit for bit."""
         return _read_only(*(term[_KEEP, :8] for term in self._real))
 
+    @cached_property
+    def _blocks(self) -> tuple[AffineLiouvillian, AffineLiouvillian]:
+        """``_real``'s order-0 and order +-1 blocks, sliced once; ``.at`` of
+        each is that block of ``_real.at``, bit for bit."""
+        return tuple(
+            _read_only(*(term[block, block].copy() for term in self._real))
+            for block in (slice(8), slice(8, 16))
+        )
+
+    @cached_property
+    def _floor(self) -> SteadyFloor:
+        """A floor on sigma_-2 of ``_real.at`` at every drive, computed once
+        from the terms' symmetric parts: the base term's least eigenvalue of
+        -sym on the traceless coordinates, less each drive term's ||sym||_2
+        per Hz (0 for a term that is exactly skew, as both are here), less
+        the allowances for eigvalsh and for the rounding of ``at``'s sum."""
+        terms = np.stack(self._real)
+        least, spread, frobenius = _decay_spectra(terms)
+        size = np.sqrt(np.einsum("kij,ij,kij->k", terms, _NORM_WEIGHT, terms))
+        slack = _EIGEN_SLACK * frobenius + _SUM_SLACK * size
+        return SteadyFloor(
+            float(least[0].min() - slack[0]),
+            float(spread[1] + slack[1]),
+            float(spread[2] + slack[2]),
+        )
+
+
+class SteadyFloor(namedtuple("SteadyFloor", "base per_detuning per_amplitude")):
+    """A lower bound on sigma_-2 of L(Omega, delta) at every drive:
+    base - |delta| per_detuning - |Omega| per_amplitude, in s^-1."""
+
+    __slots__ = ()
+
+    def at(self, amplitude_hz, detuning_hz=0.0):
+        """The floor for a drive in Hz; array drives give an array.  Its own
+        rounding, a few ulp of base, sits far inside the eigvalsh allowance."""
+        return (
+            self.base
+            - np.abs(detuning_hz) * self.per_detuning
+            - np.abs(amplitude_hz) * self.per_amplitude
+        )
+
 
 def _read_only(*terms: np.ndarray) -> AffineLiouvillian:
     for term in terms:
@@ -220,6 +274,32 @@ _DEVIATION[7, :4] = 1.0
 # are those of the generator scaled by s_i / s_j.
 _SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0))
 _NORM_WEIGHT = (_SCALE[:, None] / _SCALE) ** 2  # ||L||_F^2 = sum W g^2
+# sym(M) of the scaled order-0 block M = S G S^-1, entry by entry, is
+# _SYM_RATIO (G + _SYM_SQUARE G^T) / 2 with _SYM_SQUARE = (S_j / S_i)^2, a
+# power of 2: a term exactly skew in the scaled coordinates (S_i^2 G_ij =
+# -S_j^2 G_ji) has a symmetric part of exact zeros.  The order +-1 block is
+# scaled uniformly, so sym(B) is (B + B^T) / 2.
+_SYM_RATIO = (_SCALE[:, None] / _SCALE)[:8, :8]
+_SCALE_SQUARED = np.where(np.arange(8) < 4, 1.0, 2.0)  # exactly
+_SYM_SQUARE = _SCALE_SQUARED / _SCALE_SQUARED[:, None]
+# The columns other than 3 of the reflection I - 2 w w^T, w = (1, 1, 1, -1,
+# 0, 0, 0, 0) / 2, which maps the unit trace direction (1, 1, 1, 1, 0, 0, 0,
+# 0) / 2 to coordinate 3: an orthonormal basis of the traceless order-0
+# coordinates, with exact entries 0, +-1/2 and 1.
+_REFLECT = np.array([1.0, 1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])  # 2 w
+_TRACELESS = np.delete(np.eye(8) - 0.5 * np.outer(_REFLECT, _REFLECT), 3, axis=1)
+_EPS = np.finfo(float).eps
+# Rounding allowances of the floor, per unit of a Frobenius norm.  Forming
+# -sym and projecting it (|entries| of the basis sum to 2 per column) moves
+# each eigenvalue by at most 4 (3 + 2 8) u ||H||_F = 76 u, and eigvalsh, being
+# backward stable, by at most p(n) u ||H||_2, with p(n) = n^2 = 64 taken
+# generously: 140 u = 70 eps in all, 128 eps allowed.
+_EIGEN_SLACK = 128 * _EPS
+# Summing a cell in ``at``'s order rounds each entry of base + delta D +
+# Omega A by at most gamma_3 < 2 eps times |base| + |delta D| + |Omega A|, so
+# by Weyl sigma_-2 moves by at most 2 eps (||base|| + |delta| ||D|| + |Omega|
+# ||A||) in the scaled Frobenius norm.
+_SUM_SLACK = 2 * _EPS
 
 
 def _real_generator(l_total: np.ndarray) -> np.ndarray:
@@ -378,15 +458,48 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     In propagate's real coordinates and deviation form, with tr(rho) = 1,
     the order-0 block gives 7 equations A y = b (the redundant rho11 row
     dropped): the trace is exact up to one rounding, rho exactly Hermitian,
-    and the order +-1 coherences, whose block B must be regular, exactly 0.
-    Raises LinAlgError, naming a stack's worst cell, if sigma_-2 / sigma_0 <
-    DEGENERACY_RATIO or ||L vec(rho)|| > RESIDUAL_RTOL ||L||_2, checked
-    without an SVD on bounds that are never looser: in unitarily scaled
-    coordinates, Courant-Fischer on the deviation embedding (2-norm 2)
-    gives sigma_-2 >= min(sigma_min(A) / 2, sigma_min(B)), sigma_min(M) >=
-    1 / ||M^-1||_F, sigma_0 <= ||L||_F and ||L||_F / 4 <= ||L||_2.
+    and the order +-1 coherences exactly 0.  Raises LinAlgError, naming a
+    stack's worst cell, if sigma_-2 / sigma_0 < DEGENERACY_RATIO or ||L
+    vec(rho)|| > RESIDUAL_RTOL ||L||_2, checked without an SVD on bounds
+    that are never looser: sigma_-2 >= the least eigenvalue of -sym(L) on
+    the traceless subspace, in unitarily scaled coordinates (the module
+    docstring), less a rounding allowance; sigma_0 <= ||L||_F and ||L||_F /
+    4 <= ||L||_2.  That floor depends on the dissipation alone (for this
+    model it is 2 pi / max(T1P, T1F) to 2e-5) while ||L||_F grows with the
+    drive: with the default J = 868 Hz it certifies the undriven state
+    while max(T1P, T1F) <= 5.76e4 s (about 5.0e7 s Hz / J), and no drive
+    beyond, and drives up to 1 kHz while max(T1P, T1F) <= 3.0e4 s.  A cell
+    it cannot certify falls back
+    to the bound from the blocks' inverses, min(sigma_min(A) / 2,
+    sigma_min(B)) with sigma_min(M) >= 1 / ||M^-1||_F (Courant-Fischer on
+    the deviation embedding, of 2-norm 2), which certifies strongly driven
+    cells of slowly relaxing systems; a cell is rejected only if both fail.
     """
-    return _steady_state(_real_generator(np.asarray(liouvillian, dtype=complex)))[0]
+    g = _real_generator(np.asarray(liouvillian, dtype=complex))
+    return _steady_state(g, _generator_floor(g))[0]
+
+
+def _decay_spectra(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each real generator of a stack, in unitarily scaled coordinates:
+    the least eigenvalues of -sym on the traceless order-0 coordinates and
+    on the order +-1 block, (..., 2), the largest |eigenvalue| of both, and
+    the Frobenius norm of the two projected parts together."""
+    g0, b = g[..., :8, :8], g[..., 8:, 8:]
+    h0 = -0.5 * _SYM_RATIO * (g0 + _SYM_SQUARE * g0.swapaxes(-1, -2))
+    h0 = _TRACELESS.T @ h0 @ _TRACELESS
+    hb = -0.5 * (b + b.swapaxes(-1, -2))
+    e0, eb = np.linalg.eigvalsh(h0), np.linalg.eigvalsh(hb)
+    frobenius = np.sqrt((h0 * h0).sum(axis=(-2, -1)) + (hb * hb).sum(axis=(-2, -1)))
+    least = np.stack([e0[..., 0], eb[..., 0]], axis=-1)
+    spread = np.maximum(np.abs(e0).max(axis=-1), np.abs(eb).max(axis=-1))
+    return least, spread, frobenius
+
+
+def _generator_floor(g: np.ndarray) -> np.ndarray:
+    """The floor on sigma_-2 of each real generator of a stack, from its
+    own symmetric part, less the eigvalsh allowance."""
+    least, _, frobenius = _decay_spectra(g)
+    return least.min(axis=-1) - _EIGEN_SLACK * frobenius
 
 
 def _residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -398,39 +511,82 @@ def _residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _steady_state(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`steady_state` of a real generator (or stack), with each cell's
-    bound on sigma_-2 / sigma_0 and residual ||L vec(rho)||."""
-    aug = g[..., _KEEP, :8] @ _AUGMENT  # d/dt y = aug (y, tr)
-    a, b = aug[..., :7], g[..., 8:, 8:]
-    norm = np.sqrt(np.einsum("...ij,ij,...ij->...", g, _NORM_WEIGHT, g))  # ||L||_F
-    try:  # the state from its own 1-column solve, for the same bits
-        y = np.linalg.solve(a, -aug[..., 7:])[..., 0]  # tr = 1
-        ratio = np.minimum(
-            0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
-            1.0 / np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)),
-        ) / norm
-    except np.linalg.LinAlgError:  # an exact zero pivot fails the stack
-        # det multiplies the same LU's pivots, so it is 0 in that cell
-        ratio = np.minimum(np.abs(np.linalg.det(a)), np.abs(np.linalg.det(b)))
-    if not np.all(ratio >= DEGENERACY_RATIO):  # NaN fails too
-        _, note = _worst_cell(-ratio)
-        raise np.linalg.LinAlgError(
-            "stationary subspace is degenerate; steady state ambiguous" + note
-        )
-    x = np.zeros(g.shape[:-2] + (16,))
+def _inverse_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(sigma_min(A) / 2, sigma_min(B)) <= sigma_-2 from the blocks'
+    inverses, sigma_min(M) >= 1 / ||M^-1||_F, for the deviation matrices A
+    (..., 7, 7) and order +-1 blocks B of a stack; LinAlgError if a block is
+    exactly singular."""
+    return np.minimum(
+        0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
+        1.0 / np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)),
+    )
+
+
+def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
+    """The steady state's order-0 coordinates x (..., 8), tr = 1, for a
+    stack of real generators' order-0 blocks g0 and order +-1 blocks b,
+    whose sigma_-2 is at least ``floor`` (broadcast against the stack);
+    with each cell's certified ratio and residual ||L vec(rho)||.  The
+    ratio is floor / ||L||_F, raised in the cells where that falls short of
+    DEGENERACY_RATIO to :func:`_inverse_bound` / ||L||_F if larger, so
+    certified cells invert nothing.  LinAlgError, naming the worst cell,
+    unless every ratio is >= DEGENERACY_RATIO and every residual <=
+    RESIDUAL_RTOL ||L||_F / 4; ``cells``, index arrays of a flat stack's
+    cells in a grid, name it there.  A certified ratio > 0 leaves no
+    traceless null vector, so A is regular."""
+
+    def worst(severity):
+        cell, note = _worst_cell(severity)
+        if cells is not None:
+            note = f" (worst cell {tuple(int(axis[cell]) for axis in cells)})"
+        return cell, note
+
+    norm = np.sqrt(  # ||L||_F: the blocks between are exactly 0
+        np.einsum("...ij,ij,...ij->...", g0, _NORM_WEIGHT[:8, :8], g0)
+        + np.einsum("...ij,...ij->...", b, b)
+    )
+    aug = g0[..., _KEEP, :] @ _AUGMENT  # d/dt y = aug (y, tr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 fails below
+        ratio = floor / norm
+        if not np.all(ratio >= DEGENERACY_RATIO):  # NaN is weak too
+            ratio = np.array(np.broadcast_to(ratio, np.shape(norm)))
+            weak = ~(ratio >= DEGENERACY_RATIO)
+            try:
+                inverse = _inverse_bound(aug[..., :7][weak], b[weak])
+                ratio[weak] = np.fmax(ratio[weak], inverse / norm[weak])
+            except np.linalg.LinAlgError:  # an exactly singular block
+                pass
+            if not np.all(ratio >= DEGENERACY_RATIO):
+                _, note = worst(-ratio)
+                raise np.linalg.LinAlgError(
+                    "stationary subspace is degenerate; steady state ambiguous"
+                    + note
+                )
+    # the state from its own 1-column solve, for the same bits
+    y = np.linalg.solve(aug[..., :7], -aug[..., 7:])[..., 0]  # tr = 1
+    x = np.empty(y.shape[:-1] + (8,))
     x[..., _KEEP] = y
     x[..., :3] += 0.25
     x[..., 3] = 1.0 - ((x[..., 0] + x[..., 1]) + x[..., 2])
-    residual = _residual(g, x)
+    residual = _residual(g0, x)
     bound = RESIDUAL_RTOL / 4 * norm
     if not np.all(residual <= bound):
-        cell, note = _worst_cell(residual / bound)
+        cell, note = worst(residual / bound)
         raise np.linalg.LinAlgError(
             f"steady-state residual {residual[cell]:.3e} exceeds {bound[cell]:.3e}"
             + note
         )
-    return devectorize(x @ _FROM_REAL.T), ratio, residual
+    return x, ratio, residual
+
+
+def _steady_state(g: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`steady_state` of a real generator (or stack) whose sigma_-2 is
+    at least ``floor`` (broadcast against the stack), from
+    :func:`_steady_signal`, with each cell's ratio and residual."""
+    x, ratio, residual = _steady_signal(g[..., :8, :8], g[..., 8:, 8:], floor)
+    full = np.zeros(x.shape[:-1] + (16,))
+    full[..., :8] = x
+    return devectorize(full @ _FROM_REAL.T), ratio, residual
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

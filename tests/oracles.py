@@ -17,13 +17,17 @@ checkable:
   the broadcast assembly must reproduce bit for bit;
 * the singular values of a generator from its real blocks, which the
   steady state's certified degeneracy bound must never exceed;
-* the propagated Arnold tongue one row of density matrices at a time,
-  whose values the engine's cell stacks must reproduce bit for bit;
+* the steady state's earlier degeneracy bound from the inverses of both
+  blocks, which the dissipator floor must never certify less than;
+* the propagated and the steady Arnold tongue one row of density matrices
+  at a time, whose values the engine's cell stacks must reproduce bit for
+  bit;
 * the per-value CSV writer, one ``format(x, ".17g")`` per cell, whose
   bytes the CLI's one-%-operation writers must reproduce;
-* 40-digit mpmath evaluations of the grid visibility and of the IMHD
-  reconstruction, with first-order rounding bounds for the double
-  precision routes (``U`` is the unit roundoff 2^-53).
+* 40-digit mpmath evaluations of the grid visibility, of the IMHD
+  reconstruction and of the steady-state floor's eigenvalues, with
+  first-order rounding bounds for the double precision routes (``U`` is
+  the unit roundoff 2^-53).
 
 Matrices are in rad/s unless stated otherwise.
 """
@@ -50,12 +54,13 @@ from spinsync import (
     drive_term,
     rotating_drift,
     spin_operator,
+    steady_state,
     sync_measure_max,
     thermal_state,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
 from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
-from spinsync.liouville import _SCALE, _propagate
+from spinsync.liouville import _AUGMENT, _KEEP, _NORM_WEIGHT, _SCALE, _propagate
 from spinsync.phasespace import grid_axes
 
 # --- frame derivation ---------------------------------------------------------
@@ -356,6 +361,46 @@ def singular_values(g: np.ndarray) -> np.ndarray:
     return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]
 
 
+def inverse_degeneracy_bound(g: np.ndarray) -> np.ndarray:
+    """The steady state's earlier certified bound on sigma_-2 / sigma_0 of a
+    real generator (or stack): min(1 / (2 ||A^-1||_F), 1 / ||B^-1||_F) /
+    ||L||_F, with A the signal block's 7x7 deviation matrix and B the order
+    +-1 block (Courant-Fischer on the deviation embedding, of 2-norm 2, and
+    sigma_min(M) >= 1 / ||M^-1||_F)."""
+    a = (g[..., _KEEP, :8] @ _AUGMENT)[..., :7]
+    norm = np.sqrt(np.einsum("...ij,ij,...ij->...", g, _NORM_WEIGHT, g))
+    return np.minimum(
+        0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
+        1.0 / np.linalg.norm(np.linalg.inv(g[..., 8:, 8:]), axis=(-2, -1)),
+    ) / norm
+
+
+def mp_decay_floor(g: np.ndarray) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The least eigenvalues of -sym of a real generator's order-0 block on
+    the traceless coordinates and of its order +-1 block, in the unitarily
+    scaled coordinates, by 40-digit ``mpmath.eigsy`` of the exact matrices.
+    The traceless basis is Helmert's (1, -1, 0, 0) / sqrt 2, (1, 1, -2, 0) /
+    sqrt 6, (1, 1, 1, -3) / sqrt 12 on the populations, and the coherences."""
+    with mpmath.workdps(40):
+        scale = [mpmath.mpf(1)] * 4 + [mpmath.sqrt(2)] * 12
+        m = mpmath.matrix(16, 16)
+        for i in range(16):
+            for j in range(16):
+                m[i, j] = scale[i] * mpmath.mpf(float(g[i, j])) / scale[j]
+        h = -(m + m.T) / 2
+        basis = mpmath.matrix(8, 7)
+        for k in range(3):
+            norm = mpmath.sqrt((k + 1) * (k + 2))
+            for i in range(k + 1):
+                basis[i, k] = 1 / norm
+            basis[k + 1, k] = -(k + 1) / norm
+        for k in range(4):
+            basis[4 + k, 3 + k] = 1
+        h0 = basis.T * h[0:8, 0:8] * basis
+        blocks = (h0, h[8:16, 8:16])
+        return tuple(min(mpmath.eigsy(b, eigvals_only=True)) for b in blocks)
+
+
 # --- per-value CSV writer -------------------------------------------------------
 
 
@@ -416,6 +461,18 @@ def propagated_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
     for i, omega in enumerate(omegas):
         row = terms.at(omega, np.asarray(detunings, dtype=float))
         values[i] = sync_measure_max(_propagate(row, rho0, duration_s))
+    return values
+
+
+def steady_tongue_rows(config, omegas, detunings) -> np.ndarray:
+    """The steady Arnold tongue one row at a time, as the engine once
+    computed it: each row's 16x16 generators from the shared affine terms,
+    solved to density matrices by ``steady_state``, then max-sync of each."""
+    terms = build_affine_liouvillian(config)
+    values = np.empty((len(omegas), len(detunings)))
+    for i, omega in enumerate(omegas):
+        row = terms.at(omega, np.asarray(detunings, dtype=float))
+        values[i] = sync_measure_max(steady_state(row))
     return values
 
 

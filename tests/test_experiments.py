@@ -1,5 +1,6 @@
 """Experiment orchestration: limit cycle, drive series, sweeps, calibration."""
 
+import json
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from spinsync.experiments import (
     default_amplitude_grid,
     default_arnold_grid,
 )
-from spinsync import experiments, liouville, phasespace
+from spinsync import cli, experiments, liouville, phasespace
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
@@ -43,6 +44,7 @@ from oracles import (
     mp_visibility,
     propagated_tongue_rows,
     state_visibility_bound,
+    steady_tongue_rows,
 )
 
 
@@ -385,20 +387,23 @@ class TestArnoldTongue:
         np.testing.assert_allclose(detunings + detunings[::-1], 0.0, atol=1e-12)
 
 
+TONGUE_GRIDS = pytest.mark.parametrize(
+    "omegas, detunings",
+    [
+        default_arnold_grid(),  # stacks split rows
+        ([0.1], [0.0]),
+        (np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)),
+    ],
+    ids=["default", "one-cell", "strong-wide"],
+)
+
+
 class TestTongueStacks:
-    """The propagated tongue stacks cells across rows, TONGUE_STACK_CELLS at
-    a time, and reads Re and Im rho42 from the order-0 block alone."""
+    """Both tongues stack cells across rows, TONGUE_STACK_CELLS at a time,
+    and read Re and Im rho42 from the order-0 block alone."""
 
     @pytest.mark.parametrize("duration_s", [0.05, 3.0, 100.0])
-    @pytest.mark.parametrize(
-        "omegas, detunings",
-        [
-            default_arnold_grid(),  # stacks split rows
-            ([0.1], [0.0]),
-            (np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)),
-        ],
-        ids=["default", "one-cell", "strong-wide"],
-    )
+    @TONGUE_GRIDS
     def test_bits_match_row_loop_oracle(self, config, omegas, detunings, duration_s):
         values = run_arnold_tongue(
             config, omegas_hz=omegas, detunings_hz=detunings, duration_s=duration_s
@@ -406,9 +411,24 @@ class TestTongueStacks:
         expected = propagated_tongue_rows(config, omegas, detunings, duration_s)
         np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "system",
+        [{}, {"j_coupling_hz": 217.0}, {"t1_p_s": 7.0}],
+        ids=["default", "J217", "T1P7"],
+    )
+    @TONGUE_GRIDS
+    def test_steady_bits_match_row_loop_oracle(self, system, omegas, detunings):
+        config = SpinSystemConfig(**system)
+        values = run_arnold_tongue(
+            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+        ).values
+        expected = steady_tongue_rows(config, omegas, detunings)
+        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
     def test_builds_no_generator_stack_or_density_matrix(self, config, monkeypatch):
         """No 16x16 generator (real or complex) and no density matrix is
-        built per cell; the steady tongue shows the patches bite."""
+        built per cell by either tongue; the amplitude sweep, which solves
+        for states, shows that the patches bite."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a density matrix was built")
@@ -423,45 +443,67 @@ class TestTongueStacks:
         monkeypatch.setattr(liouville, "devectorize", refuse)
         monkeypatch.setattr(liouville.AffineLiouvillian, "at", rows_only)
         assert run_arnold_tongue(config).values.shape == (21, 41)
+        tongue = run_arnold_tongue(config, use_steady_state=True)
+        assert tongue.values.shape == (21, 41)
         with pytest.raises(AssertionError, match="16x16 generator"):
-            run_arnold_tongue(config, use_steady_state=True)
+            run_amplitude_sweep(config, n_theta=8, n_phi=8)
         monkeypatch.setattr(liouville.AffineLiouvillian, "at", at)
         with pytest.raises(AssertionError, match="density matrix"):
-            run_arnold_tongue(config, use_steady_state=True)
+            run_amplitude_sweep(config, n_theta=8, n_phi=8)
 
     def test_peak_memory_within_row_loop(self, config):
         """The stacks keep the traced peak memory of the default tongue at
         or below that of the row-by-row oracle."""
         omegas, detunings = default_arnold_grid()
-        peaks = []
-        for run in (
+        assert_peak_within(
             lambda: run_arnold_tongue(config),
             lambda: propagated_tongue_rows(config, omegas, detunings, 100.0),
-        ):
-            run()  # shared terms and lazy imports outside the trace
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= peaks[1], peaks
+        )
+
+    def test_steady_peak_memory_within_row_loop(self, config):
+        """So do the steady tongue's stacks (0.160 against 0.245 MB)."""
+        omegas, detunings = default_arnold_grid()
+        assert_peak_within(
+            lambda: run_arnold_tongue(config, use_steady_state=True),
+            lambda: steady_tongue_rows(config, omegas, detunings),
+        )
+
+
+def assert_peak_within(run, oracle) -> None:
+    """The traced peak memory of ``run`` is at most that of ``oracle``, each
+    traced on a second call (shared terms and lazy imports outside)."""
+    peaks = []
+    for call in (run, oracle):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 class TestSweepEngine:
-    def test_generator_mapped_once_per_system(self, config, monkeypatch):
-        """Sweeps and the drive series map the three affine terms to real
-        coordinates, one 16x16 term per call, and then sum real generators:
-        no row, cell or series maps or checks a generator of its own.  The
-        terms are shared per process, so a system's first sweep maps them,
-        its later sweeps and series map nothing, and a new system maps its
-        own."""
+    def test_generator_mapped_once_per_system(self, config, monkeypatch, tmp_path):
+        """Sweeps, the drive series, the limit cycle and the CLI's
+        single-state jobs map the three affine terms to real coordinates, one
+        16x16 term per call, and then sum real generators: no row, cell,
+        series or job maps or checks a generator of its own.  The terms are
+        shared per process, so a system's first run maps them, its later runs
+        map nothing, and a new system maps its own."""
         shapes = []
         original = liouville._real_generator
 
         def counted(l_total):
             shapes.append(np.shape(l_total))
             return original(l_total)
+
+        def job(system, *argv):
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(system._asdict()), encoding="utf-8")
+            out = str(tmp_path / "out")
+            assert cli.main([*argv, "--config", str(path), "--output", out]) == 0
 
         monkeypatch.setattr(liouville, "_real_generator", counted)
         liouville._affine_terms.cache_clear()
@@ -473,11 +515,50 @@ class TestSweepEngine:
                 lambda: run_arnold_tongue(system),
                 lambda: run_amplitude_sweep(system, n_theta=8, n_phi=8),
                 lambda: run_drive_series(system, 0.1, n_theta=8, n_phi=8),
+                lambda: run_limit_cycle(system, n_theta=8, n_phi=8),
+                lambda: job(system, "steady"),
+                lambda: job(system, "husimi", "--n-theta", "8", "--n-phi", "8"),
+                lambda: job(system, "husimi", "--steady", "--n-theta", "8"),
+                lambda: job(system, "imhd-verify", "--steady", "--n-phi", "8"),
+                lambda: job(system, "imhd-verify", "--n-theta", "8"),
             ):
                 shapes.clear()
                 sweep()
                 assert shapes == [(16, 16)] * expected
                 expected = 0
+        liouville._affine_terms.cache_clear()
+        for argv in (["steady"], ["husimi", "--n-theta", "8"], ["imhd-verify"]):
+            shapes.clear()
+            job(other, *argv)
+            assert shapes == [(16, 16)] * 3
+            liouville._affine_terms.cache_clear()
+
+    def test_sweeps_take_the_cached_floor(self, config, monkeypatch, tmp_path):
+        """Once a system's floor is cached, no sweep, limit cycle or CLI job
+        on a system the floor certifies inverts, takes a determinant of, or
+        diagonalizes anything."""
+        liouville.build_affine_liouvillian(config)._floor  # cached before patching
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-cell inv, det or eigvalsh")
+
+        for name in ("inv", "det", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        run_arnold_tongue(config, use_steady_state=True)
+        run_arnold_tongue(config)
+        run_amplitude_sweep(config, n_theta=8, n_phi=8)
+        run_drive_series(config, 0.1, n_theta=8, n_phi=8)
+        run_limit_cycle(config, n_theta=8, n_phi=8)
+        for argv in (
+            ["steady"],
+            ["husimi", "--steady", "--n-theta", "8"],
+            ["imhd-verify", "--steady", "--n-theta", "8"],
+            ["arnold", "--steady", "--n-omega", "3"],
+            ["amp-sweep", "--n-omega", "3"],
+        ):
+            assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 0
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            steady_state(build_liouvillian(config, DriveConfig()))
 
 
 class TestDensityMatrixStack:

@@ -21,6 +21,7 @@ from spinsync import (
     devectorize,
     propagate,
     run_arnold_tongue,
+    run_limit_cycle,
     spectral_report,
     spin_operator,
     steady_state,
@@ -39,6 +40,7 @@ from spinsync.liouville import (
     DEGENERACY_RATIO,
     RESIDUAL_RTOL,
     _expm,
+    _generator_floor,
     _real_generator,
     _residual,
     _steady_state,
@@ -49,8 +51,10 @@ from oracles import (
     PROPAGATE_BOUND,
     STEADY_BOUND,
     build_reduced_rotating_hamiltonian,
+    inverse_degeneracy_bound,
     kron_affine_liouvillian,
     kron_l0,
+    mp_decay_floor,
     singular_values,
 )
 
@@ -653,14 +657,16 @@ class TestSteadyState:
         assert np.all(gap <= 100 * EPS * full[..., 0])
 
     def test_certified_bound_never_exceeds_svd_ratio(self, config, rng):
-        """The degeneracy check's bound min(1 / (2 ||A^-1||_F), 1 /
-        ||B^-1||_F) / ||L||_F is a lower bound on sigma_-2 / sigma_0, so
-        DEGENERACY_RATIO rejects at least what the SVD ratio would.  Over
-        5000 random drives it stays below 0.17 of the SVD ratio."""
+        """The degeneracy check's bound, the system's floor on sigma_-2 over
+        ||L||_F, is a lower bound on sigma_-2 / sigma_0, so DEGENERACY_RATIO
+        rejects at least what the SVD ratio would.  Over 5000 random drives
+        it is 0.40-0.50 of the SVD ratio: the floor is within 2e-5 of
+        sigma_-2, and ||L||_F >= 2 sigma_0 here."""
         omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.5, 3.0, 4999)])
         detunings = rng.uniform(-5.0, 5.0, omegas.size)
-        g = build_affine_liouvillian(config)._real.at(omegas, detunings)
-        _, bound, _ = _steady_state(g)
+        terms = build_affine_liouvillian(config)
+        g = terms._real.at(omegas, detunings)
+        _, bound, _ = _steady_state(g, terms._floor.at(omegas, detunings))
         s = singular_values(g)
         assert np.all(bound <= s[..., -2] / s[..., 0])
 
@@ -690,7 +696,7 @@ class TestSteadyState:
         """Every cell of both default sweeps and of the box the benchmark
         draws its inputs from (amplitude 0 and 3e-4 to 1e3 Hz, detuning
         +-4 Hz) clears DEGENERACY_RATIO by more than two decades (the
-        least bound is 8.7e-6), and ||L||_F / 4 <= ||L||_2 there (the ratio
+        least bound is 3.0e-5), and ||L||_F / 4 <= ||L||_2 there (the ratio
         ||L||_F / ||L||_2 is 2.0-2.5), so neither check is looser than the
         SVD's.  One row at a time keeps the 16x16 stacks small."""
         omegas, detunings = default_arnold_grid()
@@ -701,7 +707,7 @@ class TestSteadyState:
         rows += [(omega, np.linspace(-4.0, 4.0, 81)) for omega in box]
         for drive in rows:
             g = terms._real.at(*drive)
-            _, bound, _ = _steady_state(g)
+            _, bound, _ = _steady_state(g, terms._floor.at(*drive))
             s = singular_values(g)
             assert bound.min() >= 100 * DEGENERACY_RATIO
             assert np.all(bound <= s[..., -2] / s[..., 0])
@@ -723,7 +729,7 @@ class TestSteadyState:
         )
         g = _real_generator(stack)
         frobenius = np.linalg.norm(stack, axis=(-2, -1))
-        states, _, residual = _steady_state(g)
+        states, _, residual = _steady_state(g, _generator_floor(g))
         vec = vectorize(states)
         # the kernel's residual is the helper's, bit for bit
         np.testing.assert_array_equal(residual, _residual(g, (vec @ _TO_REAL.T).real))
@@ -756,6 +762,192 @@ class TestSteadyState:
         np.testing.assert_array_equal(states, states.conj().swapaxes(-1, -2))
         for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
             assert not states[..., i, j].any()
+
+
+# Systems the steady-state floor is tested on: the default, other couplings
+# and offsets, fast and slow relaxation on either spin, large purities.
+FLOOR_SYSTEMS = [
+    SpinSystemConfig(**kwargs)
+    for kwargs in (
+        {},
+        {"j_coupling_hz": 217.0},
+        {"t1_p_s": 7.0},
+        {"t1_p_s": 1e3, "t1_f_s": 0.1},
+        {"t1_p_s": 0.1, "t1_f_s": 1e3},
+        {"j_coupling_hz": 2000.0},
+        {"j_coupling_hz": 50.0, "offset_f_hz": 20.0},
+        {"epsilon_p": 0.01, "epsilon_f": 0.05},
+        {"t1_f_s": 3.0},
+        {"j_coupling_hz": 500.0, "t1_p_s": 100.0, "t1_f_s": 100.0},
+    )
+]
+
+
+def weighted_frobenius(g: np.ndarray) -> float:
+    """||.||_F of a real 16x16 matrix in the unitarily scaled coordinates."""
+    scaled = g * (liouville._SCALE[:, None] / liouville._SCALE)
+    return float(np.sqrt(np.sum(scaled**2)))
+
+
+class TestSteadyFloor:
+    """The floor on sigma_-2 that certifies a steady state unique: the least
+    eigenvalue of -sym(L) on the traceless subspace, in the unitarily scaled
+    coordinates, computed once per system from the dissipator."""
+
+    def test_drive_terms_are_exactly_skew(self):
+        """With S^2 in {1, 2}, S_i^2 G_ij = -S_j^2 G_ji is an exact test:
+        both drive terms pass it on every system, so their symmetric parts
+        are exact zeros and the floor's drive allowance is rounding alone."""
+        square = np.where(np.arange(16) < 4, 1.0, 2.0)[:, None]
+        for config in FLOOR_SYSTEMS:
+            terms = build_affine_liouvillian(config)
+            for term in terms._real[1:]:
+                np.testing.assert_array_equal(square * term, -(square * term).T)
+            drive_terms = np.stack(terms._real[1:])
+            _, spread, frobenius = liouville._decay_spectra(drive_terms)
+            assert not spread.any() and not frobenius.any()
+            # the allowance for the sum's rounding alone, up to the norm's own
+            _, per_detuning, per_amplitude = terms._floor
+            for per_hz, term in ((per_detuning, terms._real[1]),
+                                 (per_amplitude, terms._real[2])):
+                expected = 2 * EPS * weighted_frobenius(term)
+                assert per_hz == pytest.approx(expected, rel=16 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("index", [0, 3, 9])
+    def test_eigenvalues_against_high_precision(self, index):
+        """lambda_V and lambda_B of the base term against 40-digit
+        mpmath.eigsy of the exact scaled blocks, on another traceless basis:
+        within the eigvalsh allowance (the worst seen is 4.1e-15 against an
+        allowance of 4.0e-12)."""
+        g = build_affine_liouvillian(FLOOR_SYSTEMS[index])._real.base
+        least, _, frobenius = liouville._decay_spectra(g)
+        for got, exact in zip(least, mp_decay_floor(g)):
+            allowance = liouville._EIGEN_SLACK * frobenius
+            assert abs(mpmath.mpf(float(got)) - exact) <= allowance
+
+    @pytest.mark.parametrize("index", [0, 3, 9])
+    def test_floor_allows_for_rounding(self, index):
+        """The cached floor sits below the exact least eigenvalue by at
+        least gamma_3 ||  |base| + |delta D| + |Omega A|  ||_F, the rounding
+        of the cell sum, at every drive, weak or strong; the public floor of
+        one generator sits below its own exact value.  A floor without its
+        allowances fails the first check."""
+        terms = build_affine_liouvillian(FLOOR_SYSTEMS[index])
+        exact = min(mp_decay_floor(terms._real.base))
+        gamma3 = 3 * EPS / 2 / (1 - 3 * EPS / 2)
+        parts = [np.abs(term) for term in terms._real]
+        for omega in (0.0, 1.0, 1e3):
+            for delta in (-50.0, 0.0, 4.0):
+                total = parts[0] + abs(delta) * parts[1] + omega * parts[2]
+                rounding = gamma3 * weighted_frobenius(total)
+                floor = terms._floor.at(omega, delta)
+                assert mpmath.mpf(float(floor)) <= exact - rounding
+        own = liouville._generator_floor(terms._real.base)
+        assert mpmath.mpf(float(own)) <= exact
+
+    def test_symmetric_drive_term_lowers_floor(self, config):
+        """A detuning term with a symmetric part kappa I lowers the floor by
+        |delta| kappa, and that floor stays under sigma_-2 where the floor of
+        skew terms, which ignores the part, does not."""
+        terms = build_affine_liouvillian(config)
+        kappa = 0.1
+        shifted = AffineLiouvillian(
+            terms.base, terms.per_detuning + kappa * np.eye(16), terms.per_amplitude
+        )
+        floor = shifted._floor
+        assert floor.base == terms._floor.base
+        allowance = liouville._EIGEN_SLACK * kappa * math.sqrt(15.0) + 2 * EPS * (
+            weighted_frobenius(shifted._real[1])
+        )
+        assert kappa <= floor.per_detuning <= kappa + allowance
+        detunings = np.linspace(-5.0, 5.0, 21)
+        g = shifted._real.at(0.1, detunings)
+        sigma = singular_values(g)[..., -2]
+        assert np.all(floor.at(0.1, detunings) <= sigma)
+        assert np.any(terms._floor.at(0.1, detunings) > sigma)
+
+    def test_floor_never_exceeds_gap(self):
+        """Every eigenvector of a non-zero eigenvalue is traceless, so its
+        decay rate -Re(mu) is at least the floor: the floor never exceeds
+        spectral_report's gap, allowing that computed eigenvalue its own
+        backward error, 16 eps ||L||_F.  The undriven default gap is
+        lambda_V itself, 4.9e-12 above the floor."""
+        for config in FLOOR_SYSTEMS:
+            terms = build_affine_liouvillian(config)
+            for omega in (0.0, 0.01, 0.3, 10.0, 1e3):
+                for delta in (-3.0, 0.0, 2.0):
+                    lv = terms.at(omega, delta)
+                    gap = spectral_report(lv).gap
+                    tolerance = 16 * EPS * np.linalg.norm(lv)
+                    assert terms._floor.at(omega, delta) <= gap + tolerance
+
+    def test_certifies_no_less_than_inverse_bound(self):
+        """On each test system, over the default amplitude axis and 0 Hz,
+        the least certified ratio is no lower than that of the block-inverse
+        bound it replaced (lowest 3.0e-7 against 2.35e-7, for T1P = 1e3 s
+        and T1F = 0.1 s)."""
+        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        for config in FLOOR_SYSTEMS:
+            terms = build_affine_liouvillian(config)
+            g = terms._real.at(omegas)
+            ratio = _steady_state(g, terms._floor.at(omegas))[1]
+            assert ratio.min() >= inverse_degeneracy_bound(g).min()
+
+    def test_inverse_bound_certifies_where_the_floor_cannot(self, monkeypatch):
+        """The floor is 2 pi / max(T1P, T1F) to 2e-5, whatever the drive, so
+        with the limits of the steady_state docstring (default J) it alone
+        certifies every amplitude up to 1 kHz for max T1 = 3.0e4 s, and no
+        drive past 5.76e4 s.  There each cell falls back to the block-inverse
+        bound, so a cell is certified exactly where that bound certifies it:
+        58 of 62 amplitudes for T1P = 5.8e4 s and for T1P = 1e5 s with T1F =
+        10 s, all but the weakest drives, as before the floor."""
+        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        inside = build_affine_liouvillian(SpinSystemConfig(t1_p_s=3.0e4))
+        inside._floor  # cached before patching
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified cell inverted a block")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "inv", refuse)
+            _steady_state(inside._real.at(omegas), inside._floor.at(omegas))
+        for slow in (
+            SpinSystemConfig(t1_p_s=5.8e4), SpinSystemConfig(t1_p_s=1e5, t1_f_s=10.0)
+        ):
+            terms = build_affine_liouvillian(slow)
+            g = terms._real.at(omegas)
+            norms = np.array([weighted_frobenius(cell) for cell in g])
+            assert np.all(terms._floor.at(omegas) / norms < DEGENERACY_RATIO)
+            inverse = inverse_degeneracy_bound(g)
+            assert np.sum(inverse >= DEGENERACY_RATIO) == 58
+            for k, omega in enumerate(omegas):
+                if inverse[k] >= DEGENERACY_RATIO:
+                    ratio = _steady_state(g[k], terms._floor.at(omega))[1]
+                    assert ratio == pytest.approx(inverse[k], rel=1e-12)
+                else:
+                    with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+                        _steady_state(g[k], terms._floor.at(omega))
+
+    def test_rejected_where_both_bounds_fail(self):
+        """With T1P = T1F = 1e5 s neither the floor nor the block-inverse
+        bound certifies any amplitude, so every route raises, naming the
+        worst cell of a stack or of the first failing tongue stack."""
+        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        slow = SpinSystemConfig(t1_p_s=1e5, t1_f_s=1e5)
+        terms = build_affine_liouvillian(slow)
+        g = terms._real.at(omegas)
+        assert np.all(inverse_degeneracy_bound(g) < DEGENERACY_RATIO)
+        for k, omega in enumerate(omegas):
+            with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+                _steady_state(g[k], terms._floor.at(omega))
+        with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(61,\)"):
+            _steady_state(g, terms._floor.at(omegas))
+        with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(1, 0\)"):
+            run_arnold_tongue(slow, use_steady_state=True)
+        with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+            steady_state(build_liouvillian(slow, DriveConfig(amplitude_hz=0.0)))
+        with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+            run_limit_cycle(slow)
 
 
 @pytest.fixture(scope="module")

@@ -75,10 +75,13 @@ EXPORTS = [
 # Exported although no module of the package calls them: the acceptance
 # criteria and the planned artifact diagnostics use them.
 KEEP = {
+    "build_liouvillian",
     "check_density_matrix",
     "husimi_normalization",
+    "propagate",
     "run_limit_cycle",
     "spectral_report",
+    "steady_state",
     "sync_measure_full",
     "sync_measure_quadrature",
     "visibility",
@@ -196,7 +199,8 @@ def test_no_subcommand_loads_scipy():
 
 
 def test_no_runtime_path_calls_svd(monkeypatch, tmp_path):
-    """The steady state is certified from block inverses and ||L||_F: with
+    """The steady state is certified from the dissipator floor (or, where
+    that falls short, the block inverses) and ||L||_F: with
     np.linalg.svd raising, the solver, both sweeps, the propagated tongue
     and every steady subcommand still run."""
 
