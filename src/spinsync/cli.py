@@ -34,7 +34,7 @@ from .experiments import (
     ARNOLD_DURATION_S,
     ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
-    _steady_state_at,
+    _state_at,
     calibrate_drive,
     log_axis,
     run_amplitude_sweep,
@@ -42,7 +42,6 @@ from .experiments import (
     run_drive_series,
 )
 from .imhd import VARIANTS, imhd_scan, leakage_bound
-from .liouville import _propagate, build_affine_liouvillian
 from .phasespace import (
     HUSIMI_PREFACTOR,
     HusimiGrid,
@@ -50,7 +49,7 @@ from .phasespace import (
     state_visibility,
     sync_measure_max,
 )
-from .system import DriveConfig, SpinSystemConfig, _checked_make, thermal_state
+from .system import DriveConfig, SpinSystemConfig, _checked_make
 
 _SYSTEM_KEYS = SpinSystemConfig._fields
 _DRIVE_KEYS = DriveConfig._fields
@@ -286,17 +285,6 @@ def _omega_axis(args) -> np.ndarray:
     return log_axis(args.omega_min, args.omega_max, args.n_omega)
 
 
-def _prepared_state(rc: RunConfig, drive: DriveConfig, use_steady: bool):
-    """The steady state, or the thermal state driven for the drive's
-    duration, from the system's shared real terms."""
-    if use_steady:
-        return _steady_state_at(rc.system, drive)
-    g = build_affine_liouvillian(rc.system)._real.at(
-        drive.amplitude_hz, drive.detuning_hz
-    )
-    return _propagate(g, thermal_state(rc.system), drive.duration_s)
-
-
 def _write_text(path: str | Path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -307,7 +295,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _cmd_steady(rc: RunConfig, args):
-    rho = _prepared_state(rc, _drive_from_args(rc, args), use_steady=True)
+    rho = _state_at(rc.system, _drive_from_args(rc, args))
     report = _report(
         "density-matrix", rc, basis=BASIS_DESCRIPTION,
         real=rho.real.tolist(), imag=rho.imag.tolist(),
@@ -318,7 +306,7 @@ def _cmd_steady(rc: RunConfig, args):
 def _cmd_husimi(rc: RunConfig, args):
     drive = _drive_from_args(rc, args)
     n_theta, n_phi = _grid_shape(rc, args)
-    rho = _prepared_state(rc, drive, args.steady)
+    rho = _state_at(rc.system, drive, None if args.steady else drive.duration_s)
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
     meta = _report(
@@ -378,7 +366,7 @@ def _cmd_arnold(rc: RunConfig, args):
 def _cmd_imhd_verify(rc: RunConfig, args):
     drive = _drive_from_args(rc, args)
     n_theta, n_phi = _grid_shape(rc, args)
-    rho = _prepared_state(rc, drive, args.steady)
+    rho = _state_at(rc.system, drive, None if args.steady else drive.duration_s)
     scan = imhd_scan(rho, n_theta=n_theta, n_phi=n_phi, variant=args.variant)
     direct = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     deviation = float(np.max(np.abs(scan.values - direct.values)))

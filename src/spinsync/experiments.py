@@ -1,16 +1,18 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Sweeps, the drive series
-and single steady states (the limit cycle and the CLI's jobs) take the
-generator's affine terms in real coordinates, built and mapped once per
-system and process, with the system's steady-state floor (computed once,
-from the dissipation), and hand them to the engine's kernels: the
-amplitude sweep solves one stack and the drive series propagates all its
-durations as one stack.  Both tongues work on the signal block alone, in
-stacks of TONGUE_STACK_CELLS cells across rows, and read rho42 alone: the
-propagated one evolves the block's rows, the steady one solves the block.
-Each cell equals the single-drive, single-duration result bit for bit.
+generator and reports phase-space observables.  Each simulation sums the
+generator's two real coherence-order blocks from its affine terms, built
+and mapped once per system and process, and hands them, with the system's
+steady-state floor (computed once, from the dissipation), to the engine's
+kernels.  ``_state_at`` turns a system and a drive into the steady state
+or the driven thermal state(s), for the limit cycle, the drive series
+(all its durations as one stack) and the CLI's single-state jobs; the
+amplitude sweep solves one stack.  Both tongues work on the order-0
+block alone, in stacks of TONGUE_STACK_CELLS cells across rows, and read
+rho42 alone: the propagated one evolves the block, the steady one solves
+it.  Each cell equals the single-drive, single-duration result bit for
+bit.
 """
 
 from __future__ import annotations
@@ -72,15 +74,17 @@ def default_arnold_grid(
     )
 
 
-def _steady_state_at(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
-    """The steady state of a configured system at one drive, from the
-    system's shared real terms and cached floor: no 16x16 complex generator
-    is built, mapped or checked."""
+def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
+    """The steady state of a configured system at a drive or, given
+    ``durations`` (s; an array gives a stack), its thermal state driven for
+    each, from the system's shared real blocks and cached floor: no 16x16
+    generator is built, mapped or checked."""
     terms = build_affine_liouvillian(config)
     amplitude, detuning = drive.amplitude_hz, drive.detuning_hz
-    return _steady_state(
-        terms._real.at(amplitude, detuning), terms._floor.at(amplitude, detuning)
-    )[0]
+    blocks = (block.at(amplitude, detuning) for block in terms._blocks)
+    if durations is None:
+        return _steady_state(*blocks, terms._floor.at(amplitude, detuning))[0]
+    return _propagate(*blocks, thermal_state(config), durations)
 
 
 class LimitCycleResult(
@@ -99,7 +103,7 @@ def run_limit_cycle(
     Raises if the computed visibility is not numerically negligible,
     since any contrast here would mean a spurious phase preference.
     """
-    rho = _steady_state_at(config, DriveConfig(amplitude_hz=0.0))
+    rho = _state_at(config, DriveConfig(amplitude_hz=0.0))
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
     if vis >= 1e-8:
@@ -134,8 +138,7 @@ def run_drive_series(
     if any(t < 0.0 for t in durations) or sorted(durations) != durations:
         raise ValueError("durations must be non-negative and ascending")
     drive = DriveConfig(amplitude_hz=amplitude_hz, detuning_hz=detuning_hz)
-    g = build_affine_liouvillian(config)._real.at(drive.amplitude_hz, drive.detuning_hz)
-    states = _propagate(g, thermal_state(config), np.array(durations))
+    states = _state_at(config, drive, np.array(durations))
     contrasts = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     return [
         DriveSeriesPoint(
@@ -201,7 +204,8 @@ def run_amplitude_sweep(
     omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
     omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
     terms = build_affine_liouvillian(config)
-    states = _steady_state(terms._real.at(omegas), terms._floor.at(omegas))[0]
+    blocks = (block.at(omegas) for block in terms._blocks)
+    states = _steady_state(*blocks, terms._floor.at(omegas))[0]
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -229,11 +233,10 @@ def run_arnold_tongue(
     Each cell drives the thermal state for ``duration_s`` (or solves for
     the steady state) and records max_phi S = |rho42| / (16 pi^2).  Both
     tongues stack TONGUE_STACK_CELLS cells across rows and build no 16x16
-    generator and no density matrix: the propagated one evolves the signal
-    block's rows, the steady one solves the order-0 block, its uniqueness
-    certified by the system's floor and ||L||_F from the two 8x8 blocks.
-    So the working set stays within that of one row of 16x16 generators
-    and density matrices.
+    generator and no density matrix: the propagated one evolves the order-0
+    block, the steady one solves it, its uniqueness certified by the
+    system's floor and ||L||_F from the two 8x8 blocks.  So the working set
+    stays within that of one row of 16x16 generators and density matrices.
     """
     if omegas_hz is None and detunings_hz is None:
         omegas_hz, detunings_hz = default_arnold_grid()
@@ -245,22 +248,21 @@ def run_arnold_tongue(
     if duration_s <= 0.0 and not use_steady_state:
         raise ValueError("duration must be positive")
     terms = build_affine_liouvillian(config)
+    order_zero, order_one = terms._blocks
     if use_steady_state:
-        (order_zero, order_one), floor = terms._blocks, terms._floor
-
         def coherence(i, j):
             omega, delta = omegas[i], detunings[j]
             x = _steady_signal(
                 order_zero.at(omega, delta), order_one.at(omega, delta),
-                floor.at(omega, delta), (i, j),
+                terms._floor.at(omega, delta), (i, j),
             )[0]
             return x[..., 4], x[..., 5]  # Re and Im rho42
     else:
         u0 = _real_start(thermal_state(config))[1]
 
         def coherence(i, j):
-            rows = terms._signal_rows.at(omegas[i], detunings[j])
-            return _signal_coherence(rows, u0, duration_s)
+            g0 = order_zero.at(omegas[i], detunings[j])
+            return _signal_coherence(g0, u0, duration_s)
 
     size = omegas.size * detunings.size
     values = np.empty(size)

@@ -6,19 +6,18 @@ drive, L(Omega, delta) = base + delta per_detuning + Omega per_amplitude,
 so those terms are built once per system and process, and shared
 read-only; array drives give a stack.
 
-Propagation and the steady state work in real Hermitian-basis
-coordinates, where the generator splits exactly into two real 8x8 blocks
-by F-spin coherence order: the populations with rho42 and rho31, and the
-other coherences.  The first block carries the signal and is evolved, or
-solved for, as the deviation from tr(rho) I/4 with rho11 eliminated, so
-the trace is exact.  The map is linear, so sweeps sum the three terms
-mapped once per system; one real kernel per operation serves them and
-the public functions.  One order-0 kernel, ``_evolve_signal``, evolves
-the signal block for ``_propagate`` and for the propagated tongue, which
-sums the terms' 7x8 signal-block rows, sliced once per system, and reads
-rho42 from two rows of the product: no 16x16 generator and no density
-matrix per cell.  One order-0 steady kernel, ``_steady_signal``, likewise
-solves the signal block for ``_steady_state`` and for the steady tongue.
+Propagation and the steady state work in one real form: real
+Hermitian-basis coordinates, where the generator splits exactly into two
+real 8x8 blocks by F-spin coherence order, g0 (the populations with rho42
+and rho31) and b (the other coherences).  ``_real_generator`` maps a
+generator to these blocks and proves them decoupled; a system's three
+terms are mapped once (``AffineLiouvillian._blocks``), and since the map
+is linear, sweeps and the single-drive jobs sum the mapped terms.  The
+order-0 block carries the signal and is evolved, or solved for, as the
+deviation from tr(rho) I/4 with rho11 eliminated, so the trace is exact.
+One kernel per operation serves the public functions, the sweeps and both
+tongues, which read rho42 from two coordinates and build no 16x16
+generator and no density matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In the unitarily
 scaled real coordinates M, the field of values gives ||M x|| >= -x^T
@@ -126,8 +125,10 @@ class AffineLiouvillian(
 
     ``base`` is the undriven, undetuned drift plus all dissipators;
     ``per_detuning`` and ``per_amplitude`` are the generator per Hz of
-    detuning and of drive amplitude.  No ``__slots__``: the cached
-    ``_real`` lives in the instance dict.
+    detuning and of drive amplitude.  The engine works on ``_blocks``, the
+    terms' two real coherence-order blocks, mapped once.  No
+    ``__slots__``: the cached ``_blocks`` and ``_floor`` live in the
+    instance dict.
     """
 
     def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
@@ -141,39 +142,24 @@ class AffineLiouvillian(
         )
 
     @cached_property
-    def _real(self) -> AffineLiouvillian:
-        """The terms in real coordinates, checked once (a real combination of
-        split terms is split); ``_real.at`` is ``_real_generator`` of ``at``,
-        bit for bit."""
-        terms = (self.base, self.per_detuning, self.per_amplitude)
-        return _read_only(*(_real_generator(term) for term in terms))
-
-    @cached_property
-    def _signal_rows(self) -> AffineLiouvillian:
-        """``_real``'s signal-block rows ``[..., _KEEP, :8]``, sliced once;
-        ``_signal_rows.at`` is those rows of ``_real.at``, bit for bit."""
-        return _read_only(*(term[_KEEP, :8] for term in self._real))
-
-    @cached_property
     def _blocks(self) -> tuple[AffineLiouvillian, AffineLiouvillian]:
-        """``_real``'s order-0 and order +-1 blocks, sliced once; ``.at`` of
-        each is that block of ``_real.at``, bit for bit."""
-        return tuple(
-            _read_only(*(term[block, block].copy() for term in self._real))
-            for block in (slice(8), slice(8, 16))
-        )
+        """The terms' order-0 and order +-1 blocks in real coordinates,
+        mapped and checked once (a real combination of split terms is
+        split); ``.at`` of each is that block of ``_real_generator`` of
+        ``at``, bit for bit."""
+        order_zero, order_one = zip(*map(_real_generator, self))
+        return _read_only(*order_zero), _read_only(*order_one)
 
     @cached_property
     def _floor(self) -> SteadyFloor:
-        """A floor on sigma_-2 of ``_real.at`` at every drive, computed once
+        """A floor on sigma_-2 of the generator at every drive, computed once
         from the terms' symmetric parts: the base term's least eigenvalue of
         -sym on the traceless coordinates, less each drive term's ||sym||_2
         per Hz (0 for a term that is exactly skew, as both are here), less
         the allowances for eigvalsh and for the rounding of ``at``'s sum."""
-        terms = np.stack(self._real)
-        least, spread, frobenius = _decay_spectra(terms)
-        size = np.sqrt(np.einsum("kij,ij,kij->k", terms, _NORM_WEIGHT, terms))
-        slack = _EIGEN_SLACK * frobenius + _SUM_SLACK * size
+        g0, b = (np.stack(block) for block in self._blocks)
+        least, spread, frobenius = _decay_spectra(g0, b)
+        slack = _EIGEN_SLACK * frobenius + _SUM_SLACK * _frobenius(g0, b)
         return SteadyFloor(
             float(least[0].min() - slack[0]),
             float(spread[1] + slack[1]),
@@ -206,7 +192,7 @@ def _read_only(*terms: np.ndarray) -> AffineLiouvillian:
 def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
     """The generator's affine terms for a configured system, built once per
     process (for the 8 systems used last) and shared: every array,
-    ``_real``'s too, is read-only (copy before editing).  Keyed on the
+    ``_blocks``' too, is read-only (copy before editing).  Keyed on the
     config's repr, so configs that compare equal but differ in a field's
     type or sign of zero never share terms."""
     return _affine_terms(repr(config), config)
@@ -271,15 +257,15 @@ _DEVIATION[:3, :4] -= 0.25
 _DEVIATION[7, :4] = 1.0
 # Scaling each Re/Im coordinate by sqrt(2) (each stands for two entries of
 # vec(rho)) makes the map unitary: L's singular values and Frobenius norm
-# are those of the generator scaled by s_i / s_j.
+# are those of the blocks scaled by s_i / s_j.  The order +-1 block is
+# scaled uniformly, so only the order-0 block's entries are weighted.
 _SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0))
-_NORM_WEIGHT = (_SCALE[:, None] / _SCALE) ** 2  # ||L||_F^2 = sum W g^2
+_SYM_RATIO = (_SCALE[:, None] / _SCALE)[:8, :8]
+_NORM_WEIGHT = _SYM_RATIO**2  # ||L||_F^2 = sum W g0^2 + sum b^2
 # sym(M) of the scaled order-0 block M = S G S^-1, entry by entry, is
 # _SYM_RATIO (G + _SYM_SQUARE G^T) / 2 with _SYM_SQUARE = (S_j / S_i)^2, a
 # power of 2: a term exactly skew in the scaled coordinates (S_i^2 G_ij =
-# -S_j^2 G_ji) has a symmetric part of exact zeros.  The order +-1 block is
-# scaled uniformly, so sym(B) is (B + B^T) / 2.
-_SYM_RATIO = (_SCALE[:, None] / _SCALE)[:8, :8]
+# -S_j^2 G_ji) has a symmetric part of exact zeros.  sym(B) is (B + B^T) / 2.
 _SCALE_SQUARED = np.where(np.arange(8) < 4, 1.0, 2.0)  # exactly
 _SYM_SQUARE = _SCALE_SQUARED / _SCALE_SQUARED[:, None]
 # The columns other than 3 of the reflection I - 2 w w^T, w = (1, 1, 1, -1,
@@ -302,12 +288,12 @@ _EIGEN_SLACK = 128 * _EPS
 _SUM_SLACK = 2 * _EPS
 
 
-def _real_generator(l_total: np.ndarray) -> np.ndarray:
-    """A generator (or stack) in real coordinates; ValueError unless it maps
-    Hermitian matrices to Hermitian ones and keeps the coherence-order
-    blocks apart, both exactly.  Conjugate entries are summed in one
-    rounding, so an exactly Hermiticity-preserving generator leaves no
-    imaginary residue."""
+def _real_generator(l_total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A generator's (or stack's) order-0 and order +-1 blocks (g0, b) in
+    real coordinates; ValueError unless it maps Hermitian matrices to
+    Hermitian ones and keeps the blocks apart, both exactly.  Conjugate
+    entries are summed in one rounding, so an exactly Hermiticity-preserving
+    generator leaves no imaginary residue."""
     g = _TO_REAL @ l_total @ _FROM_REAL
     if g.imag.any():
         residue = np.abs(g.imag).max(axis=(-2, -1))
@@ -327,7 +313,39 @@ def _real_generator(l_total: np.ndarray) -> np.ndarray:
             "generator couples the F-spin coherence-order blocks: entry "
             f"{coupling[cell]:.3e}" + note
         )
-    return g
+    return g[..., :8, :8].copy(), g[..., 8:, 8:].copy()
+
+
+def _frobenius(g0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||L||_F of each generator of a stack from its blocks: the blocks
+    between are exactly 0, and the scaled coordinates are unitary."""
+    return np.sqrt(
+        np.einsum("...ij,ij,...ij->...", g0, _NORM_WEIGHT, g0)
+        + np.einsum("...ij,...ij->...", b, b)
+    )
+
+
+def _augmented(g0: np.ndarray) -> np.ndarray:
+    """The deviation form's rows of each order-0 block of a stack, (..., 7,
+    8): d/dt y = rows (y, tr)."""
+    return g0[..., _KEEP, :] @ _AUGMENT
+
+
+def _from_deviation(y: np.ndarray, trace) -> np.ndarray:
+    """The order-0 coordinates (..., 8) of deviations y (..., 7) with their
+    traces (broadcast against y[..., 0]): rho11 is the trace less the other
+    populations, so the trace is exact up to one rounding."""
+    x = np.empty(y.shape[:-1] + (8,))
+    x[..., _KEEP] = y
+    x[..., :3] += np.asarray(0.25 * trace)[..., None]
+    x[..., 3] = trace - ((x[..., 0] + x[..., 1]) + x[..., 2])
+    return x
+
+
+def _density(x: np.ndarray) -> np.ndarray:
+    """The 4x4 matrices of real (or, for a non-Hermitian one, complex)
+    coordinates x (..., 16)."""
+    return devectorize(x @ _FROM_REAL.T)
 
 
 # Pade-13 numerator coefficients b_0..b_13, and theta_13, the 1-norm up to
@@ -387,33 +405,32 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
 
     ``t`` is a duration or an array of them that broadcasts against the
-    stack; cells with t = 0 hold rho0 exactly.  In real coordinates
-    (ValueError unless the generator splits exactly into the two
-    coherence-order blocks), the order-0 block evolves as the deviation
-    from tr(rho0) I/4 with rho11 eliminated, by the exponential of the
-    augmented 8x8 generator; the order +-1 block, only where rho0 has
-    support on it, by its own.  So the trace is exact up to one rounding,
-    a Hermitian rho0 stays exactly Hermitian, and any rho0 maps linearly.
+    stack; cells with t = 0 hold rho0 exactly.  On the generator's real
+    blocks (ValueError unless it splits exactly into them), the order-0
+    block evolves as the deviation from tr(rho0) I/4 with rho11 eliminated,
+    by the exponential of the augmented 8x8 generator; the order +-1 block,
+    only where rho0 has support on it, by its own.  So the trace is exact up
+    to one rounding, a Hermitian rho0 stays exactly Hermitian, and any rho0
+    maps linearly.  ValueError, with no warning, if the result overflows.
     """
-    return _propagate(_real_generator(np.asarray(liouvillian, dtype=complex)), rho0, t)
+    blocks = _real_generator(np.asarray(liouvillian, dtype=complex))
+    return _propagate(*blocks, rho0, t)
 
 
-def _propagate(g: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
-    """:func:`propagate` under a generator (or stack) in real coordinates."""
+def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
+    """:func:`propagate` under a generator (or stack) given as its real blocks."""
     t = np.asarray(t, dtype=float)
     x0, u0 = _real_start(rho0)
-    cells = np.broadcast_shapes(g.shape[:-2], t.shape)
+    cells = np.broadcast_shapes(g0.shape[:-2], t.shape)
     # cells kept at rho0 itself, which the deviation form would round
     still = np.broadcast_to(t == 0.0, cells)
     t = t[..., None, None]
-    trace = u0[7]
     x = np.zeros(cells + (16, 2))
-    x[..., _KEEP, :] = _evolve_signal(g[..., _KEEP, :8], u0, t)
-    x[..., :3, :] += 0.25 * trace
-    x[..., 3, :] = trace - ((x[..., 0, :] + x[..., 1, :]) + x[..., 2, :])
+    y = _evolve_signal(g0, u0, t).swapaxes(-1, -2)  # re and im columns as rows
+    x[..., :8, :] = _from_deviation(y, u0[7]).swapaxes(-1, -2)
     if x0[8:].any():
-        x[..., 8:, :] = _expm(g[..., 8:, 8:] * t) @ x0[8:]
-    rho = devectorize(x.view(complex)[..., 0] @ _FROM_REAL.T)
+        x[..., 8:, :] = _evolved(b * t, x0[8:])
+    rho = _density(x.view(complex)[..., 0])
     rho[still] = rho0
     return rho
 
@@ -428,34 +445,45 @@ def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
     return x0, _DEVIATION @ x0[:8]
 
 
-def _evolve_signal(rows: np.ndarray, u0: np.ndarray, t, out=slice(7)) -> np.ndarray:
+def _evolved(a: np.ndarray, u0: np.ndarray, out=slice(None)) -> np.ndarray:
+    """Rows ``out`` of e^A u0 for each A (a generator times t) of a real
+    stack: the propagated coordinates.  ValueError, with no warning, where
+    they overflow: ||A|| is finite, but its squarings need not be."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _expm(a)[..., out, :] @ u0
+    if not np.isfinite(u).all():
+        raise ValueError("propagation overflows: the drive or duration is too large")
+    return u
+
+
+def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t, out=slice(7)) -> np.ndarray:
     """The order-0 block's deviation y after time t (broadcast against the
     stack): rows ``out`` of e^{At} u0, where A is the augmented 8x8 generator
-    of each signal-block row stack ``g[..., _KEEP, :8]`` and u0 (y, tr) from
-    :func:`_real_start`.  Each cell's rows are those of its own full product,
-    bit for bit.  ValueError unless every t is finite and non-negative."""
+    of each order-0 block g0 and u0 (y, tr) from :func:`_real_start`.  Each
+    cell's rows are those of its own full product, bit for bit.  ValueError
+    unless every t is finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
-    aug = np.zeros(np.broadcast_shapes(rows.shape[:-2], t.shape[:-2]) + (8, 8))
-    aug[..., :7, :] = rows @ _AUGMENT
+    aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
+    aug[..., :7, :] = _augmented(g0)
     aug *= t
-    return _expm(aug)[..., out, :] @ u0
+    return _evolved(aug, u0, out)
 
 
-def _signal_coherence(rows: np.ndarray, u0: np.ndarray, t) -> tuple:
-    """Re and Im of rho42 after time t under each generator of a stack of
-    signal-block rows, from only the rows of Re and Im rho42 (coordinates 4
-    and 5, y rows 3 and 4) of :func:`_evolve_signal`: the parts of
-    :func:`_propagate`'s ``rho[..., 0, 2]``, bit for bit."""
-    y = _evolve_signal(rows, u0, t, slice(3, 5))  # [Re, Im rho42] x [re, im]
+def _signal_coherence(g0: np.ndarray, u0: np.ndarray, t) -> tuple:
+    """Re and Im of rho42 after time t under each order-0 block of a stack,
+    from only the rows of Re and Im rho42 (coordinates 4 and 5, y rows 3 and
+    4) of :func:`_evolve_signal`: the parts of :func:`_propagate`'s
+    ``rho[..., 0, 2]``, bit for bit."""
+    y = _evolve_signal(g0, u0, t, slice(3, 5))  # [Re, Im rho42] x [re, im]
     return y[..., 0, 0] - y[..., 1, 1], y[..., 0, 1] + y[..., 1, 0]
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Stationary density matrix of a generator, or of each in a stack.
 
-    In propagate's real coordinates and deviation form, with tr(rho) = 1,
+    On propagate's real blocks and in its deviation form, with tr(rho) = 1,
     the order-0 block gives 7 equations A y = b (the redundant rho11 row
     dropped): the trace is exact up to one rounding, rho exactly Hermitian,
     and the order +-1 coherences exactly 0.  Raises LinAlgError, naming a
@@ -469,22 +497,22 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     drive: with the default J = 868 Hz it certifies the undriven state
     while max(T1P, T1F) <= 5.76e4 s (about 5.0e7 s Hz / J), and no drive
     beyond, and drives up to 1 kHz while max(T1P, T1F) <= 3.0e4 s.  A cell
-    it cannot certify falls back
-    to the bound from the blocks' inverses, min(sigma_min(A) / 2,
-    sigma_min(B)) with sigma_min(M) >= 1 / ||M^-1||_F (Courant-Fischer on
-    the deviation embedding, of 2-norm 2), which certifies strongly driven
-    cells of slowly relaxing systems; a cell is rejected only if both fail.
+    it cannot certify falls back to the bound from the blocks' inverses,
+    min(sigma_min(A) / 2, sigma_min(B)) with sigma_min(M) >= 1 / ||M^-1||_F
+    (Courant-Fischer on the deviation embedding, of 2-norm 2), which
+    certifies strongly driven cells of slowly relaxing systems; a cell is
+    rejected only if both fail.
     """
-    g = _real_generator(np.asarray(liouvillian, dtype=complex))
-    return _steady_state(g, _generator_floor(g))[0]
+    g0, b = _real_generator(np.asarray(liouvillian, dtype=complex))
+    return _steady_state(g0, b, _generator_floor(g0, b))[0]
 
 
-def _decay_spectra(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each real generator of a stack, in unitarily scaled coordinates:
-    the least eigenvalues of -sym on the traceless order-0 coordinates and
-    on the order +-1 block, (..., 2), the largest |eigenvalue| of both, and
-    the Frobenius norm of the two projected parts together."""
-    g0, b = g[..., :8, :8], g[..., 8:, 8:]
+def _decay_spectra(g0: np.ndarray, b: np.ndarray) -> tuple:
+    """For the blocks of each real generator of a stack, in unitarily
+    scaled coordinates: the least eigenvalues of -sym on the traceless
+    order-0 coordinates and on the order +-1 block, (..., 2), the largest
+    |eigenvalue| of both, and the Frobenius norm of the two projected parts
+    together."""
     h0 = -0.5 * _SYM_RATIO * (g0 + _SYM_SQUARE * g0.swapaxes(-1, -2))
     h0 = _TRACELESS.T @ h0 @ _TRACELESS
     hb = -0.5 * (b + b.swapaxes(-1, -2))
@@ -495,20 +523,18 @@ def _decay_spectra(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return least, spread, frobenius
 
 
-def _generator_floor(g: np.ndarray) -> np.ndarray:
+def _generator_floor(g0: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The floor on sigma_-2 of each real generator of a stack, from its
-    own symmetric part, less the eigvalsh allowance."""
-    least, _, frobenius = _decay_spectra(g)
+    blocks' own symmetric parts, less the eigvalsh allowance."""
+    least, _, frobenius = _decay_spectra(g0, b)
     return least.min(axis=-1) - _EIGEN_SLACK * frobenius
 
 
-def _residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """||L vec(rho)|| for real coordinates x (..., 16) of order 0 (x[8:] = 0)
-    under a real generator (or stack): ||S_0 G_0 x_0||, since scaling each
-    Re/Im coordinate by sqrt(2) makes the map to vec(rho) unitary."""
-    return np.linalg.norm(
-        _SCALE[:8] * (g[..., :8, :8] @ x[..., :8, None])[..., 0], axis=-1
-    )
+def _residual(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||L vec(rho)|| for order-0 coordinates x (..., 8) (the order +-1 ones
+    0) under each order-0 block of a stack: ||S_0 G_0 x||, since scaling
+    each Re/Im coordinate by sqrt(2) makes the map to vec(rho) unitary."""
+    return np.linalg.norm(_SCALE[:8] * (g0 @ x[..., None])[..., 0], axis=-1)
 
 
 def _inverse_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -541,11 +567,8 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
             note = f" (worst cell {tuple(int(axis[cell]) for axis in cells)})"
         return cell, note
 
-    norm = np.sqrt(  # ||L||_F: the blocks between are exactly 0
-        np.einsum("...ij,ij,...ij->...", g0, _NORM_WEIGHT[:8, :8], g0)
-        + np.einsum("...ij,...ij->...", b, b)
-    )
-    aug = g0[..., _KEEP, :] @ _AUGMENT  # d/dt y = aug (y, tr)
+    norm = _frobenius(g0, b)
+    aug = _augmented(g0)  # d/dt y = aug (y, tr)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 fails below
         ratio = floor / norm
         if not np.all(ratio >= DEGENERACY_RATIO):  # NaN is weak too
@@ -564,10 +587,7 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
                 )
     # the state from its own 1-column solve, for the same bits
     y = np.linalg.solve(aug[..., :7], -aug[..., 7:])[..., 0]  # tr = 1
-    x = np.empty(y.shape[:-1] + (8,))
-    x[..., _KEEP] = y
-    x[..., :3] += 0.25
-    x[..., 3] = 1.0 - ((x[..., 0] + x[..., 1]) + x[..., 2])
+    x = _from_deviation(y, 1.0)
     residual = _residual(g0, x)
     bound = RESIDUAL_RTOL / 4 * norm
     if not np.all(residual <= bound):
@@ -579,14 +599,13 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
     return x, ratio, residual
 
 
-def _steady_state(g: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`steady_state` of a real generator (or stack) whose sigma_-2 is
-    at least ``floor`` (broadcast against the stack), from
-    :func:`_steady_signal`, with each cell's ratio and residual."""
-    x, ratio, residual = _steady_signal(g[..., :8, :8], g[..., 8:, 8:], floor)
-    full = np.zeros(x.shape[:-1] + (16,))
-    full[..., :8] = x
-    return devectorize(full @ _FROM_REAL.T), ratio, residual
+def _steady_state(g0: np.ndarray, b: np.ndarray, floor) -> tuple:
+    """:func:`steady_state` of a real generator (or stack), given as its
+    blocks, whose sigma_-2 is at least ``floor`` (broadcast against the
+    stack), from :func:`_steady_signal`, with each cell's ratio and
+    residual."""
+    x, ratio, residual = _steady_signal(g0, b, floor)
+    return _density(np.concatenate([x, np.zeros_like(x)], axis=-1)), ratio, residual
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

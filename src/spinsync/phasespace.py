@@ -86,18 +86,11 @@ def grid_axes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def husimi_grid(
-    rho: np.ndarray,
-    n_theta: int = 64,
-    n_phi: int = 128,
-    include_prefactor: bool = True,
-) -> HusimiGrid:
+def husimi_grid(rho: np.ndarray, n_theta: int = 64, n_phi: int = 128) -> HusimiGrid:
     """Reduced Husimi distribution on the ``grid_axes`` grid, of one state
     or of each in a (..., 4, 4) stack."""
     thetas, phis = grid_axes(n_theta, n_phi)
-    values = husimi_reduced(
-        rho, thetas[:, None], phis[None, :], include_prefactor=include_prefactor
-    )
+    values = husimi_reduced(rho, thetas[:, None], phis[None, :])
     return HusimiGrid(thetas=thetas, phis=phis, values=values)
 
 

@@ -227,13 +227,14 @@ def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:
     return cell, f" (worst cell {cell})" if cell else ""
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-10,
-    psd_tol: float = 1e-9,
-) -> np.ndarray:
+# check_density_matrix's tolerances: largest |rho - rho^H| entry, |tr - 1|,
+# and the most negative eigenvalue allowed.
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-10
+_PSD_TOL = 1e-9
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix, or each of a (..., 4, 4) stack.
 
     Returns it unchanged or raises ValueError, naming a stack's worst cell.
@@ -246,17 +247,17 @@ def check_density_matrix(
         _, note = _worst_cell(~finite)
         raise ValueError("density matrix has non-finite entries" + note)
     herm_err = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(herm_err > herm_tol):
+    if np.any(herm_err > _HERM_TOL):
         cell, note = _worst_cell(herm_err)
         raise ValueError(
             f"density matrix not Hermitian: deviation {herm_err[cell]:.3e}" + note
         )
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    if np.any(trace_err > trace_tol):
+    if np.any(trace_err > _TRACE_TOL):
         cell, note = _worst_cell(trace_err)
         raise ValueError(f"density matrix trace off by {trace_err[cell]:.3e}" + note)
     min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2))).min(axis=-1)
-    if np.any(min_eig < -psd_tol):
+    if np.any(min_eig < -_PSD_TOL):
         cell, note = _worst_cell(-min_eig)
         raise ValueError(f"density matrix has eigenvalue {min_eig[cell]:.3e}" + note)
     return rho

@@ -52,6 +52,7 @@ from spinsync import (
     build_pseudo_hadamard,
     detuning_term,
     drive_term,
+    propagate,
     rotating_drift,
     spin_operator,
     steady_state,
@@ -60,7 +61,7 @@ from spinsync import (
 )
 from spinsync.cli import dumps_json, resolved_config_dict
 from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
-from spinsync.liouville import _AUGMENT, _KEEP, _NORM_WEIGHT, _SCALE, _propagate
+from spinsync.liouville import _AUGMENT, _KEEP, _SCALE
 from spinsync.phasespace import grid_axes
 
 # --- frame derivation ---------------------------------------------------------
@@ -351,43 +352,45 @@ def kron_affine_liouvillian(config) -> AffineLiouvillian:
 # --- singular values of the generator -----------------------------------------
 
 
-def singular_values(g: np.ndarray) -> np.ndarray:
+def singular_values(g0: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Singular values of a generator (or stack), descending, from its real
-    coordinates: those of the two blocks with the unitary scaling."""
-    cells = g.shape[:-2]
-    scaled = g * (_SCALE[:, None] / _SCALE)
-    blocks = np.einsum("...kikj->...kij", scaled.reshape(cells + (2, 8, 2, 8)))
-    s = np.linalg.svd(blocks, compute_uv=False)
-    return np.sort(s.reshape(cells + (16,)), axis=-1)[..., ::-1]
+    blocks: those of the order-0 block with the unitary scaling and of the
+    order +-1 block, which the scaling leaves as it is."""
+    scaled = g0 * (_SCALE[:8, None] / _SCALE[:8])
+    s = np.concatenate(
+        [np.linalg.svd(block, compute_uv=False) for block in (scaled, b)], axis=-1
+    )
+    return np.sort(s, axis=-1)[..., ::-1]
 
 
-def inverse_degeneracy_bound(g: np.ndarray) -> np.ndarray:
+def inverse_degeneracy_bound(g0: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The steady state's earlier certified bound on sigma_-2 / sigma_0 of a
-    real generator (or stack): min(1 / (2 ||A^-1||_F), 1 / ||B^-1||_F) /
-    ||L||_F, with A the signal block's 7x7 deviation matrix and B the order
-    +-1 block (Courant-Fischer on the deviation embedding, of 2-norm 2, and
-    sigma_min(M) >= 1 / ||M^-1||_F)."""
-    a = (g[..., _KEEP, :8] @ _AUGMENT)[..., :7]
-    norm = np.sqrt(np.einsum("...ij,ij,...ij->...", g, _NORM_WEIGHT, g))
+    real generator (or stack), given as its blocks: min(1 / (2 ||A^-1||_F),
+    1 / ||B^-1||_F) / ||L||_F, with A the order-0 block's 7x7 deviation
+    matrix and B the order +-1 block (Courant-Fischer on the deviation
+    embedding, of 2-norm 2, and sigma_min(M) >= 1 / ||M^-1||_F)."""
+    a = (g0[..., _KEEP, :] @ _AUGMENT)[..., :7]
+    scaled = g0 * (_SCALE[:8, None] / _SCALE[:8])
+    norm = np.sqrt((scaled**2).sum(axis=(-2, -1)) + (b**2).sum(axis=(-2, -1)))
     return np.minimum(
         0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
-        1.0 / np.linalg.norm(np.linalg.inv(g[..., 8:, 8:]), axis=(-2, -1)),
+        1.0 / np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)),
     ) / norm
 
 
-def mp_decay_floor(g: np.ndarray) -> tuple[mpmath.mpf, mpmath.mpf]:
+def mp_decay_floor(g0: np.ndarray, b: np.ndarray) -> tuple[mpmath.mpf, mpmath.mpf]:
     """The least eigenvalues of -sym of a real generator's order-0 block on
     the traceless coordinates and of its order +-1 block, in the unitarily
     scaled coordinates, by 40-digit ``mpmath.eigsy`` of the exact matrices.
     The traceless basis is Helmert's (1, -1, 0, 0) / sqrt 2, (1, 1, -2, 0) /
     sqrt 6, (1, 1, 1, -3) / sqrt 12 on the populations, and the coherences."""
     with mpmath.workdps(40):
-        scale = [mpmath.mpf(1)] * 4 + [mpmath.sqrt(2)] * 12
-        m = mpmath.matrix(16, 16)
-        for i in range(16):
-            for j in range(16):
-                m[i, j] = scale[i] * mpmath.mpf(float(g[i, j])) / scale[j]
-        h = -(m + m.T) / 2
+        scale = [mpmath.mpf(1)] * 4 + [mpmath.sqrt(2)] * 4
+        m0, mb = mpmath.matrix(8, 8), mpmath.matrix(8, 8)
+        for i in range(8):
+            for j in range(8):
+                m0[i, j] = scale[i] * mpmath.mpf(float(g0[i, j])) / scale[j]
+                mb[i, j] = mpmath.mpf(float(b[i, j]))
         basis = mpmath.matrix(8, 7)
         for k in range(3):
             norm = mpmath.sqrt((k + 1) * (k + 2))
@@ -396,9 +399,9 @@ def mp_decay_floor(g: np.ndarray) -> tuple[mpmath.mpf, mpmath.mpf]:
             basis[k + 1, k] = -(k + 1) / norm
         for k in range(4):
             basis[4 + k, 3 + k] = 1
-        h0 = basis.T * h[0:8, 0:8] * basis
-        blocks = (h0, h[8:16, 8:16])
-        return tuple(min(mpmath.eigsy(b, eigvals_only=True)) for b in blocks)
+        h0 = basis.T * (-(m0 + m0.T) / 2) * basis
+        blocks = (h0, -(mb + mb.T) / 2)
+        return tuple(min(mpmath.eigsy(h, eigvals_only=True)) for h in blocks)
 
 
 # --- per-value CSV writer -------------------------------------------------------
@@ -453,14 +456,14 @@ def series_csv(points, rc) -> str:
 
 def propagated_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
     """The propagated Arnold tongue one row at a time, as the engine once
-    computed it: each row's 16x16 real generators from the shared affine
-    terms, propagated to density matrices, then max-sync of each."""
+    computed it: each row's 16x16 generators from the shared affine terms,
+    propagated to density matrices by ``propagate``, then max-sync of each."""
     rho0 = thermal_state(config)
-    terms = build_affine_liouvillian(config)._real
+    terms = build_affine_liouvillian(config)
     values = np.empty((len(omegas), len(detunings)))
     for i, omega in enumerate(omegas):
         row = terms.at(omega, np.asarray(detunings, dtype=float))
-        values[i] = sync_measure_max(_propagate(row, rho0, duration_s))
+        values[i] = sync_measure_max(propagate(row, rho0, duration_s))
     return values
 
 

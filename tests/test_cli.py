@@ -831,6 +831,21 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("series", "out.csv"), ("husimi", "out.csv"), ("imhd-verify", "out.json")],
+    )
+    def test_overflowing_propagation_is_engine_error(
+        self, tmp_path, capsys, command, name
+    ):
+        """At 1e20 Hz ||L t|| is finite but the exponential overflows: exit
+        1 and no file (husimi's JSON would hold a bare NaN).  The suite turns
+        warnings into errors, so a leaked RuntimeWarning fails here too."""
+        out = tmp_path / name
+        assert main([command, "--amplitude", "1e20", "--output", str(out)]) == 1
+        assert "propagation overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRepeatedMain:
     """main runs many jobs in one process (its parser and each system's

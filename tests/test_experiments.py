@@ -378,6 +378,12 @@ class TestArnoldTongue:
                 duration_s=0.0,
             )
 
+    def test_overflowing_propagation_rejected(self, config):
+        """||L t|| is finite at 1e20 Hz, but the exponential's squarings
+        overflow: a ValueError, with no RuntimeWarning on the way."""
+        with pytest.raises(ValueError, match="propagation overflows"):
+            run_arnold_tongue(config, omegas_hz=[1e20], detunings_hz=[0.0])
+
     def test_default_grid(self):
         omegas, detunings = default_arnold_grid()
         assert omegas.shape == (21,)
@@ -427,8 +433,8 @@ class TestTongueStacks:
 
     def test_builds_no_generator_stack_or_density_matrix(self, config, monkeypatch):
         """No 16x16 generator (real or complex) and no density matrix is
-        built per cell by either tongue; the amplitude sweep, which solves
-        for states, shows that the patches bite."""
+        built per cell by either tongue; the public steady_state, which
+        builds both, shows that the patches bite."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a density matrix was built")
@@ -440,16 +446,50 @@ class TestTongueStacks:
                 raise AssertionError("a 16x16 generator stack was built")
             return at(self, *args)
 
+        drive = DriveConfig(amplitude_hz=0.1)
         monkeypatch.setattr(liouville, "devectorize", refuse)
         monkeypatch.setattr(liouville.AffineLiouvillian, "at", rows_only)
         assert run_arnold_tongue(config).values.shape == (21, 41)
         tongue = run_arnold_tongue(config, use_steady_state=True)
         assert tongue.values.shape == (21, 41)
         with pytest.raises(AssertionError, match="16x16 generator"):
-            run_amplitude_sweep(config, n_theta=8, n_phi=8)
+            steady_state(build_liouvillian(config, drive))
         monkeypatch.setattr(liouville.AffineLiouvillian, "at", at)
         with pytest.raises(AssertionError, match="density matrix"):
-            run_amplitude_sweep(config, n_theta=8, n_phi=8)
+            steady_state(build_liouvillian(config, drive))
+
+    def test_single_state_paths_build_no_generator(self, config, monkeypatch, tmp_path):
+        """After a system's first mapping, the amplitude sweep, the drive
+        series, the limit cycle and the steady, husimi and imhd-verify jobs
+        sum the system's real blocks: none builds or maps a 16x16 generator.
+        The public steady_state, which builds one, shows that the patch
+        bites."""
+        liouville.build_affine_liouvillian(config)._blocks  # mapped before patching
+        at = liouville.AffineLiouvillian.at
+
+        def blocks_only(self, *args):
+            if self.base.shape == (16, 16):
+                raise AssertionError("a 16x16 generator was built")
+            return at(self, *args)
+
+        def refuse(l_total):
+            raise AssertionError("a 16x16 generator was mapped")
+
+        monkeypatch.setattr(liouville.AffineLiouvillian, "at", blocks_only)
+        monkeypatch.setattr(liouville, "_real_generator", refuse)
+        run_amplitude_sweep(config, n_theta=8, n_phi=8)
+        run_drive_series(config, 0.1, n_theta=8, n_phi=8)
+        run_limit_cycle(config, n_theta=8, n_phi=8)
+        for argv in (
+            ["steady"],
+            ["husimi", "--n-theta", "8"],
+            ["husimi", "--steady", "--n-theta", "8"],
+            ["imhd-verify", "--n-theta", "8"],
+            ["imhd-verify", "--steady", "--n-theta", "8"],
+        ):
+            assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 0
+        with pytest.raises(AssertionError, match="16x16 generator was built"):
+            steady_state(build_liouvillian(config, DriveConfig(amplitude_hz=0.1)))
 
     def test_peak_memory_within_row_loop(self, config):
         """The stacks keep the traced peak memory of the default tongue at

@@ -264,9 +264,9 @@ class TestAffineLiouvillian:
         random = 10.0 ** rng.uniform(-3.5, 3.0, 500), rng.uniform(-5.0, 5.0, 500)
         for drive in ((omegas[:, None], detunings), (default_amplitude_grid(), 0.0),
                       random):
-            np.testing.assert_array_equal(
-                terms._real.at(*drive), _real_generator(terms.at(*drive))
-            )
+            mapped = _real_generator(terms.at(*drive))
+            for got, want in zip(blocks_at(terms, *drive), mapped):
+                np.testing.assert_array_equal(got, want)
 
     def test_real_terms_are_checked(self, config):
         """The real terms are mapped with the generator's checks, once per
@@ -275,14 +275,23 @@ class TestAffineLiouvillian:
         broken = terms.per_detuning.copy()
         broken[8, 8] += 1e-12j
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            AffineLiouvillian(terms.base, broken, terms.per_amplitude)._real
+            AffineLiouvillian(terms.base, broken, terms.per_amplitude)._blocks
 
 
-def _terms_and_real(terms: AffineLiouvillian) -> dict:
+def blocks_at(terms: AffineLiouvillian, *drive) -> tuple[np.ndarray, np.ndarray]:
+    """The real blocks (g0, b) of a system's generator at a drive."""
+    return tuple(block.at(*drive) for block in terms._blocks)
+
+
+def _terms_and_blocks(terms: AffineLiouvillian) -> dict:
     names = ("base", "per_detuning", "per_amplitude")
     return {
         **{name: getattr(terms, name) for name in names},
-        **{f"_real.{name}": getattr(terms._real, name) for name in names},
+        **{
+            f"_blocks[{k}].{name}": getattr(block, name)
+            for k, block in enumerate(terms._blocks)
+            for name in names
+        },
     }
 
 
@@ -294,10 +303,11 @@ class TestSharedTerms:
         first = build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0))
         assert build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0)) is first
         assert build_affine_liouvillian(SpinSystemConfig(t1_f_s=4.0)) is not first
-        assert first._real is build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0))._real
+        again = build_affine_liouvillian(SpinSystemConfig(t1_f_s=3.0))
+        assert first._blocks is again._blocks
 
     def test_every_shared_array_is_read_only(self, config):
-        for name, term in _terms_and_real(build_affine_liouvillian(config)).items():
+        for name, term in _terms_and_blocks(build_affine_liouvillian(config)).items():
             with pytest.raises(ValueError, match="read-only"):
                 term[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -323,8 +333,8 @@ class TestSharedTerms:
         for order in (configs, configs[::-1]):
             liouville._affine_terms.cache_clear()
             for system in order:
-                shared = _terms_and_real(build_affine_liouvillian(system))
-                fresh = _terms_and_real(
+                shared = _terms_and_blocks(build_affine_liouvillian(system))
+                fresh = _terms_and_blocks(
                     liouville._affine_terms.__wrapped__(repr(system), system)
                 )
                 for name, term in shared.items():
@@ -427,16 +437,15 @@ class TestPropagate:
         columns both feed rho42."""
         terms = build_affine_liouvillian(config)
         omegas, deltas = np.array([[0.01], [0.3], [5.0]]), np.array([-2.0, 0.0, 1.5])
-        rows = terms._signal_rows.at(omegas, deltas)
-        g = terms._real.at(omegas, deltas)
+        g0, b = blocks_at(terms, omegas, deltas)
         for rho0 in (
             random_density(rng),
             random_density(rng) + 0.1j * random_density(rng),
         ):
             u0 = liouville._real_start(rho0)[1]
             for t in (0.05, 3.0, 100.0):
-                rho42 = liouville._propagate(g, rho0, t)[..., 0, 2]
-                re, im = liouville._signal_coherence(rows, u0, t)
+                rho42 = liouville._propagate(g0, b, rho0, t)[..., 0, 2]
+                re, im = liouville._signal_coherence(g0, u0, t)
                 np.testing.assert_array_equal(re, rho42.real)
                 np.testing.assert_array_equal(im, rho42.imag)
 
@@ -558,11 +567,11 @@ class TestExpm:
         exactly 0 through every squaring, and exp keeps tr fixed: the row
         is exactly e_7 on all 861 default-tongue cells up to 1e7 s (squaring
         R itself moves its (7, 7) entry by up to 1.5e-11 at 100 s)."""
-        g = _real_generator(build_affine_liouvillian(config).at(
+        g0, _ = _real_generator(build_affine_liouvillian(config).at(
             np.logspace(-2.0, 0.0, 21)[:, None], np.linspace(-3.0, 3.0, 41)
         ))
-        aug = np.zeros(g.shape[:-2] + (8, 8))
-        aug[..., :7, :] = g[..., _KEEP, :8] @ _AUGMENT
+        aug = np.zeros(g0.shape[:-2] + (8, 8))
+        aug[..., :7, :] = g0[..., _KEEP, :] @ _AUGMENT
         e7 = np.eye(8)[7]
         for t in (0.05, 1.0, 100.0, 1e4, 1e7):
             rows = _expm(aug * t)[..., 7, :]
@@ -652,7 +661,7 @@ class TestSteadyState:
         detunings = rng.uniform(-5.0, 5.0, omegas.size)
         stack = build_affine_liouvillian(config).at(omegas, detunings)
         full = np.linalg.svd(stack, compute_uv=False)
-        blocks = singular_values(_real_generator(stack))
+        blocks = singular_values(*_real_generator(stack))
         gap = np.max(np.abs(blocks - full), axis=-1)
         assert np.all(gap <= 100 * EPS * full[..., 0])
 
@@ -665,9 +674,9 @@ class TestSteadyState:
         omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.5, 3.0, 4999)])
         detunings = rng.uniform(-5.0, 5.0, omegas.size)
         terms = build_affine_liouvillian(config)
-        g = terms._real.at(omegas, detunings)
-        _, bound, _ = _steady_state(g, terms._floor.at(omegas, detunings))
-        s = singular_values(g)
+        blocks = blocks_at(terms, omegas, detunings)
+        _, bound, _ = _steady_state(*blocks, terms._floor.at(omegas, detunings))
+        s = singular_values(*blocks)
         assert np.all(bound <= s[..., -2] / s[..., 0])
 
     def test_near_degenerate_family_is_rejected(self, config):
@@ -681,7 +690,7 @@ class TestSteadyState:
             drive = DriveConfig(amplitude_hz=amplitude, detuning_hz=detuning)
             coherent = build_l0(rotating_drift(config, drive) + drive_term(drive), [])
             stack = coherent + scales[:, None, None] * dissipator
-            s = singular_values(_real_generator(stack))
+            s = singular_values(*_real_generator(stack))
             ratio = s[..., -2] / s[..., 0]
             assert ratio[0] < DEGENERACY_RATIO <= ratio[-1]
             for lv, r in zip(stack, ratio):
@@ -706,9 +715,9 @@ class TestSteadyState:
         rows += [(default_amplitude_grid(), 0.0)]
         rows += [(omega, np.linspace(-4.0, 4.0, 81)) for omega in box]
         for drive in rows:
-            g = terms._real.at(*drive)
-            _, bound, _ = _steady_state(g, terms._floor.at(*drive))
-            s = singular_values(g)
+            blocks = blocks_at(terms, *drive)
+            _, bound, _ = _steady_state(*blocks, terms._floor.at(*drive))
+            s = singular_values(*blocks)
             assert bound.min() >= 100 * DEGENERACY_RATIO
             assert np.all(bound <= s[..., -2] / s[..., 0])
             frobenius = np.linalg.norm(terms.at(*drive), axis=(-2, -1))
@@ -727,12 +736,13 @@ class TestSteadyState:
         stack = build_affine_liouvillian(config).at(
             omegas, rng.uniform(-5.0, 5.0, omegas.size)
         )
-        g = _real_generator(stack)
+        g0, b = _real_generator(stack)
         frobenius = np.linalg.norm(stack, axis=(-2, -1))
-        states, _, residual = _steady_state(g, _generator_floor(g))
+        states, _, residual = _steady_state(g0, b, _generator_floor(g0, b))
         vec = vectorize(states)
         # the kernel's residual is the helper's, bit for bit
-        np.testing.assert_array_equal(residual, _residual(g, (vec @ _TO_REAL.T).real))
+        x = (vec @ _TO_REAL.T).real
+        np.testing.assert_array_equal(residual, _residual(g0, x[..., :8]))
         direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
         size = np.linalg.norm(vec, axis=-1)
         assert np.all(np.abs(residual - direct) <= 32 * EPS * frobenius * size)
@@ -740,7 +750,7 @@ class TestSteadyState:
         x = np.zeros(omegas.shape + (16,))
         x[..., :8] = rng.normal(size=omegas.shape + (8,))
         vec = x @ _FROM_REAL.T
-        real = _residual(g, x)
+        real = _residual(g0, x[..., :8])
         direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
         size = np.linalg.norm(vec, axis=-1)
         assert np.all(np.abs(real - direct) <= 32 * EPS * frobenius * size)
@@ -783,10 +793,11 @@ FLOOR_SYSTEMS = [
 ]
 
 
-def weighted_frobenius(g: np.ndarray) -> float:
-    """||.||_F of a real 16x16 matrix in the unitarily scaled coordinates."""
-    scaled = g * (liouville._SCALE[:, None] / liouville._SCALE)
-    return float(np.sqrt(np.sum(scaled**2)))
+def weighted_frobenius(g0: np.ndarray, b: np.ndarray) -> float:
+    """||.||_F of a real 16x16 matrix, given as its two blocks, in the
+    unitarily scaled coordinates (the order +-1 block is scaled uniformly)."""
+    scaled = g0 * (liouville._SCALE[:8, None] / liouville._SCALE[:8])
+    return float(np.sqrt(np.sum(scaled**2) + np.sum(b**2)))
 
 
 class TestSteadyFloor:
@@ -798,19 +809,21 @@ class TestSteadyFloor:
         """With S^2 in {1, 2}, S_i^2 G_ij = -S_j^2 G_ji is an exact test:
         both drive terms pass it on every system, so their symmetric parts
         are exact zeros and the floor's drive allowance is rounding alone."""
-        square = np.where(np.arange(16) < 4, 1.0, 2.0)[:, None]
+        square = np.where(np.arange(8) < 4, 1.0, 2.0)[:, None]
         for config in FLOOR_SYSTEMS:
             terms = build_affine_liouvillian(config)
-            for term in terms._real[1:]:
-                np.testing.assert_array_equal(square * term, -(square * term).T)
-            drive_terms = np.stack(terms._real[1:])
-            _, spread, frobenius = liouville._decay_spectra(drive_terms)
+            order_zero, order_one = terms._blocks
+            for g0, b in zip(order_zero[1:], order_one[1:]):
+                np.testing.assert_array_equal(square * g0, -(square * g0).T)
+                np.testing.assert_array_equal(b, -b.T)  # scaled uniformly
+            _, spread, frobenius = liouville._decay_spectra(
+                np.stack(order_zero[1:]), np.stack(order_one[1:])
+            )
             assert not spread.any() and not frobenius.any()
             # the allowance for the sum's rounding alone, up to the norm's own
             _, per_detuning, per_amplitude = terms._floor
-            for per_hz, term in ((per_detuning, terms._real[1]),
-                                 (per_amplitude, terms._real[2])):
-                expected = 2 * EPS * weighted_frobenius(term)
+            for k, per_hz in ((1, per_detuning), (2, per_amplitude)):
+                expected = 2 * EPS * weighted_frobenius(order_zero[k], order_one[k])
                 assert per_hz == pytest.approx(expected, rel=16 * EPS, abs=0.0)
 
     @pytest.mark.parametrize("index", [0, 3, 9])
@@ -819,9 +832,10 @@ class TestSteadyFloor:
         mpmath.eigsy of the exact scaled blocks, on another traceless basis:
         within the eigvalsh allowance (the worst seen is 4.1e-15 against an
         allowance of 4.0e-12)."""
-        g = build_affine_liouvillian(FLOOR_SYSTEMS[index])._real.base
-        least, _, frobenius = liouville._decay_spectra(g)
-        for got, exact in zip(least, mp_decay_floor(g)):
+        order_zero, order_one = build_affine_liouvillian(FLOOR_SYSTEMS[index])._blocks
+        g0, b = order_zero.base, order_one.base
+        least, _, frobenius = liouville._decay_spectra(g0, b)
+        for got, exact in zip(least, mp_decay_floor(g0, b)):
             allowance = liouville._EIGEN_SLACK * frobenius
             assert abs(mpmath.mpf(float(got)) - exact) <= allowance
 
@@ -833,16 +847,20 @@ class TestSteadyFloor:
         one generator sits below its own exact value.  A floor without its
         allowances fails the first check."""
         terms = build_affine_liouvillian(FLOOR_SYSTEMS[index])
-        exact = min(mp_decay_floor(terms._real.base))
+        base = tuple(block.base for block in terms._blocks)
+        exact = min(mp_decay_floor(*base))
         gamma3 = 3 * EPS / 2 / (1 - 3 * EPS / 2)
-        parts = [np.abs(term) for term in terms._real]
         for omega in (0.0, 1.0, 1e3):
             for delta in (-50.0, 0.0, 4.0):
-                total = parts[0] + abs(delta) * parts[1] + omega * parts[2]
-                rounding = gamma3 * weighted_frobenius(total)
+                total = [
+                    np.abs(block.base) + abs(delta) * np.abs(block.per_detuning)
+                    + omega * np.abs(block.per_amplitude)
+                    for block in terms._blocks
+                ]
+                rounding = gamma3 * weighted_frobenius(*total)
                 floor = terms._floor.at(omega, delta)
                 assert mpmath.mpf(float(floor)) <= exact - rounding
-        own = liouville._generator_floor(terms._real.base)
+        own = liouville._generator_floor(*base)
         assert mpmath.mpf(float(own)) <= exact
 
     def test_symmetric_drive_term_lowers_floor(self, config):
@@ -857,12 +875,11 @@ class TestSteadyFloor:
         floor = shifted._floor
         assert floor.base == terms._floor.base
         allowance = liouville._EIGEN_SLACK * kappa * math.sqrt(15.0) + 2 * EPS * (
-            weighted_frobenius(shifted._real[1])
+            weighted_frobenius(*(block.per_detuning for block in shifted._blocks))
         )
         assert kappa <= floor.per_detuning <= kappa + allowance
         detunings = np.linspace(-5.0, 5.0, 21)
-        g = shifted._real.at(0.1, detunings)
-        sigma = singular_values(g)[..., -2]
+        sigma = singular_values(*blocks_at(shifted, 0.1, detunings))[..., -2]
         assert np.all(floor.at(0.1, detunings) <= sigma)
         assert np.any(terms._floor.at(0.1, detunings) > sigma)
 
@@ -889,9 +906,9 @@ class TestSteadyFloor:
         omegas = np.concatenate([[0.0], default_amplitude_grid()])
         for config in FLOOR_SYSTEMS:
             terms = build_affine_liouvillian(config)
-            g = terms._real.at(omegas)
-            ratio = _steady_state(g, terms._floor.at(omegas))[1]
-            assert ratio.min() >= inverse_degeneracy_bound(g).min()
+            blocks = blocks_at(terms, omegas)
+            ratio = _steady_state(*blocks, terms._floor.at(omegas))[1]
+            assert ratio.min() >= inverse_degeneracy_bound(*blocks).min()
 
     def test_inverse_bound_certifies_where_the_floor_cannot(self, monkeypatch):
         """The floor is 2 pi / max(T1P, T1F) to 2e-5, whatever the drive, so
@@ -910,23 +927,23 @@ class TestSteadyFloor:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "inv", refuse)
-            _steady_state(inside._real.at(omegas), inside._floor.at(omegas))
+            _steady_state(*blocks_at(inside, omegas), inside._floor.at(omegas))
         for slow in (
             SpinSystemConfig(t1_p_s=5.8e4), SpinSystemConfig(t1_p_s=1e5, t1_f_s=10.0)
         ):
             terms = build_affine_liouvillian(slow)
-            g = terms._real.at(omegas)
-            norms = np.array([weighted_frobenius(cell) for cell in g])
+            g0, b = blocks_at(terms, omegas)
+            norms = np.array([weighted_frobenius(*cell) for cell in zip(g0, b)])
             assert np.all(terms._floor.at(omegas) / norms < DEGENERACY_RATIO)
-            inverse = inverse_degeneracy_bound(g)
+            inverse = inverse_degeneracy_bound(g0, b)
             assert np.sum(inverse >= DEGENERACY_RATIO) == 58
             for k, omega in enumerate(omegas):
                 if inverse[k] >= DEGENERACY_RATIO:
-                    ratio = _steady_state(g[k], terms._floor.at(omega))[1]
+                    ratio = _steady_state(g0[k], b[k], terms._floor.at(omega))[1]
                     assert ratio == pytest.approx(inverse[k], rel=1e-12)
                 else:
                     with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
-                        _steady_state(g[k], terms._floor.at(omega))
+                        _steady_state(g0[k], b[k], terms._floor.at(omega))
 
     def test_rejected_where_both_bounds_fail(self):
         """With T1P = T1F = 1e5 s neither the floor nor the block-inverse
@@ -935,13 +952,13 @@ class TestSteadyFloor:
         omegas = np.concatenate([[0.0], default_amplitude_grid()])
         slow = SpinSystemConfig(t1_p_s=1e5, t1_f_s=1e5)
         terms = build_affine_liouvillian(slow)
-        g = terms._real.at(omegas)
-        assert np.all(inverse_degeneracy_bound(g) < DEGENERACY_RATIO)
+        g0, b = blocks_at(terms, omegas)
+        assert np.all(inverse_degeneracy_bound(g0, b) < DEGENERACY_RATIO)
         for k, omega in enumerate(omegas):
             with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
-                _steady_state(g[k], terms._floor.at(omega))
+                _steady_state(g0[k], b[k], terms._floor.at(omega))
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(61,\)"):
-            _steady_state(g, terms._floor.at(omegas))
+            _steady_state(g0, b, terms._floor.at(omegas))
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(1, 0\)"):
             run_arnold_tongue(slow, use_steady_state=True)
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):

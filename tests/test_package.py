@@ -102,6 +102,24 @@ def names_read_in_package() -> set[str]:
     return names
 
 
+def test_cli_imports_nothing_from_the_engine():
+    """spinsync/cli.py reaches the engine through ``experiments`` alone: it
+    imports nothing from spinsync.liouville, relatively or absolutely."""
+    path = Path(spinsync.__file__).parent / "cli.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # cli.py sits in the package, so a relative import is from spinsync
+            package = "spinsync" if node.level else None
+            module = ".".join(filter(None, (package, node.module)))
+            imported.append(module)
+            imported += [f"{module}.{alias.name}" for alias in node.names]
+    assert "spinsync.experiments" in imported
+    assert [name for name in imported if name.startswith("spinsync.liouville")] == []
+
+
 def test_exports_are_the_listed_names():
     assert sorted(spinsync.__all__) == EXPORTS
     assert all(hasattr(spinsync, name) for name in EXPORTS)
