@@ -61,7 +61,7 @@ from spinsync import (
 )
 from spinsync.cli import dumps_json, resolved_config_dict
 from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
-from spinsync.liouville import _AUGMENT, _KEEP, _SCALE
+from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _propagate
 from spinsync.phasespace import grid_axes
 
 # --- frame derivation ---------------------------------------------------------
@@ -464,6 +464,27 @@ def propagated_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
     for i, omega in enumerate(omegas):
         row = terms.at(omega, np.asarray(detunings, dtype=float))
         values[i] = sync_measure_max(propagate(row, rho0, duration_s))
+    return values
+
+
+def real_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
+    """The propagated Arnold tongue one row at a time in real coordinates,
+    the working set the stacked tongue must stay within: each row's 16x16
+    real generators summed from terms with the two blocks on the diagonal,
+    then ``_propagate`` on the row's block views, as the 16x16 real engine
+    ran it."""
+    rho0 = thermal_state(config)
+    zero = np.zeros((8, 8))
+    real = AffineLiouvillian(*(
+        np.block([[g0, zero], [zero, b]])
+        for g0, b in zip(*build_affine_liouvillian(config)._blocks)
+    ))
+    values = np.empty((len(omegas), len(detunings)))
+    for i, omega in enumerate(omegas):
+        g = real.at(omega, np.asarray(detunings, dtype=float))
+        values[i] = sync_measure_max(
+            _propagate(g[..., :8, :8], g[..., 8:, 8:], rho0, duration_s)
+        )
     return values
 
 

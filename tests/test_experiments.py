@@ -43,6 +43,7 @@ from oracles import (
     grid_visibility_bound,
     mp_visibility,
     propagated_tongue_rows,
+    real_tongue_rows,
     state_visibility_bound,
     steady_tongue_rows,
 )
@@ -458,50 +459,18 @@ class TestTongueStacks:
         with pytest.raises(AssertionError, match="density matrix"):
             steady_state(build_liouvillian(config, drive))
 
-    def test_single_state_paths_build_no_generator(self, config, monkeypatch, tmp_path):
-        """After a system's first mapping, the amplitude sweep, the drive
-        series, the limit cycle and the steady, husimi and imhd-verify jobs
-        sum the system's real blocks: none builds or maps a 16x16 generator.
-        The public steady_state, which builds one, shows that the patch
-        bites."""
-        liouville.build_affine_liouvillian(config)._blocks  # mapped before patching
-        at = liouville.AffineLiouvillian.at
-
-        def blocks_only(self, *args):
-            if self.base.shape == (16, 16):
-                raise AssertionError("a 16x16 generator was built")
-            return at(self, *args)
-
-        def refuse(l_total):
-            raise AssertionError("a 16x16 generator was mapped")
-
-        monkeypatch.setattr(liouville.AffineLiouvillian, "at", blocks_only)
-        monkeypatch.setattr(liouville, "_real_generator", refuse)
-        run_amplitude_sweep(config, n_theta=8, n_phi=8)
-        run_drive_series(config, 0.1, n_theta=8, n_phi=8)
-        run_limit_cycle(config, n_theta=8, n_phi=8)
-        for argv in (
-            ["steady"],
-            ["husimi", "--n-theta", "8"],
-            ["husimi", "--steady", "--n-theta", "8"],
-            ["imhd-verify", "--n-theta", "8"],
-            ["imhd-verify", "--steady", "--n-theta", "8"],
-        ):
-            assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 0
-        with pytest.raises(AssertionError, match="16x16 generator was built"):
-            steady_state(build_liouvillian(config, DriveConfig(amplitude_hz=0.1)))
-
     def test_peak_memory_within_row_loop(self, config):
         """The stacks keep the traced peak memory of the default tongue at
-        or below that of the row-by-row oracle."""
+        or below that of the row loop in real coordinates (0.333 against
+        0.336 MB)."""
         omegas, detunings = default_arnold_grid()
         assert_peak_within(
             lambda: run_arnold_tongue(config),
-            lambda: propagated_tongue_rows(config, omegas, detunings, 100.0),
+            lambda: real_tongue_rows(config, omegas, detunings, 100.0),
         )
 
     def test_steady_peak_memory_within_row_loop(self, config):
-        """So do the steady tongue's stacks (0.160 against 0.245 MB)."""
+        """So do the steady tongue's stacks (0.160 against 0.648 MB)."""
         omegas, detunings = default_arnold_grid()
         assert_peak_within(
             lambda: run_arnold_tongue(config, use_steady_state=True),
@@ -528,16 +497,22 @@ class TestSweepEngine:
     def test_generator_mapped_once_per_system(self, config, monkeypatch, tmp_path):
         """Sweeps, the drive series, the limit cycle and the CLI's
         single-state jobs map the three affine terms to real coordinates, one
-        16x16 term per call, and then sum real generators: no row, cell,
-        series or job maps or checks a generator of its own.  The terms are
-        shared per process, so a system's first run maps them, its later runs
-        map nothing, and a new system maps its own."""
+        16x16 term per call, and then sum their real blocks: no row, cell,
+        series or job builds, maps or checks a 16x16 generator of its own.
+        The terms are shared per process, so a system's first run maps them,
+        its later runs map nothing, and a new system maps its own."""
         shapes = []
         original = liouville._real_generator
+        at = liouville.AffineLiouvillian.at
 
         def counted(l_total):
             shapes.append(np.shape(l_total))
             return original(l_total)
+
+        def blocks_only(self, *args):
+            if self.base.shape == (16, 16):
+                raise AssertionError("a 16x16 generator was built")
+            return at(self, *args)
 
         def job(system, *argv):
             path = tmp_path / "system.json"
@@ -546,6 +521,7 @@ class TestSweepEngine:
             assert cli.main([*argv, "--config", str(path), "--output", out]) == 0
 
         monkeypatch.setattr(liouville, "_real_generator", counted)
+        monkeypatch.setattr(liouville.AffineLiouvillian, "at", blocks_only)
         liouville._affine_terms.cache_clear()
         other = SpinSystemConfig(t1_p_s=7.0)
         for system in (config, other):
@@ -572,6 +548,8 @@ class TestSweepEngine:
             job(other, *argv)
             assert shapes == [(16, 16)] * 3
             liouville._affine_terms.cache_clear()
+        with pytest.raises(AssertionError, match="16x16 generator was built"):
+            build_liouvillian(config, DriveConfig())
 
     def test_sweeps_take_the_cached_floor(self, config, monkeypatch, tmp_path):
         """Once a system's floor is cached, no sweep, limit cycle or CLI job
