@@ -1,10 +1,11 @@
 """Command-line front end: config ingestion and result serialization.
 
 The config file is a single flat JSON object; every key is optional and
-unknown keys are rejected.  Grids and sweeps are written as CSV, density
-matrices and reports as JSON.  Every output embeds the fully resolved
-configuration as a reproducibility header, and all numbers are written
-with 17 significant digits so values round-trip exactly.
+unknown keys are rejected.  The flags that name a config key override it.
+Grids and sweeps are written as CSV, density matrices and reports as JSON.
+Every output embeds the configuration that ran, flags folded in, as a
+reproducibility header, and all numbers are written with 17 significant
+digits so values round-trip exactly.
 
 Exit codes: 0 success, 1 engine failure, 2 config error, 3 I/O error,
 64 usage error.  ``main`` may be called repeatedly in one process: its
@@ -31,7 +32,6 @@ import numpy as np
 from .experiments import (
     AMPLITUDE_SWEEP_AXIS,
     ARNOLD_DETUNING_AXIS,
-    ARNOLD_DURATION_S,
     ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
     _state_at,
@@ -91,7 +91,8 @@ class RunConfig(namedtuple("RunConfig", "system drive n_theta n_phi seed")):
 def _require_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number")
-    if not math.isfinite(float(value)):
+    # compared, not converted: float() of an integer past the range overflows
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"config key {key!r} must be finite")
     return float(value)
 
@@ -111,7 +112,7 @@ def parse_config(path: str | Path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also not UTF-8, or past int()'s digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -234,7 +235,12 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column (time_s, signal) CSV of finite numbers; '#' lines are skipped."""
     samples: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        # text that is not UTF-8, or a field past csv's size limit
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: unreadable CSV: {exc}") from exc
+        for row in rows:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if len(row) != 2:
@@ -246,29 +252,6 @@ def read_samples_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             if not all(map(math.isfinite, samples[-1])):
                 raise ConfigError(f"{path}: non-finite row {row!r}")
     return tuple(np.array(samples).reshape(-1, 2).T)
-
-
-def _drive_from_args(rc: RunConfig, args) -> DriveConfig:
-    def take(name: str, fallback: float) -> float:
-        value = getattr(args, name, None)
-        return fallback if value is None else value
-
-    try:
-        return DriveConfig(
-            amplitude_hz=take("amplitude", rc.drive.amplitude_hz),
-            detuning_hz=take("detuning", rc.drive.detuning_hz),
-            duration_s=take("duration", rc.drive.duration_s),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _grid_shape(rc: RunConfig, args) -> tuple[int, int]:
-    n_theta = rc.n_theta if args.n_theta is None else args.n_theta
-    n_phi = rc.n_phi if args.n_phi is None else args.n_phi
-    if n_theta < 8 or n_phi < 8:
-        raise ConfigError("grid resolutions must be >= 8")
-    return n_theta, n_phi
 
 
 def _check_sweep_flags(name: str, low: float, high: float, n: int) -> None:
@@ -295,7 +278,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _cmd_steady(rc: RunConfig, args):
-    rho = _state_at(rc.system, _drive_from_args(rc, args))
+    rho = _state_at(rc.system, rc.drive)
     report = _report(
         "density-matrix", rc, basis=BASIS_DESCRIPTION,
         real=rho.real.tolist(), imag=rho.imag.tolist(),
@@ -304,14 +287,12 @@ def _cmd_steady(rc: RunConfig, args):
 
 
 def _cmd_husimi(rc: RunConfig, args):
-    drive = _drive_from_args(rc, args)
-    n_theta, n_phi = _grid_shape(rc, args)
-    rho = _state_at(rc.system, drive, None if args.steady else drive.duration_s)
-    grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
-    vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
+    rho = _state_at(rc.system, rc.drive, None if args.steady else rc.drive.duration_s)
+    grid = husimi_grid(rho, n_theta=rc.n_theta, n_phi=rc.n_phi)
+    vis = state_visibility(rho, n_theta=rc.n_theta, n_phi=rc.n_phi)
     meta = _report(
         "husimi-metadata", rc, visibility=vis, max_sync=sync_measure_max(rho),
-        steady_state=bool(args.steady), n_theta=n_theta, n_phi=n_phi,
+        steady_state=bool(args.steady), n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
     out_csv = Path(args.output)
     outputs = [
@@ -322,13 +303,12 @@ def _cmd_husimi(rc: RunConfig, args):
 
 
 def _cmd_series(rc: RunConfig, args):
-    drive = _drive_from_args(rc, args)
     if any(t <= 0.0 for t in args.durations) or \
             sorted(args.durations) != list(args.durations):
         raise ConfigError("durations must be positive and ascending")
     points = run_drive_series(
-        rc.system, drive.amplitude_hz, durations=args.durations,
-        detuning_hz=drive.detuning_hz, n_theta=rc.n_theta, n_phi=rc.n_phi,
+        rc.system, rc.drive.amplitude_hz, durations=args.durations,
+        detuning_hz=rc.drive.detuning_hz, n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
     observable = f"final_visibility={points[-1].visibility:.6g}"
     return observable, [(args.output, write_series_csv(points, rc))], 0
@@ -348,8 +328,8 @@ def _cmd_arnold(rc: RunConfig, args):
         args.n_detuning == 1 and args.detuning_min != 0.0
     ):
         raise ConfigError("detuning grid must be symmetric about zero")
-    if args.duration <= 0.0:
-        raise ConfigError("--duration must be positive")
+    if rc.drive.duration_s <= 0.0 and not args.steady:
+        raise ConfigError("duration must be positive")
     omegas = _omega_axis(args)
     _check_sweep_flags(
         "detuning", args.detuning_min, args.detuning_max, args.n_detuning
@@ -357,18 +337,16 @@ def _cmd_arnold(rc: RunConfig, args):
     detunings = np.linspace(args.detuning_min, args.detuning_max, args.n_detuning)
     result = run_arnold_tongue(
         rc.system, omegas, detunings,
-        duration_s=args.duration, use_steady_state=args.steady,
+        duration_s=rc.drive.duration_s, use_steady_state=args.steady,
     )
     observable = f"max_observable={float(result.values.max()):.6g}"
     return observable, [(args.output, write_sweep_csv(result, rc))], 0
 
 
 def _cmd_imhd_verify(rc: RunConfig, args):
-    drive = _drive_from_args(rc, args)
-    n_theta, n_phi = _grid_shape(rc, args)
-    rho = _state_at(rc.system, drive, None if args.steady else drive.duration_s)
-    scan = imhd_scan(rho, n_theta=n_theta, n_phi=n_phi, variant=args.variant)
-    direct = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
+    rho = _state_at(rc.system, rc.drive, None if args.steady else rc.drive.duration_s)
+    scan = imhd_scan(rho, n_theta=rc.n_theta, n_phi=rc.n_phi, variant=args.variant)
+    direct = husimi_grid(rho, n_theta=rc.n_theta, n_phi=rc.n_phi)
     deviation = float(np.max(np.abs(scan.values - direct.values)))
     # Both variants carry the circuit's exact rho31 leakage term.
     bound = leakage_bound(rho) + args.tolerance
@@ -382,7 +360,7 @@ def _cmd_imhd_verify(rc: RunConfig, args):
     passed = bool(deviation < bound)
     report = _report(
         "imhd-verify", rc, variant=args.variant, max_abs_deviation=deviation,
-        bound=bound, passed=passed, n_theta=n_theta, n_phi=n_phi,
+        bound=bound, passed=passed, n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
     outputs = [] if args.output is None else [(args.output, report)]
     observable = (
@@ -401,16 +379,15 @@ def _cmd_calibrate(rc: RunConfig, args):
         times, signals = read_samples_csv(args.input)
         source = {"kind": "file", "path": str(args.input)}
     else:
-        amplitude = 0.1 if args.amplitude is None else args.amplitude
         rng = np.random.default_rng(rc.seed)
         times = np.linspace(0.02, 0.4, args.n_samples)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            signals = np.sin(2.0 * math.pi * amplitude * times)
+            signals = np.sin(2.0 * math.pi * args.true_amplitude_hz * times)
             signals = signals + args.noise * rng.standard_normal(times.size)
         if not np.isfinite(signals).all():
             raise ConfigError("synthetic samples are non-finite")
         source = {
-            "kind": "synthetic", "true_amplitude_hz": amplitude,
+            "kind": "synthetic", "true_amplitude_hz": args.true_amplitude_hz,
             "noise": args.noise, "n_samples": args.n_samples, "seed": rc.seed,
         }
     try:
@@ -434,8 +411,16 @@ def _cmd_emit_config(rc: RunConfig, args):
 
 
 def _run(args) -> int:
-    """Load the config, run the subcommand, write its outputs, summarise."""
+    """Resolve the run's config, run the subcommand, write its outputs,
+    summarise.  Flags stored under a config key override the file through
+    ``_replace``, which runs the constructors' checks."""
     rc = RunConfig() if args.config is None else parse_config(args.config)
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    try:
+        drive = rc.drive._replace(**{k: given[k] for k in _DRIVE_KEYS if k in given})
+        rc = rc._replace(drive=drive, **{k: given[k] for k in _INT_KEYS if k in given})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     t0 = time.perf_counter()
     result = args.handler(rc, args)
     if result is None:
@@ -507,11 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    # A flag that names a config key stores under that key (--n-theta and
+    # --n-phi do so by default), and _run folds it into the run's config.
+    def add_key_flag(p, flag: str, key: str, help_text: str):
+        p.add_argument(flag, dest=key, type=_finite_float, help=help_text)
+
     def add_drive_flags(p, duration: bool = True):
-        p.add_argument("--amplitude", type=_finite_float, help="drive amplitude in Hz")
-        p.add_argument("--detuning", type=_finite_float, help="drive detuning in Hz")
+        add_key_flag(p, "--amplitude", "amplitude_hz", "drive amplitude in Hz")
+        add_key_flag(p, "--detuning", "detuning_hz", "drive detuning in Hz")
         if duration:
-            p.add_argument("--duration", type=_finite_float, help="evolution time in s")
+            add_key_flag(p, "--duration", "duration_s", "evolution time in s")
 
     def add_grid_flags(p):
         p.add_argument("--n-theta", type=int, help="polar grid points")
@@ -549,10 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("arnold", "synchronization over an amplitude x detuning grid", _cmd_arnold)
     add_axis_flags(p, "omega", ARNOLD_OMEGA_AXIS, _positive_float)
     add_axis_flags(p, "detuning", ARNOLD_DETUNING_AXIS, _finite_float)
-    p.add_argument(
-        "--duration", type=_finite_float, default=ARNOLD_DURATION_S,
-        help="evolution time per cell in s",
-    )
+    add_key_flag(p, "--duration", "duration_s", "evolution time per cell in s")
     p.add_argument("--steady", action="store_true", help="use steady states per cell")
 
     p = add(
@@ -567,7 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("calibrate", "fit a drive amplitude from nutation samples", _cmd_calibrate)
     p.add_argument("--input", help="CSV of time_s,signal samples")
-    p.add_argument("--amplitude", type=_finite_float, help="synthetic true amplitude")
+    p.add_argument(
+        "--amplitude", dest="true_amplitude_hz", type=_finite_float, default=0.1,
+        help="synthetic true amplitude",
+    )
     p.add_argument(
         "--noise", type=_finite_float, default=0.0, help="synthetic noise rms"
     )

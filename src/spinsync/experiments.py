@@ -46,11 +46,12 @@ AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
 ARNOLD_DURATION_S = 100.0
-# Cells per stack of both tongues: for the propagated one, the largest
-# multiple of 8 whose traced peak memory stays under that of one 41-cell
-# row of 16x16 generators and density matrices (BENCH_18.json); the steady
-# one, with smaller blocks per cell, stays under its row loop's peak too
-# (BENCH_19.json).  Larger stacks run faster but raise the peak.
+# Cells per stack of both tongues: for the propagated one, a multiple of 8
+# whose traced peak memory stays under that of the 16x16 real row loop, one
+# 41-cell row at a time (tests/oracles.py real_tongue_rows: 336,480 B against
+# the tongue's 333,284 B, BENCH_20.json); the steady one, with smaller blocks
+# per cell, stays under its row loop's peak too (BENCH_19.json).  Larger
+# stacks run faster but raise the peak.
 TONGUE_STACK_CELLS = 56
 
 
@@ -235,11 +236,14 @@ def run_arnold_tongue(
     tongues stack TONGUE_STACK_CELLS cells across rows and build no 16x16
     generator and no density matrix: the propagated one evolves the order-0
     block, the steady one solves it, its uniqueness certified by the
-    system's floor and ||L||_F from the two 8x8 blocks.  So the working set
-    stays within that of one row of 16x16 generators and density matrices.
+    system's floor and ||L||_F from the two 8x8 blocks.  So the traced peak
+    stays within that of the 16x16 real row loop (tests/oracles.py
+    real_tongue_rows).  Each axis left out takes its default.
     """
-    if omegas_hz is None and detunings_hz is None:
-        omegas_hz, detunings_hz = default_arnold_grid()
+    if omegas_hz is None:
+        omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
+    if detunings_hz is None:
+        detunings_hz = np.linspace(*ARNOLD_DETUNING_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
     detunings = _check_axis(detunings_hz, "detunings_hz", "detuning_hz")
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)

@@ -233,14 +233,18 @@ class TestHusimiCommand:
         assert meta["config"]["j_coupling_hz"] == 868.0
 
     def test_header_config_is_parseable(self, tmp_path):
+        """Both headers record the grid that ran: the flags' 8x8, not the
+        default config's 64x128."""
         out = tmp_path / "grid.csv"
         main(["husimi", "--output", str(out), "--steady",
               "--n-theta", "8", "--n-phi", "8"])
         headers, _, _ = read_csv_body(out)
+        ran = resolved_config_dict(RunConfig(n_theta=8, n_phi=8))
+        assert headers[1] == "# config " + dumps_json(ran, indent=None)
         embedded = json.loads(headers[1].removeprefix("# config "))
-        assert embedded == json.loads(
-            dumps_json(resolved_config_dict(RunConfig()), indent=None)
-        )
+        assert embedded == json.loads(dumps_json(ran, indent=None))
+        meta = json.loads(out.with_suffix(".json").read_text())
+        assert meta["config"] == embedded
 
     def test_finite_duration_mode(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -400,6 +404,33 @@ class TestArnoldCommand:
         out = tmp_path / "a.csv"
         assert main(["arnold", "--output", str(out)] + args) == 2
         assert not out.exists()
+
+    def test_duration_defaults_to_the_config_and_binds_propagation_only(
+        self, tmp_path
+    ):
+        """--duration defaults to the config's duration_s; a zero one, from
+        either, fails the propagated tongue and not the steady one, which
+        reads no duration."""
+        grid = ["--n-omega", "2", "--n-detuning", "3",
+                "--detuning-min", "-1", "--detuning-max", "1"]
+
+        def run(name, *argv):
+            out = tmp_path / f"{name}.csv"
+            return main(["arnold", "--output", str(out), *grid, *argv]), out
+
+        ten = write_config(tmp_path, {"duration_s": 10.0})
+        assert run("config", "--config", ten)[0] == 0
+        assert run("flag", "--duration", "10")[0] == 0
+        assert (tmp_path / "config.csv").read_bytes() == (
+            tmp_path / "flag.csv"
+        ).read_bytes()
+        zero = write_config(tmp_path, {"duration_s": 0.0})
+        assert run("propagated", "--config", zero)[0] == 2
+        code, steady = run("steady", "--config", zero, "--steady")
+        assert code == 0
+        assert read_csv_body(steady)[2] == read_csv_body(
+            run("steady-default", "--steady")[1]
+        )[2]
 
 
 class TestImhdVerifyCommand:
@@ -847,6 +878,57 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestMalformedInputFiles:
+    """A config or samples file that cannot be read as numbers is a
+    configuration error: exit 2, one 'config error' line, nothing written."""
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, argv, message):
+        before = set(tmp_path.iterdir())
+        assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spinsync: config error: ") and err.count("\n") == 1
+        assert message in err
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode"),
+            # past the float range: float() of it would overflow
+            (b'{"t1_p_s": 1' + b"0" * 400 + b"}", "'t1_p_s' must be finite"),
+            (b'{"detuning_hz": -1' + b"0" * 400 + b"}", "'detuning_hz' must be"),
+            # past int()'s 4,300-digit limit, in a float key and an integer key
+            (b'{"t1_p_s": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit"),
+            (b'{"seed": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit"),
+        ],
+    )
+    def test_config(self, tmp_path, capsys, text, message):
+        src = tmp_path / "config.json"
+        src.write_bytes(text)
+        argv = ["steady", "--config", str(src)]
+        self.assert_config_error(tmp_path, capsys, argv, message)
+
+    def test_largest_integer_below_the_float_range_is_a_number(self, tmp_path):
+        src = tmp_path / "config.json"
+        src.write_text(json.dumps({"t1_p_s": int(1.7976931348623157e308)}))
+        assert parse_config(src).system.t1_p_s == 1.7976931348623157e308
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"0.1,0.2\n0.2,\xff\n0.3,0.4\n", "'utf-8' codec can't decode"),
+            (b"\xff\xfe0.1,0.2\n", "'utf-8' codec can't decode"),
+            (b"0.1," + b"1" * 200_000 + b"\n", "field larger than field limit"),
+        ],
+    )
+    def test_samples(self, tmp_path, capsys, text, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(text)
+        argv = ["calibrate", "--input", str(samples)]
+        self.assert_config_error(tmp_path, capsys, argv, message)
+
+
 class TestRepeatedMain:
     """main runs many jobs in one process (its parser and each system's
     generator terms are shared): every job's files depend on its own
@@ -945,6 +1027,10 @@ class TestRunnerContract:
         extra, names, csv_kind = self.CASES[command]
         src = write_config(tmp_path, self.CONFIG)
         expected = parse_config(src)
+        if command == "arnold":  # --duration 10 overrides the config's 100 s
+            expected = expected._replace(
+                drive=expected.drive._replace(duration_s=10.0)
+            )
         out = tmp_path / names[0]
         code = main([command, "--config", src, "--output", str(out)] + extra)
         assert code == 0
@@ -960,6 +1046,9 @@ class TestRunnerContract:
                 headers, columns, rows = read_csv_body(tmp_path / name)
                 assert headers[0] == f"# spinsync {csv_kind}"
                 blob = strict_json(headers[1].removeprefix("# config "))
+                assert blob == json.loads(
+                    dumps_json(resolved_config_dict(expected), indent=None)
+                )
                 assert_round_trips(tmp_path, blob, expected)
                 width = len(columns.split(","))
                 for row in rows:
@@ -973,6 +1062,96 @@ class TestRunnerContract:
                 assert list(report)[0] == "kind"
                 assert list(report)[-1] == "config"
                 assert_round_trips(tmp_path, report["config"], expected)
+
+
+class TestResolvedConfigRoundTrip:
+    """Every output embeds the config that ran: a run whose flags override
+    config keys, repeated with --config set to its embedded config and
+    without those flags, writes the same bytes."""
+
+    CONFIG = {
+        "j_coupling_hz": 500.0, "amplitude_hz": 0.2, "detuning_hz": 0.05,
+        "duration_s": 2.0, "n_theta": 8, "n_phi": 12, "seed": 7,
+    }
+    KEY_OF_FLAG = {
+        "--amplitude": "amplitude_hz", "--detuning": "detuning_hz",
+        "--duration": "duration_s", "--n-theta": "n_theta", "--n-phi": "n_phi",
+    }
+    DRIVE = ["--amplitude", "0.3", "--detuning", "-0.1"]
+    STATE = DRIVE + ["--duration", "1.5", "--n-theta", "10", "--n-phi", "9"]
+    # subcommand: (flags that name config keys, other flags, output names)
+    CASES = {
+        "steady": (DRIVE, [], ["out.json"]),
+        "husimi": (STATE, [], ["out.csv", "out.json"]),
+        "series": (DRIVE, ["--durations", "0.05,1"], ["out.csv"]),
+        "amp-sweep": (
+            [], ["--omega-min", "0.05", "--omega-max", "0.2", "--n-omega", "2"],
+            ["out.csv"],
+        ),
+        "arnold": (
+            ["--duration", "1.5"],
+            ["--omega-min", "0.1", "--omega-max", "0.2", "--n-omega", "2",
+             "--detuning-min", "-1", "--detuning-max", "1", "--n-detuning", "3"],
+            ["out.csv"],
+        ),
+        "imhd-verify": (STATE, [], ["out.json"]),
+        # calibrate's --amplitude is the synthetic signal's, not the drive's
+        "calibrate": ([], ["--amplitude", "0.3", "--noise", "0.01"], ["out.json"]),
+    }
+
+    @staticmethod
+    def embedded_config(path) -> str:
+        if path.suffix == ".csv":
+            headers, _, _ = read_csv_body(path)
+            return headers[1].removeprefix("# config ")
+        return json.dumps(json.loads(path.read_text())["config"])
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_embedded_config_reproduces_the_run(self, tmp_path, capsys, command):
+        key_flags, other, names = self.CASES[command]
+        src = write_config(tmp_path, self.CONFIG)
+        runs = []
+        for name, argv in (
+            ("flags", ["--config", src, *key_flags]),
+            ("embedded", ["--config", str(tmp_path / "embedded.json")]),
+        ):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            code = main([command, "--output", str(out_dir / names[0]), *argv, *other])
+            summary = capsys.readouterr().out
+            files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            runs.append((code, summary.split(" runtime=")[0], files))
+            embedded = self.embedded_config(out_dir / names[0])
+            (tmp_path / "embedded.json").write_text(embedded)
+        assert runs[0] == runs[1]
+        assert sorted(runs[0][2]) == sorted(names)
+        # the header holds the flags' values, each in place of the file's
+        overrides = {
+            self.KEY_OF_FLAG[flag]: json.loads(value)
+            for flag, value in zip(key_flags[::2], key_flags[1::2])
+        }
+        ran = tmp_path / "ran.json"
+        ran.write_text(json.dumps({**self.CONFIG, **overrides}))
+        assert json.loads(embedded) == resolved_config_dict(parse_config(ran))
+        assert (parse_config(ran) == parse_config(src)) == (not key_flags)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--amplitude", "-1"], "drive amplitude must be non-negative"),
+            (["--duration", "-1"], "drive duration must be non-negative"),
+            (["--n-theta", "4"], "n_theta must be an integer >= 8"),
+            (["--n-phi", "7"], "n_phi must be an integer >= 8"),
+        ],
+    )
+    def test_override_is_checked_as_the_config_is(
+        self, tmp_path, capsys, flags, message
+    ):
+        """An override the constructors reject is a configuration error with
+        their message: exit 2, one line, nothing written."""
+        assert main(["husimi", "--output", str(tmp_path / "g.csv"), *flags]) == 2
+        assert capsys.readouterr().err == f"spinsync: config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlagValidation:
@@ -1049,6 +1228,8 @@ class TestFlagValidation:
             ),
             detunings,
         )
-        assert arnold.duration == ARNOLD_DURATION_S
+        # --duration defaults to the config's duration_s, which is 100 s
+        assert arnold.duration_s is None
+        assert RunConfig().drive.duration_s == ARNOLD_DURATION_S
         series = parser.parse_args(["series", "--output", "x"])
         assert series.durations == DEFAULT_SERIES_DURATIONS

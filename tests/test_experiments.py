@@ -385,6 +385,28 @@ class TestArnoldTongue:
         with pytest.raises(ValueError, match="propagation overflows"):
             run_arnold_tongue(config, omegas_hz=[1e20], detunings_hz=[0.0])
 
+    @pytest.mark.parametrize("use_steady_state", [False, True])
+    def test_each_axis_defaults_on_its_own(self, config, use_steady_state):
+        """An axis left out takes its default, whether or not the other is
+        given, as run_amplitude_sweep's axis does."""
+        omegas, detunings = default_arnold_grid()
+        some_omegas, some_detunings = [0.1, 0.2], [-1.0, 0.0, 1.0]
+        for given, explicit in (
+            ({"omegas_hz": some_omegas}, (some_omegas, detunings)),
+            ({"detunings_hz": some_detunings}, (omegas, some_detunings)),
+        ):
+            one_sided = run_arnold_tongue(
+                config, **given, use_steady_state=use_steady_state
+            )
+            full = run_arnold_tongue(
+                config, *explicit, use_steady_state=use_steady_state
+            )
+            np.testing.assert_array_equal(one_sided.values, full.values)
+            for name in ("omega_hz", "detuning_hz"):
+                np.testing.assert_array_equal(
+                    one_sided.axes[name], full.axes[name]
+                )
+
     def test_default_grid(self):
         omegas, detunings = default_arnold_grid()
         assert omegas.shape == (21,)

@@ -2,6 +2,7 @@
 the contract of its record types, and what importing the package and
 running its CLI load or call."""
 
+import argparse
 import ast
 import json
 import math
@@ -118,6 +119,56 @@ def test_cli_imports_nothing_from_the_engine():
             imported += [f"{module}.{alias.name}" for alias in node.names]
     assert "spinsync.experiments" in imported
     assert [name for name in imported if name.startswith("spinsync.liouville")] == []
+
+
+# The CLI flags that name a config key, and the key each one overrides.
+CONFIG_FLAGS = {
+    "--amplitude": "amplitude_hz", "--detuning": "detuning_hz",
+    "--duration": "duration_s", "--n-theta": "n_theta", "--n-phi": "n_phi",
+}
+
+
+def test_handlers_read_no_flag_that_names_a_config_key():
+    """``cli._run`` folds every flag that names a config key into the run's
+    config, once.  Each such flag stores under its key (calibrate's
+    synthetic --amplitude is no drive flag and stores elsewhere), and no
+    other function that takes the parsed ``args``, each ``_cmd_*`` handler
+    and its helpers, reads a config key from them, by attribute, ``getattr``
+    or ``vars``: handlers read the run's values from ``rc``."""
+    cli = spinsync.cli
+    forbidden = set(cli.resolved_config_dict(cli.RunConfig()))
+    forbidden |= {flag[2:].replace("-", "_") for flag in CONFIG_FLAGS}
+    (commands,) = [
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for command, parser in commands.items():
+        for action in parser._actions:
+            for flag in set(action.option_strings) & set(CONFIG_FLAGS):
+                if command == "calibrate":
+                    assert action.dest not in forbidden, (command, flag)
+                else:
+                    assert action.dest == CONFIG_FLAGS[flag], (command, flag)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers, reads = [], []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_run" or (
+            "args" not in [arg.arg for arg in fn.args.args]
+        ):
+            continue
+        readers.append(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "args" and node.attr in forbidden:
+                    reads.append(f"{fn.name}: args.{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                first = node.args[0] if node.args else None
+                if node.func.id in ("getattr", "vars") and isinstance(
+                    first, ast.Name
+                ) and first.id == "args":
+                    reads.append(f"{fn.name}: {node.func.id}(args)")
+    assert {f"_cmd_{name.replace('-', '_')}" for name in commands} <= set(readers)
+    assert reads == []
 
 
 def test_exports_are_the_listed_names():
