@@ -36,7 +36,13 @@ from .phasespace import (
     state_visibility,
     sync_measure_max,
 )
-from .system import DriveConfig, SpinSystemConfig, _checked_make, thermal_state
+from .system import (
+    ConfigError,
+    DriveConfig,
+    SpinSystemConfig,
+    _checked_make,
+    thermal_state,
+)
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 
@@ -55,9 +61,19 @@ ARNOLD_DURATION_S = 100.0
 TONGUE_STACK_CELLS = 56
 
 
+def linear_axis(low: float, high: float, n: int) -> np.ndarray:
+    """n evenly spaced points from low to high; a range that overflows
+    comes back as NaN, with no warning, for ``_check_axis`` to reject."""
+    if n < 1:
+        raise ConfigError(f"an axis needs at least one point, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(low, high, n)
+
+
 def log_axis(low: float, high: float, n: int) -> np.ndarray:
     """n log-spaced points from low to high (both positive)."""
-    return np.logspace(math.log10(low), math.log10(high), n)
+    with np.errstate(over="ignore"):  # past the float range: inf
+        return 10.0 ** linear_axis(math.log10(low), math.log10(high), n)
 
 
 def default_amplitude_grid(n: int = AMPLITUDE_SWEEP_AXIS[2]) -> np.ndarray:
@@ -71,7 +87,7 @@ def default_arnold_grid(
     """Log-spaced amplitudes in [1e-2, 1] Hz, linear detunings in [-3, 3] Hz."""
     return (
         log_axis(*ARNOLD_OMEGA_AXIS[:2], n_omega),
-        np.linspace(*ARNOLD_DETUNING_AXIS[:2], n_detuning),
+        linear_axis(*ARNOLD_DETUNING_AXIS[:2], n_detuning),
     )
 
 
@@ -101,13 +117,14 @@ def run_limit_cycle(
 ) -> LimitCycleResult:
     """Steady state without drive: diagonal, with a flat phase profile.
 
-    Raises if the computed visibility is not numerically negligible,
-    since any contrast here would mean a spurious phase preference.
+    Raises unless the computed visibility is exactly zero: without a drive
+    the order-0 block couples no population to a coherence, so the solve
+    gives rho42 = 0 exactly, and any contrast would be spurious.
     """
     rho = _state_at(config, DriveConfig(amplitude_hz=0.0))
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
-    if vis >= 1e-8:
+    if vis != 0.0:
         raise RuntimeError(f"undriven state shows phase contrast {vis:.3e}")
     return LimitCycleResult(
         state=rho, grid=grid, visibility=vis, max_sync=sync_measure_max(rho)
@@ -134,10 +151,10 @@ def run_drive_series(
     with duration until the steady state is reached."""
     durations = [float(t) for t in durations]
     if len(durations) == 0:
-        raise ValueError("need at least one duration")
+        raise ConfigError("need at least one duration")
     # t = 0 is legal and just returns the thermal state.
-    if any(t < 0.0 for t in durations) or sorted(durations) != durations:
-        raise ValueError("durations must be non-negative and ascending")
+    if not all(0.0 <= t < math.inf for t in durations) or sorted(durations) != durations:
+        raise ConfigError("durations must be finite, non-negative and ascending")
     drive = DriveConfig(amplitude_hz=amplitude_hz, detuning_hz=detuning_hz)
     states = _state_at(config, drive, np.array(durations))
     contrasts = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
@@ -181,12 +198,12 @@ class SweepResult(namedtuple("SweepResult", "axes values observable metadata")):
 def _check_axis(values, name: str, drive_field: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+        raise ConfigError(f"{name} must be a non-empty 1-D sequence")
     # each cell's DriveConfig checks, made once on the extremes (NaN in both)
     for value in (arr.min(), arr.max()):
         DriveConfig(**{drive_field: float(value)})
     if np.any(np.diff(arr) <= 0.0):
-        raise ValueError(f"{name} must be strictly ascending")
+        raise ConfigError(f"{name} must be strictly ascending")
     return arr
 
 
@@ -243,14 +260,14 @@ def run_arnold_tongue(
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
     if detunings_hz is None:
-        detunings_hz = np.linspace(*ARNOLD_DETUNING_AXIS)
+        detunings_hz = linear_axis(*ARNOLD_DETUNING_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
     detunings = _check_axis(detunings_hz, "detunings_hz", "detuning_hz")
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)
     if np.max(np.abs(detunings + detunings[::-1])) > 1e-9 * scale:
-        raise ValueError("detuning grid must be symmetric about zero")
-    if duration_s <= 0.0 and not use_steady_state:
-        raise ValueError("duration must be positive")
+        raise ConfigError("detuning grid must be symmetric about zero")
+    if not 0.0 < duration_s < math.inf and not use_steady_state:
+        raise ConfigError("duration must be positive and finite")
     terms = build_affine_liouvillian(config)
     order_zero, order_one = terms._blocks
     if use_steady_state:
@@ -304,18 +321,18 @@ def calibrate_drive(times_s, signals) -> CalibrationResult:
     t = np.asarray(times_s, dtype=float)
     s = np.asarray(signals, dtype=float)
     if t.ndim != 1 or t.shape != s.shape:
-        raise ValueError("times and signals must be 1-D and equal length")
+        raise ConfigError("times and signals must be 1-D and equal length")
     if t.size < 3:
-        raise ValueError("need at least three samples")
+        raise ConfigError("need at least three samples")
     if not (np.isfinite(t).all() and np.isfinite(s).all()):
-        raise ValueError("samples must be finite")
+        raise ConfigError("samples must be finite")
     if t[0] <= 0.0 or np.any(t[1:] <= t[:-1]):
-        raise ValueError("times must be positive and strictly ascending")
+        raise ConfigError("times must be positive and strictly ascending")
     with np.errstate(all="ignore"):  # an overflow is checked below
         slope = float(np.dot(t, s) / np.dot(t, t))
         residual = float(np.sqrt(np.mean((s - slope * t) ** 2)))
     if not (math.isfinite(slope) and math.isfinite(residual)):
-        raise ValueError("fit is non-finite: samples out of range")
+        raise ConfigError("fit is non-finite: samples out of range")
     amplitude = slope / (2.0 * math.pi)
     small_angle = bool(np.max(np.abs(2.0 * math.pi * amplitude * t)) < 0.3)
     return CalibrationResult(

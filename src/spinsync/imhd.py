@@ -15,7 +15,7 @@ the reduced Husimi value by one exact leakage term, for any state:
 
 with rho31 = ``rho[1, 3]``; no other coherence leaks.  The readout is
 exact when rho31 = 0 and its deviation never exceeds (24/pi^3) |rho31|
-(``leakage_bound``).
+(``leakage_bound``; ``deviation_bound`` gives either variant's bound).
 
 The circuit factorizes as G = CP (R^dagger x I)(I x H), so the signal is
 Tr[(R^dagger x I) rho_H (R x I) A] with rho_H = (I x H) rho (I x H)^dagger
@@ -105,6 +105,22 @@ def build_controlled_phase() -> Gate:
 def leakage_bound(rho: np.ndarray) -> float:
     """Largest |Q_circuit - Q_direct| of the exact variant: (24/pi^3) |rho31|."""
     return float(HUSIMI_PREFACTOR * abs(np.asarray(rho)[1, 3]))
+
+
+def deviation_bound(rho: np.ndarray, variant: str, tolerance: float) -> float:
+    """Largest |Q_circuit - Q_direct| of a variant, plus ``tolerance``: the
+    leakage bound, and for the quarter approximation, exact only when the
+    populations rho33 and rho11 sit at 1/4, (24/pi^3) times their offsets."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    bound = leakage_bound(rho) + tolerance
+    if variant == "quarter-approximation":
+        rho = np.asarray(rho)
+        bound += float(
+            HUSIMI_PREFACTOR
+            * (abs(rho[3, 3].real - 0.25) + abs(rho[1, 1].real - 0.25))
+        )
+    return bound
 
 
 @lru_cache(maxsize=1)

@@ -132,14 +132,16 @@ class AffineLiouvillian(
     """
 
     def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
-        """The generator for a drive in Hz (unchecked); array drives give a stack."""
+        """The generator for a drive in Hz (unchecked: where it overflows,
+        with no warning, the kernels raise); array drives give a stack."""
         amplitude = np.asarray(amplitude_hz, dtype=float)[..., None, None]
         detuning = np.asarray(detuning_hz, dtype=float)[..., None, None]
-        return (
-            self.base
-            + detuning * self.per_detuning
-            + amplitude * self.per_amplitude
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                self.base
+                + detuning * self.per_detuning
+                + amplitude * self.per_amplitude
+            )
 
     @cached_property
     def _blocks(self) -> tuple[AffineLiouvillian, AffineLiouvillian]:
@@ -466,8 +468,9 @@ def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t, out=slice(7)) -> np.ndarra
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
     aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
-    aug[..., :7, :] = _augmented(g0)
-    aug *= t
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _expm raises
+        aug[..., :7, :] = _augmented(g0)
+        aug *= t
     return _evolved(aug, u0, out)
 
 
@@ -558,8 +561,9 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
     certified cells invert nothing.  LinAlgError, naming the worst cell,
     unless every ratio is >= DEGENERACY_RATIO and every residual <=
     RESIDUAL_RTOL ||L||_F / 4; ``cells``, index arrays of a flat stack's
-    cells in a grid, name it there.  A certified ratio > 0 leaves no
-    traceless null vector, so A is regular."""
+    cells in a grid, name it there; ValueError, with no warning, where
+    ||L||_F overflows.  A certified ratio > 0 leaves no traceless null
+    vector, so A is regular."""
 
     def worst(severity):
         cell, note = _worst_cell(severity)
@@ -568,14 +572,18 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
         return cell, note
 
     norm = _frobenius(g0, b)
-    aug = _augmented(g0)  # d/dt y = aug (y, tr)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 fails below
         ratio = floor / norm
         if not np.all(ratio >= DEGENERACY_RATIO):  # NaN is weak too
+            if not np.isfinite(norm).all():
+                _, note = worst(~np.isfinite(norm))
+                raise ValueError(
+                    "generator overflows: the drive is too large" + note
+                )
             ratio = np.array(np.broadcast_to(ratio, np.shape(norm)))
             weak = ~(ratio >= DEGENERACY_RATIO)
             try:
-                inverse = _inverse_bound(aug[..., :7][weak], b[weak])
+                inverse = _inverse_bound(_augmented(g0[weak])[..., :7], b[weak])
                 ratio[weak] = np.fmax(ratio[weak], inverse / norm[weak])
             except np.linalg.LinAlgError:  # an exactly singular block
                 pass
@@ -585,6 +593,7 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
                     "stationary subspace is degenerate; steady state ambiguous"
                     + note
                 )
+    aug = _augmented(g0)  # d/dt y = aug (y, tr)
     # the state from its own 1-column solve, for the same bits
     y = np.linalg.solve(aug[..., :7], -aug[..., 7:])[..., 0]  # tr = 1
     x = _from_deviation(y, 1.0)

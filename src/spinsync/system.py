@@ -47,6 +47,12 @@ _SINGLE_SPIN = {
 }
 
 
+class ConfigError(ValueError):
+    """A value the caller chose breaks a rule of the library: a config field,
+    a sweep axis, a duration or a sample set.  The CLI exits 2 on it, and 1
+    on any other ValueError, an engine failure."""
+
+
 def spin_operator(species: str, axis: str) -> np.ndarray:
     """Angular momentum component of one spin, embedded in the pair space.
 
@@ -87,9 +93,9 @@ def default_purity_factors(
     ratio of gyromagnetic ratios exactly.
     """
     if field_tesla <= 0.0:
-        raise ValueError("field must be positive")
+        raise ConfigError("field must be positive")
     if temperature_k <= 0.0:
-        raise ValueError("temperature must be positive")
+        raise ConfigError("temperature must be positive")
     scale = HBAR * 2.0 * math.pi * field_tesla / (4.0 * KB * temperature_k)
     return scale * gamma_p_hz_per_tesla, scale * gamma_f_hz_per_tesla
 
@@ -137,11 +143,11 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
         gamma_f_hz_per_tesla: float = GAMMA_F_HZ_PER_TESLA,
     ):
         if not j_coupling_hz > 0.0:
-            raise ValueError("j_coupling_hz must be positive")
+            raise ConfigError("j_coupling_hz must be positive")
         if t1_p_s <= 0.0 or t1_f_s <= 0.0:
-            raise ValueError("relaxation times must be positive")
+            raise ConfigError("relaxation times must be positive")
         if gamma_p_hz_per_tesla <= 0.0 or gamma_f_hz_per_tesla <= 0.0:
-            raise ValueError("gyromagnetic ratios must be positive")
+            raise ConfigError("gyromagnetic ratios must be positive")
         given = super().__new__(
             cls, j_coupling_hz, offset_p_hz, offset_f_hz, t1_p_s, t1_f_s,
             epsilon_p, epsilon_f, field_tesla, temperature_k,
@@ -149,7 +155,7 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
         )
         for name, value in zip(cls._fields, given):
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if offset_p_hz is None:
             offset_p_hz = -0.5 * j_coupling_hz
         if epsilon_p is None or epsilon_f is None:
@@ -163,7 +169,7 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
         for eps in (epsilon_p, epsilon_f):
             # The high-temperature treatment breaks down well before 0.1.
             if not 0.0 <= eps < 0.1:
-                raise ValueError("purity factors must lie in [0, 0.1)")
+                raise ConfigError("purity factors must lie in [0, 0.1)")
         resolved = {**given._asdict(), "offset_p_hz": offset_p_hz}
         resolved.update(epsilon_p=epsilon_p, epsilon_f=epsilon_f)
         return super().__new__(cls, **resolved)
@@ -183,16 +189,16 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
         duration_s: float = 100.0,
     ):
         if amplitude_hz < 0.0:
-            raise ValueError("drive amplitude must be non-negative")
+            raise ConfigError("drive amplitude must be non-negative")
         if duration_s < 0.0:
-            raise ValueError("drive duration must be non-negative")
+            raise ConfigError("drive duration must be non-negative")
         for value, what in (
             (amplitude_hz, "drive amplitude"),
             (duration_s, "drive duration"),
             (detuning_hz, "detuning"),
         ):
             if not math.isfinite(value):
-                raise ValueError(f"{what} must be finite")
+                raise ConfigError(f"{what} must be finite")
         return super().__new__(cls, amplitude_hz, detuning_hz, duration_s)
 
 

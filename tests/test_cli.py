@@ -131,7 +131,7 @@ class TestRunConfig:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
 
@@ -346,6 +346,11 @@ class TestAmpSweepCommand:
             ["--n-omega", "0"],
             ["--omega-min", "2", "--omega-max", "1"],
             ["--omega-min", "1", "--omega-max", "1", "--n-omega", "2"],
+            ["--n-omega", "-1"],
+            # distinct ends, but the 61 points are not all distinct
+            ["--omega-min", "1", "--omega-max", "1.000000000000001", "--n-omega", "61"],
+            # 10 ** log10(max) rounds past the float range
+            ["--omega-max", "1.7976931348623157e308"],
         ],
     )
     def test_bad_flags_exit_config(self, tmp_path, args):
@@ -398,12 +403,27 @@ class TestArnoldCommand:
             ["--n-detuning", "0"],
             ["--n-detuning", "1"],
             ["--detuning-min", "1", "--detuning-max", "-1"],
+            ["--n-omega", "-1"],
+            ["--n-detuning", "-1"],
+            # the range's width overflows: linear_axis gives NaN, no warning
+            ["--steady", "--detuning-min", "-1e308", "--detuning-max", "1e308",
+             "--n-detuning", "3"],
         ],
     )
     def test_bad_flags_exit_config(self, tmp_path, args):
         out = tmp_path / "a.csv"
         assert main(["arnold", "--output", str(out)] + args) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("high, code", [("1.0000000001", 0), ("1.00000001", 2)])
+    def test_detuning_symmetry_is_the_librarys(self, tmp_path, high, code):
+        """The detuning grid is symmetric to within run_arnold_tongue's
+        1e-9 of its largest |detuning| (at least 1 Hz), and no closer."""
+        out = tmp_path / "a.csv"
+        argv = ["arnold", "--steady", "--output", str(out), "--n-omega", "2",
+                "--detuning-min", "-1", "--detuning-max", high, "--n-detuning", "3"]
+        assert main(argv) == code
+        assert out.exists() == (code == 0)
 
     def test_duration_defaults_to_the_config_and_binds_propagation_only(
         self, tmp_path
@@ -549,13 +569,32 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--n-samples", "2"], ["--noise", "-0.5"]],
+        [
+            ["--n-samples", "2"], ["--noise", "-0.5"],
+            ["--n-samples", "0"], ["--n-samples", "-1"],
+        ],
     )
     def test_bad_parameters_exit_config(self, tmp_path, extra):
         code = main(
             ["calibrate", "--output", str(tmp_path / "fit.json")] + extra
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_file_ignores_synthetic_flags(self, tmp_path):
+        """--n-samples and --noise shape the synthetic samples only: a
+        three-row file fits whatever they say."""
+        samples = tmp_path / "samples.csv"
+        samples.write_text("0.1,0.05\n0.2,0.11\n0.3,0.16\n")
+        fits = []
+        for name, extra in (
+            ("plain", []), ("flags", ["--n-samples", "2", "--noise", "-0.5"])
+        ):
+            out = tmp_path / f"{name}.json"
+            argv = ["calibrate", "--input", str(samples), "--output", str(out)]
+            assert main(argv + extra) == 0
+            fits.append(out.read_bytes())
+        assert fits[0] == fits[1]
 
     def test_short_input_file_exits_config(self, tmp_path):
         samples = tmp_path / "samples.csv"
@@ -875,6 +914,28 @@ class TestExitCodes:
         out = tmp_path / name
         assert main([command, "--amplitude", "1e20", "--output", str(out)]) == 1
         assert "propagation overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["steady", "--amplitude", "1e308"],
+            ["amp-sweep", "--omega-max", "1e308"],
+            ["series", "--durations", "1e308"],
+            ["arnold", "--duration", "1e308", "--n-omega", "2", "--n-detuning", "3"],
+            ["husimi", "--amplitude", "1e308"],
+        ],
+        ids=" ".join,
+    )
+    def test_overflowing_drive_or_duration_is_engine_error(
+        self, tmp_path, capsys, argv
+    ):
+        """A generator or a generator times t past the float range is an
+        engine failure: exit 1, one line, no file, and no RuntimeWarning
+        (which the suite would raise out of main)."""
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinsync: engine error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 

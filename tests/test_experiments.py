@@ -29,10 +29,15 @@ from spinsync import (
     visibility,
 )
 from spinsync.experiments import (
+    ARNOLD_DETUNING_AXIS,
+    ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
     default_amplitude_grid,
     default_arnold_grid,
+    linear_axis,
+    log_axis,
 )
+from spinsync.system import ConfigError
 from spinsync import cli, experiments, liouville, phasespace
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
@@ -86,6 +91,60 @@ class TestLimitCycle:
         result = run_limit_cycle(config, n_theta=8, n_phi=16)
         assert result.grid.values.shape == (8, 16)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {}, {"j_coupling_hz": 217.0}, {"offset_p_hz": -400.0, "offset_f_hz": 3.0},
+            {"t1_p_s": 3.0, "t1_f_s": 0.5}, {"epsilon_p": 0.05, "epsilon_f": 0.01},
+        ],
+    )
+    def test_undriven_contrast_is_exactly_zero(self, kwargs):
+        """The undriven order-0 block couples no population to a coherence,
+        so rho42 and the visibility come out exactly 0 on every system."""
+        result = run_limit_cycle(SpinSystemConfig(**kwargs), n_theta=8, n_phi=8)
+        assert result.visibility == 0.0
+        assert result.state[0, 2] == 0.0
+
+    def test_any_contrast_raises(self, config, monkeypatch):
+        """A visibility far below any fixed tolerance still fails the check."""
+        monkeypatch.setattr(experiments, "state_visibility", lambda *a, **k: 1e-12)
+        with pytest.raises(RuntimeError, match="phase contrast 1.000e-12"):
+            run_limit_cycle(config, n_theta=8, n_phi=8)
+
+
+class TestAxes:
+    @pytest.mark.parametrize("axis", [linear_axis, log_axis])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_point_is_a_config_error(self, axis, n):
+        with pytest.raises(ConfigError, match="at least one point"):
+            axis(0.1, 1.0, n)
+
+    def test_log_axis_is_logspace_bit_for_bit(self, rng):
+        for low, high in 10.0 ** np.sort(rng.uniform(-300.0, 300.0, (200, 2))):
+            n = int(rng.integers(1, 100))
+            np.testing.assert_array_equal(
+                log_axis(low, high, n), np.logspace(math.log10(low), math.log10(high), n)
+            )
+
+    def test_defaults_are_the_axis_constants(self):
+        omegas, detunings = default_arnold_grid()
+        np.testing.assert_array_equal(omegas, np.logspace(-2.0, 0.0, 21))
+        np.testing.assert_array_equal(detunings, np.linspace(-3.0, 3.0, 41))
+        np.testing.assert_array_equal(omegas, log_axis(*ARNOLD_OMEGA_AXIS))
+        np.testing.assert_array_equal(detunings, linear_axis(*ARNOLD_DETUNING_AXIS))
+        np.testing.assert_array_equal(default_amplitude_grid(), np.logspace(-3, 3, 61))
+
+    def test_overflow_is_rejected_without_a_warning(self, config):
+        """A range past the float range comes back non-finite, with no
+        RuntimeWarning (the suite would raise it), for _check_axis to reject."""
+        detunings = linear_axis(-1e308, 1e308, 3)
+        omegas = log_axis(1e-3, 1.7976931348623157e308, 3)  # 10 ** log10 rounds up
+        assert np.isnan(detunings[0]) and omegas[-1] == math.inf
+        with pytest.raises(ConfigError, match="detuning must be finite"):
+            run_arnold_tongue(config, omegas_hz=[0.1], detunings_hz=detunings)
+        with pytest.raises(ConfigError, match="drive amplitude must be finite"):
+            run_amplitude_sweep(config, omegas_hz=omegas)
+
 
 @pytest.fixture(scope="module")
 def series(config):
@@ -138,10 +197,10 @@ class TestDriveSeries:
 
     @pytest.mark.parametrize(
         "durations",
-        [(), (-1.0, 2.0), (2.0, 1.0), (0.1, 0.05, 1.0)],
+        [(), (-1.0, 2.0), (2.0, 1.0), (0.1, 0.05, 1.0), (1.0, math.inf), (math.nan,)],
     )
     def test_bad_durations_rejected(self, config, durations):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_drive_series(config, 0.1, durations=durations)
 
 
@@ -216,7 +275,7 @@ class TestAmplitudeSweep:
         ],
     )
     def test_bad_axis_rejected(self, config, omegas):
-        with pytest.raises(ValueError, match="omegas_hz must|drive amplitude must"):
+        with pytest.raises(ConfigError, match="omegas_hz must|drive amplitude must"):
             run_amplitude_sweep(config, omegas_hz=omegas)
 
 
@@ -361,17 +420,17 @@ class TestArnoldTongue:
     )
     def test_bad_axis_rejected(self, config, omegas, detunings, message):
         """Values each cell's DriveConfig would reject, with its messages."""
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             run_arnold_tongue(config, omegas_hz=omegas, detunings_hz=detunings)
 
     def test_asymmetric_detunings_rejected(self, config):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ConfigError, match="symmetric"):
             run_arnold_tongue(
                 config, omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 2.0]
             )
 
     def test_nonpositive_duration_rejected(self, config):
-        with pytest.raises(ValueError, match="duration"):
+        with pytest.raises(ConfigError, match="duration"):
             run_arnold_tongue(
                 config,
                 omegas_hz=[0.1],
@@ -379,11 +438,21 @@ class TestArnoldTongue:
                 duration_s=0.0,
             )
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, config, duration):
+        """The caller's duration, not an engine failure; the steady tongue
+        reads none."""
+        kwargs = dict(omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 1.0])
+        with pytest.raises(ConfigError, match="duration must be positive and finite"):
+            run_arnold_tongue(config, **kwargs, duration_s=duration)
+        run_arnold_tongue(config, **kwargs, duration_s=duration, use_steady_state=True)
+
     def test_overflowing_propagation_rejected(self, config):
         """||L t|| is finite at 1e20 Hz, but the exponential's squarings
         overflow: a ValueError, with no RuntimeWarning on the way."""
-        with pytest.raises(ValueError, match="propagation overflows"):
+        with pytest.raises(ValueError, match="propagation overflows") as exc:
             run_arnold_tongue(config, omegas_hz=[1e20], detunings_hz=[0.0])
+        assert not isinstance(exc.value, ConfigError)  # an engine failure
 
     @pytest.mark.parametrize("use_steady_state", [False, True])
     def test_each_axis_defaults_on_its_own(self, config, use_steady_state):
@@ -748,7 +817,7 @@ class TestCalibrateDrive:
         ],
     )
     def test_bad_samples_rejected(self, times, signals):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             calibrate_drive(times, signals)
 
     def test_result_type(self):

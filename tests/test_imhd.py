@@ -24,7 +24,13 @@ from spinsync import (
     visibility,
 )
 from spinsync import imhd
-from spinsync.imhd import _readout, _require_unitary, _scan_rotation
+from spinsync.imhd import (
+    VARIANTS,
+    _readout,
+    _require_unitary,
+    _scan_rotation,
+    deviation_bound,
+)
 from spinsync.phasespace import grid_axes
 
 from conftest import doublet_coherent_density, random_density
@@ -284,6 +290,28 @@ class TestImhdScan:
     def test_rejects_single_point_axis(self, n_theta, n_phi):
         with pytest.raises(ValueError):
             imhd_scan(np.eye(4) / 4.0, n_theta=n_theta, n_phi=n_phi)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_deviation_bound_bounds_the_scan(self, rng, variant):
+        """The leakage term, then the tolerance, then for the quarter
+        approximation the population term, added in that order, and the
+        scan's deviation from the direct grid stays below it."""
+        rho = random_density(rng)
+        expected = leakage_bound(rho) + 1e-9
+        if variant == "quarter-approximation":
+            expected += float(
+                HUSIMI_PREFACTOR
+                * (abs(rho[3, 3].real - 0.25) + abs(rho[1, 1].real - 0.25))
+            )
+        bound = deviation_bound(rho, variant, 1e-9)
+        assert bound == expected
+        scan = imhd_scan(rho, n_theta=8, n_phi=16, variant=variant)
+        direct = husimi_reduced(rho, scan.thetas[:, None], scan.phis[None, :])
+        assert np.max(np.abs(scan.values - direct)) < bound
+
+    def test_deviation_bound_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            deviation_bound(np.eye(4) / 4.0, "bogus", 1e-9)
 
     def test_scan_equals_pointwise_calls(self, rng):
         rho = sparse_family(rng, 1)[0]

@@ -171,6 +171,37 @@ def test_handlers_read_no_flag_that_names_a_config_key():
     assert reads == []
 
 
+def test_cli_leaves_every_library_rule_to_the_library():
+    """The library's rules raise ``spinsync.system.ConfigError``, a
+    ValueError, and the CLI keeps no copy of them: cli.py defines no
+    exception class, and catches ValueError only in ``main``, which reports
+    an engine failure, and where it parses text, in ``parse_config`` and
+    ``read_samples_csv``; no handler re-raises a library error to change
+    its exit code.  Nor does it hold a physics constant: the variant's
+    readout bound comes from ``imhd``."""
+    cli = spinsync.cli
+    assert cli.ConfigError is spinsync.system.ConfigError
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert [n for n in classes if issubclass(getattr(cli, n), BaseException)] == []
+    catch_all = {"ValueError", "Exception", "BaseException"}
+    catchers = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for handler in ast.walk(fn):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            caught = handler.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None or any(
+                isinstance(name, ast.Name) and name.id in catch_all for name in names
+            ):
+                catchers.add(fn.name)
+    assert catchers == {"main", "parse_config", "read_samples_csv"}
+    assert [name for name, value in vars(cli).items() if isinstance(value, float)] == []
+
+
 def test_exports_are_the_listed_names():
     assert sorted(spinsync.__all__) == EXPORTS
     assert all(hasattr(spinsync, name) for name in EXPORTS)

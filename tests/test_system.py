@@ -17,6 +17,7 @@ from spinsync import (
     thermal_state,
 )
 from spinsync.system import (
+    ConfigError,
     GAMMA_F_HZ_PER_TESLA,
     GAMMA_P_HZ_PER_TESLA,
     LEVEL_LABELS,
@@ -159,13 +160,17 @@ class TestPurityFactors:
         )
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_purity_factors(0.0, 298.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_purity_factors(11.4, -1.0)
 
 
 class TestConfigValidation:
+    def test_config_error_is_a_value_error(self):
+        """Callers that catch ValueError keep catching the caller's faults."""
+        assert issubclass(ConfigError, ValueError)
+
     def test_offset_defaults_to_half_coupling(self):
         cfg = SpinSystemConfig(j_coupling_hz=868.0)
         assert cfg.offset_p_hz == -434.0
@@ -200,7 +205,7 @@ class TestConfigValidation:
         # a non-finite value is named in the message
         bad = [key for key, value in kwargs.items() if not math.isfinite(value)]
         match = f"^{bad[0]} must be finite" if bad else None
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             SpinSystemConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -217,7 +222,7 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_invalid_drive(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             DriveConfig(**kwargs)
 
 
