@@ -6,13 +6,14 @@ generator's two real coherence-order blocks from its affine terms, built
 and mapped once per system and process, and hands them, with the system's
 steady-state floor (computed once, from the dissipation), to the engine's
 kernels.  ``_state_at`` turns a system and a drive into the steady state
-or the driven thermal state(s), for the limit cycle, the drive series
-(all its durations as one stack) and the CLI's single-state jobs; the
-amplitude sweep solves one stack.  Both tongues work on the order-0
-block alone, in stacks of TONGUE_STACK_CELLS cells across rows, and read
-rho42 alone: the propagated one evolves the block, the steady one solves
-it.  Each cell equals the single-drive, single-duration result bit for
-bit.
+(``_steady_signal``, then ``_density``) or the driven thermal state(s)
+(``_propagate``), for the limit cycle, the drive series (all its
+durations as one stack) and the CLI's single-state jobs; the amplitude
+sweep solves one stack with ``_steady_signal``.  Both tongues work on the
+order-0 block alone, in stacks of TONGUE_STACK_CELLS cells across rows,
+and read rho42 alone: the propagated one evolves the block with
+``_evolve_signal``, the steady one solves it with ``_steady_signal``.
+Each cell equals the single-drive, single-duration result bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from collections import namedtuple
 import numpy as np
 
 from .liouville import (
+    _density,
+    _evolve_signal,
     _propagate,
     _real_start,
-    _signal_coherence,
     _steady_signal,
-    _steady_state,
     build_affine_liouvillian,
 )
 from .phasespace import (
@@ -37,6 +38,7 @@ from .phasespace import (
     sync_measure_max,
 )
 from .system import (
+    DRIVE_DURATION_S,
     ConfigError,
     DriveConfig,
     SpinSystemConfig,
@@ -51,7 +53,6 @@ DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
-ARNOLD_DURATION_S = 100.0
 # Cells per stack of both tongues: for the propagated one, a multiple of 8
 # whose traced peak memory stays under that of the 16x16 real row loop, one
 # 41-cell row at a time (tests/oracles.py real_tongue_rows: 336,480 B against
@@ -62,12 +63,12 @@ TONGUE_STACK_CELLS = 56
 
 
 def linear_axis(low: float, high: float, n: int) -> np.ndarray:
-    """n evenly spaced points from low to high; a range that overflows
-    comes back as NaN, with no warning, for ``_check_axis`` to reject."""
+    """n evenly spaced points from low to high: ``np.linspace``'s, bit for
+    bit above the subnormal range, spaced at half scale so that finite ends
+    give finite points even where high - low overflows."""
     if n < 1:
         raise ConfigError(f"an axis needs at least one point, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linspace(low, high, n)
+    return 2.0 * np.linspace(0.5 * low, 0.5 * high, n)
 
 
 def log_axis(low: float, high: float, n: int) -> np.ndarray:
@@ -100,7 +101,8 @@ def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
     amplitude, detuning = drive.amplitude_hz, drive.detuning_hz
     blocks = (block.at(amplitude, detuning) for block in terms._blocks)
     if durations is None:
-        return _steady_state(*blocks, terms._floor.at(amplitude, detuning))[0]
+        x = _steady_signal(*blocks, terms._floor.at(amplitude, detuning))[0]
+        return _density(x)
     return _propagate(*blocks, thermal_state(config), durations)
 
 
@@ -223,7 +225,7 @@ def run_amplitude_sweep(
     omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
     terms = build_affine_liouvillian(config)
     blocks = (block.at(omegas) for block in terms._blocks)
-    states = _steady_state(*blocks, terms._floor.at(omegas))[0]
+    states = _density(_steady_signal(*blocks, terms._floor.at(omegas))[0])
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -243,7 +245,7 @@ def run_arnold_tongue(
     config: SpinSystemConfig,
     omegas_hz=None,
     detunings_hz=None,
-    duration_s: float = ARNOLD_DURATION_S,
+    duration_s: float = DRIVE_DURATION_S,
     use_steady_state: bool = False,
 ) -> SweepResult:
     """Peak synchronization over an amplitude x detuning grid.
@@ -270,27 +272,30 @@ def run_arnold_tongue(
         raise ConfigError("duration must be positive and finite")
     terms = build_affine_liouvillian(config)
     order_zero, order_one = terms._blocks
-    if use_steady_state:
-        def coherence(i, j):
-            omega, delta = omegas[i], detunings[j]
-            x = _steady_signal(
-                order_zero.at(omega, delta), order_one.at(omega, delta),
-                terms._floor.at(omega, delta), (i, j),
-            )[0]
-            return x[..., 4], x[..., 5]  # Re and Im rho42
-    else:
-        u0 = _real_start(thermal_state(config))[1]
+    u0 = _real_start(thermal_state(config))[1]
 
-        def coherence(i, j):
-            g0 = order_zero.at(omegas[i], detunings[j])
-            return _signal_coherence(g0, u0, duration_s)
+    def coherence_abs(i, j):
+        """|rho42| of the cells (omegas[i], detunings[j]); nothing of the
+        stack outlives the call, which keeps the traced peak down."""
+        omega, delta = omegas[i], detunings[j]
+        g0 = order_zero.at(omega, delta)
+        if use_steady_state:
+            x = _steady_signal(
+                g0, order_one.at(omega, delta), terms._floor.at(omega, delta), (i, j)
+            )[0]
+            return np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
+        # the thermal start is real, so u0's im column is 0 and Re and Im
+        # rho42 are deviation rows 3 and 4 (rho11 is skipped) of the re column
+        y = _evolve_signal(g0, u0, duration_s)
+        return np.hypot(y[..., 3, 0], y[..., 4, 0])
 
     size = omegas.size * detunings.size
     values = np.empty(size)
     for start in range(0, size, TONGUE_STACK_CELLS):
         cells = np.arange(start, min(start + TONGUE_STACK_CELLS, size))
-        re, im = coherence(*np.divmod(cells, detunings.size))
-        values[cells] = SYNC_COEFFICIENT * np.hypot(re, im)
+        values[cells] = SYNC_COEFFICIENT * coherence_abs(
+            *np.divmod(cells, detunings.size)
+        )
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=values.reshape(omegas.size, detunings.size),

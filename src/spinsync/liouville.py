@@ -16,8 +16,10 @@ is linear, sweeps and the single-drive jobs sum the mapped terms.  The
 order-0 block carries the signal and is evolved, or solved for, as the
 deviation from tr(rho) I/4 with rho11 eliminated, so the trace is exact.
 One kernel per operation serves the public functions, the sweeps and both
-tongues, which read rho42 from two coordinates and build no 16x16
-generator and no density matrix per cell.
+tongues: ``_evolve_signal`` evolves the block, ``_steady_signal`` solves
+it, and ``_density`` turns coordinates into density matrices.  The
+tongues read rho42 from two coordinates and build no 16x16 generator and
+no density matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In the unitarily
 scaled real coordinates M, the field of values gives ||M x|| >= -x^T
@@ -346,7 +348,10 @@ def _from_deviation(y: np.ndarray, trace) -> np.ndarray:
 
 def _density(x: np.ndarray) -> np.ndarray:
     """The 4x4 matrices of real (or, for a non-Hermitian one, complex)
-    coordinates x (..., 16)."""
+    coordinates x (..., 16), or of order-0 coordinates x (..., 8), whose
+    order +-1 coordinates are 0."""
+    if x.shape[-1] == 8:
+        x = np.concatenate([x, np.zeros_like(x)], axis=-1)
     return devectorize(x @ _FROM_REAL.T)
 
 
@@ -447,40 +452,32 @@ def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
     return x0, _DEVIATION @ x0[:8]
 
 
-def _evolved(a: np.ndarray, u0: np.ndarray, out=slice(None)) -> np.ndarray:
-    """Rows ``out`` of e^A u0 for each A (a generator times t) of a real
-    stack: the propagated coordinates.  ValueError, with no warning, where
-    they overflow: ||A|| is finite, but its squarings need not be."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = _expm(a)[..., out, :] @ u0
-    if not np.isfinite(u).all():
-        raise ValueError("propagation overflows: the drive or duration is too large")
-    return u
+def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """e^A u0 for each A (a generator times t) of a real stack: the
+    propagated coordinates.  ValueError, with no warning, where A or they
+    overflow: the squarings of a finite A need not be finite."""
+    if np.isfinite(a).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _expm(a) @ u0
+        if np.isfinite(u).all():
+            return u
+    raise ValueError("propagation overflows: the drive or duration is too large")
 
 
-def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t, out=slice(7)) -> np.ndarray:
-    """The order-0 block's deviation y after time t (broadcast against the
-    stack): rows ``out`` of e^{At} u0, where A is the augmented 8x8 generator
-    of each order-0 block g0 and u0 (y, tr) from :func:`_real_start`.  Each
-    cell's rows are those of its own full product, bit for bit.  ValueError
-    unless every t is finite and non-negative."""
+def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
+    """The order-0 block's deviation y (..., 7, 2) after time t (broadcast
+    against the stack): the first 7 rows of e^{At} u0, where A is the
+    augmented 8x8 generator of each order-0 block g0 and u0 (y, tr) from
+    :func:`_real_start`.  ValueError unless every t is finite and
+    non-negative."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
     aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _expm raises
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
         aug[..., :7, :] = _augmented(g0)
         aug *= t
-    return _evolved(aug, u0, out)
-
-
-def _signal_coherence(g0: np.ndarray, u0: np.ndarray, t) -> tuple:
-    """Re and Im of rho42 after time t under each order-0 block of a stack,
-    from only the rows of Re and Im rho42 (coordinates 4 and 5, y rows 3 and
-    4) of :func:`_evolve_signal`: the parts of :func:`_propagate`'s
-    ``rho[..., 0, 2]``, bit for bit."""
-    y = _evolve_signal(g0, u0, t, slice(3, 5))  # [Re, Im rho42] x [re, im]
-    return y[..., 0, 0] - y[..., 1, 1], y[..., 0, 1] + y[..., 1, 0]
+    return _evolved(aug, u0)[..., :7, :]
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
@@ -507,7 +504,7 @@ def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     rejected only if both fail.
     """
     g0, b = _real_generator(np.asarray(liouvillian, dtype=complex))
-    return _steady_state(g0, b, _generator_floor(g0, b))[0]
+    return _density(_steady_signal(g0, b, _generator_floor(g0, b))[0])
 
 
 def _decay_spectra(g0: np.ndarray, b: np.ndarray) -> tuple:
@@ -606,15 +603,6 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
             + note
         )
     return x, ratio, residual
-
-
-def _steady_state(g0: np.ndarray, b: np.ndarray, floor) -> tuple:
-    """:func:`steady_state` of a real generator (or stack), given as its
-    blocks, whose sigma_-2 is at least ``floor`` (broadcast against the
-    stack), from :func:`_steady_signal`, with each cell's ratio and
-    residual."""
-    x, ratio, residual = _steady_signal(g0, b, floor)
-    return _density(np.concatenate([x, np.zeros_like(x)], axis=-1)), ratio, residual
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

@@ -35,14 +35,14 @@ UNIFORM_PHASE_DENSITY = 1.0 / (2.0 * math.pi) ** 3
 SYNC_COEFFICIENT = 1.0 / (16.0 * math.pi**2)
 
 
-def husimi_reduced(rho, theta, phi, include_prefactor: bool = True):
+def husimi_reduced(rho, theta, phi):
     """Husimi distribution on the |4>,|2> section of phase space.
 
     Equals the full distribution at (theta_1 = theta, theta_2 = pi,
     theta_3 = 0, phi_2 = phi): rho44 cos^2(theta/2) + Re(rho42 e^{i phi})
-    sin(theta) + rho22 sin^2(theta/2), times 24/pi^3 unless
-    ``include_prefactor`` is false.  Broadcasts over array angles; a
-    (..., 4, 4) stack of states puts its axes in front of the angles'.
+    sin(theta) + rho22 sin^2(theta/2), times 24/pi^3.  Broadcasts over
+    array angles; a (..., 4, 4) stack of states puts its axes in front of
+    the angles'.
     """
     rho = np.asarray(rho)
     theta = np.asarray(theta, dtype=float)
@@ -55,8 +55,7 @@ def husimi_reduced(rho, theta, phi, include_prefactor: bool = True):
         rho[(..., 0, 0) + angles].real * np.cos(theta / 2.0) ** 2
         + rho[(..., 2, 2) + angles].real * np.sin(theta / 2.0) ** 2
     )
-    if include_prefactor:
-        bracket *= HUSIMI_PREFACTOR
+    bracket *= HUSIMI_PREFACTOR
     return bracket
 
 

@@ -24,6 +24,8 @@ GAMMA_F_HZ_PER_TESLA = 40.078e6
 
 DEFAULT_FIELD_TESLA = 11.4
 DEFAULT_TEMPERATURE_K = 298.0
+# Default drive duration in s: DriveConfig's and the propagated tongue's.
+DRIVE_DURATION_S = 100.0
 
 # Energy-ordered level labels.  Index 0 of every matrix is the highest
 # level |4>, index 3 the lowest |1>.
@@ -186,7 +188,7 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
         cls,
         amplitude_hz: float = 0.1,
         detuning_hz: float = 0.0,
-        duration_s: float = 100.0,
+        duration_s: float = DRIVE_DURATION_S,
     ):
         if amplitude_hz < 0.0:
             raise ConfigError("drive amplitude must be non-negative")

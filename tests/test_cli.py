@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, serialization, exit codes."""
 
+import inspect
 import json
 import math
 import re
@@ -37,7 +38,6 @@ from spinsync.cli import (
     write_sweep_csv,
 )
 from spinsync.experiments import (
-    ARNOLD_DURATION_S,
     DEFAULT_SERIES_DURATIONS,
     default_amplitude_grid,
     default_arnold_grid,
@@ -405,9 +405,6 @@ class TestArnoldCommand:
             ["--detuning-min", "1", "--detuning-max", "-1"],
             ["--n-omega", "-1"],
             ["--n-detuning", "-1"],
-            # the range's width overflows: linear_axis gives NaN, no warning
-            ["--steady", "--detuning-min", "-1e308", "--detuning-max", "1e308",
-             "--n-detuning", "3"],
         ],
     )
     def test_bad_flags_exit_config(self, tmp_path, args):
@@ -917,25 +914,32 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["steady", "--amplitude", "1e308"],
-            ["amp-sweep", "--omega-max", "1e308"],
-            ["series", "--durations", "1e308"],
-            ["arnold", "--duration", "1e308", "--n-omega", "2", "--n-detuning", "3"],
-            ["husimi", "--amplitude", "1e308"],
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["steady", "--amplitude", "1e308"], "generator"),
+                (["amp-sweep", "--omega-max", "1e308"], "generator"),
+                (["series", "--durations", "1e308"], "propagation"),
+                (["arnold", "--duration", "1e308", "--n-omega", "2",
+                  "--n-detuning", "3"], "propagation"),
+                (["husimi", "--amplitude", "1e308"], "propagation"),
+                # finite ends whose width overflows: a finite grid, 1e308 Hz off
+                (["arnold", "--steady", "--detuning-min", "-1e308",
+                  "--detuning-max", "1e308", "--n-detuning", "3"], "generator"),
+            ]
         ],
-        ids=" ".join,
     )
     def test_overflowing_drive_or_duration_is_engine_error(
-        self, tmp_path, capsys, argv
+        self, tmp_path, capsys, argv, message
     ):
         """A generator or a generator times t past the float range is an
-        engine failure: exit 1, one line, no file, and no RuntimeWarning
-        (which the suite would raise out of main)."""
+        engine failure: exit 1, one line naming the overflow, no file, and
+        no RuntimeWarning (which the suite would raise out of main)."""
         assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("spinsync: engine error: ") and err.count("\n") == 1
+        assert err.startswith(f"spinsync: engine error: {message} overflows: ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1289,8 +1293,10 @@ class TestFlagValidation:
             ),
             detunings,
         )
-        # --duration defaults to the config's duration_s, which is 100 s
+        # --duration defaults to the config's duration_s, the library
+        # tongue's default too
         assert arnold.duration_s is None
-        assert RunConfig().drive.duration_s == ARNOLD_DURATION_S
+        tongue = inspect.signature(run_arnold_tongue).parameters["duration_s"]
+        assert RunConfig().drive.duration_s == tongue.default
         series = parser.parse_args(["series", "--output", "x"])
         assert series.durations == DEFAULT_SERIES_DURATIONS

@@ -134,14 +134,24 @@ class TestAxes:
         np.testing.assert_array_equal(detunings, linear_axis(*ARNOLD_DETUNING_AXIS))
         np.testing.assert_array_equal(default_amplitude_grid(), np.logspace(-3, 3, 61))
 
+    def test_linear_axis_is_linspace_bit_for_bit(self, rng):
+        signs = rng.choice([-1.0, 1.0], (200, 2))
+        ends = np.sort(signs * 10.0 ** rng.uniform(-300.0, 307.0, (200, 2)), axis=1)
+        for low, high in ends:
+            n = int(rng.integers(1, 200))
+            np.testing.assert_array_equal(
+                linear_axis(low, high, n), np.linspace(low, high, n)
+            )
+
     def test_overflow_is_rejected_without_a_warning(self, config):
-        """A range past the float range comes back non-finite, with no
-        RuntimeWarning (the suite would raise it), for _check_axis to reject."""
+        """A linear axis with finite ends is finite although its width
+        overflows; a log range past the float range comes back inf, with no
+        RuntimeWarning (the suite would raise it), for _check_axis to
+        reject."""
         detunings = linear_axis(-1e308, 1e308, 3)
+        np.testing.assert_array_equal(detunings, [-1e308, 0.0, 1e308])
         omegas = log_axis(1e-3, 1.7976931348623157e308, 3)  # 10 ** log10 rounds up
-        assert np.isnan(detunings[0]) and omegas[-1] == math.inf
-        with pytest.raises(ConfigError, match="detuning must be finite"):
-            run_arnold_tongue(config, omegas_hz=[0.1], detunings_hz=detunings)
+        assert omegas[-1] == math.inf
         with pytest.raises(ConfigError, match="drive amplitude must be finite"):
             run_amplitude_sweep(config, omegas_hz=omegas)
 

@@ -36,14 +36,14 @@ from spinsync.liouville import (
     _AUGMENT,
     _FROM_REAL,
     _KEEP,
-    _TO_REAL,
     DEGENERACY_RATIO,
     RESIDUAL_RTOL,
+    _density,
     _expm,
     _generator_floor,
     _real_generator,
     _residual,
-    _steady_state,
+    _steady_signal,
 )
 
 from conftest import random_density
@@ -430,25 +430,6 @@ class TestPropagate:
         for k, generator in enumerate(stack):
             np.testing.assert_array_equal(grid[1, k], propagate(generator, rho, 3.0))
 
-    def test_signal_coherence_matches_propagated_rho42(self, config, rng):
-        """The tongue's readout of rho42 from two rows of the signal block
-        equals _propagate's rho[..., 0, 2] bit for bit, also for a rho0 with
-        complex real coordinates (a non-Hermitian matrix), whose re and im
-        columns both feed rho42."""
-        terms = build_affine_liouvillian(config)
-        omegas, deltas = np.array([[0.01], [0.3], [5.0]]), np.array([-2.0, 0.0, 1.5])
-        g0, b = blocks_at(terms, omegas, deltas)
-        for rho0 in (
-            random_density(rng),
-            random_density(rng) + 0.1j * random_density(rng),
-        ):
-            u0 = liouville._real_start(rho0)[1]
-            for t in (0.05, 3.0, 100.0):
-                rho42 = liouville._propagate(g0, b, rho0, t)[..., 0, 2]
-                re, im = liouville._signal_coherence(g0, u0, t)
-                np.testing.assert_array_equal(re, rho42.real)
-                np.testing.assert_array_equal(im, rho42.imag)
-
     def test_both_blocks_match_full_expm(self, config, rng):
         """Random densities have support on both coherence-order blocks;
         the engine matches expm of the 16x16 generator.  Each side's expm
@@ -675,7 +656,7 @@ class TestSteadyState:
         detunings = rng.uniform(-5.0, 5.0, omegas.size)
         terms = build_affine_liouvillian(config)
         blocks = blocks_at(terms, omegas, detunings)
-        _, bound, _ = _steady_state(*blocks, terms._floor.at(omegas, detunings))
+        _, bound, _ = _steady_signal(*blocks, terms._floor.at(omegas, detunings))
         s = singular_values(*blocks)
         assert np.all(bound <= s[..., -2] / s[..., 0])
 
@@ -716,7 +697,7 @@ class TestSteadyState:
         rows += [(omega, np.linspace(-4.0, 4.0, 81)) for omega in box]
         for drive in rows:
             blocks = blocks_at(terms, *drive)
-            _, bound, _ = _steady_state(*blocks, terms._floor.at(*drive))
+            _, bound, _ = _steady_signal(*blocks, terms._floor.at(*drive))
             s = singular_values(*blocks)
             assert bound.min() >= 100 * DEGENERACY_RATIO
             assert np.all(bound <= s[..., -2] / s[..., 0])
@@ -738,11 +719,10 @@ class TestSteadyState:
         )
         g0, b = _real_generator(stack)
         frobenius = np.linalg.norm(stack, axis=(-2, -1))
-        states, _, residual = _steady_state(g0, b, _generator_floor(g0, b))
-        vec = vectorize(states)
+        x, _, residual = _steady_signal(g0, b, _generator_floor(g0, b))
+        vec = vectorize(_density(x))
         # the kernel's residual is the helper's, bit for bit
-        x = (vec @ _TO_REAL.T).real
-        np.testing.assert_array_equal(residual, _residual(g0, x[..., :8]))
+        np.testing.assert_array_equal(residual, _residual(g0, x))
         direct = np.linalg.norm((stack @ vec[..., None])[..., 0], axis=-1)
         size = np.linalg.norm(vec, axis=-1)
         assert np.all(np.abs(residual - direct) <= 32 * EPS * frobenius * size)
@@ -907,7 +887,7 @@ class TestSteadyFloor:
         for config in FLOOR_SYSTEMS:
             terms = build_affine_liouvillian(config)
             blocks = blocks_at(terms, omegas)
-            ratio = _steady_state(*blocks, terms._floor.at(omegas))[1]
+            ratio = _steady_signal(*blocks, terms._floor.at(omegas))[1]
             assert ratio.min() >= inverse_degeneracy_bound(*blocks).min()
 
     def test_inverse_bound_certifies_where_the_floor_cannot(self, monkeypatch):
@@ -927,7 +907,7 @@ class TestSteadyFloor:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "inv", refuse)
-            _steady_state(*blocks_at(inside, omegas), inside._floor.at(omegas))
+            _steady_signal(*blocks_at(inside, omegas), inside._floor.at(omegas))
         for slow in (
             SpinSystemConfig(t1_p_s=5.8e4), SpinSystemConfig(t1_p_s=1e5, t1_f_s=10.0)
         ):
@@ -939,11 +919,11 @@ class TestSteadyFloor:
             assert np.sum(inverse >= DEGENERACY_RATIO) == 58
             for k, omega in enumerate(omegas):
                 if inverse[k] >= DEGENERACY_RATIO:
-                    ratio = _steady_state(g0[k], b[k], terms._floor.at(omega))[1]
+                    ratio = _steady_signal(g0[k], b[k], terms._floor.at(omega))[1]
                     assert ratio == pytest.approx(inverse[k], rel=1e-12)
                 else:
                     with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
-                        _steady_state(g0[k], b[k], terms._floor.at(omega))
+                        _steady_signal(g0[k], b[k], terms._floor.at(omega))
 
     def test_rejected_where_both_bounds_fail(self):
         """With T1P = T1F = 1e5 s neither the floor nor the block-inverse
@@ -956,9 +936,9 @@ class TestSteadyFloor:
         assert np.all(inverse_degeneracy_bound(g0, b) < DEGENERACY_RATIO)
         for k, omega in enumerate(omegas):
             with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
-                _steady_state(g0[k], b[k], terms._floor.at(omega))
+                _steady_signal(g0[k], b[k], terms._floor.at(omega))
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(61,\)"):
-            _steady_state(g0, b, terms._floor.at(omegas))
+            _steady_signal(g0, b, terms._floor.at(omegas))
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(1, 0\)"):
             run_arnold_tongue(slow, use_steady_state=True)
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):

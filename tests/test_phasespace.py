@@ -168,8 +168,6 @@ class TestHusimiReduced:
 
     def test_bracket_substitution(self):
         rho = doublet_coherent_density([0.25, 0.25, 0.25, 0.25], 0.25)
-        bracket = husimi_reduced(rho, math.pi / 2.0, 0.0, include_prefactor=False)
-        assert bracket == pytest.approx(0.5, rel=1e-14)
         assert husimi_reduced(rho, math.pi / 2.0, 0.0) == pytest.approx(
             12.0 / math.pi**3, rel=1e-12
         )

@@ -1,0 +1,84 @@
+"""Digest every CLI output of a checkout, for byte-identity checks.
+
+Usage: python3 tools/output_digest.py SRC OUT.json
+
+Runs, in one process through ``spinsync.cli.main`` of ``SRC/src``: the
+benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
+its defaults (with and without ``--steady`` where it takes the flag), and
+the overflowing drives and durations.  For each job OUT.json records the
+exit code, stdout with ``runtime=`` and the temporary directory masked,
+stderr, and the SHA-256 of each file written.  Two checkouts wrote the same
+outputs when ``cmp`` finds their digests equal.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+TMP = "@TMP@"  # stands for each job's own temporary directory
+STEADY = ("husimi", "arnold", "imhd-verify")  # the subcommands with --steady
+COMMANDS = ("steady", "series", "amp-sweep", "calibrate", "emit-config") + STEADY
+OVERFLOWS = [
+    [command, "--amplitude", "1e20"] for command in ("series", "husimi", "imhd-verify")
+] + [
+    ["steady", "--amplitude", "1e308"], ["amp-sweep", "--omega-max", "1e308"],
+    ["series", "--durations", "1e308"], ["husimi", "--amplitude", "1e308"],
+    ["arnold", "--duration", "1e308", "--n-omega", "2", "--n-detuning", "3"],
+    ["arnold", "--steady", "--detuning-min", "-1e308", "--detuning-max", "1e308",
+     "--n-detuning", "3"],
+]
+
+
+def run(main, argv, tmp: str) -> dict:
+    """One job through ``main`` in the directory ``tmp``, digested."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(arg).replace(TMP, tmp) for arg in argv])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+
+    def mask(text):
+        return re.sub(r"runtime=\S+", "runtime=*", text.replace(tmp, TMP))
+
+    return {
+        "argv": " ".join(map(str, argv)), "code": code,
+        "stdout": mask(out.getvalue()), "stderr": mask(err.getvalue()),
+        "files": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in sorted(Path(tmp).iterdir())},
+    }
+
+
+def digest(src: Path) -> list[dict]:
+    sys.path[:0] = [str(src / "src"), str(src / "bench")]
+    from spinsync.cli import main
+    from workloads import WORKLOADS, draw_inputs, jobs_for
+
+    argvs = [
+        job.argv
+        for seed in (1, 2, 3)
+        for inputs in draw_inputs(seed)
+        for workload in WORKLOADS
+        for job in jobs_for(workload, inputs, Path(TMP))
+    ] + [
+        argv + ["--output", f"{TMP}/out.csv"]
+        for argv in [[c] for c in COMMANDS] + [[c, "--steady"] for c in STEADY]
+        + OVERFLOWS
+    ]
+    records = []
+    for argv in argvs:
+        with tempfile.TemporaryDirectory() as tmp:
+            records.append(run(main, argv, tmp))
+    return records
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    records = digest(Path(sys.argv[1]).resolve())
+    Path(sys.argv[2]).write_text(json.dumps(records, indent=1) + "\n")
