@@ -280,9 +280,6 @@ def _cmd_husimi(rc: RunConfig, args):
 
 
 def _cmd_series(rc: RunConfig, args):
-    # the library takes t = 0, the thermal state; the CLI does not
-    if any(t <= 0.0 for t in args.durations):
-        raise ConfigError("durations must be positive")
     points = run_drive_series(
         rc.system, rc.drive.amplitude_hz, durations=args.durations,
         detuning_hz=rc.drive.detuning_hz, n_theta=rc.n_theta, n_phi=rc.n_phi,
@@ -383,7 +380,8 @@ def _run(args) -> int:
     for path, text in outputs:
         _write_text(path, text)
     runtime = time.perf_counter() - t0
-    print(f"{args.command}: {observable} runtime={runtime:.3f}s wrote {paths}")
+    wrote = f" wrote {paths}" if outputs else ""
+    print(f"{args.command}: {observable} runtime={runtime:.3f}s{wrote}")
     return code
 
 

@@ -14,6 +14,9 @@ order-0 block alone, in stacks of TONGUE_STACK_CELLS cells across rows,
 and read rho42 alone: the propagated one evolves the block with
 ``_evolve_signal``, the steady one solves it with ``_steady_signal``.
 Each cell equals the single-drive, single-duration result bit for bit.
+Every swept axis, the series' durations included, passes one rule,
+``_check_axis``: a duration is finite and >= 0, and 0 gives the thermal
+state on every path.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .system import (
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 
-# Default sweep axes as (low, high, points) in Hz; the CLI flags default
-# to these.  Amplitudes are log-spaced, detunings linear.
+# Default sweep axes as (low, high, points) in Hz; the sweeps and the CLI
+# flags default to these.  Amplitudes are log-spaced, detunings linear.
 AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
@@ -75,21 +78,6 @@ def log_axis(low: float, high: float, n: int) -> np.ndarray:
     """n log-spaced points from low to high (both positive)."""
     with np.errstate(over="ignore"):  # past the float range: inf
         return 10.0 ** linear_axis(math.log10(low), math.log10(high), n)
-
-
-def default_amplitude_grid(n: int = AMPLITUDE_SWEEP_AXIS[2]) -> np.ndarray:
-    """Log-spaced drive amplitudes from 1e-3 to 1e3 Hz."""
-    return log_axis(*AMPLITUDE_SWEEP_AXIS[:2], n)
-
-
-def default_arnold_grid(
-    n_omega: int = ARNOLD_OMEGA_AXIS[2], n_detuning: int = ARNOLD_DETUNING_AXIS[2]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced amplitudes in [1e-2, 1] Hz, linear detunings in [-3, 3] Hz."""
-    return (
-        log_axis(*ARNOLD_OMEGA_AXIS[:2], n_omega),
-        linear_axis(*ARNOLD_DETUNING_AXIS[:2], n_detuning),
-    )
 
 
 def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
@@ -149,20 +137,16 @@ def run_drive_series(
     n_theta: int = 64,
     n_phi: int = 128,
 ) -> list[DriveSeriesPoint]:
-    """Drive the thermal state for each duration; phase localization grows
-    with duration until the steady state is reached."""
-    durations = [float(t) for t in durations]
-    if len(durations) == 0:
-        raise ConfigError("need at least one duration")
-    # t = 0 is legal and just returns the thermal state.
-    if not all(0.0 <= t < math.inf for t in durations) or sorted(durations) != durations:
-        raise ConfigError("durations must be finite, non-negative and ascending")
+    """Drive the thermal state for each duration (s; an axis under
+    ``_check_axis``, so t = 0 gives the thermal state itself); phase
+    localization grows with duration until the steady state is reached."""
+    durations = _check_axis(durations, "durations", "duration_s")
     drive = DriveConfig(amplitude_hz=amplitude_hz, detuning_hz=detuning_hz)
-    states = _state_at(config, drive, np.array(durations))
+    states = _state_at(config, drive, durations)
     contrasts = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     return [
         DriveSeriesPoint(
-            duration_s=t,
+            duration_s=float(t),
             state=rho,
             visibility=float(contrast),
             coherence_abs=float(abs(rho[0, 2])),
@@ -198,6 +182,9 @@ class SweepResult(namedtuple("SweepResult", "axes values observable metadata")):
 
 
 def _check_axis(values, name: str, drive_field: str) -> np.ndarray:
+    """The one rule of every swept axis, the series' durations included: a
+    non-empty 1-D array, each value one that ``DriveConfig`` takes for
+    ``drive_field``, strictly ascending."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{name} must be a non-empty 1-D sequence")
@@ -221,8 +208,9 @@ def run_amplitude_sweep(
     the amplitude matching the relaxation rate, and falls again when the
     drive saturates the transition.
     """
-    omegas = default_amplitude_grid() if omegas_hz is None else omegas_hz
-    omegas = _check_axis(omegas, "omegas_hz", "amplitude_hz")
+    if omegas_hz is None:
+        omegas_hz = log_axis(*AMPLITUDE_SWEEP_AXIS)
+    omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
     terms = build_affine_liouvillian(config)
     blocks = (block.at(omegas) for block in terms._blocks)
     states = _density(_steady_signal(*blocks, terms._floor.at(omegas))[0])
@@ -250,14 +238,15 @@ def run_arnold_tongue(
 ) -> SweepResult:
     """Peak synchronization over an amplitude x detuning grid.
 
-    Each cell drives the thermal state for ``duration_s`` (or solves for
-    the steady state) and records max_phi S = |rho42| / (16 pi^2).  Both
-    tongues stack TONGUE_STACK_CELLS cells across rows and build no 16x16
-    generator and no density matrix: the propagated one evolves the order-0
-    block, the steady one solves it, its uniqueness certified by the
-    system's floor and ||L||_F from the two 8x8 blocks.  So the traced peak
-    stays within that of the 16x16 real row loop (tests/oracles.py
-    real_tongue_rows).  Each axis left out takes its default.
+    Each cell drives the thermal state for ``duration_s`` (finite and >= 0;
+    at 0 every cell reads the thermal state's 0), or solves for the steady
+    state, and records max_phi S = |rho42| / (16 pi^2).  Both tongues stack
+    TONGUE_STACK_CELLS cells across rows and build no 16x16 generator and
+    no density matrix: the propagated one evolves the order-0 block, the
+    steady one solves it, its uniqueness certified by the system's floor
+    and ||L||_F from the two 8x8 blocks.  So the traced peak stays within
+    that of the 16x16 real row loop (tests/oracles.py real_tongue_rows).
+    Each axis left out takes its default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -268,8 +257,8 @@ def run_arnold_tongue(
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)
     if np.max(np.abs(detunings + detunings[::-1])) > 1e-9 * scale:
         raise ConfigError("detuning grid must be symmetric about zero")
-    if not 0.0 < duration_s < math.inf and not use_steady_state:
-        raise ConfigError("duration must be positive and finite")
+    if not use_steady_state:
+        DriveConfig(duration_s=duration_s)
     terms = build_affine_liouvillian(config)
     order_zero, order_one = terms._blocks
     u0 = _real_start(thermal_state(config))[1]

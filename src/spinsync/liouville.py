@@ -265,13 +265,14 @@ _DEVIATION[7, :4] = 1.0
 # scaled uniformly, so only the order-0 block's entries are weighted.
 _SCALE = np.where(np.arange(16) < 4, 1.0, np.sqrt(2.0))
 _SYM_RATIO = (_SCALE[:, None] / _SCALE)[:8, :8]
-_NORM_WEIGHT = _SYM_RATIO**2  # ||L||_F^2 = sum W g0^2 + sum b^2
 # sym(M) of the scaled order-0 block M = S G S^-1, entry by entry, is
 # _SYM_RATIO (G + _SYM_SQUARE G^T) / 2 with _SYM_SQUARE = (S_j / S_i)^2, a
 # power of 2: a term exactly skew in the scaled coordinates (S_i^2 G_ij =
 # -S_j^2 G_ji) has a symmetric part of exact zeros.  sym(B) is (B + B^T) / 2.
 _SCALE_SQUARED = np.where(np.arange(8) < 4, 1.0, 2.0)  # exactly
 _SYM_SQUARE = _SCALE_SQUARED / _SCALE_SQUARED[:, None]
+# ||L||_F^2 = sum W g0^2 + sum b^2 with W = _SYM_RATIO^2, exactly
+_NORM_WEIGHT = _SYM_SQUARE.T
 # The columns other than 3 of the reflection I - 2 w w^T, w = (1, 1, 1, -1,
 # 0, 0, 0, 0) / 2, which maps the unit trace direction (1, 1, 1, 1, 0, 0, 0,
 # 0) / 2 to coordinate 3: an orthonormal basis of the traceless order-0
@@ -378,8 +379,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     takes the rest; each cell equals its own call bit for bit.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    if not np.isfinite(norm).all():
-        raise ValueError("matrix exponential of a non-finite matrix")
+    if not np.isfinite(norm).all():  # a non-finite entry makes it so too
+        raise ValueError("propagation overflows: the drive or duration is too large")
     with np.errstate(divide="ignore"):  # a zero matrix has log2(0) = -inf
         s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0).astype(int)
     a = np.ldexp(a, -s[..., None, None])
@@ -454,14 +455,14 @@ def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
 
 def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """e^A u0 for each A (a generator times t) of a real stack: the
-    propagated coordinates.  ValueError, with no warning, where A or they
-    overflow: the squarings of a finite A need not be finite."""
-    if np.isfinite(a).all():
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = _expm(a) @ u0
-        if np.isfinite(u).all():
-            return u
-    raise ValueError("propagation overflows: the drive or duration is too large")
+    propagated coordinates.  ValueError, with no warning, where A's 1-norm
+    (``_expm``) or they overflow: the squarings of a finite A need not be
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _expm(a) @ u0
+    if not np.isfinite(u).all():
+        raise ValueError("propagation overflows: the drive or duration is too large")
+    return u
 
 
 def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:

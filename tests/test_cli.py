@@ -38,9 +38,11 @@ from spinsync.cli import (
     write_sweep_csv,
 )
 from spinsync.experiments import (
+    AMPLITUDE_SWEEP_AXIS,
+    ARNOLD_DETUNING_AXIS,
+    ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
-    default_amplitude_grid,
-    default_arnold_grid,
+    linear_axis,
     log_axis,
 )
 from spinsync.imhd import VARIANTS
@@ -300,13 +302,24 @@ class TestSeriesCommand:
             assert coh == point.coherence_abs
         assert parsed[1][2] > parsed[0][2]
 
-    @pytest.mark.parametrize("durations", ["1.0,0.5", "0,1.0", "-1.0"])
+    @pytest.mark.parametrize("durations", ["1.0,0.5", "1.0,1.0", "-1.0"])
     def test_bad_durations_exit_config(self, tmp_path, durations):
         out = tmp_path / "series.csv"
         code = main(
             ["series", "--output", str(out), "--durations", durations]
         )
         assert code == 2
+
+    def test_zero_duration_is_the_thermal_state(self, tmp_path):
+        """t = 0, as in the library: the first row is the undriven thermal
+        state, with no phase contrast and rho42 = 0."""
+        out = tmp_path / "series.csv"
+        src = write_config(tmp_path, {"n_theta": 16, "n_phi": 16})
+        argv = ["series", "--config", src, "--output", str(out), "--durations", "0,1.0"]
+        assert main(argv) == 0
+        rows = [tuple(map(float, r.split(","))) for r in read_csv_body(out)[2]]
+        assert rows[0] == (0.0, 0.0, 0.0)
+        assert rows[1][0] == 1.0 and rows[1][2] > 0.0
 
     def test_empty_duration_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -399,12 +412,12 @@ class TestArnoldCommand:
         [
             ["--n-omega", "0"],
             ["--duration", "-1"],
-            ["--duration", "0"],
             ["--n-detuning", "0"],
             ["--n-detuning", "1"],
             ["--detuning-min", "1", "--detuning-max", "-1"],
             ["--n-omega", "-1"],
             ["--n-detuning", "-1"],
+            ["--omega-min", "2", "--omega-max", "1"],
         ],
     )
     def test_bad_flags_exit_config(self, tmp_path, args):
@@ -426,8 +439,8 @@ class TestArnoldCommand:
         self, tmp_path
     ):
         """--duration defaults to the config's duration_s; a zero one, from
-        either, fails the propagated tongue and not the steady one, which
-        reads no duration."""
+        either, leaves the propagated tongue at the thermal state's 0 in
+        every cell, and the steady one, which reads no duration, as it is."""
         grid = ["--n-omega", "2", "--n-detuning", "3",
                 "--detuning-min", "-1", "--detuning-max", "1"]
 
@@ -442,7 +455,12 @@ class TestArnoldCommand:
             tmp_path / "flag.csv"
         ).read_bytes()
         zero = write_config(tmp_path, {"duration_s": 0.0})
-        assert run("propagated", "--config", zero)[0] == 2
+        for name, argv in (("config-zero", ["--config", zero]),
+                           ("flag-zero", ["--duration", "0"])):
+            code, propagated = run(name, *argv)
+            assert code == 0
+            values = [float(r.split(",")[-1]) for r in read_csv_body(propagated)[2]]
+            assert values == [0.0] * 6
         code, steady = run("steady", "--config", zero, "--steady")
         assert code == 0
         assert read_csv_body(steady)[2] == read_csv_body(
@@ -464,6 +482,15 @@ class TestImhdVerifyCommand:
         assert report["passed"] is True
         assert report["max_abs_deviation"] < 1e-9
         assert "passed=true" in capsys.readouterr().out
+
+    def test_summary_without_output_names_no_file(self, tmp_path, capsys):
+        """With no --output nothing is written, and the summary line ends
+        at its runtime, with no dangling 'wrote'."""
+        assert main(["imhd-verify"] + self.COMMON) == 0
+        summary = capsys.readouterr().out
+        assert re.fullmatch(
+            r"imhd-verify: \S.* passed=true runtime=\d+\.\d{3}s\n", summary
+        )
 
     def test_tight_tolerance_fails(self, tmp_path):
         # undriven, rho31 = 0: the bound is the tolerance alone and the
@@ -924,6 +951,13 @@ class TestExitCodes:
                 (["arnold", "--duration", "1e308", "--n-omega", "2",
                   "--n-detuning", "3"], "propagation"),
                 (["husimi", "--amplitude", "1e308"], "propagation"),
+                # A t finite, its 1-norm not: one column sums to 4 pi Omega
+                (["husimi", "--amplitude", "2e307", "--duration", "1"],
+                 "propagation"),
+                (["series", "--amplitude", "2e307", "--durations", "1"],
+                 "propagation"),
+                (["imhd-verify", "--amplitude", "2e307", "--duration", "1"],
+                 "propagation"),
                 # finite ends whose width overflows: a finite grid, 1e308 Hz off
                 (["arnold", "--steady", "--detuning-min", "-1e308",
                   "--detuning-max", "1e308", "--n-detuning", "3"], "generator"),
@@ -1280,10 +1314,11 @@ class TestFlagValidation:
         amp = parser.parse_args(["amp-sweep", "--output", "x"])
         np.testing.assert_array_equal(
             log_axis(amp.omega_min, amp.omega_max, amp.n_omega),
-            default_amplitude_grid(),
+            log_axis(*AMPLITUDE_SWEEP_AXIS),
         )
         arnold = parser.parse_args(["arnold", "--output", "x"])
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         np.testing.assert_array_equal(
             log_axis(arnold.omega_min, arnold.omega_max, arnold.n_omega), omegas
         )

@@ -29,11 +29,10 @@ from spinsync import (
     visibility,
 )
 from spinsync.experiments import (
+    AMPLITUDE_SWEEP_AXIS,
     ARNOLD_DETUNING_AXIS,
     ARNOLD_OMEGA_AXIS,
     DEFAULT_SERIES_DURATIONS,
-    default_amplitude_grid,
-    default_arnold_grid,
     linear_axis,
     log_axis,
 )
@@ -127,12 +126,12 @@ class TestAxes:
             )
 
     def test_defaults_are_the_axis_constants(self):
-        omegas, detunings = default_arnold_grid()
-        np.testing.assert_array_equal(omegas, np.logspace(-2.0, 0.0, 21))
-        np.testing.assert_array_equal(detunings, np.linspace(-3.0, 3.0, 41))
-        np.testing.assert_array_equal(omegas, log_axis(*ARNOLD_OMEGA_AXIS))
-        np.testing.assert_array_equal(detunings, linear_axis(*ARNOLD_DETUNING_AXIS))
-        np.testing.assert_array_equal(default_amplitude_grid(), np.logspace(-3, 3, 61))
+        for axis, spaced in (
+            (log_axis(*ARNOLD_OMEGA_AXIS), np.logspace(-2.0, 0.0, 21)),
+            (linear_axis(*ARNOLD_DETUNING_AXIS), np.linspace(-3.0, 3.0, 41)),
+            (log_axis(*AMPLITUDE_SWEEP_AXIS), np.logspace(-3, 3, 61)),
+        ):
+            np.testing.assert_array_equal(axis, spaced)
 
     def test_linear_axis_is_linspace_bit_for_bit(self, rng):
         signs = rng.choice([-1.0, 1.0], (200, 2))
@@ -207,7 +206,10 @@ class TestDriveSeries:
 
     @pytest.mark.parametrize(
         "durations",
-        [(), (-1.0, 2.0), (2.0, 1.0), (0.1, 0.05, 1.0), (1.0, math.inf), (math.nan,)],
+        [
+            (), (-1.0, 2.0), (2.0, 1.0), (0.1, 0.05, 1.0), (1.0, math.inf),
+            (math.nan,), (1.0, 1.0),
+        ],
     )
     def test_bad_durations_rejected(self, config, durations):
         with pytest.raises(ConfigError):
@@ -264,8 +266,9 @@ class TestAmplitudeSweep:
             )
             assert abs(value - visibility(husimi_grid(rho))) <= bound
 
-    def test_default_grid(self):
-        grid = default_amplitude_grid()
+    def test_default_grid(self, config):
+        grid = run_amplitude_sweep(config, n_theta=8, n_phi=8).axes["omega_hz"]
+        np.testing.assert_array_equal(grid, log_axis(*AMPLITUDE_SWEEP_AXIS))
         assert grid.shape == (61,)
         assert grid[0] == pytest.approx(1e-3, rel=1e-12)
         assert grid[-1] == pytest.approx(1e3, rel=1e-12)
@@ -389,7 +392,7 @@ class TestArnoldTongue:
         rho0 = thermal_state(config)
         grids = [
             (ARNOLD_OMEGAS, ARNOLD_DETUNINGS),
-            ((0.1,), default_arnold_grid()[1]),
+            ((0.1,), linear_axis(*ARNOLD_DETUNING_AXIS)),
         ]
         for omegas, detunings in grids:
             values = run_arnold_tongue(
@@ -440,20 +443,20 @@ class TestArnoldTongue:
             )
 
     def test_nonpositive_duration_rejected(self, config):
-        with pytest.raises(ConfigError, match="duration"):
-            run_arnold_tongue(
-                config,
-                omegas_hz=[0.1],
-                detunings_hz=[-1.0, 0.0, 1.0],
-                duration_s=0.0,
-            )
+        """A negative duration is refused by DriveConfig's rule; 0 is the
+        thermal state, whose rho42 is 0 in every cell."""
+        kwargs = dict(omegas_hz=[0.1, 1.0], detunings_hz=[-1.0, 0.0, 1.0])
+        with pytest.raises(ConfigError, match="drive duration must be non-negative"):
+            run_arnold_tongue(config, **kwargs, duration_s=-1.0)
+        values = run_arnold_tongue(config, **kwargs, duration_s=0.0).values
+        assert values.shape == (2, 3) and not values.any()
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, config, duration):
         """The caller's duration, not an engine failure; the steady tongue
         reads none."""
         kwargs = dict(omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 1.0])
-        with pytest.raises(ConfigError, match="duration must be positive and finite"):
+        with pytest.raises(ConfigError, match="drive duration must be finite"):
             run_arnold_tongue(config, **kwargs, duration_s=duration)
         run_arnold_tongue(config, **kwargs, duration_s=duration, use_steady_state=True)
 
@@ -468,7 +471,8 @@ class TestArnoldTongue:
     def test_each_axis_defaults_on_its_own(self, config, use_steady_state):
         """An axis left out takes its default, whether or not the other is
         given, as run_amplitude_sweep's axis does."""
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         some_omegas, some_detunings = [0.1, 0.2], [-1.0, 0.0, 1.0]
         for given, explicit in (
             ({"omegas_hz": some_omegas}, (some_omegas, detunings)),
@@ -486,8 +490,11 @@ class TestArnoldTongue:
                     one_sided.axes[name], full.axes[name]
                 )
 
-    def test_default_grid(self):
-        omegas, detunings = default_arnold_grid()
+    def test_default_grid(self, config):
+        axes = run_arnold_tongue(config, use_steady_state=True).axes
+        omegas, detunings = axes["omega_hz"], axes["detuning_hz"]
+        np.testing.assert_array_equal(omegas, log_axis(*ARNOLD_OMEGA_AXIS))
+        np.testing.assert_array_equal(detunings, linear_axis(*ARNOLD_DETUNING_AXIS))
         assert omegas.shape == (21,)
         assert detunings.shape == (41,)
         assert omegas[0] == pytest.approx(1e-2, rel=1e-12)
@@ -498,7 +505,8 @@ class TestArnoldTongue:
 TONGUE_GRIDS = pytest.mark.parametrize(
     "omegas, detunings",
     [
-        default_arnold_grid(),  # stacks split rows
+        # stacks split rows
+        (log_axis(*ARNOLD_OMEGA_AXIS), linear_axis(*ARNOLD_DETUNING_AXIS)),
         ([0.1], [0.0]),
         (np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)),
     ],
@@ -564,7 +572,8 @@ class TestTongueStacks:
         """The stacks keep the traced peak memory of the default tongue at
         or below that of the row loop in real coordinates (0.333 against
         0.336 MB)."""
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         assert_peak_within(
             lambda: run_arnold_tongue(config),
             lambda: real_tongue_rows(config, omegas, detunings, 100.0),
@@ -572,7 +581,8 @@ class TestTongueStacks:
 
     def test_steady_peak_memory_within_row_loop(self, config):
         """So do the steady tongue's stacks (0.160 against 0.648 MB)."""
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         assert_peak_within(
             lambda: run_arnold_tongue(config, use_steady_state=True),
             lambda: steady_tongue_rows(config, omegas, detunings),
@@ -695,9 +705,8 @@ class TestDensityMatrixStack:
 
     def test_accepts_sweep_stacks(self, states, config):
         assert check_density_matrix(states) is states
-        stack = steady_state(
-            liouville.build_affine_liouvillian(config).at(default_amplitude_grid())
-        )
+        terms = liouville.build_affine_liouvillian(config)
+        stack = steady_state(terms.at(log_axis(*AMPLITUDE_SWEEP_AXIS)))
         assert check_density_matrix(stack) is stack
 
     def test_names_the_worst_cell(self, states):

@@ -29,7 +29,13 @@ from spinsync import (
     vectorize,
 )
 from spinsync.dissipation import JumpOperator
-from spinsync.experiments import default_amplitude_grid, default_arnold_grid
+from spinsync.experiments import (
+    AMPLITUDE_SWEEP_AXIS,
+    ARNOLD_DETUNING_AXIS,
+    ARNOLD_OMEGA_AXIS,
+    linear_axis,
+    log_axis,
+)
 from spinsync import liouville
 from spinsync.hamiltonians import drive_term, rotating_drift
 from spinsync.liouville import (
@@ -260,10 +266,11 @@ class TestAffineLiouvillian:
         so the mapped terms summed in ``at``'s order equal the mapped sum
         bit for bit: on both default sweeps and on 500 random drives."""
         terms = build_affine_liouvillian(config)
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         random = 10.0 ** rng.uniform(-3.5, 3.0, 500), rng.uniform(-5.0, 5.0, 500)
-        for drive in ((omegas[:, None], detunings), (default_amplitude_grid(), 0.0),
-                      random):
+        amplitudes = log_axis(*AMPLITUDE_SWEEP_AXIS)
+        for drive in ((omegas[:, None], detunings), (amplitudes, 0.0), random):
             mapped = _real_generator(terms.at(*drive))
             for got, want in zip(blocks_at(terms, *drive), mapped):
                 np.testing.assert_array_equal(got, want)
@@ -521,10 +528,13 @@ class TestExpm:
                 assert error <= 5 * EPS * max(1.0, norm)
 
     def test_rejects_non_finite_matrix(self):
-        a = np.zeros((2, 8, 8))
-        a[1, 3, 4] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            _expm(a)
+        """Its 1-norm check is the one finiteness check on A: a non-finite
+        entry makes the norm non-finite too."""
+        for bad in (np.inf, np.nan):
+            a = np.zeros((2, 8, 8))
+            a[1, 3, 4] = bad
+            with pytest.raises(ValueError, match="^propagation overflows: "):
+                _expm(a)
 
     def test_zero_matrix_is_identity(self):
         np.testing.assert_array_equal(_expm(np.zeros((8, 8))), np.eye(8))
@@ -689,11 +699,12 @@ class TestSteadyState:
         least bound is 3.0e-5), and ||L||_F / 4 <= ||L||_2 there (the ratio
         ||L||_F / ||L||_2 is 2.0-2.5), so neither check is looser than the
         SVD's.  One row at a time keeps the 16x16 stacks small."""
-        omegas, detunings = default_arnold_grid()
+        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
+        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
         box = np.concatenate([[0.0], np.logspace(np.log10(3e-4), 3.0, 150)])
         terms = build_affine_liouvillian(config)
         rows = [(omega, detunings) for omega in omegas]
-        rows += [(default_amplitude_grid(), 0.0)]
+        rows += [(log_axis(*AMPLITUDE_SWEEP_AXIS), 0.0)]
         rows += [(omega, np.linspace(-4.0, 4.0, 81)) for omega in box]
         for drive in rows:
             blocks = blocks_at(terms, *drive)
@@ -784,6 +795,13 @@ class TestSteadyFloor:
     """The floor on sigma_-2 that certifies a steady state unique: the least
     eigenvalue of -sym(L) on the traceless subspace, in the unitarily scaled
     coordinates, computed once per system from the dissipator."""
+
+    def test_norm_weights_are_exact_powers_of_two(self):
+        """||L||_F's weights (S_i / S_j)^2 are 1/2, 1 and 2 exactly: the
+        reciprocals of the symmetric part's squares, entry by entry."""
+        weight, square = liouville._NORM_WEIGHT, liouville._SYM_SQUARE
+        assert np.all(weight * square == 1.0)
+        assert set(np.unique(weight)) == {0.5, 1.0, 2.0}
 
     def test_drive_terms_are_exactly_skew(self):
         """With S^2 in {1, 2}, S_i^2 G_ij = -S_j^2 G_ji is an exact test:
@@ -883,7 +901,7 @@ class TestSteadyFloor:
         the least certified ratio is no lower than that of the block-inverse
         bound it replaced (lowest 3.0e-7 against 2.35e-7, for T1P = 1e3 s
         and T1F = 0.1 s)."""
-        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        omegas = np.concatenate([[0.0], log_axis(*AMPLITUDE_SWEEP_AXIS)])
         for config in FLOOR_SYSTEMS:
             terms = build_affine_liouvillian(config)
             blocks = blocks_at(terms, omegas)
@@ -898,7 +916,7 @@ class TestSteadyFloor:
         bound, so a cell is certified exactly where that bound certifies it:
         58 of 62 amplitudes for T1P = 5.8e4 s and for T1P = 1e5 s with T1F =
         10 s, all but the weakest drives, as before the floor."""
-        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        omegas = np.concatenate([[0.0], log_axis(*AMPLITUDE_SWEEP_AXIS)])
         inside = build_affine_liouvillian(SpinSystemConfig(t1_p_s=3.0e4))
         inside._floor  # cached before patching
 
@@ -929,7 +947,7 @@ class TestSteadyFloor:
         """With T1P = T1F = 1e5 s neither the floor nor the block-inverse
         bound certifies any amplitude, so every route raises, naming the
         worst cell of a stack or of the first failing tongue stack."""
-        omegas = np.concatenate([[0.0], default_amplitude_grid()])
+        omegas = np.concatenate([[0.0], log_axis(*AMPLITUDE_SWEEP_AXIS)])
         slow = SpinSystemConfig(t1_p_s=1e5, t1_f_s=1e5)
         terms = build_affine_liouvillian(slow)
         g0, b = blocks_at(terms, omegas)

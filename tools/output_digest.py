@@ -4,11 +4,12 @@ Usage: python3 tools/output_digest.py SRC OUT.json
 
 Runs, in one process through ``spinsync.cli.main`` of ``SRC/src``: the
 benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
-its defaults (with and without ``--steady`` where it takes the flag), and
-the overflowing drives and durations.  For each job OUT.json records the
-exit code, stdout with ``runtime=`` and the temporary directory masked,
-stderr, and the SHA-256 of each file written.  Two checkouts wrote the same
-outputs when ``cmp`` finds their digests equal.
+its defaults (with and without ``--steady`` where it takes the flag), the
+overflowing drives and durations, and the edges of the duration rule.  For
+each job OUT.json records the exit code, stdout with ``runtime=`` and the
+temporary directory masked, stderr, and the SHA-256 of each file written.
+Two checkouts wrote the same outputs when ``cmp`` finds their digests
+equal.
 """
 
 import contextlib
@@ -31,6 +32,14 @@ OVERFLOWS = [
     ["arnold", "--duration", "1e308", "--n-omega", "2", "--n-detuning", "3"],
     ["arnold", "--steady", "--detuning-min", "-1e308", "--detuning-max", "1e308",
      "--n-detuning", "3"],
+] + [  # A t finite, its 1-norm not
+    ["husimi", "--amplitude", "2e307", "--duration", "1"],
+    ["series", "--amplitude", "2e307", "--durations", "1"],
+    ["imhd-verify", "--amplitude", "2e307", "--duration", "1"],
+]
+DURATIONS = [  # 0 is the thermal state; a series' durations strictly ascend
+    ["series", "--durations", "0,1"], ["series", "--durations", "1,1"],
+    ["arnold", "--duration", "0", "--n-omega", "2", "--n-detuning", "3"],
 ]
 
 
@@ -68,7 +77,7 @@ def digest(src: Path) -> list[dict]:
     ] + [
         argv + ["--output", f"{TMP}/out.csv"]
         for argv in [[c] for c in COMMANDS] + [[c, "--steady"] for c in STEADY]
-        + OVERFLOWS
+        + OVERFLOWS + DURATIONS
     ]
     records = []
     for argv in argvs:
