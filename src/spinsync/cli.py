@@ -311,7 +311,7 @@ def _cmd_imhd_verify(rc: RunConfig, args):
     scan = imhd_scan(rho, n_theta=rc.n_theta, n_phi=rc.n_phi, variant=args.variant)
     direct = husimi_grid(rho, n_theta=rc.n_theta, n_phi=rc.n_phi)
     deviation = float(np.max(np.abs(scan.values - direct.values)))
-    bound = deviation_bound(rho, args.variant, args.tolerance)
+    bound = deviation_bound(rho, args.variant)
     passed = bool(deviation < bound)
     report = _report(
         "imhd-verify", rc, variant=args.variant, max_abs_deviation=deviation,
@@ -498,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_flags(p)
     p.add_argument("--steady", action="store_true")
     p.add_argument("--variant", choices=VARIANTS, default="exact-populations")
-    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
 
     p = add("calibrate", "fit a drive amplitude from nutation samples", _cmd_calibrate)
     p.add_argument("--input", help="CSV of time_s,signal samples")

@@ -10,13 +10,14 @@ kernels.  ``_state_at`` turns a system and a drive into the steady state
 (``_propagate``), for the limit cycle, the drive series (all its
 durations as one stack) and the CLI's single-state jobs; the amplitude
 sweep solves one stack with ``_steady_signal``.  Both tongues work on the
-order-0 block alone, in stacks of TONGUE_STACK_CELLS cells across rows,
-and read rho42 alone: the propagated one evolves the block with
-``_evolve_signal``, the steady one solves it with ``_steady_signal``.
-Each cell equals the single-drive, single-duration result bit for bit.
-Every swept axis, the series' durations included, passes one rule,
-``_check_axis``: a duration is finite and >= 0, and 0 gives the thermal
-state on every path.
+order-0 block alone, in stacks of TONGUE_STACK_CELLS cells across rows:
+the propagated one evolves the block from the thermal state's real
+coordinates with ``_evolve_signal``, the steady one solves it with
+``_steady_signal``, and both read rho42 from the same two order-0
+coordinates.  Each cell equals the single-drive, single-duration result
+bit for bit.  Every swept axis, the series' durations included, passes
+one rule, ``_check_axis``: a duration is finite and >= 0, and 0 gives the
+thermal state on every path, whatever the drive.
 """
 
 from __future__ import annotations
@@ -272,11 +273,9 @@ def run_arnold_tongue(
             x = _steady_signal(
                 g0, order_one.at(omega, delta), terms._floor.at(omega, delta), (i, j)
             )[0]
-            return np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
-        # the thermal start is real, so u0's im column is 0 and Re and Im
-        # rho42 are deviation rows 3 and 4 (rho11 is skipped) of the re column
-        y = _evolve_signal(g0, u0, duration_s)
-        return np.hypot(y[..., 3, 0], y[..., 4, 0])
+        else:
+            x = _evolve_signal(g0, u0, duration_s)
+        return np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
 
     size = omegas.size * detunings.size
     values = np.empty(size)

@@ -40,6 +40,8 @@ from .system import _checked_make, spin_operator
 GATE_LABELS = ("pseudo-hadamard-F", "controlled-phase")
 
 VARIANTS = ("exact-populations", "quarter-approximation")
+# Rounding allowance of the scan and the direct grid in every deviation bound
+DEVIATION_TOLERANCE = 1e-9
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -107,13 +109,13 @@ def leakage_bound(rho: np.ndarray) -> float:
     return float(HUSIMI_PREFACTOR * abs(np.asarray(rho)[1, 3]))
 
 
-def deviation_bound(rho: np.ndarray, variant: str, tolerance: float) -> float:
-    """Largest |Q_circuit - Q_direct| of a variant, plus ``tolerance``: the
+def deviation_bound(rho: np.ndarray, variant: str) -> float:
+    """Largest |Q_circuit - Q_direct| of a variant, plus DEVIATION_TOLERANCE: the
     leakage bound, and for the quarter approximation, exact only when the
     populations rho33 and rho11 sit at 1/4, (24/pi^3) times their offsets."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    bound = leakage_bound(rho) + tolerance
+    bound = leakage_bound(rho) + DEVIATION_TOLERANCE
     if variant == "quarter-approximation":
         rho = np.asarray(rho)
         bound += float(

@@ -6,20 +6,21 @@ drive, L(Omega, delta) = base + delta per_detuning + Omega per_amplitude,
 so those terms are built once per system and process, and shared
 read-only; array drives give a stack.
 
-Propagation and the steady state work in one real form: real
-Hermitian-basis coordinates, where the generator splits exactly into two
-real 8x8 blocks by F-spin coherence order, g0 (the populations with rho42
-and rho31) and b (the other coherences).  ``_real_generator`` maps a
-generator to these blocks and proves them decoupled; a system's three
-terms are mapped once (``AffineLiouvillian._blocks``), and since the map
-is linear, sweeps and the single-drive jobs sum the mapped terms.  The
-order-0 block carries the signal and is evolved, or solved for, as the
-deviation from tr(rho) I/4 with rho11 eliminated, so the trace is exact.
-One kernel per operation serves the public functions, the sweeps and both
-tongues: ``_evolve_signal`` evolves the block, ``_steady_signal`` solves
-it, and ``_density`` turns coordinates into density matrices.  The
-tongues read rho42 from two coordinates and build no 16x16 generator and
-no density matrix per cell.
+Everything works in one real form: real Hermitian-basis coordinates, where
+a generator splits exactly into two real 8x8 blocks by F-spin coherence
+order, g0 (the populations with rho42 and rho31) and b (the other
+coherences), and a state, Hermitian, is one real vector.  The spectrum is
+the blocks'.  ``_real_generator`` maps a generator to the blocks and
+proves them decoupled; a system's three terms are mapped once
+(``AffineLiouvillian._blocks``), and since the map is linear, sweeps and
+the single-drive jobs sum the mapped terms.  The order-0 block carries the
+signal and is evolved, or solved for, as the deviation from tr(rho) I/4
+with rho11 eliminated, so the trace is exact.  One kernel per operation
+serves the public functions, the sweeps and both tongues:
+``_evolve_signal`` evolves the block, ``_steady_signal`` solves it, and
+``_density`` turns coordinates into density matrices.  The tongues read
+rho42 from two coordinates and build no 16x16 generator and no density
+matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In the unitarily
 scaled real coordinates M, the field of values gives ||M x|| >= -x^T
@@ -336,24 +337,21 @@ def _augmented(g0: np.ndarray) -> np.ndarray:
     return g0[..., _KEEP, :] @ _AUGMENT
 
 
-def _from_deviation(y: np.ndarray, trace) -> np.ndarray:
-    """The order-0 coordinates (..., 8) of deviations y (..., 7) with their
-    traces (broadcast against y[..., 0]): rho11 is the trace less the other
-    populations, so the trace is exact up to one rounding."""
+def _from_deviation(y: np.ndarray, trace: float) -> np.ndarray:
+    """The order-0 coordinates (..., 8) of deviations y (..., 7) that share
+    one trace: rho11 is the trace less the other populations, so the trace
+    is exact up to one rounding."""
     x = np.empty(y.shape[:-1] + (8,))
     x[..., _KEEP] = y
-    x[..., :3] += np.asarray(0.25 * trace)[..., None]
+    x[..., :3] += 0.25 * trace
     x[..., 3] = trace - ((x[..., 0] + x[..., 1]) + x[..., 2])
     return x
 
 
 def _density(x: np.ndarray) -> np.ndarray:
-    """The 4x4 matrices of real (or, for a non-Hermitian one, complex)
-    coordinates x (..., 16), or of order-0 coordinates x (..., 8), whose
-    order +-1 coordinates are 0."""
-    if x.shape[-1] == 8:
-        x = np.concatenate([x, np.zeros_like(x)], axis=-1)
-    return devectorize(x @ _FROM_REAL.T)
+    """The Hermitian 4x4 matrices of real coordinates x (..., 16), or of
+    order-0 coordinates x (..., 8), whose order +-1 coordinates are 0."""
+    return devectorize(x @ _FROM_REAL[:, : x.shape[-1]].T)
 
 
 # Pade-13 numerator coefficients b_0..b_13, and theta_13, the 1-norm up to
@@ -413,13 +411,14 @@ def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
 
     ``t`` is a duration or an array of them that broadcasts against the
-    stack; cells with t = 0 hold rho0 exactly.  On the generator's real
-    blocks (ValueError unless it splits exactly into them), the order-0
-    block evolves as the deviation from tr(rho0) I/4 with rho11 eliminated,
-    by the exponential of the augmented 8x8 generator; the order +-1 block,
-    only where rho0 has support on it, by its own.  So the trace is exact up
-    to one rounding, a Hermitian rho0 stays exactly Hermitian, and any rho0
-    maps linearly.  ValueError, with no warning, if the result overflows.
+    stack; cells with t = 0 hold rho0 exactly, whatever the generator.  On
+    rho0's real coordinates (ValueError unless it is exactly Hermitian) and
+    the generator's real blocks (ValueError unless it splits exactly into
+    them), the order-0 block evolves as the deviation from tr(rho0) I/4 with
+    rho11 eliminated, by the exponential of the augmented 8x8 generator; the
+    order +-1 block, only where rho0 has support on it, by its own.  So the
+    trace is exact up to one rounding and rho stays exactly Hermitian.
+    ValueError, with no warning, if the result overflows.
     """
     blocks = _real_generator(np.asarray(liouvillian, dtype=complex))
     return _propagate(*blocks, rho0, t)
@@ -430,27 +429,40 @@ def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray
     t = np.asarray(t, dtype=float)
     x0, u0 = _real_start(rho0)
     cells = np.broadcast_shapes(g0.shape[:-2], t.shape)
-    # cells kept at rho0 itself, which the deviation form would round
-    still = np.broadcast_to(t == 0.0, cells)
-    t = t[..., None, None]
-    x = np.zeros(cells + (16, 2))
-    y = _evolve_signal(g0, u0, t).swapaxes(-1, -2)  # re and im columns as rows
-    x[..., :8, :] = _from_deviation(y, u0[7]).swapaxes(-1, -2)
+    x = np.zeros(cells + (16,))
+    x[..., :8] = _evolve_signal(g0, u0, t)
     if x0[8:].any():
-        x[..., 8:, :] = _evolved(b * t, x0[8:])
-    rho = _density(x.view(complex)[..., 0])
-    rho[still] = rho0
+        x[..., 8:] = _evolved(_times(b, t[..., None, None]), x0[8:])
+    rho = _density(x)
+    # cells kept at rho0 itself, which the deviation form would round
+    rho[np.broadcast_to(t == 0.0, cells)] = rho0
     return rho
 
 
 def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
-    """A 4x4 rho0's real coordinates as (16, 2) re and im columns, and the
-    order-0 block's start (y, tr) in deviation form."""
+    """A 4x4 rho0's real coordinates x0 (16,) and the order-0 block's start
+    u0 = (y, tr) (8,) in deviation form; ValueError, naming the imaginary
+    residue, unless rho0 is exactly Hermitian (which leaves none)."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
-    x0 = (_TO_REAL @ vectorize(rho0)).view(float).reshape(16, 2)
+    x0 = _TO_REAL @ vectorize(rho0)
+    if x0.imag.any():
+        raise ValueError(
+            "initial state is not Hermitian: imaginary residue "
+            f"{np.abs(x0.imag).max():.3e} in real coordinates"
+        )
+    x0 = x0.real
     return x0, _DEVIATION @ x0[:8]
+
+
+def _times(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a t, broadcast, with no warning where it overflows (``_evolved``
+    raises), and exactly 0 where t = 0: e^0 = I however a overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = a * t
+    np.copyto(at, 0.0, where=t == 0.0)
+    return at
 
 
 def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -466,19 +478,19 @@ def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
 
 
 def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
-    """The order-0 block's deviation y (..., 7, 2) after time t (broadcast
-    against the stack): the first 7 rows of e^{At} u0, where A is the
-    augmented 8x8 generator of each order-0 block g0 and u0 (y, tr) from
-    :func:`_real_start`.  ValueError unless every t is finite and
-    non-negative."""
+    """The order-0 coordinates x (..., 8) after time t (broadcast against
+    the stack) of each order-0 block g0 from u0 = (y, tr) of
+    :func:`_real_start`: y is the first 7 rows of e^{At} u0, where A is the
+    augmented 8x8 generator, and tr is u0's.  ValueError unless every t is
+    finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
+    t = t[..., None, None]
     aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
-        aug[..., :7, :] = _augmented(g0)
-        aug *= t
-    return _evolved(aug, u0)[..., :7, :]
+        aug[..., :7, :] = _times(_augmented(g0), t)
+    return _from_deviation(_evolved(aug, u0)[..., :7], u0[7])
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
@@ -616,10 +628,12 @@ class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):
 def spectral_report(liouvillian: np.ndarray) -> SpectralReport:
     """Eigenvalue summary; the gap sets the equilibration time scale.
 
+    The map to real coordinates is a similarity, so these are the
+    eigenvalues of propagate's two real 8x8 blocks, with its ValueErrors.
     All real parts are non-positive for a valid generator (one eigenvalue
     is zero up to rounding).
     """
-    eigs = np.linalg.eigvals(np.asarray(liouvillian, dtype=complex))
-    order = np.argsort(-eigs.real)
-    eigs = eigs[order]
+    blocks = _real_generator(np.asarray(liouvillian, dtype=complex))
+    eigs = np.concatenate([np.linalg.eigvals(g) for g in blocks], dtype=complex)
+    eigs = eigs[np.argsort(-eigs.real)]
     return SpectralReport(eigenvalues=eigs, gap=float(-eigs[1].real))

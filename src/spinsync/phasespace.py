@@ -165,18 +165,11 @@ def sync_measure_max(rho: np.ndarray) -> float | np.ndarray:
 
 # --- group-measure quadrature ------------------------------------------------
 
-# Which azimuthal angle each state component carries (0 = none).
-_PHASE_SLOT = (0, 1, 2, 3)
-# Per-axis radial factors of the components: axis k contributes cos or
-# sin of alpha_k (or 1) to component i; see the module docstring.
-_RADIAL_KIND = (
-    ("cos", "one", "one"),
-    ("sin", "cos", "one"),
-    ("sin", "sin", "cos"),
-    ("sin", "sin", "sin"),
-)
+# Per-axis radial factors of the components: axis k contributes cos, sin or
+# 1 (index 0, 1, 2) of alpha_k to component i; see the module docstring.
+_RADIAL_FACTOR = np.array([[0, 2, 2], [1, 0, 2], [1, 1, 0], [1, 1, 1]])
 # Measure weight exponents per axis: cos(a) sin^m(a) with m = 5, 3, 1.
-_WEIGHT_SINE_POWER = (5, 3, 1)
+_WEIGHT_SINE_POWER = np.array([5, 3, 1])
 
 
 class HaarQuadrature(
@@ -196,32 +189,21 @@ class HaarQuadrature(
         """R[i, j] = integral over alphas of r_i r_j times the weight."""
         a, w = self.alpha_nodes, self.alpha_weights
         cos_a, sin_a = np.cos(a), np.sin(a)
-        factors = {"cos": cos_a, "sin": sin_a, "one": np.ones_like(a)}
-        r = np.ones((4, 4))
-        for axis in range(3):
-            weight = w * cos_a * sin_a ** _WEIGHT_SINE_POWER[axis]
-            axis_int = np.empty((4, 4))
-            for i in range(4):
-                for j in range(4):
-                    fi = factors[_RADIAL_KIND[i][axis]]
-                    fj = factors[_RADIAL_KIND[j][axis]]
-                    axis_int[i, j] = np.sum(weight * fi * fj)
-            r *= axis_int
-        return r
+        weight = w * cos_a * sin_a ** _WEIGHT_SINE_POWER[:, None]  # (axis, node)
+        # factors[i, k] is component i's factor on axis k, at every node
+        factors = np.stack([cos_a, sin_a, np.ones_like(a)])[_RADIAL_FACTOR]
+        return np.einsum("kn,ikn,jkn->kij", weight, factors, factors).prod(axis=0)
 
     def _phase_pair_integrals(self) -> np.ndarray:
-        """P[i, j] = integral over phis of e_i(phi) conj(e_j(phi))."""
+        """P[i, j] = integral over phis of e_i(phi) conj(e_j(phi)): component
+        i carries the azimuthal angle phi_i (component 0 none), so on axis k
+        the integrand is e^{i m phi} with m = [i = k] - [j = k]."""
         phis = np.linspace(0.0, 2.0 * math.pi, self.n_phi, endpoint=False)
         dphi = 2.0 * math.pi / self.n_phi
-        p = np.ones((4, 4), dtype=complex)
-        for axis in range(1, 4):
-            axis_int = np.empty((4, 4), dtype=complex)
-            for i in range(4):
-                for j in range(4):
-                    k = (_PHASE_SLOT[i] == axis) - (_PHASE_SLOT[j] == axis)
-                    axis_int[i, j] = dphi * np.sum(np.exp(1j * k * phis))
-            p *= axis_int
-        return p
+        slot = np.eye(4, dtype=int)[1:]  # slot[k - 1, i] = [i = k]
+        m = slot[:, :, None] - slot[:, None, :]  # (axis, i, j)
+        axis_int = dphi * np.exp(1j * m[..., None] * phis).sum(axis=-1)
+        return axis_int.prod(axis=0)
 
 
 def haar_quadrature(n_alpha: int = 32, n_phi: int = 64) -> HaarQuadrature:

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import spinsync.cli as cli
+import spinsync.imhd as imhd
 
 from spinsync import (
     HUSIMI_PREFACTOR,
@@ -492,16 +493,18 @@ class TestImhdVerifyCommand:
             r"imhd-verify: \S.* passed=true runtime=\d+\.\d{3}s\n", summary
         )
 
-    def test_tight_tolerance_fails(self, tmp_path):
+    def test_tight_tolerance_fails(self, tmp_path, monkeypatch):
         # undriven, rho31 = 0: the bound is the tolerance alone and the
         # deviation is rounding, about 1e-16
+        monkeypatch.setattr(imhd, "DEVIATION_TOLERANCE", 1e-17)
         report_path = tmp_path / "report.json"
         code = main(
-            ["imhd-verify", "--output", str(report_path), "--amplitude", "0",
-             "--tolerance", "1e-17"] + self.COMMON
+            ["imhd-verify", "--output", str(report_path), "--amplitude", "0"]
+            + self.COMMON
         )
         assert code == 1
-        assert json.loads(report_path.read_text())["passed"] is False
+        report = json.loads(report_path.read_text())
+        assert report["passed"] is False and report["bound"] == 1e-17
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bound_includes_rho31_leakage(self, tmp_path, variant):
@@ -976,6 +979,35 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, observable",
+        [
+            pytest.param(argv, observable, id=" ".join(argv))
+            for argv, observable in [
+                (["series", "--amplitude", "1e308", "--durations", "0"],
+                 "final_visibility=0"),
+                (["husimi", "--amplitude", "1e308", "--duration", "0"],
+                 "visibility=0"),
+                (["imhd-verify", "--amplitude", "1e308", "--duration", "0"],
+                 "passed=true"),
+                (["arnold", "--duration", "0", "--omega-max", "1e308",
+                  "--n-omega", "2", "--n-detuning", "3"], "max_observable=0"),
+            ]
+        ],
+    )
+    def test_zero_duration_on_overflowing_drive_is_thermal(
+        self, tmp_path, capsys, argv, observable
+    ):
+        """t = 0 gives the thermal state whatever the drive: A t is exactly
+        0 there, so e^0 = I even where the generator itself overflows.  Exit
+        0 with the thermal state's values (no phase contrast, rho42 = 0)."""
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+        summary = capsys.readouterr().out
+        assert f" {observable} " in summary
+        if argv[0] == "series":
+            rows = (tmp_path / "out.csv").read_text().splitlines()
+            assert rows[-2:] == ["duration_s,visibility,abs_coherence", "0,0,0"]
+
 
 class TestMalformedInputFiles:
     """A config or samples file that cannot be read as numbers is a
@@ -1272,7 +1304,6 @@ class TestFlagValidation:
             ("arnold", "--duration", "inf"),
             ("imhd-verify", "--detuning", "nan"),
             ("imhd-verify", "--duration", "inf"),
-            ("imhd-verify", "--tolerance", "inf"),
             ("calibrate", "--amplitude", "nan"),
             ("calibrate", "--noise", "nan"),
         ],

@@ -303,7 +303,7 @@ class TestImhdScan:
                 HUSIMI_PREFACTOR
                 * (abs(rho[3, 3].real - 0.25) + abs(rho[1, 1].real - 0.25))
             )
-        bound = deviation_bound(rho, variant, 1e-9)
+        bound = deviation_bound(rho, variant)
         assert bound == expected
         scan = imhd_scan(rho, n_theta=8, n_phi=16, variant=variant)
         direct = husimi_reduced(rho, scan.thetas[:, None], scan.phis[None, :])
@@ -311,7 +311,7 @@ class TestImhdScan:
 
     def test_deviation_bound_rejects_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            deviation_bound(np.eye(4) / 4.0, "bogus", 1e-9)
+            deviation_bound(np.eye(4) / 4.0, "bogus")
 
     def test_scan_equals_pointwise_calls(self, rng):
         rho = sparse_family(rng, 1)[0]

@@ -1,12 +1,14 @@
 """Vectorized master-equation engine: generator, propagation, steady state."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from spinsync import (
     SYNC_COEFFICIENT,
@@ -42,6 +44,7 @@ from spinsync.liouville import (
     _AUGMENT,
     _FROM_REAL,
     _KEEP,
+    _TO_REAL,
     DEGENERACY_RATIO,
     RESIDUAL_RTOL,
     _density,
@@ -454,26 +457,22 @@ class TestPropagate:
                     bound = 16 * EPS * np.linalg.norm(lv * t, 1)
                     assert np.max(np.abs(propagate(lv, rho0, t) - full)) <= bound
 
-    def test_non_hermitian_input_propagates_linearly(self, driven, rng):
-        """The real map acts on complex coordinates, so any 4x4 matrix
-        propagates as its Hermitian parts do: i h and the adjoint map
-        exactly, h1 + i h2 within the rounding of forming it, and a general
-        matrix matches the 16x16 expm within the bound above."""
+    def test_rejects_non_hermitian_state(self, driven, rng):
+        """A state is one real coordinate vector, so a matrix that is not
+        exactly Hermitian is refused, at any t and for a stack too, naming
+        its imaginary residue: for i h that is the largest |real
+        coordinate| of h, exactly."""
         _, _, lv = driven
-        for _ in range(5):
-            h1, h2 = random_density(rng), random_density(rng)
-            p1, p2 = propagate(lv, h1, 2.0), propagate(lv, h2, 2.0)
-            np.testing.assert_array_equal(propagate(lv, 1j * h1, 2.0), 1j * p1)
-            a = h1 + 1j * h2
-            evolved = propagate(lv, a, 2.0)
-            np.testing.assert_array_equal(
-                propagate(lv, a.conj().T, 2.0), evolved.conj().T
-            )
-            assert np.max(np.abs(evolved - (p1 + 1j * p2))) <= 4 * EPS
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            full = devectorize(scipy.linalg.expm(lv * 2.0) @ vectorize(b))
-            bound = 16 * EPS * np.linalg.norm(lv * 2.0, 1) * np.max(np.abs(b))
-            assert np.max(np.abs(propagate(lv, b, 2.0) - full)) <= bound
+        for _ in range(3):
+            h = random_density(rng)
+            residue = np.abs((_TO_REAL @ vectorize(h)).real).max()
+            message = re.escape(f"imaginary residue {residue:.3e}")
+            with pytest.raises(ValueError, match=message):
+                propagate(lv, 1j * h, 2.0)
+            general = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            for t in (0.0, [1.0, 2.0]):
+                with pytest.raises(ValueError, match="not Hermitian: imaginary"):
+                    propagate(np.stack([lv, lv]), general, t)
 
     def test_rejects_generator_coupling_the_blocks(self, driven, rng):
         """A drive on the F spin changes F-spin coherence order; the
@@ -1112,6 +1111,46 @@ class TestSpectralReport:
         assert np.all(reals <= 1e-10)
         assert np.all(np.diff(reals) <= 1e-12)  # sorted descending
         assert abs(report.eigenvalues[0]) < 1e-10
+
+    @pytest.mark.parametrize(
+        "amplitude, detuning",
+        [(0.0, 0.0), (0.1, 0.0), (0.3, 0.7), (1.0, -2.0), (1e-3, -3.0), (100.0, 3.0)],
+    )
+    def test_block_eigenvalues_match_full_eigvals(self, config, amplitude, detuning):
+        """The two real 8x8 blocks are similar to the 16x16 generator, so
+        their eigenvalues are its.  Each side is backward stable: the
+        complex QR moves L by at most p(16) eps ||L||_F, and the blocks by
+        the mapping's one rounding per entry plus p(8) eps ||L||_F, taken
+        sqrt(2) larger since the unscaled blocks' coordinates stretch norms
+        by at most sqrt(2), with p(n) = n.  To first order each eigenvalue
+        moves by its condition number kappa (from the 16x16 left and right
+        eigenvectors, invariant under the unitary scaling) times that:
+        |block - full| <= kappa (16 + 9 sqrt(2)) eps ||L||_F.  The
+        eigenvalues are paired by an optimal assignment; the worst seen is
+        5.44 kappa eps ||L||_F."""
+        lv = build_liouvillian(
+            config, DriveConfig(amplitude_hz=amplitude, detuning_hz=detuning)
+        )
+        full = np.linalg.eigvals(lv)
+        blocks = spectral_report(lv).eigenvalues
+        assert blocks.dtype == complex and blocks.shape == (16,)
+        values, left, right = scipy.linalg.eig(lv, left=True, right=True)
+        kappa = (
+            np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
+            / np.abs(np.einsum("ij,ij->j", left.conj(), right))
+        )
+        kappa = kappa[linear_sum_assignment(np.abs(full[:, None] - values))[1]]
+        pairs = linear_sum_assignment(np.abs(full[:, None] - blocks))[1]
+        bound = kappa * (16 + 9 * math.sqrt(2)) * EPS * np.linalg.norm(lv)
+        assert np.all(np.abs(full - blocks[pairs]) <= bound)
+
+    def test_rejects_generator_coupling_the_blocks(self, driven):
+        """A drive on the F spin couples the blocks, so there is no real
+        block spectrum to report; propagate's message names it."""
+        _, _, lv = driven
+        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
+            spectral_report(lv + flip)
 
 
 class TestGeneratorInvariants:

@@ -419,6 +419,36 @@ class TestHaarQuadrature:
         with pytest.raises(ValueError):
             haar_quadrature(1, 64)
 
+    @pytest.mark.parametrize("n_alpha, n_phi", [(32, 64), (5, 7)])
+    def test_pair_integrals_match_elementwise_loop(self, n_alpha, n_phi):
+        """The array-shaped tables against one sum per entry and axis, from
+        the components of the module docstring: component i carries phi_i
+        (component 0 none) and, on axis k, cos(alpha_k) if k = i, sin if
+        k < i, and 1 if k > i.  Only the order of the sums differs, so
+        they agree to a few eps of the table's largest entry."""
+        scheme = haar_quadrature(n_alpha, n_phi)
+        a, w = scheme.alpha_nodes, scheme.alpha_weights
+        phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+
+        def factor(i, k):
+            return np.cos(a) if k == i else np.sin(a) if k < i else np.ones_like(a)
+
+        radial = np.ones((4, 4))
+        phase = np.ones((4, 4), dtype=complex)
+        for k, power in enumerate((5, 3, 1)):
+            weight = w * np.cos(a) * np.sin(a) ** power
+            for i in range(4):
+                for j in range(4):
+                    radial[i, j] *= np.sum(weight * factor(i, k) * factor(j, k))
+                    m = (i == k + 1) - (j == k + 1)
+                    phase[i, j] *= 2.0 * math.pi / n_phi * np.sum(np.exp(1j * m * phis))
+        for table, reference in (
+            (scheme._radial_pair_integrals(), radial),
+            (scheme._phase_pair_integrals(), phase),
+        ):
+            bound = 8 * np.finfo(float).eps * np.max(np.abs(reference))
+            assert np.max(np.abs(table - reference)) <= bound
+
     def test_default_scheme_used_when_omitted(self, rng):
         rho = random_density(rng)
         assert husimi_normalization(rho) == pytest.approx(1.0, abs=1e-6)

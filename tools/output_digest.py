@@ -5,11 +5,11 @@ Usage: python3 tools/output_digest.py SRC OUT.json
 Runs, in one process through ``spinsync.cli.main`` of ``SRC/src``: the
 benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
 its defaults (with and without ``--steady`` where it takes the flag), the
-overflowing drives and durations, and the edges of the duration rule.  For
-each job OUT.json records the exit code, stdout with ``runtime=`` and the
-temporary directory masked, stderr, and the SHA-256 of each file written.
-Two checkouts wrote the same outputs when ``cmp`` finds their digests
-equal.
+overflowing drives and durations, and the edges of the duration rule, zero
+durations on overflowing drives among them.  For each job OUT.json records
+the exit code, stdout with ``runtime=`` and the temporary directory masked,
+stderr, and the SHA-256 of each file written.  Two checkouts wrote the same
+outputs when ``cmp`` finds their digests equal.
 """
 
 import contextlib
@@ -40,6 +40,12 @@ OVERFLOWS = [
 DURATIONS = [  # 0 is the thermal state; a series' durations strictly ascend
     ["series", "--durations", "0,1"], ["series", "--durations", "1,1"],
     ["arnold", "--duration", "0", "--n-omega", "2", "--n-detuning", "3"],
+] + [  # 0 on a drive whose generator overflows: still the thermal state
+    ["series", "--amplitude", "1e308", "--durations", "0"],
+    ["husimi", "--amplitude", "1e308", "--duration", "0"],
+    ["imhd-verify", "--amplitude", "1e308", "--duration", "0"],
+    ["arnold", "--duration", "0", "--omega-max", "1e308", "--n-omega", "2",
+     "--n-detuning", "3"],
 ]
 
 
