@@ -12,6 +12,7 @@ from .system import (
     SpinSystemConfig,
     check_density_matrix,
     default_purity_factors,
+    fermionic_probabilities,
     spin_operator,
     thermal_state,
 )
@@ -23,7 +24,6 @@ from .hamiltonians import (
 from .dissipation import (
     JumpOperator,
     build_jump_operators,
-    fermionic_probabilities,
     transition_rate,
 )
 from .liouville import (

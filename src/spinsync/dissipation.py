@@ -14,20 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .system import LEVEL_LABELS, LEVELS, SpinSystemConfig
-
-
-def fermionic_probabilities(epsilon: float) -> tuple[float, float]:
-    """Bath occupation pair (p_plus, p_minus) for one spin.
-
-    p_plus = 1 / (exp(4 epsilon) + 1) weights upward (energy-gaining)
-    jumps, p_minus = 1 - p_plus downward ones; their ratio exp(-4 epsilon)
-    sets the detailed-balance population ratio across the transition.
-    """
-    if epsilon < 0.0:
-        raise ValueError("purity factor must be non-negative")
-    p_plus = 1.0 / (math.exp(4.0 * epsilon) + 1.0)
-    return p_plus, 1.0 - p_plus
+from .system import LEVEL_LABELS, LEVELS, SpinSystemConfig, fermionic_probabilities
 
 
 def transition_rate(t1_s: float) -> float:

@@ -57,12 +57,11 @@ DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
-# Cells per stack of both tongues: for the propagated one, a multiple of 8
-# whose traced peak memory stays under that of the 16x16 real row loop, one
-# 41-cell row at a time (tests/oracles.py real_tongue_rows: 336,480 B against
-# the tongue's 333,284 B, BENCH_20.json); the steady one, with smaller blocks
-# per cell, stays under its row loop's peak too (BENCH_19.json).  Larger
-# stacks run faster but raise the peak.
+# Cells per stack of both tongues: a multiple of 8 whose traced peak memory
+# stays at or below that of the row loops of tests/oracles.py, one 41-cell
+# row at a time (real_tongue_rows for the propagated tongue,
+# steady_tongue_rows for the steady one), as tests/test_experiments.py
+# TestTongueStacks checks.  Larger stacks run faster but raise the peak.
 TONGUE_STACK_CELLS = 56
 
 

@@ -20,10 +20,15 @@ exact when rho31 = 0 and its deviation never exceeds (24/pi^3) |rho31|
 The circuit factorizes as G = CP (R^dagger x I)(I x H), so the signal is
 Tr[(R^dagger x I) rho_H (R x I) A] with rho_H = (I x H) rho (I x H)^dagger
 and A = CP^dagger F_x CP, the gates built and checked once per process;
-only the 2x2 scan rotation R varies over the probe grid.  R is held
-matrix axes first, R[p, s, theta, phi], so its unitarity check and the
-one einsum that evaluates every point run over contiguous (theta, phi)
-grids, not 2x2 matrices one by one.
+only the 2x2 scan rotation R varies over the probe grid.  R separates,
+R[p, s] = w_p(phi) u[p, s](theta), with u the real rotation by theta/2 and
+w = (e^{-i phi/2}, e^{i phi/2}), so the signal is
+T00 + T11 + 2 Re(T01 e^{i phi}) with one 2x2 table
+T[p, q](theta) = sum_rs u[p, s] u[q, r] t[p, q, r, s] per polar angle and
+one phase per azimuth: the same a(theta) + Re(b(theta) e^{i phi}) form as
+the direct section.  The unitarity check runs on the n_theta rotations
+and the n_phi phases, and the signal is summed in real arithmetic in a
+fixed order, so a grid equals its pointwise calls bit for bit.
 """
 
 from __future__ import annotations
@@ -74,19 +79,15 @@ def _require_unitary(u: np.ndarray) -> None:
         raise ValueError(f"gate not unitary: deviation {dev:.3e}")
 
 
-def _scan_rotation(theta, phi) -> np.ndarray:
-    # 2x2 rotation taking the P part of |4> to the (theta, phi) coherent
-    # state, up to global phase: exp(-i phi Sz') exp(-i theta Sy') with
-    # the scan axes oriented so the pole is the m_P = -1/2 state.
-    # Broadcasts over array angles, matrix axes first: (2, 2, ...).
+def _scan_factors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    # The 2x2 scan rotation takes the P part of |4> to the (theta, phi)
+    # coherent state, up to global phase: exp(-i phi Sz') exp(-i theta Sy')
+    # with the scan axes oriented so the pole is the m_P = -1/2 state.  Its
+    # factors over broadcast angles, matrix axes first: the real rotations
+    # u (2, 2, ...) by theta/2 and the phases e^{i phi} (1, 1, ...), from
+    # real cos and sin so that each cell equals its own call bit for bit.
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    z = np.exp(-0.5j * phi)
-    r = np.empty((2, 2) + np.broadcast_shapes(c.shape, z.shape), dtype=complex)
-    np.multiply(z, c, out=r[0, 0, ...])
-    np.multiply(-z, s, out=r[0, 1, ...])
-    np.multiply(z.conj(), s, out=r[1, 0, ...])
-    np.multiply(z.conj(), c, out=r[1, 1, ...])
-    return r
+    return np.array([[c, -s], [s, c]]), np.array([[np.cos(phi) + 1j * np.sin(phi)]])
 
 
 def build_pseudo_hadamard() -> Gate:
@@ -152,14 +153,19 @@ def _readout(
     # index order (P, F, P, F): rho_h[p, i, q, j], a[r, j, s, i]
     rho_h = (h @ rho @ h.conj().T).reshape(2, 2, 2, 2)
     t = np.einsum("piqj,rjsi->pqrs", rho_h, a)
-    r = _scan_rotation(theta, phi)  # r[p, s, theta, phi]
-    _require_unitary(r)
-    signal = np.einsum("ps...,qr...,pqrs->...", r.conj(), r, t).real
+    u, phase = _scan_factors(theta, phi)
+    _require_unitary(u)
+    _require_unitary(phase)
+
+    def table(p, q, part):  # one part of T[p, q], its four terms in order
+        return sum(u[p, s] * u[q, r] * part[p, q, r, s] for r in (0, 1) for s in (0, 1))
+
+    # T00 and T11 are real and T10 = conj(T01), for Hermitian rho and A
+    signal = table(0, 0, t.real) + table(1, 1, t.real) + 2.0 * (
+        table(0, 1, t.real) * phase[0, 0].real - table(0, 1, t.imag) * phase[0, 0].imag
+    )
     if variant == "exact-populations":
-        spectator = (
-            rho[3, 3].real * np.cos(theta / 2.0) ** 2
-            + rho[1, 1].real * np.sin(theta / 2.0) ** 2
-        )
+        spectator = rho[3, 3].real * u[0, 0] ** 2 + rho[1, 1].real * u[1, 0] ** 2
         q = HUSIMI_PREFACTOR * (0.5 * (1.0 + 2.0 * signal) - spectator)
     else:
         q = HUSIMI_PREFACTOR * (signal + 0.25)

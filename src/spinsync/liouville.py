@@ -432,7 +432,11 @@ def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray
     x = np.zeros(cells + (16,))
     x[..., :8] = _evolve_signal(g0, u0, t)
     if x0[8:].any():
-        x[..., 8:] = _evolved(_times(b, t[..., None, None]), x0[8:])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
+            bt = b * t[..., None, None]
+        if not t.all():  # e^0 = I however b overflows
+            np.copyto(bt, 0.0, where=t[..., None, None] == 0.0)
+        x[..., 8:] = _evolved(bt, x0[8:])
     rho = _density(x)
     # cells kept at rho0 itself, which the deviation form would round
     rho[np.broadcast_to(t == 0.0, cells)] = rho0
@@ -454,15 +458,6 @@ def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
         )
     x0 = x0.real
     return x0, _DEVIATION @ x0[:8]
-
-
-def _times(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """a t, broadcast, with no warning where it overflows (``_evolved``
-    raises), and exactly 0 where t = 0: e^0 = I however a overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        at = a * t
-    np.copyto(at, 0.0, where=t == 0.0)
-    return at
 
 
 def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -489,7 +484,10 @@ def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
     t = t[..., None, None]
     aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
-        aug[..., :7, :] = _times(_augmented(g0), t)
+        aug[..., :7, :] = _augmented(g0)
+        aug *= t
+    if not t.all():  # e^0 = I however the generator overflows
+        np.copyto(aug, 0.0, where=t == 0.0)
     return _from_deviation(_evolved(aug, u0)[..., :7], u0[7])
 
 

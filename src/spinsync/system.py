@@ -204,11 +204,18 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
         return super().__new__(cls, amplitude_hz, detuning_hz, duration_s)
 
 
-def _spin_weights(epsilon: float) -> tuple[float, float]:
-    # Boltzmann weights (w_minus, w_plus) of the m = -1/2 / +1/2 states of
-    # one spin; w_minus / w_plus = exp(-4 epsilon) exactly.
-    w_minus = 1.0 / (1.0 + math.exp(4.0 * epsilon))
-    return w_minus, 1.0 - w_minus
+def fermionic_probabilities(epsilon: float) -> tuple[float, float]:
+    """Boltzmann weights (p_plus, p_minus) of one spin's m = -1/2 and
+    m = +1/2 states, which are also its bath occupations.
+
+    p_plus = 1 / (exp(4 epsilon) + 1) weights upward (energy-gaining)
+    jumps, p_minus = 1 - p_plus downward ones; their ratio exp(-4 epsilon)
+    sets the detailed-balance population ratio across the transition.
+    """
+    if epsilon < 0.0:
+        raise ValueError("purity factor must be non-negative")
+    p_plus = 1.0 / (math.exp(4.0 * epsilon) + 1.0)
+    return p_plus, 1.0 - p_plus
 
 
 def thermal_state(config: SpinSystemConfig) -> np.ndarray:
@@ -220,8 +227,8 @@ def thermal_state(config: SpinSystemConfig) -> np.ndarray:
     form 1/4 + epsilon_P I_z^P + epsilon_F I_z^F to O(epsilon^2).
     Lower-energy states are more populated.
     """
-    wp = _spin_weights(config.epsilon_p)
-    wf = _spin_weights(config.epsilon_f)
+    wp = fermionic_probabilities(config.epsilon_p)
+    wf = fermionic_probabilities(config.epsilon_f)
     pops = [
         wp[0 if mp < 0 else 1] * wf[0 if mf < 0 else 1]
         for mp, mf in LEVELS

@@ -9,8 +9,9 @@ checkable:
 * the full SU(4) coherent state and Husimi value, of which the
   simulator's reduced Husimi section is one slice;
 * the per-gate IMHD circuit, which the grid kernel evaluates in
-  factorized form, and the kernel's earlier trailing-axis layout, which
-  its matrix-axes-first layout must reproduce bit for bit;
+  separable form, and the readout with the full scan rotation as a
+  (..., 2, 2) stack, which the separable kernel must match within both
+  kernels' derived rounding bounds;
 * the one-point IMHD readout, the grid kernel at a single probe point
   beside the closed-form signal;
 * the generator's affine terms assembled from ``np.kron`` products, which
@@ -60,7 +61,7 @@ from spinsync import (
     thermal_state,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
-from spinsync.imhd import _circuit_terms, _readout, _scan_rotation
+from spinsync.imhd import _circuit_terms, _readout
 from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _propagate
 from spinsync.phasespace import grid_axes
 
@@ -608,32 +609,72 @@ def mp_readout(rho: np.ndarray, theta: float, phi: float) -> mpmath.mpf:
         return (1 + 2 * signal) / 2 - spectator
 
 
-def readout_bound(rho: np.ndarray, theta: float, phi: float) -> float:
-    """First-order bound on |q - P mp_readout| / P of the exact-populations
-    ``_readout`` at one probe point, P the double ``HUSIMI_PREFACTOR``.
+def signal_bound(rho: np.ndarray, theta, phi, trailing: bool = False):
+    """First-order bound on the rounding of the circuit signal of
+    ``_readout`` (with ``trailing``, of ``readout_trailing_axes``) at
+    broadcast probe angles.
+
+    Rounding model, first order in U: each basic operation is exact up to
+    a factor 1 + d with |d| <= U, doubling and halving are exact, and the
+    library cos, sin and exp are taken as within 1 ulp, 2 U relative
+    (NumPy's cos and sin measure 0.51 ulp on 40,000 angles against mpmath).
 
     A complex inner product of length n, in any order of its 2n real
     products and sums, is off by at most 2 sqrt(2) n U times the sum of
     |x||y|.  H = [[1, -1], [1, 1]] / sqrt 2 carries 2 U, so rho_H = H rho
     H^dagger (two length-4 products) is off by (16 sqrt 2 + 4) U R with
-    R = |H| |rho| |H|^T, and the contraction T with A (length 4) by
-    (24 sqrt 2 + 4) U T, T its magnitude.  Each scan-rotation entry
-    carries 5 U (cos, sin, exp and one product); the signal, 16 triple
-    products (4 sqrt 2 U) summed (15 U) and its real part taken, is off
-    by (28 sqrt 2 + 29) U S <= 69 U S, S = sum |r| |r| T.  Then
-    1/2 (1 + 2 s) adds U y, the spectator sigma (cos^2, product, sum)
-    7 U sigma, and the difference and the prefactor product 2 U |y - sigma|.
+    R = |H| |rho| |H|^T, and the contraction t with A (length 4), and so
+    each of its parts, by (24 sqrt 2 + 4) U T, T its magnitude.
+
+    Separable order: u[p, s] u[q, r] carries 5 U (cos or sin of theta/2
+    twice, one product), its product with a part of t 1 U more, and the
+    four terms summed in order add 3 U of their magnitudes, so each table
+    part is off by (24 sqrt 2 + 13) U M[p, q] <= 47 U M[p, q], with
+    M[p, q] = sum_rs |u[p, s]| |u[q, r]| T[p, q, r, s].  On the grid,
+    cos phi and sin phi carry 2 U and their products with the parts of T01
+    1 U more; their difference, T00 + T11 and the final sum add 1 U of
+    their operands.  So the signal is off by at most 52 U S, with
+    S = M00 + M11 + 2 M01 (|cos phi| + |sin phi|).
+
+    Trailing order: each scan-rotation entry carries 5 U (cos, sin, exp
+    and one product); the signal, 16 triple products (4 sqrt 2 U) summed
+    (15 U) and its real part taken, is off by (28 sqrt 2 + 29) U S
+    <= 69 U S, S = sum |r| |r| T = sum M, as |r[p, s]| = |u[p, s]|.
     """
     h, a = _circuit_terms()
-    rho = np.asarray(rho)
-    magnitude = (np.abs(h) @ np.abs(rho) @ np.abs(h).T).reshape(2, 2, 2, 2)
+    magnitude = (np.abs(h) @ np.abs(np.asarray(rho)) @ np.abs(h).T).reshape(2, 2, 2, 2)
     t = np.einsum("piqj,rjsi->pqrs", magnitude, np.abs(a))
-    r = np.abs(_scan_rotation(np.asarray(theta), np.asarray(phi)))
-    s_mag = np.einsum("ps,qr,pqrs->", r, r, t)
-    signal, _ = _readout(rho, theta, phi, "exact-populations")
-    y = 0.5 + float(signal)
-    sigma = (
-        rho[3, 3].real * math.cos(theta / 2.0) ** 2
-        + rho[1, 1].real * math.sin(theta / 2.0) ** 2
-    )
-    return U * (69.0 * float(s_mag) + abs(y) + 7.0 * sigma + 2.0 * abs(y - sigma))
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c, s = np.abs(np.cos(theta / 2.0)), np.abs(np.sin(theta / 2.0))
+    u = np.array([[c, s], [s, c]])
+    m = np.einsum("ps...,qr...,pqrs->pq...", u, u, t)
+    if trailing:
+        return 69.0 * U * m.sum(axis=(0, 1))
+    turn = np.abs(np.cos(phi)) + np.abs(np.sin(phi))
+    return 52.0 * U * (m[0, 0] + m[1, 1] + 2.0 * m[0, 1] * turn)
+
+
+def readout_bound(
+    rho: np.ndarray, theta, phi, variant: str = "exact-populations",
+    trailing: bool = False,
+):
+    """First-order bound on |q - P q*| / P of ``_readout`` (with
+    ``trailing``, of ``readout_trailing_axes``) at broadcast probe angles,
+    q* the variant's exact reconstruction (``mp_readout`` for the exact
+    populations) and P the double ``HUSIMI_PREFACTOR``.
+
+    Under ``signal_bound``'s rounding model the signal s is off by its
+    ``signal_bound``.  For the exact populations, 1/2 (1 + 2 s) adds U y,
+    the spectator sigma (cos^2, product, sum) 7 U sigma, and the
+    difference and the prefactor product 2 U |y - sigma|.  For the quarter
+    approximation, s + 1/4 and the prefactor product add 2 U |s + 1/4|.
+    """
+    kernel = readout_trailing_axes if trailing else _readout
+    signal, _ = kernel(rho, theta, phi, variant)
+    bound = signal_bound(rho, theta, phi, trailing)
+    if variant == "quarter-approximation":
+        return bound + 2.0 * U * np.abs(signal + 0.25)
+    y = 0.5 + signal
+    half = np.asarray(theta) / 2.0
+    sigma = rho[3, 3].real * np.cos(half) ** 2 + rho[1, 1].real * np.sin(half) ** 2
+    return bound + U * (np.abs(y) + 7.0 * sigma + 2.0 * np.abs(y - sigma))

@@ -50,6 +50,7 @@ from spinsync.liouville import (
     _density,
     _expm,
     _generator_floor,
+    _propagate,
     _real_generator,
     _residual,
     _steady_signal,
@@ -356,6 +357,16 @@ class TestPropagate:
         _, _, lv = driven
         rho = random_density(rng)
         np.testing.assert_array_equal(propagate(lv, rho, 0.0), rho)
+
+    def test_zero_time_on_overflowing_blocks_is_identity(self, config, rng):
+        """Cells with t = 0 hold a rho0 with support on both coherence-order
+        blocks, with no warning, even where both blocks overflow: e^0 = I."""
+        g0, b = (block.at(1e308) for block in build_affine_liouvillian(config)._blocks)
+        assert not (np.isfinite(g0).all() or np.isfinite(b).all())
+        rho = random_density(rng)
+        np.testing.assert_array_equal(_propagate(g0, b, rho, [0.0, 0.0]), [rho, rho])
+        with pytest.raises(ValueError, match="overflows"):
+            _propagate(g0, b, rho, [0.0, 1.0])
 
     def test_thermal_state_stays_put(self, config):
         """The thermal state is the undriven fixed point; only rebuilding

@@ -5,8 +5,9 @@ Usage: python3 tools/output_digest.py SRC OUT.json
 Runs, in one process through ``spinsync.cli.main`` of ``SRC/src``: the
 benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
 its defaults (with and without ``--steady`` where it takes the flag), the
-overflowing drives and durations, and the edges of the duration rule, zero
-durations on overflowing drives among them.  For each job OUT.json records
+overflowing drives and durations, the edges of the duration rule, zero
+durations on overflowing drives among them, and ``imhd-verify`` on its
+quarter-approximation variant and on a 9 x 16 grid.  For each job OUT.json records
 the exit code, stdout with ``runtime=`` and the temporary directory masked,
 stderr, and the SHA-256 of each file written.  Two checkouts wrote the same
 outputs when ``cmp`` finds their digests equal.
@@ -47,6 +48,11 @@ DURATIONS = [  # 0 is the thermal state; a series' durations strictly ascend
     ["arnold", "--duration", "0", "--omega-max", "1e308", "--n-omega", "2",
      "--n-detuning", "3"],
 ]
+READOUTS = [  # the second readout variant, and a grid off the default
+    ["imhd-verify", "--variant", "quarter-approximation"],
+    ["imhd-verify", "--variant", "quarter-approximation", "--steady"],
+    ["imhd-verify", "--n-theta", "9", "--n-phi", "16"],
+]
 
 
 def run(main, argv, tmp: str) -> dict:
@@ -83,7 +89,7 @@ def digest(src: Path) -> list[dict]:
     ] + [
         argv + ["--output", f"{TMP}/out.csv"]
         for argv in [[c] for c in COMMANDS] + [[c, "--steady"] for c in STEADY]
-        + OVERFLOWS + DURATIONS
+        + OVERFLOWS + DURATIONS + READOUTS
     ]
     records = []
     for argv in argvs:
