@@ -1,23 +1,18 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
-Every experiment starts from the thermal state, builds the rotating-frame
-generator and reports phase-space observables.  Each simulation sums the
-generator's two real coherence-order blocks from its affine terms, built
-and mapped once per system and process, and hands them, with the system's
-steady-state floor (computed once, from the dissipation), to the engine's
-kernels.  ``_state_at`` turns a system and a drive into the steady state
-(``_steady_signal``, then ``_density``) or the driven thermal state(s)
-(``_propagate``), for the limit cycle, the drive series (all its
-durations as one stack) and the CLI's single-state jobs; the amplitude
-sweep solves one stack with ``_steady_signal``.  Both tongues work on the
-order-0 block alone, in stacks of TONGUE_STACK_CELLS cells across rows:
-the propagated one evolves the block from the thermal state's real
-coordinates with ``_evolve_signal``, the steady one solves it with
-``_steady_signal``, and both read rho42 from the same two order-0
-coordinates.  Each cell equals the single-drive, single-duration result
-bit for bit.  Every swept axis, the series' durations included, passes
-one rule, ``_check_axis``: a duration is finite and >= 0, and 0 gives the
-thermal state on every path, whatever the drive.
+Every experiment starts from the thermal state and reports phase-space
+observables.  Each sums the generator's two real coherence-order blocks
+from its affine terms, built and mapped once per system and process, and
+hands them, with the system's steady-state floor, to the engine's kernels.
+``_state_at`` gives the steady state (``_steady_signal``) or the driven
+thermal states (``_propagate``, a series' durations as one stack) for the
+limit cycle, the drive series and the CLI's single-state jobs; the
+amplitude sweep solves one stack.  The tongues read rho42 from two order-0
+coordinates: the propagated one evolves stacks of TONGUE_STACK_CELLS cells
+(``_evolve_signal``), each the single-drive result bit for bit, and the
+steady one solves a row at a time in pole form (``_steady_rows``).  Every
+swept axis, the series' durations included, passes ``_check_axis``: a
+duration is finite and >= 0, and 0 gives the thermal state on every path.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ from .liouville import (
     _evolve_signal,
     _propagate,
     _real_start,
+    _steady_rows,
     _steady_signal,
     build_affine_liouvillian,
 )
@@ -57,11 +53,9 @@ DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
-# Cells per stack of both tongues: a multiple of 8 whose traced peak memory
-# stays at or below that of the row loops of tests/oracles.py, one 41-cell
-# row at a time (real_tongue_rows for the propagated tongue,
-# steady_tongue_rows for the steady one), as tests/test_experiments.py
-# TestTongueStacks checks.  Larger stacks run faster but raise the peak.
+# Cells per stack of the propagated tongue (and of the steady cells the pole
+# form leaves): a multiple of 8 whose traced peak stays within that of the
+# row loop tests/oracles.py real_tongue_rows.  Larger stacks run faster.
 TONGUE_STACK_CELLS = 56
 
 
@@ -106,11 +100,8 @@ def run_limit_cycle(
     config: SpinSystemConfig, n_theta: int = 64, n_phi: int = 128
 ) -> LimitCycleResult:
     """Steady state without drive: diagonal, with a flat phase profile.
-
-    Raises unless the computed visibility is exactly zero: without a drive
-    the order-0 block couples no population to a coherence, so the solve
-    gives rho42 = 0 exactly, and any contrast would be spurious.
-    """
+    Raises unless the visibility is exactly zero: undriven, the order-0
+    block couples no population to a coherence, so rho42 = 0 exactly."""
     rho = _state_at(config, DriveConfig(amplitude_hz=0.0))
     grid = husimi_grid(rho, n_theta=n_theta, n_phi=n_phi)
     vis = state_visibility(rho, n_theta=n_theta, n_phi=n_phi)
@@ -202,12 +193,9 @@ def run_amplitude_sweep(
     n_theta: int = 64,
     n_phi: int = 128,
 ) -> SweepResult:
-    """Steady-state visibility versus drive amplitude.
-
-    The curve rises from the negligible-perturbation regime, peaks near
-    the amplitude matching the relaxation rate, and falls again when the
-    drive saturates the transition.
-    """
+    """Steady-state visibility versus drive amplitude: it rises from zero,
+    peaks near the amplitude matching the relaxation rate, and falls again
+    as the drive saturates the transition."""
     if omegas_hz is None:
         omegas_hz = log_axis(*AMPLITUDE_SWEEP_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
@@ -240,13 +228,13 @@ def run_arnold_tongue(
 
     Each cell drives the thermal state for ``duration_s`` (finite and >= 0;
     at 0 every cell reads the thermal state's 0), or solves for the steady
-    state, and records max_phi S = |rho42| / (16 pi^2).  Both tongues stack
-    TONGUE_STACK_CELLS cells across rows and build no 16x16 generator and
-    no density matrix: the propagated one evolves the order-0 block, the
-    steady one solves it, its uniqueness certified by the system's floor
-    and ||L||_F from the two 8x8 blocks.  So the traced peak stays within
-    that of the 16x16 real row loop (tests/oracles.py real_tongue_rows).
-    Each axis left out takes its default.
+    state, and records max_phi S = |rho42| / (16 pi^2), with no 16x16
+    generator or density matrix per cell.  The propagated tongue evolves
+    stacks of TONGUE_STACK_CELLS cells, each the single-drive result bit for
+    bit.  The steady one solves each row in pole form, within kappa(V) eps
+    of the single-drive solve and certified as it is; a cell it cannot
+    certify takes that solve in its stack, so a failure names the worst
+    cell of the first failing stack.  An axis left out takes its default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -261,11 +249,11 @@ def run_arnold_tongue(
         DriveConfig(duration_s=duration_s)
     terms = build_affine_liouvillian(config)
     order_zero, order_one = terms._blocks
-    u0 = _real_start(thermal_state(config))[1]
+    u0 = None if use_steady_state else _real_start(thermal_state(config))[1]
 
-    def coherence_abs(i, j):
-        """|rho42| of the cells (omegas[i], detunings[j]); nothing of the
-        stack outlives the call, which keeps the traced peak down."""
+    def coherence_abs(cells):
+        """|rho42| of the grid's flat cells, all freed on return."""
+        i, j = np.divmod(cells, detunings.size)
         omega, delta = omegas[i], detunings[j]
         g0 = order_zero.at(omega, delta)
         if use_steady_state:
@@ -276,13 +264,17 @@ def run_arnold_tongue(
             x = _evolve_signal(g0, u0, duration_s)
         return np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
 
-    size = omegas.size * detunings.size
-    values = np.empty(size)
-    for start in range(0, size, TONGUE_STACK_CELLS):
-        cells = np.arange(start, min(start + TONGUE_STACK_CELLS, size))
-        values[cells] = SYNC_COEFFICIENT * coherence_abs(
-            *np.divmod(cells, detunings.size)
-        )
+    size, stack = omegas.size * detunings.size, TONGUE_STACK_CELLS
+    values, starts = np.empty(size), range(0, size, stack)
+    if use_steady_state:  # in pole form, then the cells it leaves
+        x, sure = _steady_rows(terms, omegas, detunings)
+        values[:] = SYNC_COEFFICIENT * np.hypot(x[..., 4], x[..., 5]).ravel()
+        starts = stack * np.unique(np.flatnonzero(~sure) // stack)
+    for start in starts:
+        cells = np.arange(start, min(start + stack, size))
+        if use_steady_state:
+            cells = cells[~sure.flat[cells]]
+        values[cells] = SYNC_COEFFICIENT * coherence_abs(cells)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=values.reshape(omegas.size, detunings.size),

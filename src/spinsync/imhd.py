@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .liouville import _real_start
 from .phasespace import HUSIMI_PREFACTOR, HusimiGrid, grid_axes
 from .system import _checked_make, spin_operator
 
@@ -139,7 +140,8 @@ def _circuit_terms() -> tuple[np.ndarray, np.ndarray]:
 def _readout(
     rho: np.ndarray, theta, phi, variant: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit signal and reconstructed Q at broadcast probe angles."""
+    """Circuit signal and reconstructed Q at broadcast probe angles;
+    ValueError unless rho is an exactly Hermitian 4x4 matrix."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     theta = np.asarray(theta, dtype=float)
@@ -148,6 +150,7 @@ def _readout(
         raise ValueError("probe angles must be finite")
     if ((theta < 0.0) | (theta > math.pi)).any():
         raise ValueError("polar angle must lie in [0, pi]")
+    _real_start(rho, "state")  # the separable form holds for Hermitian rho only
     rho = np.asarray(rho, dtype=complex)
     h, a = _circuit_terms()
     # index order (P, F, P, F): rho_h[p, i, q, j], a[r, j, s, i]

@@ -1,38 +1,32 @@
 """Vectorized master-equation engine.
 
 Density matrices are flattened by column stacking, so B rho C maps to
-(C^T kron B) vec(rho).  The dense 16x16 generator is affine in the
-drive, L(Omega, delta) = base + delta per_detuning + Omega per_amplitude,
-so those terms are built once per system and process, and shared
-read-only; array drives give a stack.
+(C^T kron B) vec(rho).  The 16x16 generator is affine in the drive,
+L(Omega, delta) = base + delta per_detuning + Omega per_amplitude; the
+terms are built once per system and process and shared read-only.
 
-Everything works in one real form: real Hermitian-basis coordinates, where
-a generator splits exactly into two real 8x8 blocks by F-spin coherence
-order, g0 (the populations with rho42 and rho31) and b (the other
-coherences), and a state, Hermitian, is one real vector.  The spectrum is
-the blocks'.  ``_real_generator`` maps a generator to the blocks and
-proves them decoupled; a system's three terms are mapped once
-(``AffineLiouvillian._blocks``), and since the map is linear, sweeps and
-the single-drive jobs sum the mapped terms.  The order-0 block carries the
-signal and is evolved, or solved for, as the deviation from tr(rho) I/4
-with rho11 eliminated, so the trace is exact.  One kernel per operation
-serves the public functions, the sweeps and both tongues:
-``_evolve_signal`` evolves the block, ``_steady_signal`` solves it, and
-``_density`` turns coordinates into density matrices.  The tongues read
-rho42 from two coordinates and build no 16x16 generator and no density
-matrix per cell.
+The engine works in real Hermitian-basis coordinates, where a generator
+splits exactly into two real 8x8 blocks by F-spin coherence order, g0 (the
+populations with rho42 and rho31) and b (the other coherences); a state is
+one real vector and the spectrum is the blocks'.  ``_real_generator`` maps
+and checks a generator; a system's terms are mapped once
+(``AffineLiouvillian._blocks``) and summed by the sweeps and jobs.  The
+order-0 block carries the signal, evolved or solved for as the deviation
+from tr(rho) I/4 with rho11 eliminated, so the trace is exact:
+``_evolve_signal`` evolves it, ``_steady_signal`` solves it and
+``_density`` makes density matrices.  ``_steady_rows`` solves a steady
+Arnold tongue a row at a time in pole form, the detuning term having rank
+4.  The tongues read rho42 from two coordinates, with no 16x16 generator
+and no density matrix per cell.
 
-The steady state needs no SVD to be certified unique.  In the unitarily
-scaled real coordinates M, the field of values gives ||M x|| >= -x^T
-sym(M) x for a unit x, and every eigenvector of a non-zero eigenvalue is
-traceless (tr is a left null vector), so Courant-Fischer on the
-15-dimensional traceless subspace gives sigma_-2 >= the least eigenvalue
-of -sym(M) there: a floor that depends only on the symmetric part.  The
-drive terms are exactly skew in those coordinates, so a system's floor
-comes from its dissipator once, with a derived allowance for rounding,
-and holds at every drive.  Only a cell it cannot certify inverts its
-blocks, for the bound the solver used before the floor.  ``_expm``, a
-stacked Pade-13, leaves NumPy the only dependency.
+The steady state needs no SVD to be certified unique.  In unitarily scaled
+real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
+eigenvector of a non-zero eigenvalue is traceless, so Courant-Fischer on
+the traceless subspace gives sigma_-2 >= the least eigenvalue of -sym(M)
+there.  The drive terms are exactly skew there, so a system's floor comes
+from its dissipator once, with a derived rounding allowance, and holds at
+every drive; only a cell it cannot certify inverts its blocks.  ``_expm``,
+a stacked Pade-13, leaves NumPy the only dependency.
 """
 
 from __future__ import annotations
@@ -126,12 +120,9 @@ class AffineLiouvillian(
 ):
     """Drive-independent terms of L = base + delta per_detuning + Omega per_amplitude.
 
-    ``base`` is the undriven, undetuned drift plus all dissipators;
-    ``per_detuning`` and ``per_amplitude`` are the generator per Hz of
-    detuning and of drive amplitude.  The engine works on ``_blocks``, the
-    terms' two real coherence-order blocks, mapped once.  No
-    ``__slots__``: the cached ``_blocks`` and ``_floor`` live in the
-    instance dict.
+    ``base`` is the undriven drift plus all dissipators; the other two are
+    the generator per Hz of detuning and of amplitude.  No ``__slots__``:
+    the cached ``_blocks`` and ``_floor`` live in the instance dict.
     """
 
     def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
@@ -148,20 +139,17 @@ class AffineLiouvillian(
 
     @cached_property
     def _blocks(self) -> tuple[AffineLiouvillian, AffineLiouvillian]:
-        """The terms' order-0 and order +-1 blocks in real coordinates,
-        mapped and checked once (a real combination of split terms is
-        split); ``.at`` of each is that block of ``_real_generator`` of
-        ``at``, bit for bit."""
+        """The terms' order-0 and order +-1 blocks in real coordinates, mapped
+        and checked once; ``.at`` of each is that block of ``at``, bit for bit."""
         order_zero, order_one = zip(*map(_real_generator, self))
         return _read_only(*order_zero), _read_only(*order_one)
 
     @cached_property
     def _floor(self) -> SteadyFloor:
-        """A floor on sigma_-2 of the generator at every drive, computed once
-        from the terms' symmetric parts: the base term's least eigenvalue of
-        -sym on the traceless coordinates, less each drive term's ||sym||_2
-        per Hz (0 for a term that is exactly skew, as both are here), less
-        the allowances for eigvalsh and for the rounding of ``at``'s sum."""
+        """A floor on sigma_-2 at every drive, from the terms' symmetric parts:
+        the base term's least eigenvalue of -sym on the traceless coordinates,
+        less each drive term's ||sym||_2 per Hz (0 here: both are exactly
+        skew), less the allowances for eigvalsh and ``at``'s rounding."""
         g0, b = (np.stack(block) for block in self._blocks)
         least, spread, frobenius = _decay_spectra(g0, b)
         slack = _EIGEN_SLACK * frobenius + _SUM_SLACK * _frobenius(g0, b)
@@ -179,8 +167,8 @@ class SteadyFloor(namedtuple("SteadyFloor", "base per_detuning per_amplitude")):
     __slots__ = ()
 
     def at(self, amplitude_hz, detuning_hz=0.0):
-        """The floor for a drive in Hz; array drives give an array.  Its own
-        rounding, a few ulp of base, sits far inside the eigvalsh allowance."""
+        """The floor for a drive in Hz (its rounding, a few ulp of base, sits
+        far inside the eigvalsh allowance); array drives give an array."""
         return (
             self.base
             - np.abs(detuning_hz) * self.per_detuning
@@ -195,11 +183,9 @@ def _read_only(*terms: np.ndarray) -> AffineLiouvillian:
 
 
 def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
-    """The generator's affine terms for a configured system, built once per
-    process (for the 8 systems used last) and shared: every array,
-    ``_blocks``' too, is read-only (copy before editing).  Keyed on the
-    config's repr, so configs that compare equal but differ in a field's
-    type or sign of zero never share terms."""
+    """A configured system's affine terms, built once per process (for the 8
+    systems used last) and shared read-only, ``_blocks`` too.  Keyed on the
+    config's repr: equal configs of other field types never share terms."""
     return _affine_terms(repr(config), config)
 
 
@@ -223,10 +209,9 @@ def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarra
 def _real_coordinates() -> tuple[np.ndarray, np.ndarray]:
     """Maps between vec(rho) and 16 real Hermitian-basis coordinates: the
     populations, rho11 last, then Re and Im of rho_ij (i < j) for the pairs
-    sharing m_F (F-spin coherence order 0), then the others (order +-1).
-    Each row of either map has at most two non-zero entries, from {1, 1/2,
-    +-i, +-i/2}, so mapping rounds once per entry, an entry and its
-    transpose alike."""
+    sharing m_F (coherence order 0), then the others.  Each row of either
+    map has at most two entries, from {1, 1/2, +-i, +-i/2}, so mapping
+    rounds once per entry, an entry and its transpose alike."""
     levels = sorted(range(4), key=lambda i: LEVEL_LABELS[i] == 1)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     order_zero = [(i, j) for i, j in pairs if LEVELS[i][1] == LEVELS[j][1]]
@@ -282,24 +267,24 @@ _REFLECT = np.array([1.0, 1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])  # 2 w
 _TRACELESS = np.delete(np.eye(8) - 0.5 * np.outer(_REFLECT, _REFLECT), 3, axis=1)
 _EPS = np.finfo(float).eps
 # Rounding allowances of the floor, per unit of a Frobenius norm.  Forming
-# -sym and projecting it (|entries| of the basis sum to 2 per column) moves
-# each eigenvalue by at most 4 (3 + 2 8) u ||H||_F = 76 u, and eigvalsh, being
-# backward stable, by at most p(n) u ||H||_2, with p(n) = n^2 = 64 taken
-# generously: 140 u = 70 eps in all, 128 eps allowed.
+# -sym and projecting it (basis columns of |entries| summing to 2) moves each
+# eigenvalue by at most 4 (3 + 2 8) u ||H||_F = 76 u, and eigvalsh by p(n) u
+# ||H||_2, p(n) = n^2 = 64: 140 u = 70 eps in all, 128 eps allowed.
 _EIGEN_SLACK = 128 * _EPS
-# Summing a cell in ``at``'s order rounds each entry of base + delta D +
-# Omega A by at most gamma_3 < 2 eps times |base| + |delta D| + |Omega A|, so
-# by Weyl sigma_-2 moves by at most 2 eps (||base|| + |delta| ||D|| + |Omega|
-# ||A||) in the scaled Frobenius norm.
+# ``at``'s sum rounds each entry by gamma_3 < 2 eps of |base| + |delta D| +
+# |Omega A|, so by Weyl sigma_-2 moves by at most 2 eps (||base|| + |delta|
+# ||D|| + |Omega| ||A||), in the scaled Frobenius norm.
 _SUM_SLACK = 2 * _EPS
+# ||L||_F^2 from the terms' Gram matrix G rounds by at most 71 eps sum |c_k
+# c_l G_kl| <= 71 eps (sum |c_k| ||T_k||)^2 (an entry sums 128 exactly
+# weighted products, gamma_128 < 65 eps; the form 9, gamma_11 < 6 eps).
+_GRAM_SLACK = 128 * _EPS
 
 
 def _real_generator(l_total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A generator's (or stack's) order-0 and order +-1 blocks (g0, b) in
-    real coordinates; ValueError unless it maps Hermitian matrices to
-    Hermitian ones and keeps the blocks apart, both exactly.  Conjugate
-    entries are summed in one rounding, so an exactly Hermiticity-preserving
-    generator leaves no imaginary residue."""
+    """A generator's (or stack's) blocks (g0, b) in real coordinates;
+    ValueError unless it preserves Hermiticity and keeps the blocks apart,
+    both exactly (conjugate entries are summed in one rounding)."""
     g = _TO_REAL @ l_total @ _FROM_REAL
     if g.imag.any():
         residue = np.abs(g.imag).max(axis=(-2, -1))
@@ -366,16 +351,13 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a real (..., n, n) stack.
-
-    Scaling and squaring with the degree-13 Pade approximant R = (V - U)^-1
-    (V + U), evaluated once for the stack after each cell is scaled by
-    2^-s, the least s >= 0 with ||A 2^-s||_1 <= theta_13.  R is kept as
-    D = R - I = (V - U)^-1 2U and squared as D <- D (D + 2I), so a zero row
-    of A stays exactly zero and the rounding of entries of R near 1 is not
-    raised to the power 2^s.  All cells share min(s) squarings, a mask
-    takes the rest; each cell equals its own call bit for bit.
-    """
+    """exp of each matrix of a real (..., n, n) stack: scaling and squaring
+    with the degree-13 Pade approximant R = (V - U)^-1 (V + U) of each cell
+    scaled by 2^-s, the least s >= 0 with ||A 2^-s||_1 <= theta_13.  R is
+    kept as D = R - I = (V - U)^-1 2U and squared as D <- D (D + 2I), so a
+    zero row of A stays zero and R's rounding near 1 is not raised to the
+    power 2^s.  All cells share min(s) squarings, a mask takes the rest;
+    each cell equals its own call bit for bit."""
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     if not np.isfinite(norm).all():  # a non-finite entry makes it so too
         raise ValueError("propagation overflows: the drive or duration is too large")
@@ -410,15 +392,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def propagate(liouvillian: np.ndarray, rho0: np.ndarray, t) -> np.ndarray:
     """Evolve rho0 for a time t >= 0 under a generator, or under each in a stack.
 
-    ``t`` is a duration or an array of them that broadcasts against the
-    stack; cells with t = 0 hold rho0 exactly, whatever the generator.  On
-    rho0's real coordinates (ValueError unless it is exactly Hermitian) and
-    the generator's real blocks (ValueError unless it splits exactly into
-    them), the order-0 block evolves as the deviation from tr(rho0) I/4 with
-    rho11 eliminated, by the exponential of the augmented 8x8 generator; the
-    order +-1 block, only where rho0 has support on it, by its own.  So the
-    trace is exact up to one rounding and rho stays exactly Hermitian.
-    ValueError, with no warning, if the result overflows.
+    ``t`` is a duration or an array of them broadcasting against the
+    stack; cells with t = 0 hold rho0 exactly.  ValueError unless rho0 is
+    exactly Hermitian and the generator splits exactly into real blocks; the
+    order-0 block evolves in deviation form by the exponential of the
+    augmented 8x8 generator, the order +-1 block (where rho0 has support on
+    it) by its own: the trace is exact up to one rounding and rho exactly
+    Hermitian.  ValueError, with no warning, if the result overflows.
     """
     blocks = _real_generator(np.asarray(liouvillian, dtype=complex))
     return _propagate(*blocks, rho0, t)
@@ -443,17 +423,17 @@ def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray
     return rho
 
 
-def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
+def _real_start(rho0, name: str = "initial state") -> tuple[np.ndarray, np.ndarray]:
     """A 4x4 rho0's real coordinates x0 (16,) and the order-0 block's start
-    u0 = (y, tr) (8,) in deviation form; ValueError, naming the imaginary
-    residue, unless rho0 is exactly Hermitian (which leaves none)."""
+    u0 = (y, tr) (8,) in deviation form; ValueError, naming ``name`` and the
+    imaginary residue, unless rho0 is exactly Hermitian (which leaves none)."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
-        raise ValueError(f"initial state must be 4x4, got {rho0.shape}")
+        raise ValueError(f"{name} must be 4x4, got {rho0.shape}")
     x0 = _TO_REAL @ vectorize(rho0)
     if x0.imag.any():
         raise ValueError(
-            "initial state is not Hermitian: imaginary residue "
+            f"{name} is not Hermitian: imaginary residue "
             f"{np.abs(x0.imag).max():.3e} in real coordinates"
         )
     x0 = x0.real
@@ -461,10 +441,9 @@ def _real_start(rho0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """e^A u0 for each A (a generator times t) of a real stack: the
-    propagated coordinates.  ValueError, with no warning, where A's 1-norm
-    (``_expm``) or they overflow: the squarings of a finite A need not be
-    finite."""
+    """e^A u0 for each A (a generator times t) of a real stack.  ValueError,
+    with no warning, where A's 1-norm or the result overflows (the
+    squarings of a finite A need not be finite)."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = _expm(a) @ u0
     if not np.isfinite(u).all():
@@ -473,11 +452,10 @@ def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
 
 
 def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
-    """The order-0 coordinates x (..., 8) after time t (broadcast against
-    the stack) of each order-0 block g0 from u0 = (y, tr) of
-    :func:`_real_start`: y is the first 7 rows of e^{At} u0, where A is the
-    augmented 8x8 generator, and tr is u0's.  ValueError unless every t is
-    finite and non-negative."""
+    """The order-0 coordinates x (..., 8) after time t (broadcast) of each
+    order-0 block g0 from u0 = (y, tr) of :func:`_real_start`: y is the first
+    7 rows of e^{At} u0 for the augmented 8x8 generator A, tr is u0's.
+    ValueError unless every t is finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
         raise ValueError("propagation time must be finite and non-negative")
@@ -494,36 +472,26 @@ def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Stationary density matrix of a generator, or of each in a stack.
 
-    On propagate's real blocks and in its deviation form, with tr(rho) = 1,
-    the order-0 block gives 7 equations A y = b (the redundant rho11 row
-    dropped): the trace is exact up to one rounding, rho exactly Hermitian,
-    and the order +-1 coherences exactly 0.  Raises LinAlgError, naming a
-    stack's worst cell, if sigma_-2 / sigma_0 < DEGENERACY_RATIO or ||L
-    vec(rho)|| > RESIDUAL_RTOL ||L||_2, checked without an SVD on bounds
-    that are never looser: sigma_-2 >= the least eigenvalue of -sym(L) on
-    the traceless subspace, in unitarily scaled coordinates (the module
-    docstring), less a rounding allowance; sigma_0 <= ||L||_F and ||L||_F /
-    4 <= ||L||_2.  That floor depends on the dissipation alone (for this
-    model it is 2 pi / max(T1P, T1F) to 2e-5) while ||L||_F grows with the
-    drive: with the default J = 868 Hz it certifies the undriven state
-    while max(T1P, T1F) <= 5.76e4 s (about 5.0e7 s Hz / J), and no drive
-    beyond, and drives up to 1 kHz while max(T1P, T1F) <= 3.0e4 s.  A cell
-    it cannot certify falls back to the bound from the blocks' inverses,
-    min(sigma_min(A) / 2, sigma_min(B)) with sigma_min(M) >= 1 / ||M^-1||_F
-    (Courant-Fischer on the deviation embedding, of 2-norm 2), which
-    certifies strongly driven cells of slowly relaxing systems; a cell is
-    rejected only if both fail.
+    On propagate's real blocks in deviation form, with tr(rho) = 1, the
+    order-0 block gives 7 equations (the rho11 row dropped): the trace is
+    exact up to one rounding, rho exactly Hermitian, its order +-1
+    coherences 0.  LinAlgError, naming a stack's worst cell, unless
+    sigma_-2 / sigma_0 >= DEGENERACY_RATIO and ||L vec(rho)|| <=
+    RESIDUAL_RTOL ||L||_2, checked without an SVD on bounds never looser:
+    the floor (module docstring) on sigma_-2, ||L||_F >= sigma_0 and
+    ||L||_F / 4 <= ||L||_2.  The floor, 2 pi / max(T1P, T1F) to 2e-5, at J
+    = 868 Hz certifies drives to 1 kHz while max(T1P, T1F) <= 3.0e4 s, none
+    past 5.76e4 s; else a cell falls back to :func:`_inverse_bound`.
     """
     g0, b = _real_generator(np.asarray(liouvillian, dtype=complex))
     return _density(_steady_signal(g0, b, _generator_floor(g0, b))[0])
 
 
 def _decay_spectra(g0: np.ndarray, b: np.ndarray) -> tuple:
-    """For the blocks of each real generator of a stack, in unitarily
-    scaled coordinates: the least eigenvalues of -sym on the traceless
-    order-0 coordinates and on the order +-1 block, (..., 2), the largest
-    |eigenvalue| of both, and the Frobenius norm of the two projected parts
-    together."""
+    """For each real generator's blocks, in unitarily scaled coordinates: the
+    least eigenvalues of -sym on the traceless order-0 coordinates and on
+    the order +-1 block (..., 2), the largest |eigenvalue| of both, and the
+    Frobenius norm of the two projected parts together."""
     h0 = -0.5 * _SYM_RATIO * (g0 + _SYM_SQUARE * g0.swapaxes(-1, -2))
     h0 = _TRACELESS.T @ h0 @ _TRACELESS
     hb = -0.5 * (b + b.swapaxes(-1, -2))
@@ -549,10 +517,9 @@ def _residual(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _inverse_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min(sigma_min(A) / 2, sigma_min(B)) <= sigma_-2 from the blocks'
-    inverses, sigma_min(M) >= 1 / ||M^-1||_F, for the deviation matrices A
-    (..., 7, 7) and order +-1 blocks B of a stack; LinAlgError if a block is
-    exactly singular."""
+    """min(sigma_min(A) / 2, sigma_min(B)) <= sigma_-2, sigma_min(M) >= 1 /
+    ||M^-1||_F, for a stack's deviation matrices A (..., 7, 7) and order +-1
+    blocks B; LinAlgError if a block is exactly singular."""
     return np.minimum(
         0.5 / np.linalg.norm(np.linalg.inv(a), axis=(-2, -1)),
         1.0 / np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)),
@@ -560,18 +527,15 @@ def _inverse_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
-    """The steady state's order-0 coordinates x (..., 8), tr = 1, for a
-    stack of real generators' order-0 blocks g0 and order +-1 blocks b,
-    whose sigma_-2 is at least ``floor`` (broadcast against the stack);
-    with each cell's certified ratio and residual ||L vec(rho)||.  The
-    ratio is floor / ||L||_F, raised in the cells where that falls short of
-    DEGENERACY_RATIO to :func:`_inverse_bound` / ||L||_F if larger, so
-    certified cells invert nothing.  LinAlgError, naming the worst cell,
-    unless every ratio is >= DEGENERACY_RATIO and every residual <=
-    RESIDUAL_RTOL ||L||_F / 4; ``cells``, index arrays of a flat stack's
-    cells in a grid, name it there; ValueError, with no warning, where
-    ||L||_F overflows.  A certified ratio > 0 leaves no traceless null
-    vector, so A is regular."""
+    """The steady state's order-0 coordinates x (..., 8), tr = 1, of a stack
+    of real generators' blocks g0 and b whose sigma_-2 is at least
+    ``floor`` (broadcast), with each cell's certified ratio and residual
+    ||L vec(rho)||.  The ratio is floor / ||L||_F, raised where that falls
+    short of DEGENERACY_RATIO to :func:`_inverse_bound` / ||L||_F if larger.
+    LinAlgError, naming the worst cell (``cells``, index arrays of a flat
+    stack's cells in a grid, name it there), unless every ratio is >=
+    DEGENERACY_RATIO and every residual <= RESIDUAL_RTOL ||L||_F / 4;
+    ValueError, with no warning, where ||L||_F overflows."""
 
     def worst(severity):
         cell, note = _worst_cell(severity)
@@ -614,6 +578,49 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
             + note
         )
     return x, ratio, residual
+
+
+def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> tuple:
+    """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
+    system over an amplitude x detuning grid, and the cells certified as by
+    :func:`_steady_signal`.  A row solves (A_0 + delta D) y = -c, D of rank
+    4, so with A_0^-1 D = V Lambda V^-1, y(delta) = V (I + delta Lambda)^-1
+    V^-1 y(0) (pole form: Golub & Van Loan, Matrix Computations, 7.7).  The
+    ratio floor / ||L||_F, ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes
+    before any eig; the residual bound takes the form - _GRAM_SLACK.  Cells
+    missing either, all if any ||L||_F overflows, are left uncertified."""
+    order_zero = terms._blocks[0]
+    g0, b = (np.stack(block) for block in terms._blocks)
+    gram = np.einsum("kij,ij,lij->kl", g0, _NORM_WEIGHT, g0)
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram + np.einsum("kij,lij->kl", b, b)
+    omega = omegas[:, None]
+    with np.errstate(all="ignore"):  # a non-finite cell is not certified
+        square = g00 + detunings * (2 * g01 + detunings * g11) + omega * (
+            2 * (g02 + detunings * g12) + omega * g22
+        )
+        slack = np.sqrt(g00) + abs(detunings) * np.sqrt(g11) + omega * np.sqrt(g22)
+        slack = _GRAM_SLACK * slack**2
+        ratio = terms._floor.at(omega, detunings) / np.sqrt(square + slack)
+        sure = ratio >= DEGENERACY_RATIO
+        if not np.isfinite(slack).all():  # certifying none, with no eig
+            return np.zeros(sure.shape + (8,)), np.zeros_like(sure)
+        aug = _augmented(order_zero.at(omegas))
+        rhs = -aug  # [D | -c] once D is in
+        rhs[..., :7] = _augmented(order_zero.per_detuning)[:, :7]
+        k = np.linalg.solve(aug[..., :7], rhs)
+        poles, v = np.linalg.eig(k[..., :7])  # of A_0^-1 D; k[..., 7] is y(0)
+        w = np.linalg.solve(v, k[..., 7:]).swapaxes(-1, -2)
+        y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
+        y += 1.0
+        np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
+        x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
+        del y
+        r = x @ order_zero.base.T  # G_0 x, term by term
+        r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
+        r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)
+        residual = np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE[:8] ** 2, r))
+        sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
+    return x, sure
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

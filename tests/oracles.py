@@ -22,7 +22,8 @@ checkable:
   blocks, which the dissipator floor must never certify less than;
 * the propagated and the steady Arnold tongue one row of density matrices
   at a time, whose values the engine's cell stacks must reproduce bit for
-  bit;
+  bit (propagated) or its pole form meet within a derived kappa(V) eps
+  bound (steady, ``pole_form_bound``);
 * the per-value CSV writer, one ``format(x, ".17g")`` per cell, whose
   bytes the CLI's one-%-operation writers must reproduce;
 * 40-digit mpmath evaluations of the grid visibility, of the IMHD
@@ -59,11 +60,18 @@ from spinsync import (
     steady_state,
     sync_measure_max,
     thermal_state,
+    vectorize,
 )
 from spinsync.cli import dumps_json, resolved_config_dict
+from spinsync.experiments import (
+    ARNOLD_DETUNING_AXIS,
+    ARNOLD_OMEGA_AXIS,
+    linear_axis,
+    log_axis,
+)
 from spinsync.imhd import _circuit_terms, _readout
-from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _propagate
-from spinsync.phasespace import grid_axes
+from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _TO_REAL, _propagate
+from spinsync.phasespace import SYNC_COEFFICIENT, grid_axes
 
 # --- frame derivation ---------------------------------------------------------
 
@@ -490,15 +498,67 @@ def real_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
 
 
 def steady_tongue_rows(config, omegas, detunings) -> np.ndarray:
-    """The steady Arnold tongue one row at a time, as the engine once
-    computed it: each row's 16x16 generators from the shared affine terms,
-    solved to density matrices by ``steady_state``, then max-sync of each."""
+    """The steady Arnold tongue one row at a time by the single-drive solve:
+    each row's 16x16 generators from the shared affine terms, solved to
+    density matrices by ``steady_state``, then max-sync of each."""
     terms = build_affine_liouvillian(config)
     values = np.empty((len(omegas), len(detunings)))
     for i, omega in enumerate(omegas):
         row = terms.at(omega, np.asarray(detunings, dtype=float))
         values[i] = sync_measure_max(steady_state(row))
     return values
+
+
+# The grids and systems each tongue is checked on, by id: stacks of the
+# propagated tongue split the default grid's rows.
+TONGUE_TEST_GRIDS = {
+    "default": (log_axis(*ARNOLD_OMEGA_AXIS), linear_axis(*ARNOLD_DETUNING_AXIS)),
+    "one-cell": ([0.1], [0.0]),
+    "strong-wide": (np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)),
+}
+STEADY_TEST_SYSTEMS = {
+    "default": {}, "J217": {"j_coupling_hz": 217.0}, "T1P7": {"t1_p_s": 7.0}
+}
+
+# The traced peak of steady_tongue_rows on the default tongue as measured,
+# kept as a fixed count: a bound read from the row loop at run time would
+# move with steady_state, which it runs.
+STEADY_ROW_LOOP_PEAK_BYTES = 648_400
+
+# The pole form against the single-drive solve, in U kappa_2(V) ||y||_2.
+POLE_ULPS = 28
+
+
+def pole_form_bound(config, omegas, detunings) -> np.ndarray:
+    """A bound on |pole form - single-drive solve| for each max-sync cell of
+    a steady tongue: SYNC_COEFFICIENT POLE_ULPS U kappa_2(V) ||y||_2, with V
+    the unit eigenvectors of the row's K = A_0^-1 D and y the cell's
+    deviation coordinates from the solve.
+
+    Rounding model, first order in U, 2-norms, n = 7: the pole form
+    evaluates y = V z, z = (I + delta Lambda)^-1 V^-1 y(0), so ||z|| <=
+    ||V^-1|| ||y|| and, with ||V|| <= sqrt(n), the n-term sums of V z round
+    by at most n U ||V|| ||z|| <= n U kappa(V) ||y||.  The eigensolver's
+    backward error (K V - V Lambda of relative size p U, p = n taken) and
+    the solve for V^-1 y(0) move z by at most as much again: 2n U kappa(V)
+    ||y||.  The row's solve for K and y(0) and the single-drive solve are
+    backward stable on the same entries; their difference, not derived
+    here, is allowed another 2n U kappa(V) ||y|| and measured at most 0.29
+    U kappa(V) ||y|| in all, over 63 random systems (J 100-5000 Hz, T1 1-1000
+    s) and drives (0.01-1000 Hz, detunings to 1 kHz).  So POLE_ULPS = 4n.
+    |rho42| is 1-Lipschitz in (Re, Im) rho42, two of y's coordinates."""
+    terms = build_affine_liouvillian(config)
+    omegas, detunings = np.asarray(omegas, float), np.asarray(detunings, float)
+    order_zero = terms._blocks[0]
+    aug = order_zero.at(omegas)[..., _KEEP, :] @ _AUGMENT
+    d = (order_zero.per_detuning[_KEEP] @ _AUGMENT)[:, :7]
+    k = np.linalg.solve(aug[..., :7], np.broadcast_to(d, aug[..., :7].shape))
+    kappa = np.linalg.cond(np.linalg.eig(k)[1])
+    rho = steady_state(terms.at(omegas[:, None], detunings))
+    x = (vectorize(rho) @ _TO_REAL.T).real
+    y = x[..., _KEEP] - np.where(np.arange(7) < 3, 0.25, 0.0)
+    deviation = np.linalg.norm(y, axis=-1)
+    return SYNC_COEFFICIENT * POLE_ULPS * U * kappa[:, None] * deviation
 
 
 # --- 40-digit references and rounding bounds -------------------------------------
@@ -514,6 +574,11 @@ PROPAGATE_BOUND = 5e-14
 # Unit roundoff.  The bounds below take NumPy's float64 sin and cos (and
 # so exp of an imaginary argument), validated to 1 ulp, as off by 2 U.
 U = 2.0**-53
+
+# The Haar quadrature's completeness error at its default orders (32, 64),
+# in U of pi^3 / 24: a measured floor of 31.0 against the exact integral
+# (pi^3 / 24) I at 40 digits (tests/test_phasespace.py), allowed 4.1x.
+HAAR_ULPS = 128
 
 
 def _mp(z) -> mpmath.mpc:

@@ -14,6 +14,7 @@ from spinsync import (
     HusimiGrid,
     SpinSystemConfig,
     SweepResult,
+    build_affine_liouvillian,
     build_liouvillian,
     calibrate_drive,
     check_density_matrix,
@@ -38,14 +39,25 @@ from spinsync.experiments import (
 )
 from spinsync.system import ConfigError
 from spinsync import cli, experiments, liouville, phasespace
+from spinsync.liouville import (
+    DEGENERACY_RATIO,
+    RESIDUAL_RTOL,
+    _frobenius,
+    _residual,
+    _steady_rows,
+)
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
 from oracles import (
     PROPAGATE_BOUND,
     STEADY_BOUND,
+    STEADY_ROW_LOOP_PEAK_BYTES,
+    STEADY_TEST_SYSTEMS,
+    TONGUE_TEST_GRIDS,
     grid_visibility_bound,
     mp_visibility,
+    pole_form_bound,
     propagated_tongue_rows,
     real_tongue_rows,
     state_visibility_bound,
@@ -386,9 +398,10 @@ class TestArnoldTongue:
         "use_steady_state", [False, True], ids=["propagate", "steady"]
     )
     def test_cells_match_per_cell_reference(self, config, use_steady_state):
-        """Each cell equals |rho42| / (16 pi^2), by scalar abs, of a generator
-        built for that drive alone, on the test grid and on one row as wide
-        as the CLI default (41 detunings)."""
+        """Each propagated cell equals |rho42| / (16 pi^2), by scalar abs, of
+        a generator built for that drive alone, on the test grid and on one
+        row as wide as the CLI default (41 detunings); each steady cell, in
+        pole form, meets the solve of that generator within pole_form_bound."""
         rho0 = thermal_state(config)
         grids = [
             (ARNOLD_OMEGAS, ARNOLD_DETUNINGS),
@@ -401,6 +414,7 @@ class TestArnoldTongue:
                 detunings_hz=detunings,
                 use_steady_state=use_steady_state,
             ).values
+            bound = pole_form_bound(config, omegas, detunings)
             for i, omega in enumerate(omegas):
                 for j, delta in enumerate(detunings):
                     liouville = build_liouvillian(
@@ -408,9 +422,11 @@ class TestArnoldTongue:
                     )
                     if use_steady_state:
                         rho = steady_state(liouville)
+                        value = SYNC_COEFFICIENT * abs(rho[0, 2])
+                        assert abs(values[i, j] - value) <= bound[i, j]
                     else:
                         rho = propagate(liouville, rho0, 100.0)
-                    assert values[i, j] == SYNC_COEFFICIENT * abs(rho[0, 2])
+                        assert values[i, j] == SYNC_COEFFICIENT * abs(rho[0, 2])
 
     def test_repeat_runs_are_bit_identical(self, config):
         """Identical inputs and config must reproduce every bit."""
@@ -503,20 +519,17 @@ class TestArnoldTongue:
 
 
 TONGUE_GRIDS = pytest.mark.parametrize(
-    "omegas, detunings",
-    [
-        # stacks split rows
-        (log_axis(*ARNOLD_OMEGA_AXIS), linear_axis(*ARNOLD_DETUNING_AXIS)),
-        ([0.1], [0.0]),
-        (np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)),
-    ],
-    ids=["default", "one-cell", "strong-wide"],
+    "omegas, detunings", TONGUE_TEST_GRIDS.values(), ids=TONGUE_TEST_GRIDS
+)
+STEADY_SYSTEMS = pytest.mark.parametrize(
+    "system", STEADY_TEST_SYSTEMS.values(), ids=STEADY_TEST_SYSTEMS
 )
 
 
 class TestTongueStacks:
-    """Both tongues stack cells across rows, TONGUE_STACK_CELLS at a time,
-    and read Re and Im rho42 from the order-0 block alone."""
+    """The propagated tongue stacks cells across rows, TONGUE_STACK_CELLS at
+    a time, and the steady one all its rows; both read Re and Im rho42 from
+    the order-0 block alone."""
 
     @pytest.mark.parametrize("duration_s", [0.05, 3.0, 100.0])
     @TONGUE_GRIDS
@@ -527,18 +540,24 @@ class TestTongueStacks:
         expected = propagated_tongue_rows(config, omegas, detunings, duration_s)
         np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
-    @pytest.mark.parametrize(
-        "system",
-        [{}, {"j_coupling_hz": 217.0}, {"t1_p_s": 7.0}],
-        ids=["default", "J217", "T1P7"],
-    )
+    @STEADY_SYSTEMS
     @TONGUE_GRIDS
     def test_steady_bits_match_row_loop_oracle(self, system, omegas, detunings):
+        """The pole form solves and diagonalizes each row's 7x7 matrices on
+        their own, so the stacked rows equal, bit for bit, a loop of one-row
+        tongues.  Each cell meets the per-cell solves of steady_tongue_rows
+        within pole_form_bound (TestSteadyPoleForm)."""
         config = SpinSystemConfig(**system)
         values = run_arnold_tongue(
             config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
         ).values
-        expected = steady_tongue_rows(config, omegas, detunings)
+        expected = np.concatenate([
+            run_arnold_tongue(
+                config, omegas_hz=[omega], detunings_hz=detunings,
+                use_steady_state=True,
+            ).values
+            for omega in omegas
+        ])
         np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
     def test_builds_no_generator_stack_or_density_matrix(self, config, monkeypatch):
@@ -580,27 +599,151 @@ class TestTongueStacks:
         )
 
     def test_steady_peak_memory_within_row_loop(self, config):
-        """So do the steady tongue's stacks (0.160 against 0.648 MB)."""
-        omegas = log_axis(*ARNOLD_OMEGA_AXIS)
-        detunings = linear_axis(*ARNOLD_DETUNING_AXIS)
-        assert_peak_within(
-            lambda: run_arnold_tongue(config, use_steady_state=True),
-            lambda: steady_tongue_rows(config, omegas, detunings),
+        """The steady tongue in pole form keeps its traced peak within that
+        of the per-cell row loop, a fixed count (0.31 against 0.648 MB)."""
+        peak = traced_peak(lambda: run_arnold_tongue(config, use_steady_state=True))
+        assert peak <= STEADY_ROW_LOOP_PEAK_BYTES
+
+
+class TestSteadyPoleForm:
+    """The steady tongue solves each row in pole form (liouville._steady_rows),
+    certifies each cell as the single-drive solve does, and leaves a cell it
+    cannot certify to that solve, in the TONGUE_STACK_CELLS stack of the
+    flat grid the cell falls in: a failure names the worst cell of the first
+    stack that holds a failing cell."""
+
+    @STEADY_SYSTEMS
+    @TONGUE_GRIDS
+    def test_cells_meet_per_cell_solve(self, system, omegas, detunings):
+        """Within pole_form_bound of steady_tongue_rows' single-drive solves
+        (measured at most 1.0% of the bound over these systems and grids)."""
+        config = SpinSystemConfig(**system)
+        values = run_arnold_tongue(
+            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+        ).values
+        error = np.abs(values - steady_tongue_rows(config, omegas, detunings))
+        assert np.all(error <= pole_form_bound(config, omegas, detunings))
+
+    @STEADY_SYSTEMS
+    @TONGUE_GRIDS
+    def test_every_cell_certified(self, system, omegas, detunings):
+        """The kernel certifies every cell, and so does a check from each
+        cell's own summed blocks: floor / ||L||_F >= DEGENERACY_RATIO and
+        ||L vec(rho)|| <= RESIDUAL_RTOL ||L||_F / 4 (worst 0.03 of it)."""
+        terms = build_affine_liouvillian(SpinSystemConfig(**system))
+        omegas, detunings = np.asarray(omegas, float), np.asarray(detunings, float)
+        x, sure = _steady_rows(terms, omegas, detunings)
+        assert sure.all()
+        g0, b = (block.at(omegas[:, None], detunings) for block in terms._blocks)
+        norm = _frobenius(g0, b)
+        ratio = terms._floor.at(omegas[:, None], detunings) / norm
+        assert np.all(ratio >= DEGENERACY_RATIO)
+        assert np.all(_residual(g0, x) <= RESIDUAL_RTOL / 4 * norm)
+
+    @pytest.mark.parametrize(
+        "omegas, detunings, cell",
+        [
+            (log_axis(1e-2, 1e308, 2), linear_axis(-3.0, 3.0, 3), r"\(1, 0\)"),
+            (log_axis(*ARNOLD_OMEGA_AXIS), linear_axis(-1e308, 1e308, 3), r"\(0, 0\)"),
+        ],
+        ids=["amplitude", "detuning"],
+    )
+    def test_overflowing_drive_fails_before_any_eig(
+        self, config, monkeypatch, omegas, detunings, cell
+    ):
+        """Where some ||L||_F overflows the kernel certifies no cell and runs
+        no eig, and the single-drive solve raises, naming the first cell that
+        overflows."""
+
+        def refuse(*args):
+            raise AssertionError("an eig ran")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        message = r"^generator overflows: the drive is too large \(worst cell "
+        with pytest.raises(ValueError, match=message + cell + r"\)$"):
+            run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+
+    def test_weak_floor_cells_fall_back_to_the_solve(self, monkeypatch):
+        """With T1P = 3e4 s the floor cannot certify the 1 kHz drives of the
+        strong-wide grid, whose ||L||_F is largest: those cells are left to
+        the single-drive solve, which certifies them by the block-inverse
+        bound, and equal it bit for bit; the rest meet it within
+        pole_form_bound.  At T1P = 5.7e4 s the inverse bound fails too, and
+        the tongue raises, naming the worst cell of the first failing stack."""
+        omegas, detunings = np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)
+        config = SpinSystemConfig(t1_p_s=3e4)
+        terms = build_affine_liouvillian(config)
+        g0, b = (block.at(omegas[:, None], detunings) for block in terms._blocks)
+        weak = terms._floor.at(omegas[:, None], detunings) / _frobenius(g0, b)
+        weak = weak < DEGENERACY_RATIO
+        assert np.array_equal(~_steady_rows(terms, omegas, detunings)[1], weak)
+        assert 0 < weak.sum() < weak[-1].size
+        inverted = []
+        bound = liouville._inverse_bound
+        monkeypatch.setattr(
+            liouville, "_inverse_bound",
+            lambda a, b: inverted.append(len(a)) or bound(a, b),
+        )
+        tongue = run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+        assert inverted == [weak.sum()]
+        values = tongue.values
+        expected = steady_tongue_rows(config, omegas, detunings)
+        assert np.array_equal(
+            values[weak].view(np.int64), expected[weak].view(np.int64)
+        )
+        error = np.abs(values - expected)
+        assert np.all(error <= pole_form_bound(config, omegas, detunings))
+        slow = SpinSystemConfig(t1_p_s=5.7e4)
+        with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(2, 0\)\)$"):
+            run_arnold_tongue(slow, omegas, detunings, use_steady_state=True)
+
+    def test_residual_miss_is_solved_cell_by_cell(self, config, monkeypatch):
+        """Cells whose pole form misses the residual bound are left to the
+        single-drive solve.  With row 5's poles moved by 1e-2 (as a poor
+        eigendecomposition would leave them; 1e-4 is the least step caught)
+        every detuned cell of that row misses and equals steady_tongue_rows
+        bit for bit; its resonant cell, which reads no pole, and the other
+        rows keep their pole form."""
+        exact = run_arnold_tongue(config, use_steady_state=True)
+        omegas, detunings = exact.axes["omega_hz"], exact.axes["detuning_hz"]
+        eig = np.linalg.eig
+
+        def skewed(k):
+            poles, v = eig(k)
+            poles[5] *= 1.0 + 1e-2
+            return poles, v
+
+        monkeypatch.setattr(np.linalg, "eig", skewed)
+        values = run_arnold_tongue(config, use_steady_state=True).values
+        monkeypatch.undo()
+        detuned = detunings != 0.0
+        expected = steady_tongue_rows(config, omegas, detunings)
+        assert np.array_equal(
+            values[5, detuned].view(np.int64), expected[5, detuned].view(np.int64)
+        )
+        assert not np.array_equal(exact.values[5, detuned], expected[5, detuned])
+        kept = np.ones(values.shape, dtype=bool)
+        kept[5, detuned] = False
+        assert np.array_equal(
+            values[kept].view(np.int64), exact.values[kept].view(np.int64)
         )
 
 
-def assert_peak_within(run, oracle) -> None:
-    """The traced peak memory of ``run`` is at most that of ``oracle``, each
-    traced on a second call (shared terms and lazy imports outside)."""
-    peaks = []
-    for call in (run, oracle):
+def traced_peak(call) -> int:
+    """The traced peak memory of a second call (shared terms and lazy
+    imports outside)."""
+    call()
+    tracemalloc.start()
+    try:
         call()
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_peak_within(run, oracle) -> None:
+    """The traced peak memory of ``run`` is at most that of ``oracle``."""
+    peaks = [traced_peak(run), traced_peak(oracle)]
     assert peaks[0] <= peaks[1], peaks
 
 

@@ -381,6 +381,34 @@ class TestKernel:
             )
             assert np.all(np.abs(grid.values - want_q) <= HUSIMI_PREFACTOR * both)
 
+    def test_rejects_a_non_hermitian_state(self, monkeypatch):
+        """The separable form reads T01 and the real parts of T00 and T11,
+        exact for a Hermitian rho only.  On a non-Hermitian matrix of trace
+        1 it would return another signal than the full-rotation reference,
+        so the readout refuses it by propagate's rule, naming the residue;
+        its Hermitian part is read as before."""
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho[0, 2] = 0.1 + 0.05j  # rho[2, 0] left 0
+        want = readout_trailing_axes(rho, 1.0, 0.5, "exact-populations")[0]
+        for call in (
+            lambda: _readout(rho, 1.0, 0.5, "exact-populations"),
+            lambda: imhd_scan(rho, n_theta=4, n_phi=4),
+        ):
+            with pytest.raises(ValueError, match="state is not Hermitian: "
+                               r"imaginary residue 5\.000e-02 in real"):
+                call()
+        with monkeypatch.context() as patch:  # the unchecked separable form
+            patch.setattr(imhd, "_real_start", lambda *args: None)
+            unchecked = _readout(rho, 1.0, 0.5, "exact-populations")[0]
+        assert abs(unchecked - want) > 0.01
+        hermitian = 0.5 * (rho + rho.conj().T)
+        signal = _readout(hermitian, 1.0, 0.5, "exact-populations")[0]
+        reference = readout_trailing_axes(hermitian, 1.0, 0.5, "exact-populations")[0]
+        bound = signal_bound(hermitian, 1.0, 0.5) + signal_bound(
+            hermitian, 1.0, 0.5, trailing=True
+        )
+        assert abs(signal - reference) <= bound
+
     def test_rho31_leakage_formula(self, rng):
         """Q_circuit - Q_direct = -(24/pi^3) sin(theta) Re(rho31 e^{i phi})."""
         for _ in range(10):

@@ -60,6 +60,8 @@ from conftest import random_density
 from oracles import (
     PROPAGATE_BOUND,
     STEADY_BOUND,
+    STEADY_TEST_SYSTEMS,
+    TONGUE_TEST_GRIDS,
     build_reduced_rotating_hamiltonian,
     inverse_degeneracy_bound,
     kron_affine_liouvillian,
@@ -1048,9 +1050,10 @@ def high_precision_propagated_max_sync(
 class TestSteadyStateOracle:
     def test_tongue_cells_against_high_precision_solve(self, config, steady_tongue):
         """Steady max-sync on the default tongue grid against a 40-digit
-        solve of the same float64 generators.  The order-0 block solve
-        lands at most 3.4e-16 of the tongue maximum away (4.6e-16 over all
-        861 cells; the 16x16 trace-row solve it replaced, 1.2e-11)."""
+        solve of the same float64 generators.  The tongue's pole form lands
+        at most 8.0e-16 of the tongue maximum away here (1.15e-15 over all
+        861 cells); the per-cell order-0 solve, 3.4e-16 (4.6e-16), and the
+        16x16 trace-row solve before it, 1.2e-11."""
         values = steady_tongue.values
         omegas = steady_tongue.axes["omega_hz"]
         deltas = steady_tongue.axes["detuning_hz"]
@@ -1060,6 +1063,28 @@ class TestSteadyStateOracle:
                 config, DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
             )
             exact = high_precision_max_sync(generator)
+            assert abs(values[i, j] - exact) <= STEADY_BOUND * values.max()
+
+    @pytest.mark.parametrize(
+        "system", STEADY_TEST_SYSTEMS.values(), ids=STEADY_TEST_SYSTEMS
+    )
+    @pytest.mark.parametrize(
+        "omegas, detunings", TONGUE_TEST_GRIDS.values(), ids=TONGUE_TEST_GRIDS
+    )
+    def test_pole_form_against_high_precision_solve(self, system, omegas, detunings):
+        """The steady tongue in pole form against 40-digit solves of each
+        cell's float64 generator, on the oracle cells of each test system
+        and grid (the one-cell grid's cell): within STEADY_BOUND of the
+        tongue maximum, as the single-drive solve is (at most 1.1e-15 of it
+        over all 861 cells of the default tongue, 4.6e-16 for the solve)."""
+        config = SpinSystemConfig(**system)
+        values = run_arnold_tongue(
+            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+        ).values
+        cells = oracle_cells(values) if values.size > 1 else [(0, 0)]
+        for i, j in cells:
+            drive = DriveConfig(amplitude_hz=omegas[i], detuning_hz=detunings[j])
+            exact = high_precision_max_sync(build_liouvillian(config, drive))
             assert abs(values[i, j] - exact) <= STEADY_BOUND * values.max()
 
 

@@ -6,11 +6,13 @@ Runs, in one process through ``spinsync.cli.main`` of ``SRC/src``: the
 benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
 its defaults (with and without ``--steady`` where it takes the flag), the
 overflowing drives and durations, the edges of the duration rule, zero
-durations on overflowing drives among them, and ``imhd-verify`` on its
-quarter-approximation variant and on a 9 x 16 grid.  For each job OUT.json records
-the exit code, stdout with ``runtime=`` and the temporary directory masked,
-stderr, and the SHA-256 of each file written.  Two checkouts wrote the same
-outputs when ``cmp`` finds their digests equal.
+durations on overflowing drives among them, ``imhd-verify`` on its
+quarter-approximation variant and on a 9 x 16 grid, and three steady
+tongues (an overflowing amplitude, one resonant column, drives to 1 kHz).
+For each job OUT.json records the exit code, stdout with ``runtime=`` and
+the temporary directory masked, stderr, and the SHA-256 of each file
+written.  Two checkouts wrote the same outputs when ``cmp`` finds their
+digests equal.
 """
 
 import contextlib
@@ -53,6 +55,14 @@ READOUTS = [  # the second readout variant, and a grid off the default
     ["imhd-verify", "--variant", "quarter-approximation", "--steady"],
     ["imhd-verify", "--n-theta", "9", "--n-phi", "16"],
 ]
+STEADY_TONGUES = [  # an overflowing amplitude, the resonant cell alone, 1 kHz
+    ["arnold", "--steady", "--omega-max", "1e308", "--n-omega", "2",
+     "--n-detuning", "3"],
+    ["arnold", "--steady", "--detuning-min", "0", "--detuning-max", "0",
+     "--n-detuning", "1"],
+    ["arnold", "--steady", "--omega-max", "1000", "--n-omega", "5",
+     "--n-detuning", "5"],
+]
 
 
 def run(main, argv, tmp: str) -> dict:
@@ -89,7 +99,7 @@ def digest(src: Path) -> list[dict]:
     ] + [
         argv + ["--output", f"{TMP}/out.csv"]
         for argv in [[c] for c in COMMANDS] + [[c, "--steady"] for c in STEADY]
-        + OVERFLOWS + DURATIONS + READOUTS
+        + OVERFLOWS + DURATIONS + READOUTS + STEADY_TONGUES
     ]
     records = []
     for argv in argvs:
