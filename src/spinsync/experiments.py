@@ -1,16 +1,15 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state and reports phase-space
-observables.  Each sums the generator's two real coherence-order blocks
-from its affine terms, built and mapped once per system and process, and
-hands them, with the system's steady-state floor, to the engine's kernels.
-``_state_at`` gives the steady state (``_steady_signal``) or the driven
+observables.  It passes drives to the engine, whose kernels take a system's
+terms, mapped to real blocks once per process, and own every solve rule.
+``_state_at`` gives the steady state (``_steady_at``) or the driven
 thermal states (``_propagate``, a series' durations as one stack) for the
 limit cycle, the drive series and the CLI's single-state jobs; the
 amplitude sweep solves one stack.  The tongues read rho42 from two order-0
 coordinates: the propagated one evolves stacks of TONGUE_STACK_CELLS cells
 (``_evolve_signal``), each the single-drive result bit for bit, and the
-steady one solves a row at a time in pole form (``_steady_rows``).  Every
+steady one takes certified rows in pole form (``_steady_rows``).  Every
 swept axis, the series' durations included, passes ``_check_axis``: a
 duration is finite and >= 0, and 0 gives the thermal state on every path.
 """
@@ -23,12 +22,13 @@ from collections import namedtuple
 import numpy as np
 
 from .liouville import (
+    TONGUE_STACK_CELLS,
     _density,
     _evolve_signal,
     _propagate,
     _real_start,
+    _steady_at,
     _steady_rows,
-    _steady_signal,
     build_affine_liouvillian,
 )
 from .phasespace import (
@@ -53,10 +53,6 @@ DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
 AMPLITUDE_SWEEP_AXIS = (1e-3, 1e3, 61)
 ARNOLD_OMEGA_AXIS = (1e-2, 1.0, 21)
 ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
-# Cells per stack of the propagated tongue (and of the steady cells the pole
-# form leaves): a multiple of 8 whose traced peak stays within that of the
-# row loop tests/oracles.py real_tongue_rows.  Larger stacks run faster.
-TONGUE_STACK_CELLS = 56
 
 
 def linear_axis(low: float, high: float, n: int) -> np.ndarray:
@@ -81,10 +77,9 @@ def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
     generator is built, mapped or checked."""
     terms = build_affine_liouvillian(config)
     amplitude, detuning = drive.amplitude_hz, drive.detuning_hz
-    blocks = (block.at(amplitude, detuning) for block in terms._blocks)
     if durations is None:
-        x = _steady_signal(*blocks, terms._floor.at(amplitude, detuning))[0]
-        return _density(x)
+        return _density(_steady_at(terms, amplitude, detuning))
+    blocks = (block.at(amplitude, detuning) for block in terms._blocks)
     return _propagate(*blocks, thermal_state(config), durations)
 
 
@@ -199,9 +194,7 @@ def run_amplitude_sweep(
     if omegas_hz is None:
         omegas_hz = log_axis(*AMPLITUDE_SWEEP_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
-    terms = build_affine_liouvillian(config)
-    blocks = (block.at(omegas) for block in terms._blocks)
-    states = _density(_steady_signal(*blocks, terms._floor.at(omegas))[0])
+    states = _density(_steady_at(build_affine_liouvillian(config), omegas))
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -231,10 +224,10 @@ def run_arnold_tongue(
     state, and records max_phi S = |rho42| / (16 pi^2), with no 16x16
     generator or density matrix per cell.  The propagated tongue evolves
     stacks of TONGUE_STACK_CELLS cells, each the single-drive result bit for
-    bit.  The steady one solves each row in pole form, within kappa(V) eps
-    of the single-drive solve and certified as it is; a cell it cannot
-    certify takes that solve in its stack, so a failure names the worst
-    cell of the first failing stack.  An axis left out takes its default.
+    bit.  The steady one is ``_steady_rows``: rows in pole form, within
+    kappa(V) eps of the single-drive solve and certified as it is, that
+    solve where it cannot certify, so a failure names the worst cell of the
+    first failing stack.  An axis left out takes its default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -245,39 +238,23 @@ def run_arnold_tongue(
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)
     if np.max(np.abs(detunings + detunings[::-1])) > 1e-9 * scale:
         raise ConfigError("detuning grid must be symmetric about zero")
-    if not use_steady_state:
-        DriveConfig(duration_s=duration_s)
     terms = build_affine_liouvillian(config)
-    order_zero, order_one = terms._blocks
-    u0 = None if use_steady_state else _real_start(thermal_state(config))[1]
-
-    def coherence_abs(cells):
-        """|rho42| of the grid's flat cells, all freed on return."""
-        i, j = np.divmod(cells, detunings.size)
-        omega, delta = omegas[i], detunings[j]
-        g0 = order_zero.at(omega, delta)
-        if use_steady_state:
-            x = _steady_signal(
-                g0, order_one.at(omega, delta), terms._floor.at(omega, delta), (i, j)
-            )[0]
-        else:
-            x = _evolve_signal(g0, u0, duration_s)
-        return np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
-
-    size, stack = omegas.size * detunings.size, TONGUE_STACK_CELLS
-    values, starts = np.empty(size), range(0, size, stack)
-    if use_steady_state:  # in pole form, then the cells it leaves
-        x, sure = _steady_rows(terms, omegas, detunings)
-        values[:] = SYNC_COEFFICIENT * np.hypot(x[..., 4], x[..., 5]).ravel()
-        starts = stack * np.unique(np.flatnonzero(~sure) // stack)
-    for start in starts:
-        cells = np.arange(start, min(start + stack, size))
-        if use_steady_state:
-            cells = cells[~sure.flat[cells]]
-        values[cells] = SYNC_COEFFICIENT * coherence_abs(cells)
+    if use_steady_state:
+        x = _steady_rows(terms, omegas, detunings)
+        values = np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
+    else:
+        DriveConfig(duration_s=duration_s)
+        order_zero, u0 = terms._blocks[0], _real_start(thermal_state(config))[1]
+        values = np.empty(omegas.size * detunings.size)
+        for start in range(0, values.size, TONGUE_STACK_CELLS):
+            cells = np.arange(start, min(start + TONGUE_STACK_CELLS, values.size))
+            i, j = np.divmod(cells, detunings.size)
+            x = _evolve_signal(order_zero.at(omegas[i], detunings[j]), u0, duration_s)
+            values[cells] = np.hypot(x[..., 4], x[..., 5])
+            del x  # freed before the next stack evolves
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
-        values=values.reshape(omegas.size, detunings.size),
+        values=SYNC_COEFFICIENT * values.reshape(omegas.size, detunings.size),
         observable="max-sync",
         metadata={"duration_s": duration_s, "steady_state": use_steady_state},
     )

@@ -13,11 +13,12 @@ and checks a generator; a system's terms are mapped once
 (``AffineLiouvillian._blocks``) and summed by the sweeps and jobs.  The
 order-0 block carries the signal, evolved or solved for as the deviation
 from tr(rho) I/4 with rho11 eliminated, so the trace is exact:
-``_evolve_signal`` evolves it, ``_steady_signal`` solves it and
-``_density`` makes density matrices.  ``_steady_rows`` solves a steady
-Arnold tongue a row at a time in pole form, the detuning term having rank
-4.  The tongues read rho42 from two coordinates, with no 16x16 generator
-and no density matrix per cell.
+``_evolve_signal`` evolves it under ``_evolved``'s time rule for both
+blocks, ``_steady_signal`` (``_steady_at`` at a system's drives) solves it
+and ``_density`` makes density matrices.  ``_steady_rows`` solves a steady
+Arnold tongue in pole form a row at a time (the detuning term has rank 4),
+each cell certified or solved alone; the tongues read rho42 from two
+coordinates, with no 16x16 generator and no density matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In unitarily scaled
 real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
@@ -46,8 +47,14 @@ DEGENERACY_RATIO = 1e-8
 # Residual bound for an accepted steady state, relative to ||L||_2.  A
 # backward-stable solve of the 16-dimensional system leaves a residual of
 # about 16 eps ||L||_2 ||vec(rho)||, and ||vec(rho)|| <= 1 for a state.
-# Checked against ||L||_F / 4 <= ||L||_2 (rank <= 16).
+# Checked against ||L||_F / 4 <= ||L||_2 (rank <= 16).  A backward error,
+# it passes by over four decades on the default tongue and cannot see rho42
+# off by 1e-6 relative (_steady_rows); only the tests' 40-digit checks can.
 RESIDUAL_RTOL = 16 * np.finfo(float).eps
+# Cells per stack of the propagated tongue and of the steady cells the pole
+# form leaves: a multiple of 8 whose traced peak stays within the recorded
+# one of a real row loop (PROPAGATED_ROW_LOOP_PEAK_BYTES in the tests).
+TONGUE_STACK_CELLS = 56
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -412,11 +419,7 @@ def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray
     x = np.zeros(cells + (16,))
     x[..., :8] = _evolve_signal(g0, u0, t)
     if x0[8:].any():
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
-            bt = b * t[..., None, None]
-        if not t.all():  # e^0 = I however b overflows
-            np.copyto(bt, 0.0, where=t[..., None, None] == 0.0)
-        x[..., 8:] = _evolved(bt, x0[8:])
+        x[..., 8:] = _evolved(np.broadcast_to(b, cells + (8, 8)).copy(), t, x0[8:])
     rho = _density(x)
     # cells kept at rho0 itself, which the deviation form would round
     rho[np.broadcast_to(t == 0.0, cells)] = rho0
@@ -440,11 +443,17 @@ def _real_start(rho0, name: str = "initial state") -> tuple[np.ndarray, np.ndarr
     return x0, _DEVIATION @ x0[:8]
 
 
-def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """e^A u0 for each A (a generator times t) of a real stack.  ValueError,
-    with no warning, where A's 1-norm or the result overflows (the
-    squarings of a finite A need not be finite)."""
+def _evolved(a: np.ndarray, t, u0: np.ndarray) -> np.ndarray:
+    """e^{A t} u0 for each generator A of a real stack, scaled by t in place
+    (t = 0 gives u0 however A overflows).  ValueError unless every t is finite
+    and >= 0, and, with no warning, where ||A t||_1 or the result overflows."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
+        raise ValueError("propagation time must be finite and non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
+        a *= t
+        if not t.all():  # e^0 = I however the generator overflows
+            np.copyto(a, 0.0, where=t == 0.0)
         u = _expm(a) @ u0
     if not np.isfinite(u).all():
         raise ValueError("propagation overflows: the drive or duration is too large")
@@ -454,19 +463,12 @@ def _evolved(a: np.ndarray, u0: np.ndarray) -> np.ndarray:
 def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
     """The order-0 coordinates x (..., 8) after time t (broadcast) of each
     order-0 block g0 from u0 = (y, tr) of :func:`_real_start`: y is the first
-    7 rows of e^{At} u0 for the augmented 8x8 generator A, tr is u0's.
-    ValueError unless every t is finite and non-negative."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails too
-        raise ValueError("propagation time must be finite and non-negative")
-    t = t[..., None, None]
-    aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], t.shape[:-2]) + (8, 8))
+    7 rows of e^{At} u0 for the augmented 8x8 generator A, tr is u0's;
+    :func:`_evolved`'s ValueErrors."""
+    aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], np.shape(t)) + (8, 8))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
         aug[..., :7, :] = _augmented(g0)
-        aug *= t
-    if not t.all():  # e^0 = I however the generator overflows
-        np.copyto(aug, 0.0, where=t == 0.0)
-    return _from_deviation(_evolved(aug, u0)[..., :7], u0[7])
+    return _from_deviation(_evolved(aug, t, u0)[..., :7], u0[7])
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
@@ -511,9 +513,10 @@ def _generator_floor(g0: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _residual(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
     """||L vec(rho)|| for order-0 coordinates x (..., 8) (the order +-1 ones
-    0) under each order-0 block of a stack: ||S_0 G_0 x||, since scaling
-    each Re/Im coordinate by sqrt(2) makes the map to vec(rho) unitary."""
-    return np.linalg.norm(_SCALE[:8] * (g0 @ x[..., None])[..., 0], axis=-1)
+    0) under each order-0 block of a stack: ||S_0 G_0 x|| with the exact
+    S_0^2 as weights, each Re/Im coordinate scaled by sqrt(2) (a unitary map)."""
+    r = (g0 @ x[..., None])[..., 0]
+    return np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE_SQUARED, r))
 
 
 def _inverse_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -580,15 +583,28 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
     return x, ratio, residual
 
 
-def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> tuple:
+def _steady_at(terms: AffineLiouvillian, amplitude_hz, detuning_hz=0.0, cells=None):
+    """The steady order-0 coordinates (..., 8), tr = 1, of a system at a drive
+    in Hz, or at each of a stack of drives, from its terms' summed blocks and
+    cached floor, with :func:`_steady_signal`'s errors (naming ``cells``)."""
+    blocks = (block.at(amplitude_hz, detuning_hz) for block in terms._blocks)
+    return _steady_signal(*blocks, terms._floor.at(amplitude_hz, detuning_hz), cells)[0]
+
+
+def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
     """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
-    system over an amplitude x detuning grid, and the cells certified as by
+    system over an amplitude x detuning grid, each cell certified as by
     :func:`_steady_signal`.  A row solves (A_0 + delta D) y = -c, D of rank
     4, so with A_0^-1 D = V Lambda V^-1, y(delta) = V (I + delta Lambda)^-1
     V^-1 y(0) (pole form: Golub & Van Loan, Matrix Computations, 7.7).  The
     ratio floor / ||L||_F, ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes
-    before any eig; the residual bound takes the form - _GRAM_SLACK.  Cells
-    missing either, all if any ||L||_F overflows, are left uncertified."""
+    before any eig; the residual bound takes the form - _GRAM_SLACK.  A cell
+    missing either (every cell if any ||L||_F overflows) is re-solved by
+    :func:`_steady_at` in its TONGUE_STACK_CELLS slice of the flat grid, so a
+    failure names the worst cell of the first failing slice.  The residual
+    cannot see the signal's scale: poles moved by 1e-6 leave rho42 off by
+    1e-6 relative and certified (1e-4 is the first step caught), so only the
+    tests' 40-digit checks pin a cell to STEADY_BOUND."""
     order_zero = terms._blocks[0]
     g0, b = (np.stack(block) for block in terms._blocks)
     gram = np.einsum("kij,ij,lij->kl", g0, _NORM_WEIGHT, g0)
@@ -602,25 +618,31 @@ def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> tuple:
         slack = _GRAM_SLACK * slack**2
         ratio = terms._floor.at(omega, detunings) / np.sqrt(square + slack)
         sure = ratio >= DEGENERACY_RATIO
-        if not np.isfinite(slack).all():  # certifying none, with no eig
-            return np.zeros(sure.shape + (8,)), np.zeros_like(sure)
-        aug = _augmented(order_zero.at(omegas))
-        rhs = -aug  # [D | -c] once D is in
-        rhs[..., :7] = _augmented(order_zero.per_detuning)[:, :7]
-        k = np.linalg.solve(aug[..., :7], rhs)
-        poles, v = np.linalg.eig(k[..., :7])  # of A_0^-1 D; k[..., 7] is y(0)
-        w = np.linalg.solve(v, k[..., 7:]).swapaxes(-1, -2)
-        y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
-        y += 1.0
-        np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
-        x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
-        del y
-        r = x @ order_zero.base.T  # G_0 x, term by term
-        r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
-        r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)
-        residual = np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE[:8] ** 2, r))
-        sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
-    return x, sure
+        if np.isfinite(slack).all():
+            aug = _augmented(order_zero.at(omegas))
+            rhs = -aug  # [D | -c] once D is in
+            rhs[..., :7] = _augmented(order_zero.per_detuning)[:, :7]
+            k = np.linalg.solve(aug[..., :7], rhs)
+            poles, v = np.linalg.eig(k[..., :7])  # of A_0^-1 D; k[..., 7] is y(0)
+            w = np.linalg.solve(v, k[..., 7:]).swapaxes(-1, -2)
+            y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
+            y += 1.0
+            np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
+            x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
+            del y
+            r = x @ order_zero.base.T  # G_0 x, term by term
+            r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
+            r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)
+            residual = np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE_SQUARED, r))
+            sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
+        else:  # certifying none, with no eig
+            x, sure = np.zeros(sure.shape + (8,)), np.zeros_like(sure)
+    stack = TONGUE_STACK_CELLS
+    for start in stack * np.unique(np.flatnonzero(~sure) // stack):
+        cells = np.arange(start, min(start + stack, sure.size))
+        i, j = np.divmod(cells[~sure.flat[cells]], detunings.size)
+        x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
+    return x
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

@@ -70,7 +70,7 @@ from spinsync.experiments import (
     log_axis,
 )
 from spinsync.imhd import _circuit_terms, _readout
-from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _TO_REAL, _propagate
+from spinsync.liouville import _AUGMENT, _KEEP, _SCALE, _TO_REAL
 from spinsync.phasespace import SYNC_COEFFICIENT, grid_axes
 
 # --- frame derivation ---------------------------------------------------------
@@ -476,27 +476,6 @@ def propagated_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
     return values
 
 
-def real_tongue_rows(config, omegas, detunings, duration_s) -> np.ndarray:
-    """The propagated Arnold tongue one row at a time in real coordinates,
-    the working set the stacked tongue must stay within: each row's 16x16
-    real generators summed from terms with the two blocks on the diagonal,
-    then ``_propagate`` on the row's block views, as the 16x16 real engine
-    ran it."""
-    rho0 = thermal_state(config)
-    zero = np.zeros((8, 8))
-    real = AffineLiouvillian(*(
-        np.block([[g0, zero], [zero, b]])
-        for g0, b in zip(*build_affine_liouvillian(config)._blocks)
-    ))
-    values = np.empty((len(omegas), len(detunings)))
-    for i, omega in enumerate(omegas):
-        g = real.at(omega, np.asarray(detunings, dtype=float))
-        values[i] = sync_measure_max(
-            _propagate(g[..., :8, :8], g[..., 8:, 8:], rho0, duration_s)
-        )
-    return values
-
-
 def steady_tongue_rows(config, omegas, detunings) -> np.ndarray:
     """The steady Arnold tongue one row at a time by the single-drive solve:
     each row's 16x16 generators from the shared affine terms, solved to
@@ -520,10 +499,14 @@ STEADY_TEST_SYSTEMS = {
     "default": {}, "J217": {"j_coupling_hz": 217.0}, "T1P7": {"t1_p_s": 7.0}
 }
 
-# The traced peak of steady_tongue_rows on the default tongue as measured,
-# kept as a fixed count: a bound read from the row loop at run time would
-# move with steady_state, which it runs.
+# The traced peaks of two row loops on the default tongue as measured, kept
+# as fixed counts: a bound read from a row loop at run time would move with
+# the engine it runs.  The steady one is steady_tongue_rows; the propagated
+# one summed each row's 16x16 real generators from the terms, with the two
+# blocks on the diagonal, and ran the engine's _propagate on the row's
+# block views (t = 100 s).
 STEADY_ROW_LOOP_PEAK_BYTES = 648_400
+PROPAGATED_ROW_LOOP_PEAK_BYTES = 337_960
 
 # The pole form against the single-drive solve, in U kappa_2(V) ||y||_2.
 POLE_ULPS = 28

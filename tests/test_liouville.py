@@ -810,10 +810,18 @@ class TestSteadyFloor:
 
     def test_norm_weights_are_exact_powers_of_two(self):
         """||L||_F's weights (S_i / S_j)^2 are 1/2, 1 and 2 exactly: the
-        reciprocals of the symmetric part's squares, entry by entry."""
+        reciprocals of the symmetric part's squares, entry by entry.  The
+        residual's weights S_i^2 are 1 and 2 exactly, so ||S x|| of x = e_0 +
+        e_4 is sqrt(3) to the bit (sqrt(2)^2 rounds to 2 + 1 ulp)."""
         weight, square = liouville._NORM_WEIGHT, liouville._SYM_SQUARE
         assert np.all(weight * square == 1.0)
-        assert set(np.unique(weight)) == {0.5, 1.0, 2.0}
+        for weights, exact in (
+            (weight, {0.5, 1.0, 2.0}), (liouville._SCALE_SQUARED, {1.0, 2.0})
+        ):
+            assert set(np.unique(weights)) == exact
+        x = np.zeros(8)
+        x[[0, 4]] = 1.0
+        assert liouville._residual(np.eye(8), x) == math.sqrt(3.0)
 
     def test_drive_terms_are_exactly_skew(self):
         """With S^2 in {1, 2}, S_i^2 G_ij = -S_j^2 G_ji is an exact test:

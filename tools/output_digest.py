@@ -7,12 +7,15 @@ benchmark jobs of seeds 1-3 (``SRC/bench/workloads.py``), each subcommand on
 its defaults (with and without ``--steady`` where it takes the flag), the
 overflowing drives and durations, the edges of the duration rule, zero
 durations on overflowing drives among them, ``imhd-verify`` on its
-quarter-approximation variant and on a 9 x 16 grid, and three steady
-tongues (an overflowing amplitude, one resonant column, drives to 1 kHz).
+quarter-approximation variant and on a 9 x 16 grid, three steady tongues
+(an overflowing amplitude, one resonant column, drives to 1 kHz), and two
+steady tongues to 1 kHz whose floor leaves cells uncertified, each with a
+``--config`` written into its job's directory: at T1P = 3e4 s the
+single-drive solve certifies them, at 5.7e4 s it fails, naming a cell.
 For each job OUT.json records the exit code, stdout with ``runtime=`` and
 the temporary directory masked, stderr, and the SHA-256 of each file
-written.  Two checkouts wrote the same outputs when ``cmp`` finds their
-digests equal.
+written, the config among them.  Two checkouts wrote the same outputs when
+``cmp`` finds their digests equal.
 """
 
 import contextlib
@@ -63,10 +66,17 @@ STEADY_TONGUES = [  # an overflowing amplitude, the resonant cell alone, 1 kHz
     ["arnold", "--steady", "--omega-max", "1000", "--n-omega", "5",
      "--n-detuning", "5"],
 ]
+FALLBACK = ["arnold", "--steady", "--omega-max", "1000", "--n-omega", "7",
+            "--detuning-min", "-50", "--detuning-max", "50", "--n-detuning", "11",
+            "--config", f"{TMP}/system.json"]
+FALLBACK_SYSTEMS = [{"t1_p_s": 30000}, {"t1_p_s": 57000}]  # solved, degenerate
 
 
-def run(main, argv, tmp: str) -> dict:
-    """One job through ``main`` in the directory ``tmp``, digested."""
+def run(main, argv, tmp: str, system: dict | None = None) -> dict:
+    """One job through ``main`` in the directory ``tmp``, digested; a
+    ``system`` is first written there as ``system.json``."""
+    if system is not None:
+        Path(tmp, "system.json").write_text(json.dumps(system), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -90,21 +100,24 @@ def digest(src: Path) -> list[dict]:
     from spinsync.cli import main
     from workloads import WORKLOADS, draw_inputs, jobs_for
 
-    argvs = [
-        job.argv
+    jobs = [
+        (job.argv, None)
         for seed in (1, 2, 3)
         for inputs in draw_inputs(seed)
         for workload in WORKLOADS
         for job in jobs_for(workload, inputs, Path(TMP))
     ] + [
-        argv + ["--output", f"{TMP}/out.csv"]
+        (argv + ["--output", f"{TMP}/out.csv"], None)
         for argv in [[c] for c in COMMANDS] + [[c, "--steady"] for c in STEADY]
         + OVERFLOWS + DURATIONS + READOUTS + STEADY_TONGUES
+    ] + [
+        (FALLBACK + ["--output", f"{TMP}/out.csv"], system)
+        for system in FALLBACK_SYSTEMS
     ]
     records = []
-    for argv in argvs:
+    for argv, system in jobs:
         with tempfile.TemporaryDirectory() as tmp:
-            records.append(run(main, argv, tmp))
+            records.append(run(main, argv, tmp, system))
     return records
 
 
