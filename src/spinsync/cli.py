@@ -531,7 +531,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"spinsync: i/o error: {exc}", file=sys.stderr)
         return 3
-    except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+    except (MemoryError, RuntimeError, ValueError) as exc:  # LinAlgError: a ValueError
         print(f"spinsync: engine error: {exc}", file=sys.stderr)
         return 1
 

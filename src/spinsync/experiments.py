@@ -1,15 +1,10 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state and reports phase-space
-observables.  It passes drives to the engine, whose kernels take a system's
-terms, mapped to real blocks once per process, and own every solve rule.
-``_state_at`` gives the steady state (``_steady_at``) or the driven
-thermal states (``_propagate``, a series' durations as one stack) for the
-limit cycle, the drive series and the CLI's single-state jobs; the
-amplitude sweep solves one stack.  The tongues read rho42 from two order-0
-coordinates: the propagated one evolves stacks of TONGUE_STACK_CELLS cells
-(``_evolve_signal``), each the single-drive result bit for bit, and the
-steady one takes certified rows in pole form (``_steady_rows``).  Every
+observables.  It checks its inputs and passes a system's shared terms and
+drives to the engine's two entries: ``liouville._state``, the steady or the
+driven thermal states (``_state_at``; a series' durations as one stack),
+and ``liouville._tongue``, |rho42| over an Arnold tongue's grid.  Every
 swept axis, the series' durations included, passes ``_check_axis``: a
 duration is finite and >= 0, and 0 gives the thermal state on every path.
 """
@@ -21,16 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .liouville import (
-    TONGUE_STACK_CELLS,
-    _density,
-    _evolve_signal,
-    _propagate,
-    _real_start,
-    _steady_at,
-    _steady_rows,
-    build_affine_liouvillian,
-)
+from .liouville import _state, _tongue, build_affine_liouvillian
 from .phasespace import (
     SYNC_COEFFICIENT,
     husimi_grid,
@@ -72,15 +58,10 @@ def log_axis(low: float, high: float, n: int) -> np.ndarray:
 
 def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
     """The steady state of a configured system at a drive or, given
-    ``durations`` (s; an array gives a stack), its thermal state driven for
-    each, from the system's shared real blocks and cached floor: no 16x16
-    generator is built, mapped or checked."""
+    ``durations`` (s; an array gives a stack), its thermal state driven for each."""
+    start = None if durations is None else thermal_state(config)
     terms = build_affine_liouvillian(config)
-    amplitude, detuning = drive.amplitude_hz, drive.detuning_hz
-    if durations is None:
-        return _density(_steady_at(terms, amplitude, detuning))
-    blocks = (block.at(amplitude, detuning) for block in terms._blocks)
-    return _propagate(*blocks, thermal_state(config), durations)
+    return _state(terms, drive.amplitude_hz, drive.detuning_hz, start, durations)
 
 
 class LimitCycleResult(
@@ -194,7 +175,7 @@ def run_amplitude_sweep(
     if omegas_hz is None:
         omegas_hz = log_axis(*AMPLITUDE_SWEEP_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
-    states = _density(_steady_at(build_affine_liouvillian(config), omegas))
+    states = _state(build_affine_liouvillian(config), omegas)
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -221,13 +202,12 @@ def run_arnold_tongue(
 
     Each cell drives the thermal state for ``duration_s`` (finite and >= 0;
     at 0 every cell reads the thermal state's 0), or solves for the steady
-    state, and records max_phi S = |rho42| / (16 pi^2), with no 16x16
-    generator or density matrix per cell.  The propagated tongue evolves
-    stacks of TONGUE_STACK_CELLS cells, each the single-drive result bit for
-    bit.  The steady one is ``_steady_rows``: rows in pole form, within
-    kappa(V) eps of the single-drive solve and certified as it is, that
-    solve where it cannot certify, so a failure names the worst cell of the
-    first failing stack.  An axis left out takes its default.
+    state, and records max_phi S = |rho42| / (16 pi^2) (``liouville._tongue``).
+    Driven, each cell is the single-drive result bit for bit; steady, within
+    kappa(V) eps of the single-drive solve and certified as it is, that solve
+    taking the cells it cannot certify, so a failure names the worst cell of
+    the first failing slice of the flat grid.  An axis left out takes its
+    default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -240,21 +220,13 @@ def run_arnold_tongue(
         raise ConfigError("detuning grid must be symmetric about zero")
     terms = build_affine_liouvillian(config)
     if use_steady_state:
-        x = _steady_rows(terms, omegas, detunings)
-        values = np.hypot(x[..., 4], x[..., 5])  # Re and Im rho42
+        values = _tongue(terms, omegas, detunings)
     else:
         DriveConfig(duration_s=duration_s)
-        order_zero, u0 = terms._blocks[0], _real_start(thermal_state(config))[1]
-        values = np.empty(omegas.size * detunings.size)
-        for start in range(0, values.size, TONGUE_STACK_CELLS):
-            cells = np.arange(start, min(start + TONGUE_STACK_CELLS, values.size))
-            i, j = np.divmod(cells, detunings.size)
-            x = _evolve_signal(order_zero.at(omegas[i], detunings[j]), u0, duration_s)
-            values[cells] = np.hypot(x[..., 4], x[..., 5])
-            del x  # freed before the next stack evolves
+        values = _tongue(terms, omegas, detunings, thermal_state(config), duration_s)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
-        values=SYNC_COEFFICIENT * values.reshape(omegas.size, detunings.size),
+        values=SYNC_COEFFICIENT * values,
         observable="max-sync",
         metadata={"duration_s": duration_s, "steady_state": use_steady_state},
     )

@@ -9,16 +9,15 @@ The engine works in real Hermitian-basis coordinates, where a generator
 splits exactly into two real 8x8 blocks by F-spin coherence order, g0 (the
 populations with rho42 and rho31) and b (the other coherences); a state is
 one real vector and the spectrum is the blocks'.  ``_real_generator`` maps
-and checks a generator; a system's terms are mapped once
-(``AffineLiouvillian._blocks``) and summed by the sweeps and jobs.  The
-order-0 block carries the signal, evolved or solved for as the deviation
-from tr(rho) I/4 with rho11 eliminated, so the trace is exact:
-``_evolve_signal`` evolves it under ``_evolved``'s time rule for both
-blocks, ``_steady_signal`` (``_steady_at`` at a system's drives) solves it
-and ``_density`` makes density matrices.  ``_steady_rows`` solves a steady
-Arnold tongue in pole form a row at a time (the detuning term has rank 4),
-each cell certified or solved alone; the tongues read rho42 from two
-coordinates, with no 16x16 generator and no density matrix per cell.
+and checks a generator; a system's terms are mapped once and summed at a
+drive (``AffineLiouvillian._blocks_at``).  The order-0 block carries the
+signal, evolved (``_evolve_signal``, under ``_evolved``'s time rule for
+both blocks) or solved for (``_steady_signal``) as the deviation from
+tr(rho) I/4 with rho11 eliminated, so the trace is exact.  Callers take two
+entries on a system's terms: ``_state``, steady or driven density matrices,
+and ``_tongue``, |rho42| over an Arnold tongue's grid, from steady rows in
+pole form (``_steady_rows``) or driven ``_slices`` of the flat grid, with
+no 16x16 generator and no density matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In unitarily scaled
 real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
@@ -135,14 +134,10 @@ class AffineLiouvillian(
     def at(self, amplitude_hz, detuning_hz=0.0) -> np.ndarray:
         """The generator for a drive in Hz (unchecked: where it overflows,
         with no warning, the kernels raise); array drives give a stack."""
-        amplitude = np.asarray(amplitude_hz, dtype=float)[..., None, None]
-        detuning = np.asarray(detuning_hz, dtype=float)[..., None, None]
+        omega = np.asarray(amplitude_hz, dtype=float)[..., None, None]
+        delta = np.asarray(detuning_hz, dtype=float)[..., None, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            return (
-                self.base
-                + detuning * self.per_detuning
-                + amplitude * self.per_amplitude
-            )
+            return self.base + delta * self.per_detuning + omega * self.per_amplitude
 
     @cached_property
     def _blocks(self) -> tuple[AffineLiouvillian, AffineLiouvillian]:
@@ -150,6 +145,10 @@ class AffineLiouvillian(
         and checked once; ``.at`` of each is that block of ``at``, bit for bit."""
         order_zero, order_one = zip(*map(_real_generator, self))
         return _read_only(*order_zero), _read_only(*order_one)
+
+    def _blocks_at(self, amplitude_hz, detuning_hz=0.0) -> tuple:
+        """``_blocks`` summed at a drive: (g0, b), the blocks of ``at``."""
+        return tuple(block.at(amplitude_hz, detuning_hz) for block in self._blocks)
 
     @cached_property
     def _floor(self) -> SteadyFloor:
@@ -417,7 +416,7 @@ def _propagate(g0: np.ndarray, b: np.ndarray, rho0: np.ndarray, t) -> np.ndarray
     x0, u0 = _real_start(rho0)
     cells = np.broadcast_shapes(g0.shape[:-2], t.shape)
     x = np.zeros(cells + (16,))
-    x[..., :8] = _evolve_signal(g0, u0, t)
+    x[..., :8] = _from_deviation(_evolve_signal(g0, u0, t), u0[7])
     if x0[8:].any():
         x[..., 8:] = _evolved(np.broadcast_to(b, cells + (8, 8)).copy(), t, x0[8:])
     rho = _density(x)
@@ -461,14 +460,14 @@ def _evolved(a: np.ndarray, t, u0: np.ndarray) -> np.ndarray:
 
 
 def _evolve_signal(g0: np.ndarray, u0: np.ndarray, t) -> np.ndarray:
-    """The order-0 coordinates x (..., 8) after time t (broadcast) of each
-    order-0 block g0 from u0 = (y, tr) of :func:`_real_start`: y is the first
-    7 rows of e^{At} u0 for the augmented 8x8 generator A, tr is u0's;
-    :func:`_evolved`'s ValueErrors."""
+    """The deviations y (..., 7) after time t (broadcast) of each order-0
+    block g0 from u0 = (y, tr) of :func:`_real_start`: the first 7 rows of
+    e^{At} u0 for the augmented 8x8 generator A (tr stays u0's), as
+    :func:`_from_deviation` takes them; :func:`_evolved`'s ValueErrors."""
     aug = np.zeros(np.broadcast_shapes(g0.shape[:-2], np.shape(t)) + (8, 8))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite: _evolved raises
         aug[..., :7, :] = _augmented(g0)
-    return _from_deviation(_evolved(aug, t, u0)[..., :7], u0[7])
+    return _evolved(aug, t, u0)[..., :7]
 
 
 def steady_state(liouvillian: np.ndarray) -> np.ndarray:
@@ -587,8 +586,29 @@ def _steady_at(terms: AffineLiouvillian, amplitude_hz, detuning_hz=0.0, cells=No
     """The steady order-0 coordinates (..., 8), tr = 1, of a system at a drive
     in Hz, or at each of a stack of drives, from its terms' summed blocks and
     cached floor, with :func:`_steady_signal`'s errors (naming ``cells``)."""
-    blocks = (block.at(amplitude_hz, detuning_hz) for block in terms._blocks)
-    return _steady_signal(*blocks, terms._floor.at(amplitude_hz, detuning_hz), cells)[0]
+    floor = terms._floor.at(amplitude_hz, detuning_hz)
+    return _steady_signal(*terms._blocks_at(amplitude_hz, detuning_hz), floor, cells)[0]
+
+
+def _state(terms, amplitude_hz, detuning_hz=0.0, start=None, t=None) -> np.ndarray:
+    """The state entry: a system's steady density matrix at a drive in Hz, or
+    at each of a stack of drives, or a 4x4 ``start`` driven for each time t."""
+    if t is None:
+        return _density(_steady_at(terms, amplitude_hz, detuning_hz))
+    return _propagate(*terms._blocks_at(amplitude_hz, detuning_hz), start, t)
+
+
+def _slices(shape, todo=None):
+    """The cells (i, j) of each TONGUE_STACK_CELLS slice of a flat grid of
+    ``shape``, in order; given a mask ``todo``, only its cells, and no slice
+    without one."""
+    stack, size = TONGUE_STACK_CELLS, shape[0] * shape[1]
+    starts = range(0, size, stack)
+    if todo is not None:
+        starts = stack * np.unique(np.flatnonzero(todo) // stack)
+    for start in starts:  # no flat index array is held while a slice runs
+        keep = slice(None) if todo is None else todo.flat[start : start + stack]
+        yield np.divmod(np.arange(start, min(start + stack, size))[keep], shape[1])
 
 
 def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
@@ -600,11 +620,11 @@ def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
     ratio floor / ||L||_F, ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes
     before any eig; the residual bound takes the form - _GRAM_SLACK.  A cell
     missing either (every cell if any ||L||_F overflows) is re-solved by
-    :func:`_steady_at` in its TONGUE_STACK_CELLS slice of the flat grid, so a
-    failure names the worst cell of the first failing slice.  The residual
-    cannot see the signal's scale: poles moved by 1e-6 leave rho42 off by
-    1e-6 relative and certified (1e-4 is the first step caught), so only the
-    tests' 40-digit checks pin a cell to STEADY_BOUND."""
+    :func:`_steady_at` in its :func:`_slices` slice, so a failure names the
+    worst cell of the first failing slice.  The residual cannot see the
+    signal's scale: poles moved by 1e-6 leave rho42 off by 1e-6 relative and
+    certified (1e-4 is the first step caught), so only the tests' 40-digit
+    checks pin a cell to STEADY_BOUND."""
     order_zero = terms._blocks[0]
     g0, b = (np.stack(block) for block in terms._blocks)
     gram = np.einsum("kij,ij,lij->kl", g0, _NORM_WEIGHT, g0)
@@ -637,12 +657,29 @@ def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
             sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
         else:  # certifying none, with no eig
             x, sure = np.zeros(sure.shape + (8,)), np.zeros_like(sure)
-    stack = TONGUE_STACK_CELLS
-    for start in stack * np.unique(np.flatnonzero(~sure) // stack):
-        cells = np.arange(start, min(start + stack, sure.size))
-        i, j = np.divmod(cells[~sure.flat[cells]], detunings.size)
+    for i, j in _slices(sure.shape, ~sure):
         x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
     return x
+
+
+def _coherence(x: np.ndarray) -> np.ndarray:
+    """|rho42| of order-0 coordinates (..., 8) or deviations (..., 7): Re and
+    Im rho42 are fourth and third from the end of either (only rho11 goes)."""
+    return np.hypot(x[..., -4], x[..., -3])
+
+
+def _tongue(terms, omegas, detunings, start=None, t=None) -> np.ndarray:
+    """The tongue entry: |rho42| over an amplitude x detuning grid in Hz, of
+    the steady states (:func:`_steady_rows`) or of a 4x4 ``start`` driven for
+    a time t a slice at a time, each cell the single-drive result bit for bit."""
+    if t is None:
+        return _coherence(_steady_rows(terms, omegas, detunings))
+    at, u0 = terms._blocks[0].at, _real_start(start)[1]
+    del start  # not held while the slices evolve
+    values = np.empty((omegas.size, detunings.size))
+    for i, j in _slices(values.shape):  # one stack held at a time
+        values[i, j] = _coherence(_evolve_signal(at(omegas[i], detunings[j]), u0, t))
+    return values
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

@@ -499,14 +499,17 @@ STEADY_TEST_SYSTEMS = {
     "default": {}, "J217": {"j_coupling_hz": 217.0}, "T1P7": {"t1_p_s": 7.0}
 }
 
-# The traced peaks of two row loops on the default tongue as measured, kept
-# as fixed counts: a bound read from a row loop at run time would move with
-# the engine it runs.  The steady one is steady_tongue_rows; the propagated
-# one summed each row's 16x16 real generators from the terms, with the two
-# blocks on the diagonal, and ran the engine's _propagate on the row's
-# block views (t = 100 s).
-STEADY_ROW_LOOP_PEAK_BYTES = 648_400
+# Traced peaks of the default tongue as measured (traced_peak in
+# tests/test_experiments.py), kept as fixed counts: a bound read from a
+# comparator at run time would move with the engine it runs.  The
+# propagated bound is the real row loop's, which summed each row's 16x16
+# real generators from the terms, with the two blocks on the diagonal, and
+# ran the engine's _propagate on the row's block views (t = 100 s).  The
+# steady bound is the pole form's own peak (liouville._steady_rows) when
+# the tongue entry, liouville._tongue, took it over; the per-cell row loop
+# it replaced peaked at 648,400 B.
 PROPAGATED_ROW_LOOP_PEAK_BYTES = 337_960
+STEADY_POLE_FORM_PEAK_BYTES = 299_864
 
 # The pole form against the single-drive solve, in U kappa_2(V) ||y||_2.
 POLE_ULPS = 28

@@ -1009,6 +1009,24 @@ class TestExitCodes:
             assert rows[-2:] == ["duration_s,visibility,abs_coherence", "0,0,0"]
 
 
+    def test_out_of_memory_is_engine_error(self, tmp_path, capsys, monkeypatch):
+        """A grid too large to allocate is an engine failure: exit 1 and one
+        line, no traceback.  The scan is patched to raise NumPy's error for
+        a 100000 x 100000 grid, so nothing large is allocated."""
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(too_large.message)
+
+        too_large.message = "Unable to allocate 74.5 GiB for an array"
+
+        monkeypatch.setattr(cli, "imhd_scan", too_large)
+        out = str(tmp_path / "out.json")
+        assert main(["imhd-verify", "--n-theta", "8", "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"spinsync: engine error: {too_large.message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMalformedInputFiles:
     """A config or samples file that cannot be read as numbers is a
     configuration error: exit 2, one 'config error' line, nothing written."""

@@ -53,7 +53,7 @@ from oracles import (
     PROPAGATE_BOUND,
     PROPAGATED_ROW_LOOP_PEAK_BYTES,
     STEADY_BOUND,
-    STEADY_ROW_LOOP_PEAK_BYTES,
+    STEADY_POLE_FORM_PEAK_BYTES,
     STEADY_TEST_SYSTEMS,
     TONGUE_TEST_GRIDS,
     grid_visibility_bound,
@@ -595,11 +595,11 @@ class TestTongueStacks:
             PROPAGATED_ROW_LOOP_PEAK_BYTES
         )
 
-    def test_steady_peak_memory_within_row_loop(self, config):
-        """The steady tongue in pole form keeps its traced peak within that
-        of the per-cell row loop, a fixed count (0.31 against 0.648 MB)."""
+    def test_steady_peak_memory_within_pole_form_count(self, config):
+        """The steady tongue keeps its traced peak within the pole form's
+        own, a fixed count (299,864 B)."""
         peak = traced_peak(lambda: run_arnold_tongue(config, use_steady_state=True))
-        assert peak <= STEADY_ROW_LOOP_PEAK_BYTES
+        assert peak <= STEADY_POLE_FORM_PEAK_BYTES
 
 
 class TestSteadyPoleForm:
@@ -668,36 +668,42 @@ class TestSteadyPoleForm:
         strong-wide grid, whose ||L||_F is largest: those cells are left to
         the single-drive solve, which certifies them by the block-inverse
         bound, and equal it bit for bit; the rest meet it within
-        pole_form_bound.  At T1P = 5.7e4 s the inverse bound fails too, and
-        the tongue raises, naming the worst cell of the first failing stack."""
-        omegas, detunings = np.logspace(-2, 3, 7), np.linspace(-50.0, 50.0, 11)
+        pole_form_bound.  On 11 detunings the weak cells (flat 66-69) share
+        one TONGUE_STACK_CELLS slice and one call; on 9 they span two, so
+        cells 54 and 55 are solved in one call and cell 56 in the next.  At
+        T1P = 5.7e4 s the inverse bound fails too, and the tongue raises,
+        naming the worst cell of the first failing stack."""
+        omegas = np.logspace(-2, 3, 7)
         config = SpinSystemConfig(t1_p_s=3e4)
         terms = build_affine_liouvillian(config)
-        g0, b = (block.at(omegas[:, None], detunings) for block in terms._blocks)
-        weak = terms._floor.at(omegas[:, None], detunings) / _frobenius(g0, b)
-        weak = weak < DEGENERACY_RATIO
-        assert 0 < weak.sum() < weak[-1].size
-        inverted = []
         bound = liouville._inverse_bound
-        monkeypatch.setattr(
-            liouville, "_inverse_bound",
-            lambda a, b: inverted.append(len(a)) or bound(a, b),
-        )
-        fallback = spy_on_fallback(monkeypatch)
-        tongue = run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
-        assert len(fallback) == 1
-        assert np.array_equal(np.stack(fallback[0]), np.nonzero(weak))
-        assert inverted == [weak.sum()]
-        values = tongue.values
-        expected = steady_tongue_rows(config, omegas, detunings)
-        assert np.array_equal(
-            values[weak].view(np.int64), expected[weak].view(np.int64)
-        )
-        error = np.abs(values - expected)
-        assert np.all(error <= pole_form_bound(config, omegas, detunings))
-        slow = SpinSystemConfig(t1_p_s=5.7e4)
-        with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(2, 0\)\)$"):
-            run_arnold_tongue(slow, omegas, detunings, use_steady_state=True)
+        for n_delta, calls in ((11, [[66, 67, 68, 69]]), (9, [[54, 55], [56]])):
+            detunings = np.linspace(-50.0, 50.0, n_delta)
+            g0, b = (block.at(omegas[:, None], detunings) for block in terms._blocks)
+            weak = terms._floor.at(omegas[:, None], detunings) / _frobenius(g0, b)
+            weak = weak < DEGENERACY_RATIO
+            assert 0 < weak.sum() < weak[-1].size
+            inverted = []
+            monkeypatch.setattr(
+                liouville, "_inverse_bound",
+                lambda a, b: inverted.append(len(a)) or bound(a, b),
+            )
+            fallback = spy_on_fallback(monkeypatch)
+            tongue = run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+            assert [list(i * n_delta + j) for i, j in fallback] == calls
+            assert np.array_equal(np.hstack(fallback), np.nonzero(weak))
+            assert inverted == [len(cells) for cells in calls]
+            values = tongue.values
+            expected = steady_tongue_rows(config, omegas, detunings)
+            assert np.array_equal(
+                values[weak].view(np.int64), expected[weak].view(np.int64)
+            )
+            error = np.abs(values - expected)
+            assert np.all(error <= pole_form_bound(config, omegas, detunings))
+            monkeypatch.undo()
+            slow = SpinSystemConfig(t1_p_s=5.7e4)
+            with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(2, 0\)\)$"):
+                run_arnold_tongue(slow, omegas, detunings, use_steady_state=True)
 
     @pytest.mark.parametrize(
         "system, omegas, cell",

@@ -417,11 +417,15 @@ class TestPropagate:
         assert np.max(np.abs(propagate(lv, rho0, 1.0) - oracle)) < 1e-8
 
     def test_semigroup_property(self, driven, rng):
+        """e^{2.3 L} e^{0.7 L} rho = e^{3 L} rho, to a measured floor times 9:
+        the largest entry error is 5.1e-14 on this density and at most
+        1.13e-13 over 200 Wishart densities (random_density with
+        default_rng(1)) under the same drive."""
         _, _, lv = driven
         rho = random_density(rng)
         two_step = propagate(lv, propagate(lv, rho, 0.7), 2.3)
         one_step = propagate(lv, rho, 3.0)
-        assert np.max(np.abs(two_step - one_step)) < 1e-9
+        assert np.max(np.abs(two_step - one_step)) < 9 * 1.13e-13
 
     def test_rejects_negative_time_and_bad_shape(self, driven, rng):
         _, _, lv = driven

@@ -121,6 +121,31 @@ def test_cli_imports_nothing_from_the_engine():
     assert [name for name in imported if name.startswith("spinsync.liouville")] == []
 
 
+def test_experiments_takes_only_the_engine_entries():
+    """spinsync/experiments.py reaches the engine through its two entries
+    and the terms they take: it imports nothing else from spinsync.liouville,
+    reads no ``_blocks`` or ``_floor``, names no TONGUE_STACK_CELLS and
+    indexes no coordinate (no ``x[..., k]``)."""
+    path = Path(spinsync.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "liouville"
+        for alias in node.names
+    }
+    assert imported == {"_state", "_tongue", "build_affine_liouvillian"}
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attributes & {"_blocks", "_blocks_at", "_floor"}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "TONGUE_STACK_CELLS" not in names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            assert Ellipsis not in [
+                getattr(item, "value", None) for item in node.slice.elts
+            ]
+
+
 # The CLI flags that name a config key, and the key each one overrides.
 CONFIG_FLAGS = {
     "--amplitude": "amplitude_hz", "--detuning": "detuning_hz",

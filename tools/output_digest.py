@@ -12,10 +12,13 @@ quarter-approximation variant and on a 9 x 16 grid, three steady tongues
 steady tongues to 1 kHz whose floor leaves cells uncertified, each with a
 ``--config`` written into its job's directory: at T1P = 3e4 s the
 single-drive solve certifies them, at 5.7e4 s it fails, naming a cell.
-For each job OUT.json records the exit code, stdout with ``runtime=`` and
-the temporary directory masked, stderr, and the SHA-256 of each file
-written, the config among them.  Two checkouts wrote the same outputs when
-``cmp`` finds their digests equal.
+Last come the edges of the 56-cell slices of a tongue's flat grid: the
+steady tongue at 3e4 s on 9 detunings, whose uncertified cells span two
+slices, a propagated tongue of 57 cells (a full slice, then one cell), and
+a propagated tongue of one cell.  For each job OUT.json records the exit
+code, stdout with ``runtime=`` and the temporary directory masked, stderr,
+and the SHA-256 of each file written, the config among them.  Two
+checkouts wrote the same outputs when ``cmp`` finds their digests equal.
 """
 
 import contextlib
@@ -70,6 +73,13 @@ FALLBACK = ["arnold", "--steady", "--omega-max", "1000", "--n-omega", "7",
             "--detuning-min", "-50", "--detuning-max", "50", "--n-detuning", "11",
             "--config", f"{TMP}/system.json"]
 FALLBACK_SYSTEMS = [{"t1_p_s": 30000}, {"t1_p_s": 57000}]  # solved, degenerate
+SLICE_EDGES = [  # (argv, system): cells 54, 55 | 56 uncertified; 56 + 1; 1
+    ([*FALLBACK[:10], "--n-detuning", "9", "--config", f"{TMP}/system.json"],
+     FALLBACK_SYSTEMS[0]),
+    (["arnold", "--n-omega", "3", "--n-detuning", "19"], None),
+    (["arnold", "--n-omega", "1", "--n-detuning", "1", "--detuning-min", "0",
+      "--detuning-max", "0"], None),
+]
 
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
@@ -113,6 +123,8 @@ def digest(src: Path) -> list[dict]:
     ] + [
         (FALLBACK + ["--output", f"{TMP}/out.csv"], system)
         for system in FALLBACK_SYSTEMS
+    ] + [
+        (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in SLICE_EDGES
     ]
     records = []
     for argv, system in jobs:
