@@ -88,12 +88,6 @@ def _require_number(key: str, value) -> float:
     return float(value)
 
 
-def _require_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return value
-
-
 def parse_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config file.
 
@@ -115,7 +109,7 @@ def parse_config(path: str | Path) -> RunConfig:
         k: _require_number(k, raw[k]) for k in _SYSTEM_KEYS if k in raw
     }
     drive_kwargs = {k: _require_number(k, raw[k]) for k in _DRIVE_KEYS if k in raw}
-    int_kwargs = {k: _require_int(k, raw[k]) for k in _INT_KEYS if k in raw}
+    int_kwargs = {k: raw[k] for k in _INT_KEYS if k in raw}  # RunConfig checks them
     try:
         return RunConfig(
             system=SpinSystemConfig(**system_kwargs),
@@ -298,10 +292,8 @@ def _cmd_amp_sweep(rc: RunConfig, args):
 def _cmd_arnold(rc: RunConfig, args):
     omegas = log_axis(args.omega_min, args.omega_max, args.n_omega)
     detunings = linear_axis(args.detuning_min, args.detuning_max, args.n_detuning)
-    result = run_arnold_tongue(
-        rc.system, omegas, detunings,
-        duration_s=rc.drive.duration_s, use_steady_state=args.steady,
-    )
+    duration = None if args.steady else rc.drive.duration_s
+    result = run_arnold_tongue(rc.system, omegas, detunings, duration)
     observable = f"max_observable={float(result.values.max()):.6g}"
     return observable, [(args.output, write_sweep_csv(result, rc))], 0
 
@@ -445,11 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_key_flag(p, flag: str, key: str, help_text: str):
         p.add_argument(flag, dest=key, type=_finite_float, help=help_text)
 
-    def add_drive_flags(p, duration: bool = True):
+    def add_drive_flags(p):
         add_key_flag(p, "--amplitude", "amplitude_hz", "drive amplitude in Hz")
         add_key_flag(p, "--detuning", "detuning_hz", "drive detuning in Hz")
-        if duration:
-            add_key_flag(p, "--duration", "duration_s", "evolution time in s")
+
+    def add_duration_flags(p):  # --steady: a duration of None, the steady state
+        add_key_flag(p, "--duration", "duration_s", "evolution time in s")
+        help_text = "use the steady state instead of evolving for --duration"
+        p.add_argument("--steady", action="store_true", help=help_text)
 
     def add_grid_flags(p):
         p.add_argument("--n-theta", type=int, help="polar grid points")
@@ -462,18 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--n-{name}", type=int, default=n)
 
     p = add("steady", "steady state density matrix as JSON", _cmd_steady)
-    add_drive_flags(p, duration=False)
+    add_drive_flags(p)
 
     p = add("husimi", "phase-space grid as CSV plus metadata JSON", _cmd_husimi)
     add_drive_flags(p)
+    add_duration_flags(p)
     add_grid_flags(p)
-    p.add_argument(
-        "--steady", action="store_true",
-        help="use the steady state instead of evolving for --duration",
-    )
 
     p = add("series", "phase localization versus drive duration", _cmd_series)
-    add_drive_flags(p, duration=False)
+    add_drive_flags(p)
     p.add_argument(
         "--durations", type=_duration_list, default=DEFAULT_SERIES_DURATIONS,
         help="comma-separated durations in s",
@@ -487,16 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("arnold", "synchronization over an amplitude x detuning grid", _cmd_arnold)
     add_axis_flags(p, "omega", ARNOLD_OMEGA_AXIS, _positive_float)
     add_axis_flags(p, "detuning", ARNOLD_DETUNING_AXIS, _finite_float)
-    add_key_flag(p, "--duration", "duration_s", "evolution time per cell in s")
-    p.add_argument("--steady", action="store_true", help="use steady states per cell")
+    add_duration_flags(p)
 
     p = add(
         "imhd-verify", "compare the gate-level readout scan against the direct grid",
         _cmd_imhd_verify, output_required=False,
     )
     add_drive_flags(p)
+    add_duration_flags(p)
     add_grid_flags(p)
-    p.add_argument("--steady", action="store_true")
     p.add_argument("--variant", choices=VARIANTS, default="exact-populations")
 
     p = add("calibrate", "fit a drive amplitude from nutation samples", _cmd_calibrate)

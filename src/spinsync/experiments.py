@@ -1,12 +1,13 @@
 """High-level numerical experiments on the driven, dissipative spin pair.
 
 Every experiment starts from the thermal state and reports phase-space
-observables.  It checks its inputs and passes a system's shared terms and
-drives to the engine's two entries: ``liouville._state``, the steady or the
-driven thermal states (``_state_at``; a series' durations as one stack),
-and ``liouville._tongue``, |rho42| over an Arnold tongue's grid.  Every
-swept axis, the series' durations included, passes ``_check_axis``: a
-duration is finite and >= 0, and 0 gives the thermal state on every path.
+observables.  It checks its inputs and hands the engine's two entries a
+system, drives and a duration, None for the steady state:
+``liouville._state``, the steady or the driven thermal states
+(``_state_at``; a series' durations as one stack), and
+``liouville._tongue``, |rho42| over an Arnold tongue's grid.  Every swept
+axis, the series' durations included, passes ``_check_axis``: a duration
+is finite and >= 0, and 0 gives the thermal state on every path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .liouville import _state, _tongue, build_affine_liouvillian
+from .liouville import _state, _tongue
 from .phasespace import (
     SYNC_COEFFICIENT,
     husimi_grid,
@@ -29,7 +30,6 @@ from .system import (
     DriveConfig,
     SpinSystemConfig,
     _checked_make,
-    thermal_state,
 )
 
 DEFAULT_SERIES_DURATIONS = (0.05, 0.1, 1.0, 10.0, 100.0)
@@ -42,16 +42,20 @@ ARNOLD_DETUNING_AXIS = (-3.0, 3.0, 41)
 
 
 def linear_axis(low: float, high: float, n: int) -> np.ndarray:
-    """n evenly spaced points from low to high: ``np.linspace``'s, bit for
-    bit above the subnormal range, spaced at half scale so that finite ends
-    give finite points even where high - low overflows."""
+    """n evenly spaced points from low to high, both finite: ``np.linspace``'s,
+    bit for bit above the subnormal range, spaced at half scale so that the
+    points stay finite even where high - low overflows."""
     if n < 1:
         raise ConfigError(f"an axis needs at least one point, got {n}")
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ConfigError(f"axis ends must be finite, got {low}, {high}")
     return 2.0 * np.linspace(0.5 * low, 0.5 * high, n)
 
 
 def log_axis(low: float, high: float, n: int) -> np.ndarray:
-    """n log-spaced points from low to high (both positive)."""
+    """n log-spaced points from low to high (both positive and finite)."""
+    if not (0.0 < low < math.inf and 0.0 < high < math.inf):  # NaN fails too
+        raise ConfigError(f"log axis ends must be finite and > 0, got {low}, {high}")
     with np.errstate(over="ignore"):  # past the float range: inf
         return 10.0 ** linear_axis(math.log10(low), math.log10(high), n)
 
@@ -59,9 +63,7 @@ def log_axis(low: float, high: float, n: int) -> np.ndarray:
 def _state_at(config: SpinSystemConfig, drive: DriveConfig, durations=None):
     """The steady state of a configured system at a drive or, given
     ``durations`` (s; an array gives a stack), its thermal state driven for each."""
-    start = None if durations is None else thermal_state(config)
-    terms = build_affine_liouvillian(config)
-    return _state(terms, drive.amplitude_hz, drive.detuning_hz, start, durations)
+    return _state(config, drive.amplitude_hz, drive.detuning_hz, durations)
 
 
 class LimitCycleResult(
@@ -175,7 +177,7 @@ def run_amplitude_sweep(
     if omegas_hz is None:
         omegas_hz = log_axis(*AMPLITUDE_SWEEP_AXIS)
     omegas = _check_axis(omegas_hz, "omegas_hz", "amplitude_hz")
-    states = _state(build_affine_liouvillian(config), omegas)
+    states = _state(config, omegas)
     values = state_visibility(states, n_theta=n_theta, n_phi=n_phi)
     peak = int(np.argmax(values))
     return SweepResult(
@@ -195,19 +197,19 @@ def run_arnold_tongue(
     config: SpinSystemConfig,
     omegas_hz=None,
     detunings_hz=None,
-    duration_s: float = DRIVE_DURATION_S,
-    use_steady_state: bool = False,
+    duration_s: float | None = DRIVE_DURATION_S,
 ) -> SweepResult:
     """Peak synchronization over an amplitude x detuning grid.
 
     Each cell drives the thermal state for ``duration_s`` (finite and >= 0;
-    at 0 every cell reads the thermal state's 0), or solves for the steady
-    state, and records max_phi S = |rho42| / (16 pi^2) (``liouville._tongue``).
-    Driven, each cell is the single-drive result bit for bit; steady, within
-    kappa(V) eps of the single-drive solve and certified as it is, that solve
-    taking the cells it cannot certify, so a failure names the worst cell of
-    the first failing slice of the flat grid.  An axis left out takes its
-    default.
+    at 0 every cell reads the thermal state's 0) or, at None, solves for the
+    steady state, and records max_phi S = |rho42| / (16 pi^2)
+    (``liouville._tongue``).  Driven, each cell is the single-drive result
+    bit for bit; steady, within kappa(V) eps of the single-drive solve and
+    certified as it is, that solve taking the cells it cannot certify, so a
+    failure names the worst cell of the first failing slice of the flat
+    grid.  The metadata records the duration, None when steady.  An axis
+    left out takes its default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -218,17 +220,14 @@ def run_arnold_tongue(
     scale = max(abs(detunings[0]), abs(detunings[-1]), 1.0)
     if np.max(np.abs(detunings + detunings[::-1])) > 1e-9 * scale:
         raise ConfigError("detuning grid must be symmetric about zero")
-    terms = build_affine_liouvillian(config)
-    if use_steady_state:
-        values = _tongue(terms, omegas, detunings)
-    else:
+    if duration_s is not None:
         DriveConfig(duration_s=duration_s)
-        values = _tongue(terms, omegas, detunings, thermal_state(config), duration_s)
+    values = _tongue(config, omegas, detunings, duration_s)
     return SweepResult(
         axes={"omega_hz": omegas, "detuning_hz": detunings},
         values=SYNC_COEFFICIENT * values,
         observable="max-sync",
-        metadata={"duration_s": duration_s, "steady_state": use_steady_state},
+        metadata={"duration_s": duration_s, "steady_state": duration_s is None},
     )
 
 

@@ -14,10 +14,11 @@ drive (``AffineLiouvillian._blocks_at``).  The order-0 block carries the
 signal, evolved (``_evolve_signal``, under ``_evolved``'s time rule for
 both blocks) or solved for (``_steady_signal``) as the deviation from
 tr(rho) I/4 with rho11 eliminated, so the trace is exact.  Callers take two
-entries on a system's terms: ``_state``, steady or driven density matrices,
-and ``_tongue``, |rho42| over an Arnold tongue's grid, from steady rows in
-pole form (``_steady_rows``) or driven ``_slices`` of the flat grid, with
-no 16x16 generator and no density matrix per cell.
+entries on a configured system, each steady at t = None and else driven
+from the thermal state for t: ``_state``, density matrices, and
+``_tongue``, |rho42| over an Arnold tongue's grid, from steady rows in pole
+form (``_steady_rows``) or driven ``_slices`` of the flat grid, with no
+16x16 generator and no density matrix per cell.
 
 The steady state needs no SVD to be certified unique.  In unitarily scaled
 real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
@@ -38,7 +39,9 @@ import numpy as np
 
 from .dissipation import JumpOperator, build_jump_operators
 from .hamiltonians import detuning_term, drive_term, rotating_drift
-from .system import LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig, _worst_cell
+from .system import (
+    LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig, _worst_cell, thermal_state,
+)
 
 # Ratio of second-smallest to largest singular value below which the
 # stationary subspace is treated as degenerate; checked on a lower bound.
@@ -590,12 +593,14 @@ def _steady_at(terms: AffineLiouvillian, amplitude_hz, detuning_hz=0.0, cells=No
     return _steady_signal(*terms._blocks_at(amplitude_hz, detuning_hz), floor, cells)[0]
 
 
-def _state(terms, amplitude_hz, detuning_hz=0.0, start=None, t=None) -> np.ndarray:
+def _state(config, amplitude_hz, detuning_hz=0.0, t=None) -> np.ndarray:
     """The state entry: a system's steady density matrix at a drive in Hz, or
-    at each of a stack of drives, or a 4x4 ``start`` driven for each time t."""
+    at each of a stack of drives, or its thermal state driven for each time t."""
+    terms = build_affine_liouvillian(config)
     if t is None:
         return _density(_steady_at(terms, amplitude_hz, detuning_hz))
-    return _propagate(*terms._blocks_at(amplitude_hz, detuning_hz), start, t)
+    blocks = terms._blocks_at(amplitude_hz, detuning_hz)
+    return _propagate(*blocks, thermal_state(config), t)
 
 
 def _slices(shape, todo=None):
@@ -668,14 +673,15 @@ def _coherence(x: np.ndarray) -> np.ndarray:
     return np.hypot(x[..., -4], x[..., -3])
 
 
-def _tongue(terms, omegas, detunings, start=None, t=None) -> np.ndarray:
+def _tongue(config, omegas, detunings, t=None) -> np.ndarray:
     """The tongue entry: |rho42| over an amplitude x detuning grid in Hz, of
-    the steady states (:func:`_steady_rows`) or of a 4x4 ``start`` driven for
-    a time t a slice at a time, each cell the single-drive result bit for bit."""
+    a system's steady states (:func:`_steady_rows`) or of its thermal state
+    driven for a time t a slice at a time, each cell the single-drive result
+    bit for bit."""
+    terms = build_affine_liouvillian(config)
     if t is None:
         return _coherence(_steady_rows(terms, omegas, detunings))
-    at, u0 = terms._blocks[0].at, _real_start(start)[1]
-    del start  # not held while the slices evolve
+    at, u0 = terms._blocks[0].at, _real_start(thermal_state(config))[1]
     values = np.empty((omegas.size, detunings.size))
     for i, j in _slices(values.shape):  # one stack held at a time
         values[i, j] = _coherence(_evolve_signal(at(omegas[i], detunings[j]), u0, t))

@@ -160,14 +160,15 @@ class SpinSystemConfig(namedtuple("SpinSystemConfig", (
                 raise ConfigError(f"{name} must be finite")
         if offset_p_hz is None:
             offset_p_hz = -0.5 * j_coupling_hz
-        if epsilon_p is None or epsilon_f is None:
-            eps_p, eps_f = default_purity_factors(
-                field_tesla, temperature_k, gamma_p_hz_per_tesla, gamma_f_hz_per_tesla
-            )
-            if epsilon_p is None:
-                epsilon_p = eps_p
-            if epsilon_f is None:
-                epsilon_f = eps_f
+        # derived even where both are given, so its field and temperature
+        # rules hold for every config
+        eps_p, eps_f = default_purity_factors(
+            field_tesla, temperature_k, gamma_p_hz_per_tesla, gamma_f_hz_per_tesla
+        )
+        if epsilon_p is None:
+            epsilon_p = eps_p
+        if epsilon_f is None:
+            epsilon_f = eps_f
         for eps in (epsilon_p, epsilon_f):
             # The high-temperature treatment breaks down well before 0.1.
             if not 0.0 <= eps < 0.1:

@@ -812,7 +812,7 @@ class TestCsvWriterBytes:
         rc = RunConfig()
         for result in (
             run_amplitude_sweep(config, n_theta=8, n_phi=8),
-            run_arnold_tongue(config, use_steady_state=True),
+            run_arnold_tongue(config, duration_s=None),
         ):
             assert write_sweep_csv(result, rc) == oracles.sweep_csv(result, rc)
 
@@ -1028,8 +1028,9 @@ class TestExitCodes:
 
 
 class TestMalformedInputFiles:
-    """A config or samples file that cannot be read as numbers is a
-    configuration error: exit 2, one 'config error' line, nothing written."""
+    """A config or samples file that cannot be read as numbers, or whose
+    values break a rule, is a configuration error: exit 2, one 'config
+    error' line, nothing written."""
 
     @staticmethod
     def assert_config_error(tmp_path, capsys, argv, message):
@@ -1050,6 +1051,13 @@ class TestMalformedInputFiles:
             # past int()'s 4,300-digit limit, in a float key and an integer key
             (b'{"t1_p_s": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit"),
             (b'{"seed": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit"),
+            # RunConfig's one integer rule, under the file's name
+            (b'{"n_theta": 8.5}', "config.json: n_theta must be an integer >= 8"),
+            (b'{"n_theta": true}', "config.json: n_theta must be an integer >= 8"),
+            (b'{"n_theta": "8"}', "config.json: n_theta must be an integer >= 8"),
+            # the field rule holds although no purity factor is derived
+            (b'{"epsilon_p": 1e-5, "epsilon_f": 2e-5, "field_tesla": -1.0, '
+             b'"temperature_k": 0.0}', "config.json: field must be positive"),
         ],
     )
     def test_config(self, tmp_path, capsys, text, message):

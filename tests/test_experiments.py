@@ -37,7 +37,7 @@ from spinsync.experiments import (
     linear_axis,
     log_axis,
 )
-from spinsync.system import ConfigError
+from spinsync.system import DRIVE_DURATION_S, ConfigError
 from spinsync import cli, experiments, liouville, phasespace
 from spinsync.liouville import (
     DEGENERACY_RATIO,
@@ -129,6 +129,25 @@ class TestAxes:
     def test_fewer_than_one_point_is_a_config_error(self, axis, n):
         with pytest.raises(ConfigError, match="at least one point"):
             axis(0.1, 1.0, n)
+
+    @pytest.mark.parametrize(
+        "axis, low, high",
+        [
+            (linear_axis, 0.0, math.inf),
+            (linear_axis, -math.inf, 0.0),
+            (linear_axis, math.nan, 1.0),
+            (log_axis, 0.0, 1.0),
+            (log_axis, -1.0, 1.0),
+            (log_axis, 1e-3, math.inf),
+            (log_axis, math.nan, 1.0),
+        ],
+    )
+    def test_bad_ends_are_a_config_error(self, axis, low, high):
+        """The caller's fault, with no RuntimeWarning (the suite would raise
+        it) and no math domain error: ends are finite, and a log axis's > 0."""
+        rule = "finite and > 0" if axis is log_axis else "finite"
+        with pytest.raises(ConfigError, match=f"axis ends must be {rule}, got"):
+            axis(low, high, 3)
 
     def test_log_axis_is_logspace_bit_for_bit(self, rng):
         for low, high in 10.0 ** np.sort(rng.uniform(-300.0, 300.0, (200, 2))):
@@ -389,15 +408,14 @@ class TestArnoldTongue:
         their sum (measured: 2.0e-15 of the maximum here)."""
         kwargs = dict(omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 1.0])
         finite = run_arnold_tongue(config, duration_s=100.0, **kwargs)
-        steady = run_arnold_tongue(config, use_steady_state=True, **kwargs)
+        steady = run_arnold_tongue(config, duration_s=None, **kwargs)
         bound = (PROPAGATE_BOUND + STEADY_BOUND) * steady.values.max()
         assert np.max(np.abs(steady.values - finite.values)) <= bound
-        assert steady.metadata["steady_state"] is True
+        # a steady tongue records no duration, never an unchecked number
+        assert steady.metadata == {"duration_s": None, "steady_state": True}
 
-    @pytest.mark.parametrize(
-        "use_steady_state", [False, True], ids=["propagate", "steady"]
-    )
-    def test_cells_match_per_cell_reference(self, config, use_steady_state):
+    @pytest.mark.parametrize("duration", [100.0, None], ids=["propagate", "steady"])
+    def test_cells_match_per_cell_reference(self, config, duration):
         """Each propagated cell equals |rho42| / (16 pi^2), by scalar abs, of
         a generator built for that drive alone, on the test grid and on one
         row as wide as the CLI default (41 detunings); each steady cell, in
@@ -412,7 +430,7 @@ class TestArnoldTongue:
                 config,
                 omegas_hz=omegas,
                 detunings_hz=detunings,
-                use_steady_state=use_steady_state,
+                duration_s=duration,
             ).values
             bound = pole_form_bound(config, omegas, detunings)
             for i, omega in enumerate(omegas):
@@ -420,12 +438,12 @@ class TestArnoldTongue:
                     liouville = build_liouvillian(
                         config, DriveConfig(amplitude_hz=omega, detuning_hz=delta)
                     )
-                    if use_steady_state:
+                    if duration is None:
                         rho = steady_state(liouville)
                         value = SYNC_COEFFICIENT * abs(rho[0, 2])
                         assert abs(values[i, j] - value) <= bound[i, j]
                     else:
-                        rho = propagate(liouville, rho0, 100.0)
+                        rho = propagate(liouville, rho0, duration)
                         assert values[i, j] == SYNC_COEFFICIENT * abs(rho[0, 2])
 
     def test_repeat_runs_are_bit_identical(self, config):
@@ -467,14 +485,20 @@ class TestArnoldTongue:
         values = run_arnold_tongue(config, **kwargs, duration_s=0.0).values
         assert values.shape == (2, 3) and not values.any()
 
-    @pytest.mark.parametrize("duration", [math.inf, math.nan])
-    def test_non_finite_duration_rejected(self, config, duration):
-        """The caller's duration, not an engine failure; the steady tongue
-        reads none."""
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -5.0])
+    def test_non_finite_duration_rejected(self, config, duration, monkeypatch):
+        """The caller's duration, not an engine failure, refused by
+        DriveConfig's rule before the engine runs; a steady tongue is asked
+        for with None, so no number goes unchecked."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(experiments, "_tongue", refuse)
         kwargs = dict(omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 1.0])
-        with pytest.raises(ConfigError, match="drive duration must be finite"):
+        rule = "non-negative" if duration < 0.0 else "finite"
+        with pytest.raises(ConfigError, match=f"drive duration must be {rule}"):
             run_arnold_tongue(config, **kwargs, duration_s=duration)
-        run_arnold_tongue(config, **kwargs, duration_s=duration, use_steady_state=True)
 
     def test_overflowing_propagation_rejected(self, config):
         """||L t|| is finite at 1e20 Hz, but the exponential's squarings
@@ -483,8 +507,8 @@ class TestArnoldTongue:
             run_arnold_tongue(config, omegas_hz=[1e20], detunings_hz=[0.0])
         assert not isinstance(exc.value, ConfigError)  # an engine failure
 
-    @pytest.mark.parametrize("use_steady_state", [False, True])
-    def test_each_axis_defaults_on_its_own(self, config, use_steady_state):
+    @pytest.mark.parametrize("steady", [False, True])
+    def test_each_axis_defaults_on_its_own(self, config, steady):
         """An axis left out takes its default, whether or not the other is
         given, as run_amplitude_sweep's axis does."""
         omegas = log_axis(*ARNOLD_OMEGA_AXIS)
@@ -494,12 +518,9 @@ class TestArnoldTongue:
             ({"omegas_hz": some_omegas}, (some_omegas, detunings)),
             ({"detunings_hz": some_detunings}, (omegas, some_detunings)),
         ):
-            one_sided = run_arnold_tongue(
-                config, **given, use_steady_state=use_steady_state
-            )
-            full = run_arnold_tongue(
-                config, *explicit, use_steady_state=use_steady_state
-            )
+            duration = None if steady else DRIVE_DURATION_S
+            one_sided = run_arnold_tongue(config, **given, duration_s=duration)
+            full = run_arnold_tongue(config, *explicit, duration_s=duration)
             np.testing.assert_array_equal(one_sided.values, full.values)
             for name in ("omega_hz", "detuning_hz"):
                 np.testing.assert_array_equal(
@@ -507,7 +528,7 @@ class TestArnoldTongue:
                 )
 
     def test_default_grid(self, config):
-        axes = run_arnold_tongue(config, use_steady_state=True).axes
+        axes = run_arnold_tongue(config, duration_s=None).axes
         omegas, detunings = axes["omega_hz"], axes["detuning_hz"]
         np.testing.assert_array_equal(omegas, log_axis(*ARNOLD_OMEGA_AXIS))
         np.testing.assert_array_equal(detunings, linear_axis(*ARNOLD_DETUNING_AXIS))
@@ -549,12 +570,12 @@ class TestTongueStacks:
         within pole_form_bound (TestSteadyPoleForm)."""
         config = SpinSystemConfig(**system)
         values = run_arnold_tongue(
-            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+            config, omegas_hz=omegas, detunings_hz=detunings, duration_s=None
         ).values
         expected = np.concatenate([
             run_arnold_tongue(
                 config, omegas_hz=[omega], detunings_hz=detunings,
-                use_steady_state=True,
+                duration_s=None,
             ).values
             for omega in omegas
         ])
@@ -579,7 +600,7 @@ class TestTongueStacks:
         monkeypatch.setattr(liouville, "devectorize", refuse)
         monkeypatch.setattr(liouville.AffineLiouvillian, "at", rows_only)
         assert run_arnold_tongue(config).values.shape == (21, 41)
-        tongue = run_arnold_tongue(config, use_steady_state=True)
+        tongue = run_arnold_tongue(config, duration_s=None)
         assert tongue.values.shape == (21, 41)
         with pytest.raises(AssertionError, match="16x16 generator"):
             steady_state(build_liouvillian(config, drive))
@@ -598,7 +619,7 @@ class TestTongueStacks:
     def test_steady_peak_memory_within_pole_form_count(self, config):
         """The steady tongue keeps its traced peak within the pole form's
         own, a fixed count (299,864 B)."""
-        peak = traced_peak(lambda: run_arnold_tongue(config, use_steady_state=True))
+        peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=None))
         assert peak <= STEADY_POLE_FORM_PEAK_BYTES
 
 
@@ -616,7 +637,7 @@ class TestSteadyPoleForm:
         (measured at most 1.0% of the bound over these systems and grids)."""
         config = SpinSystemConfig(**system)
         values = run_arnold_tongue(
-            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+            config, omegas_hz=omegas, detunings_hz=detunings, duration_s=None
         ).values
         error = np.abs(values - steady_tongue_rows(config, omegas, detunings))
         assert np.all(error <= pole_form_bound(config, omegas, detunings))
@@ -661,7 +682,7 @@ class TestSteadyPoleForm:
         monkeypatch.setattr(np.linalg, "eig", refuse)
         message = r"^generator overflows: the drive is too large \(worst cell "
         with pytest.raises(ValueError, match=message + cell + r"\)$"):
-            run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+            run_arnold_tongue(config, omegas, detunings, duration_s=None)
 
     def test_weak_floor_cells_fall_back_to_the_solve(self, monkeypatch):
         """With T1P = 3e4 s the floor cannot certify the 1 kHz drives of the
@@ -689,7 +710,7 @@ class TestSteadyPoleForm:
                 lambda a, b: inverted.append(len(a)) or bound(a, b),
             )
             fallback = spy_on_fallback(monkeypatch)
-            tongue = run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+            tongue = run_arnold_tongue(config, omegas, detunings, duration_s=None)
             assert [list(i * n_delta + j) for i, j in fallback] == calls
             assert np.array_equal(np.hstack(fallback), np.nonzero(weak))
             assert inverted == [len(cells) for cells in calls]
@@ -703,7 +724,7 @@ class TestSteadyPoleForm:
             monkeypatch.undo()
             slow = SpinSystemConfig(t1_p_s=5.7e4)
             with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(2, 0\)\)$"):
-                run_arnold_tongue(slow, omegas, detunings, use_steady_state=True)
+                run_arnold_tongue(slow, omegas, detunings, duration_s=None)
 
     @pytest.mark.parametrize(
         "system, omegas, cell",
@@ -726,7 +747,7 @@ class TestSteadyPoleForm:
         with pytest.raises(
             np.linalg.LinAlgError, match=message + r" \(worst cell " + cell + r"\)$"
         ):
-            run_arnold_tongue(config, omegas, detunings, use_steady_state=True)
+            run_arnold_tongue(config, omegas, detunings, duration_s=None)
 
     def test_residual_miss_is_solved_cell_by_cell(self, config, monkeypatch):
         """Cells whose pole form misses the residual bound are left to the
@@ -735,7 +756,7 @@ class TestSteadyPoleForm:
         every detuned cell of that row misses and equals steady_tongue_rows
         bit for bit; its resonant cell, which reads no pole, and the other
         rows keep their pole form."""
-        exact = run_arnold_tongue(config, use_steady_state=True)
+        exact = run_arnold_tongue(config, duration_s=None)
         omegas, detunings = exact.axes["omega_hz"], exact.axes["detuning_hz"]
         eig = np.linalg.eig
 
@@ -745,7 +766,7 @@ class TestSteadyPoleForm:
             return poles, v
 
         monkeypatch.setattr(np.linalg, "eig", skewed)
-        values = run_arnold_tongue(config, use_steady_state=True).values
+        values = run_arnold_tongue(config, duration_s=None).values
         monkeypatch.undo()
         detuned = detunings != 0.0
         expected = steady_tongue_rows(config, omegas, detunings)
@@ -819,7 +840,7 @@ class TestSweepEngine:
         for system in (config, other):
             expected = 3
             for sweep in (
-                lambda: run_arnold_tongue(system, use_steady_state=True),
+                lambda: run_arnold_tongue(system, duration_s=None),
                 lambda: run_arnold_tongue(system),
                 lambda: run_amplitude_sweep(system, n_theta=8, n_phi=8),
                 lambda: run_drive_series(system, 0.1, n_theta=8, n_phi=8),
@@ -854,7 +875,7 @@ class TestSweepEngine:
 
         for name in ("inv", "det", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        run_arnold_tongue(config, use_steady_state=True)
+        run_arnold_tongue(config, duration_s=None)
         run_arnold_tongue(config)
         run_amplitude_sweep(config, n_theta=8, n_phi=8)
         run_drive_series(config, 0.1, n_theta=8, n_phi=8)

@@ -982,7 +982,7 @@ class TestSteadyFloor:
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(61,\)"):
             _steady_signal(g0, b, terms._floor.at(omegas))
         with pytest.raises(np.linalg.LinAlgError, match=r"worst cell \(1, 0\)"):
-            run_arnold_tongue(slow, use_steady_state=True)
+            run_arnold_tongue(slow, duration_s=None)
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
             steady_state(build_liouvillian(slow, DriveConfig(amplitude_hz=0.0)))
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
@@ -991,7 +991,7 @@ class TestSteadyFloor:
 
 @pytest.fixture(scope="module")
 def steady_tongue(config):
-    return run_arnold_tongue(config, use_steady_state=True)
+    return run_arnold_tongue(config, duration_s=None)
 
 
 def oracle_cells(values: np.ndarray) -> list[tuple[int, int]]:
@@ -1091,7 +1091,7 @@ class TestSteadyStateOracle:
         over all 861 cells of the default tongue, 4.6e-16 for the solve)."""
         config = SpinSystemConfig(**system)
         values = run_arnold_tongue(
-            config, omegas_hz=omegas, detunings_hz=detunings, use_steady_state=True
+            config, omegas_hz=omegas, detunings_hz=detunings, duration_s=None
         ).values
         cells = oracle_cells(values) if values.size > 1 else [(0, 0)]
         for i, j in cells:

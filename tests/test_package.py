@@ -123,18 +123,22 @@ def test_cli_imports_nothing_from_the_engine():
 
 def test_experiments_takes_only_the_engine_entries():
     """spinsync/experiments.py reaches the engine through its two entries
-    and the terms they take: it imports nothing else from spinsync.liouville,
+    alone, handing them a system, drives and a duration: it imports nothing
+    else from spinsync.liouville, builds no start state (no thermal_state),
     reads no ``_blocks`` or ``_floor``, names no TONGUE_STACK_CELLS and
     indexes no coordinate (no ``x[..., k]``)."""
     path = Path(spinsync.__file__).parent / "experiments.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {
-        alias.name
+        (node.module, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "liouville"
+        if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert imported == {"_state", "_tongue", "build_affine_liouvillian"}
+    assert {name for module, name in imported if module == "liouville"} == {
+        "_state", "_tongue"
+    }
+    assert "thermal_state" not in {name for _, name in imported}
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not attributes & {"_blocks", "_blocks_at", "_floor"}
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -336,7 +340,7 @@ def test_no_runtime_path_calls_svd(monkeypatch, tmp_path):
     config = spinsync.SpinSystemConfig()
     spinsync.steady_state(spinsync.build_liouvillian(config, spinsync.DriveConfig()))
     spinsync.run_amplitude_sweep(config, n_theta=8, n_phi=8)
-    spinsync.run_arnold_tongue(config, use_steady_state=True)
+    spinsync.run_arnold_tongue(config, duration_s=None)
     spinsync.run_arnold_tongue(config)
     for argv in (
         ["steady"],
@@ -433,6 +437,10 @@ def checked_record(name: str):
         ("Gate", {"matrix": 2.0 * np.eye(4)}, "gate not unitary"),
         ("SweepResult", {"values": np.zeros(3)}, "does not match axes"),
         ("SweepResult", {"values": np.array([0.1, math.nan])}, "non-finite values"),
+        # the field and temperature rules hold with the purity factors kept
+        ("SpinSystemConfig", {"field_tesla": -3.0, "temperature_k": -1.0},
+         "field must be positive"),
+        ("SpinSystemConfig", {"temperature_k": 0.0}, "temperature must be positive"),
     ],
 )
 def test_replace_and_make_run_the_constructor_checks(name, change, message):

@@ -199,6 +199,10 @@ class TestConfigValidation:
             {"gamma_p_hz_per_tesla": math.nan, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
             {"gamma_f_hz_per_tesla": math.inf, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
             {"field_tesla": math.inf, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
+            # the field and temperature rules hold with nothing derived
+            {"field_tesla": -1.0, "temperature_k": 0.0, "epsilon_p": 1e-5,
+             "epsilon_f": 2e-5},
+            {"temperature_k": 0.0, "epsilon_p": 1e-5, "epsilon_f": 2e-5},
         ],
     )
     def test_rejects_invalid_system(self, kwargs):

@@ -15,10 +15,13 @@ single-drive solve certifies them, at 5.7e4 s it fails, naming a cell.
 Last come the edges of the 56-cell slices of a tongue's flat grid: the
 steady tongue at 3e4 s on 9 detunings, whose uncertified cells span two
 slices, a propagated tongue of 57 cells (a full slice, then one cell), and
-a propagated tongue of one cell.  For each job OUT.json records the exit
-code, stdout with ``runtime=`` and the temporary directory masked, stderr,
-and the SHA-256 of each file written, the config among them.  Two
-checkouts wrote the same outputs when ``cmp`` finds their digests equal.
+a propagated tongue of one cell.  Then ``--steady`` with a valid duration
+that it ignores: ``husimi``, ``imhd-verify`` and a 2 x 3 ``arnold`` at
+``--duration 0``, and ``husimi`` and the same ``arnold`` at ``--duration
+1e308``.  For each job OUT.json records the exit code, stdout with
+``runtime=`` and the temporary directory masked, stderr, and the SHA-256 of
+each file written, the config among them.  Two checkouts wrote the same
+outputs when ``cmp`` finds their digests equal.
 """
 
 import contextlib
@@ -80,6 +83,14 @@ SLICE_EDGES = [  # (argv, system): cells 54, 55 | 56 uncertified; 56 + 1; 1
     (["arnold", "--n-omega", "1", "--n-detuning", "1", "--detuning-min", "0",
       "--detuning-max", "0"], None),
 ]
+STEADY_DURATIONS = [  # --steady takes no duration: 0 and 1e308 are ignored
+    ["husimi", "--steady", "--duration", "0"],
+    ["imhd-verify", "--steady", "--duration", "0"],
+    ["arnold", "--steady", "--duration", "0", "--n-omega", "2", "--n-detuning", "3"],
+    ["husimi", "--steady", "--duration", "1e308"],
+    ["arnold", "--steady", "--duration", "1e308", "--n-omega", "2",
+     "--n-detuning", "3"],
+]
 
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
@@ -125,7 +136,7 @@ def digest(src: Path) -> list[dict]:
         for system in FALLBACK_SYSTEMS
     ] + [
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in SLICE_EDGES
-    ]
+    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in STEADY_DURATIONS]
     records = []
     for argv, system in jobs:
         with tempfile.TemporaryDirectory() as tmp:
