@@ -307,7 +307,8 @@ def _cmd_imhd_verify(rc: RunConfig, args):
     passed = bool(deviation < bound)
     report = _report(
         "imhd-verify", rc, variant=args.variant, max_abs_deviation=deviation,
-        bound=bound, passed=passed, n_theta=rc.n_theta, n_phi=rc.n_phi,
+        bound=bound, passed=passed, steady_state=bool(args.steady),
+        n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
     outputs = [] if args.output is None else [(args.output, report)]
     observable = (

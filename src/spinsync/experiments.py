@@ -204,12 +204,16 @@ def run_arnold_tongue(
     Each cell drives the thermal state for ``duration_s`` (finite and >= 0;
     at 0 every cell reads the thermal state's 0) or, at None, solves for the
     steady state, and records max_phi S = |rho42| / (16 pi^2)
-    (``liouville._tongue``).  Driven, each cell is the single-drive result
-    bit for bit; steady, within kappa(V) eps of the single-drive solve and
-    certified as it is, that solve taking the cells it cannot certify, so a
-    failure names the worst cell of the first failing slice of the flat
-    grid.  The metadata records the duration, None when steady.  An axis
-    left out takes its default.
+    (``liouville._tongue``).  Steady, each cell is within kappa(V) eps of
+    the single-drive solve and certified as it is, that solve taking the
+    cells it cannot certify, so a failure names the worst cell of the first
+    failing slice of the flat grid.  Driven, a cell is the steady value
+    where the contraction bound e^(-floor t) proves the two within half an
+    ulp (every cell of the default 100 s tongue), and else the single-drive
+    result bit for bit; so it can differ from ``run_drive_series`` and the
+    CLI's driven states at the same drive by the two routes' rounding.  The
+    metadata records the duration, None when steady.  An axis left out
+    takes its default.
     """
     if omegas_hz is None:
         omegas_hz = log_axis(*ARNOLD_OMEGA_AXIS)

@@ -18,7 +18,9 @@ entries on a configured system, each steady at t = None and else driven
 from the thermal state for t: ``_state``, density matrices, and
 ``_tongue``, |rho42| over an Arnold tongue's grid, from steady rows in pole
 form (``_steady_rows``) or driven ``_slices`` of the flat grid, with no
-16x16 generator and no density matrix per cell.
+16x16 generator and no density matrix per cell.  A driven tongue takes the
+steady value of each cell that the floor, a contraction rate, proves
+within half an ulp of it (``_settled``), and propagates only the rest.
 
 The steady state needs no SVD to be certified unique.  In unitarily scaled
 real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
@@ -619,17 +621,28 @@ def _slices(shape, todo=None):
 def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
     """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
     system over an amplitude x detuning grid, each cell certified as by
-    :func:`_steady_signal`.  A row solves (A_0 + delta D) y = -c, D of rank
-    4, so with A_0^-1 D = V Lambda V^-1, y(delta) = V (I + delta Lambda)^-1
-    V^-1 y(0) (pole form: Golub & Van Loan, Matrix Computations, 7.7).  The
-    ratio floor / ||L||_F, ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes
-    before any eig; the residual bound takes the form - _GRAM_SLACK.  A cell
-    missing either (every cell if any ||L||_F overflows) is re-solved by
-    :func:`_steady_at` in its :func:`_slices` slice, so a failure names the
-    worst cell of the first failing slice.  The residual cannot see the
-    signal's scale: poles moved by 1e-6 leave rho42 off by 1e-6 relative and
-    certified (1e-4 is the first step caught), so only the tests' 40-digit
-    checks pin a cell to STEADY_BOUND."""
+    :func:`_steady_signal`: :func:`_pole_form`'s, and a cell it leaves
+    uncertified re-solved by :func:`_steady_at` in its :func:`_slices`
+    slice, so a failure names the worst cell of the first failing slice."""
+    x, sure = _pole_form(terms, omegas, detunings)
+    for i, j in _slices(sure.shape, ~sure):
+        x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
+    return x
+
+
+def _pole_form(terms: AffineLiouvillian, omegas, detunings) -> tuple:
+    """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
+    system over an amplitude x detuning grid, and the mask ``sure`` of the
+    cells certified as by :func:`_steady_signal` (x is no answer elsewhere).  A
+    row solves (A_0 + delta D) y = -c, D of rank 4, so with A_0^-1 D = V
+    Lambda V^-1, y(delta) = V (I + delta Lambda)^-1 V^-1 y(0) (pole form:
+    Golub & Van Loan, Matrix Computations, 7.7).  The ratio floor / ||L||_F,
+    ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes before any eig; the
+    residual bound takes the form - _GRAM_SLACK.  No cell is certified if
+    any ||L||_F overflows.  The residual cannot see the signal's scale:
+    poles moved by 1e-6 leave rho42 off by 1e-6 relative and certified (1e-4
+    is the first step caught), so only the tests' 40-digit checks pin a cell
+    to STEADY_BOUND."""
     order_zero = terms._blocks[0]
     g0, b = (np.stack(block) for block in terms._blocks)
     gram = np.einsum("kij,ij,lij->kl", g0, _NORM_WEIGHT, g0)
@@ -662,9 +675,7 @@ def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
             sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
         else:  # certifying none, with no eig
             x, sure = np.zeros(sure.shape + (8,)), np.zeros_like(sure)
-    for i, j in _slices(sure.shape, ~sure):
-        x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
-    return x
+    return x, sure
 
 
 def _coherence(x: np.ndarray) -> np.ndarray:
@@ -676,16 +687,67 @@ def _coherence(x: np.ndarray) -> np.ndarray:
 def _tongue(config, omegas, detunings, t=None) -> np.ndarray:
     """The tongue entry: |rho42| over an amplitude x detuning grid in Hz, of
     a system's steady states (:func:`_steady_rows`) or of its thermal state
-    driven for a time t a slice at a time, each cell the single-drive result
-    bit for bit."""
+    driven for a time t.  A driven cell takes its steady value where
+    :func:`_settled` proves the two equal to within half an ulp; the others
+    are propagated a slice at a time, each the single-drive result bit for
+    bit.  No cell can be settled unless e^(-floor t) <= U / (2 sqrt 2), U =
+    eps / 2, for the undriven floor (t > 60.12 s on the default system),
+    nor unless the thermal trace is exactly 1; else no steady solve runs."""
     terms = build_affine_liouvillian(config)
     if t is None:
         return _coherence(_steady_rows(terms, omegas, detunings))
     at, u0 = terms._blocks[0].at, _real_start(thermal_state(config))[1]
-    values = np.empty((omegas.size, detunings.size))
-    for i, j in _slices(values.shape):  # one stack held at a time
+    values, todo = np.empty((omegas.size, detunings.size)), None
+    with np.errstate(all="ignore"):  # a non-finite t settles no cell
+        near = 4 * np.sqrt(2.0) * np.exp(-terms._floor.base * t) <= _EPS
+    if near and u0[7] == 1.0:
+        todo = ~_settled(config, omegas, detunings, t, values)
+    for i, j in _slices(values.shape, todo):  # one stack held at a time
         values[i, j] = _coherence(_evolve_signal(at(omegas[i], detunings[j]), u0, t))
     return values
+
+
+def _settled(config, omegas, detunings, t, values) -> np.ndarray:
+    """The mask of the grid's cells whose thermal state, driven for t, has
+    |rho42| within half an ulp of the steady state's; each such cell of
+    ``values`` takes the steady value.  A cell needs :func:`_pole_form`'s
+    certificate (an uncertified cell, or every cell if a row is exactly
+    singular, is left to propagation and its errors) and 2 t (||A_0||_1 +
+    |delta| ||A_delta||_1 + |Omega| ||A_Omega||_1) finite, A the augmented
+    order-0 terms: a bound on ||A t||_1 with room 2 for its rounding, so
+    every drive and duration the propagator refuses is left to it.
+
+    The certificate (Dahlquist 1958; Soederlind, BIT 46, 631, 2006): the
+    floor bounds the logarithmic norm of the order-0 block on the traceless
+    coordinates in the unitarily scaled norm, at every drive.  The thermal
+    state x0 has trace exactly 1 (checked by the caller) and, like x_ss, no
+    order +-1 coordinates, so ||x(t) - x_ss|| <= e^(-floor t) ||x0 - x_ss||,
+    and |rho42(t) - rho42_ss| is at most that / sqrt 2 (Re and Im rho42 are
+    weighted 2).  A cell is settled when 2 e^(-floor t) ||x_ss - x0|| <= U
+    |rho42_ss|, U = eps / 2.  Rounding model, relative: exp within 1 ulp,
+    and within U floor t <= 745 U from the rounding of its argument; the
+    8-term weighted norm and its sqrt within 6 U; the products within 2 U;
+    x_ss's own error, a few U of its deviation from I / 4, against ||x_ss -
+    x0||.  The factor 2 covers them, and the sqrt 2 is spare: the exact
+    driven |rho42| is within U |rho42_ss| / 2 of the steady one, at most
+    half an ulp of it."""
+    terms = build_affine_liouvillian(config)
+    try:
+        x, sure = _pole_form(terms, omegas, detunings)
+    except np.linalg.LinAlgError:  # an exactly singular row
+        return np.zeros(values.shape, dtype=bool)
+    n0, nd, na = (np.abs(_augmented(a)).sum(axis=0).max() for a in terms._blocks[0])
+    omega, delta = np.abs(omegas[:, None]), np.abs(detunings)
+    with np.errstate(all="ignore"):  # a non-finite cell is not settled
+        signal = _coherence(x)
+        x -= _real_start(thermal_state(config))[0][:8]
+        distance = np.sqrt(np.einsum("...k,k,...k->...", x, _SCALE_SQUARED, x))
+        del x
+        decay = np.exp(-terms._floor.at(omega, delta) * t)
+        reach = 2 * t * (n0 + delta * nd + omega * na)
+        settled = sure & np.isfinite(reach) & (4 * decay * distance <= _EPS * signal)
+    values[settled] = signal[settled]
+    return settled
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

@@ -563,7 +563,9 @@ U = 2.0**-53
 
 # The Haar quadrature's completeness error at its default orders (32, 64),
 # in U of pi^3 / 24: a measured floor of 31.0 against the exact integral
-# (pi^3 / 24) I at 40 digits (tests/test_phasespace.py), allowed 4.1x.
+# (pi^3 / 24) I at 40 digits (tests/test_phasespace.py), allowed 4.1x.  The
+# normalization, the sync-measure quadrature and the order-halving checks
+# take it too, at 3.3-4.4x their own measured floors (each test states its).
 HAAR_ULPS = 128
 
 

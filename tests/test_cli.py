@@ -534,6 +534,17 @@ class TestImhdVerifyCommand:
         # the approximation really is coarser than the exact variant
         assert report["max_abs_deviation"] > 1e-9
 
+    @pytest.mark.parametrize("steady", [True, False], ids=["steady", "driven"])
+    def test_report_records_steady_state(self, tmp_path, steady):
+        """The report says which state was read, as husimi's metadata does."""
+        report_path = tmp_path / "report.json"
+        argv = ["imhd-verify", "--output", str(report_path), "--n-theta", "16",
+                "--n-phi", "16"] + ["--steady"] * steady
+        assert main(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert report["steady_state"] is steady
+        assert list(report)[-4:] == ["steady_state", "n_theta", "n_phi", "config"]
+
     def test_report_is_optional(self, tmp_path, capsys):
         assert main(["imhd-verify"] + self.COMMON) == 0
         out = capsys.readouterr().out

@@ -56,6 +56,7 @@ from oracles import (
     STEADY_POLE_FORM_PEAK_BYTES,
     STEADY_TEST_SYSTEMS,
     TONGUE_TEST_GRIDS,
+    U,
     grid_visibility_bound,
     mp_visibility,
     pole_form_bound,
@@ -405,18 +406,20 @@ class TestArnoldTongue:
         """100 s is many relaxation times: exp(-gap t) is about 5e-28 for the
         gap 0.628 s^-1, so the exact propagated and steady tongues agree far
         below the solvers' oracle bounds, and the computed ones within
-        their sum (measured: 2.0e-15 of the maximum here)."""
-        kwargs = dict(omegas_hz=[0.1], detunings_hz=[-1.0, 0.0, 1.0])
-        finite = run_arnold_tongue(config, duration_s=100.0, **kwargs)
-        steady = run_arnold_tongue(config, duration_s=None, **kwargs)
+        their sum (measured: 2.0e-15 of the maximum here).  The propagated
+        values come from the row loop, which takes no steady value."""
+        omegas, detunings = [0.1], [-1.0, 0.0, 1.0]
+        finite = propagated_tongue_rows(config, omegas, detunings, 100.0)
+        steady = run_arnold_tongue(config, omegas, detunings, duration_s=None)
         bound = (PROPAGATE_BOUND + STEADY_BOUND) * steady.values.max()
-        assert np.max(np.abs(steady.values - finite.values)) <= bound
+        assert np.max(np.abs(steady.values - finite)) <= bound
         # a steady tongue records no duration, never an unchecked number
         assert steady.metadata == {"duration_s": None, "steady_state": True}
 
-    @pytest.mark.parametrize("duration", [100.0, None], ids=["propagate", "steady"])
+    @pytest.mark.parametrize("duration", [40.0, None], ids=["propagate", "steady"])
     def test_cells_match_per_cell_reference(self, config, duration):
-        """Each propagated cell equals |rho42| / (16 pi^2), by scalar abs, of
+        """Each propagated cell (40 s: no cell is settled on the steady
+        state) equals |rho42| / (16 pi^2), by scalar abs, of
         a generator built for that drive alone, on the test grid and on one
         row as wide as the CLI default (41 detunings); each steady cell, in
         pole form, meets the solve of that generator within pole_form_bound."""
@@ -552,9 +555,11 @@ class TestTongueStacks:
     a time, and the steady one all its rows; both read Re and Im rho42 from
     the order-0 block alone."""
 
-    @pytest.mark.parametrize("duration_s", [0.05, 3.0, 100.0])
+    @pytest.mark.parametrize("duration_s", [0.05, 3.0, 40.0])
     @TONGUE_GRIDS
     def test_bits_match_row_loop_oracle(self, config, omegas, detunings, duration_s):
+        """Below the floor's threshold (t <= 60.12 s on the default system)
+        every cell is propagated, and equals the row loop bit for bit."""
         values = run_arnold_tongue(
             config, omegas_hz=omegas, detunings_hz=detunings, duration_s=duration_s
         ).values
@@ -621,6 +626,82 @@ class TestTongueStacks:
         own, a fixed count (299,864 B)."""
         peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=None))
         assert peak <= STEADY_POLE_FORM_PEAK_BYTES
+
+
+class TestSettledTongue:
+    """Past the floor's threshold a driven cell takes the steady value where
+    e^(-floor t) ||x_ss - x0|| proves the two within half an ulp
+    (liouville._settled); the rest are propagated.  The propagator stays
+    under its own checks: the row loop here, and at 40 s above."""
+
+    @STEADY_SYSTEMS
+    @TONGUE_GRIDS
+    def test_long_drive_is_the_steady_tongue(self, system, omegas, detunings):
+        """At 100 s every cell is settled: the steady tongue bit for bit.
+        On drives to 1 Hz, where PROPAGATE_BOUND was measured, it is within
+        (PROPAGATE_BOUND + STEADY_BOUND) of the maximum of the row loop's
+        propagated cells (measured 4.5e-15 on the default tongue); stronger
+        drives are checked against 40 digits (TestPropagateOracle)."""
+        config = SpinSystemConfig(**system)
+        values = run_arnold_tongue(config, omegas, detunings).values
+        steady = run_arnold_tongue(config, omegas, detunings, duration_s=None).values
+        np.testing.assert_array_equal(values.view(np.int64), steady.view(np.int64))
+        propagated = propagated_tongue_rows(config, omegas, detunings, 100.0)
+        bound = (PROPAGATE_BOUND + STEADY_BOUND) * propagated.max()
+        weak = np.asarray(omegas) <= 1.0
+        assert np.max(np.abs(values - propagated)[weak]) <= bound
+
+    def test_mixed_grid_settles_or_propagates_each_cell(self, config, monkeypatch):
+        """At 62 s the default tongue settles all but 9 cells: those take
+        the steady bits, and the rest, left to the slices, the row loop's."""
+        masks = spy_on_slices(monkeypatch)
+        tongue = run_arnold_tongue(config, duration_s=62.0)
+        (todo,) = masks
+        assert todo.sum() == 9
+        values = tongue.values.view(np.int64)
+        steady = run_arnold_tongue(config, duration_s=None).values.view(np.int64)
+        np.testing.assert_array_equal(values[~todo], steady[~todo])
+        propagated = propagated_tongue_rows(config, *tongue.axes.values(), 62.0)
+        np.testing.assert_array_equal(values[todo], propagated.view(np.int64)[todo])
+
+    @pytest.mark.parametrize("duration_s", [40.0, 60.0])
+    def test_below_threshold_solves_nothing(self, config, monkeypatch, duration_s):
+        """Below e^(-floor t) <= U / (2 sqrt 2), t <= 60.12 s here, no cell
+        can be settled, and no steady solve runs."""
+        forbid_steady_solves(monkeypatch)
+        assert run_arnold_tongue(config, duration_s=duration_s).values.shape == (21, 41)
+
+    def test_thermal_trace_off_one_settles_nothing(self, monkeypatch):
+        """At 310 K the thermal populations sum to 1 - U: the driven state
+        tends to that multiple of the steady state, which the certificate
+        does not cover, so the 100 s tongue solves nothing and every cell
+        is the row loop's bit for bit."""
+        config = SpinSystemConfig(temperature_k=310.0)
+        assert thermal_state(config).trace().real == 1.0 - U
+        omegas, detunings = TONGUE_TEST_GRIDS["strong-wide"]
+        expected = propagated_tongue_rows(config, omegas, detunings, 100.0)
+        forbid_steady_solves(monkeypatch)
+        values = run_arnold_tongue(config, omegas, detunings).values
+        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+    def test_too_large_floor_is_caught_by_the_row_loop(self, config, monkeypatch):
+        """With the floor 10x too large a 20 s tongue is settled on the
+        steady state, 1.4e-6 of the maximum away from the driven one: the
+        row-loop comparison fails, as the tests above would."""
+        omegas, detunings = TONGUE_TEST_GRIDS["default"]
+        terms = build_affine_liouvillian(config)
+        floor = terms._floor
+        too_large = floor._replace(base=10 * floor.base)
+        monkeypatch.setitem(terms.__dict__, "_floor", too_large)
+        values = run_arnold_tongue(config, duration_s=20.0).values
+        propagated = propagated_tongue_rows(config, omegas, detunings, 20.0)
+        assert np.max(np.abs(values - propagated)) > 1e-7 * propagated.max()
+
+    def test_mixed_peak_memory_within_row_loop(self, config):
+        """The 62 s tongue drops the steady coordinates before its slices
+        run: its traced peak stays within the row loop's count."""
+        peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=62.0))
+        assert peak <= PROPAGATED_ROW_LOOP_PEAK_BYTES
 
 
 class TestSteadyPoleForm:
@@ -792,6 +873,27 @@ def spy_on_fallback(monkeypatch) -> list:
 
     monkeypatch.setattr(liouville, "_steady_at", spy)
     return calls
+
+
+def forbid_steady_solves(monkeypatch) -> None:
+    """Makes the tongue's steady kernel, ``liouville._pole_form``, raise."""
+
+    def refuse(*args):
+        raise AssertionError("a steady solve ran")
+
+    monkeypatch.setattr(liouville, "_pole_form", refuse)
+
+
+def spy_on_slices(monkeypatch) -> list:
+    """Records the mask ``liouville._slices`` is given on each call."""
+    masks, slices = [], liouville._slices
+
+    def spy(shape, todo=None):
+        masks.append(todo)
+        return slices(shape, todo)
+
+    monkeypatch.setattr(liouville, "_slices", spy)
+    return masks
 
 
 def traced_peak(call) -> int:

@@ -148,9 +148,11 @@ class TestHusimiFull:
         assert husimi_full(rho, state) == pytest.approx(HUSIMI_PREFACTOR, rel=1e-12)
 
     def test_normalization_over_measure(self, rng, scheme):
+        """Q integrates to tr rho = 1 exactly; the quadrature misses by a
+        measured 29 U (460 random states), allowed HAAR_ULPS U, 4.4x."""
         for _ in range(10):
             total = husimi_normalization(random_density(rng), scheme)
-            assert abs(total - 1.0) < 1e-6
+            assert abs(total - 1.0) <= HAAR_ULPS * U
 
     def test_bounded(self, rng):
         for _ in range(20):
@@ -287,13 +289,15 @@ class TestSyncMeasure:
             )
 
     def test_quadrature_matches_closed_form(self, rng, scheme):
-        """Haar integral of the Q marginal equals the coherence sum."""
+        """Haar integral of the Q marginal equals the coherence sum, the
+        closed form: a measured floor of 34.5 U of SYNC_COEFFICIENT (460
+        random states), allowed HAAR_ULPS U of it, 3.7x."""
         for _ in range(10):
             rho = random_density(rng)
             phis = rng.uniform(0.0, 2.0 * math.pi, size=3)
             direct = sync_measure_full(rho, *phis)
             integrated = sync_measure_quadrature(rho, *phis, scheme=scheme)
-            assert abs(integrated - direct) < 1e-6
+            assert abs(integrated - direct) <= HAAR_ULPS * U * SYNC_COEFFICIENT
 
     def test_reduced_zero_coherence(self):
         rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
@@ -415,14 +419,19 @@ class TestHaarQuadrature:
         assert np.max(np.abs(result - target * np.eye(4))) <= bound
 
     def test_completeness_off_diagonal(self, scheme):
+        """The exact integral's off-diagonal entries are 0; the quadrature's
+        reach a measured 0.124 U of pi^3 / 24, allowed 1 U of it, 8.1x."""
         result = completeness_check(scheme)
         off = result - np.diag(np.diag(result))
-        assert np.max(np.abs(off)) < 1e-8
+        assert np.max(np.abs(off)) <= U * math.pi**3 / 24
 
     def test_order_halving_convergence(self, scheme):
+        """Both orders meet the 40-digit integral (31.0 and 10.8 U of pi^3 /
+        24), and each other within a measured 38.7 U, allowed HAAR_ULPS U,
+        3.3x."""
         coarse = completeness_check(haar_quadrature(16, 32))
         fine = completeness_check(scheme)
-        assert np.max(np.abs(fine - coarse)) < 1e-6
+        assert np.max(np.abs(fine - coarse)) <= HAAR_ULPS * U * math.pi**3 / 24
 
     def test_rejects_tiny_orders(self):
         with pytest.raises(ValueError):

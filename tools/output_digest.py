@@ -18,7 +18,11 @@ slices, a propagated tongue of 57 cells (a full slice, then one cell), and
 a propagated tongue of one cell.  Then ``--steady`` with a valid duration
 that it ignores: ``husimi``, ``imhd-verify`` and a 2 x 3 ``arnold`` at
 ``--duration 0``, and ``husimi`` and the same ``arnold`` at ``--duration
-1e308``.  For each job OUT.json records the exit code, stdout with
+1e308``.  Last, the propagated tongues around the certified long-time
+path: the default ``arnold`` at 60 s (below the floor's threshold, every
+cell propagated) and at 62 s (most cells settled on the steady state),
+and the two ``FALLBACK`` systems driven for 100 s, whose weak floor
+settles none.  For each job OUT.json records the exit code, stdout with
 ``runtime=`` and the temporary directory masked, stderr, and the SHA-256 of
 each file written, the config among them.  Two checkouts wrote the same
 outputs when ``cmp`` finds their digests equal.
@@ -92,6 +96,10 @@ STEADY_DURATIONS = [  # --steady takes no duration: 0 and 1e308 are ignored
      "--n-detuning", "3"],
 ]
 
+LONG_DRIVES = [  # (argv, system): refused, mixed; and the weak floors driven
+    (["arnold", "--duration", "60"], None), (["arnold", "--duration", "62"], None),
+] + [([FALLBACK[0], *FALLBACK[2:]], system) for system in FALLBACK_SYSTEMS]
+
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
     """One job through ``main`` in the directory ``tmp``, digested; a
@@ -136,7 +144,9 @@ def digest(src: Path) -> list[dict]:
         for system in FALLBACK_SYSTEMS
     ] + [
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in SLICE_EDGES
-    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in STEADY_DURATIONS]
+    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in STEADY_DURATIONS] + [
+        (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in LONG_DRIVES
+    ]
     records = []
     for argv, system in jobs:
         with tempfile.TemporaryDirectory() as tmp:
