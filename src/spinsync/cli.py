@@ -178,14 +178,20 @@ def _csv_text(rc: RunConfig, kind: str, columns, values: np.ndarray, *axes) -> s
 
     Rows are (axis..., value...) in row-major order, one value or one row
     of values per label row, each value "%.17g" as in _format_number.  Each
-    axis value is formatted once and enters as a %s argument, so a '%' in
-    it is never read as a format code.
+    axis value is formatted once and joined into the %-template: a row
+    template per label of the last axis, joined once per combination of
+    the leading labels.  _format_number writes only digits, sign, '.',
+    'e', 'inf', 'nan', 'true' or 'false', so a label holds no '%' and the
+    values are the template's only arguments.  Column names stay in the
+    header, outside the template.
     """
-    labels = [[_format_number(x) for x in axis] for axis in axes]
-    keys = list(map(",".join, itertools.product(*labels)))
-    table = values.reshape(len(keys), -1)
-    cells = itertools.chain.from_iterable(zip(keys, *table.T.tolist()))
-    body = (("%s" + ",%.17g" * table.shape[1] + "\n") * len(keys)) % tuple(cells)
+    *lead, last = [[_format_number(x) for x in axis] for axis in axes]
+    width = values.size // len(last) // math.prod(map(len, lead))
+    row = ["", *(label + ",%.17g" * width + "\n" for label in last)]
+    prefixes = (",".join((*labels, "")) for labels in itertools.product(*lead))
+    body = "".join(prefix.join(row) for prefix in prefixes) % tuple(
+        values.ravel().tolist()
+    )
     blob = dumps_json(resolved_config_dict(rc), indent=None)
     return f"# spinsync {kind}\n# config {blob}\n{','.join(columns)}\n{body}"
 

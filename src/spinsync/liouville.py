@@ -663,11 +663,12 @@ def _pole_form(terms: AffineLiouvillian, omegas, detunings) -> tuple:
             k = np.linalg.solve(aug[..., :7], rhs)
             poles, v = np.linalg.eig(k[..., :7])  # of A_0^-1 D; k[..., 7] is y(0)
             w = np.linalg.solve(v, k[..., 7:]).swapaxes(-1, -2)
+            del aug, rhs, k  # the row solves' stacks go before the grid's
             y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
             y += 1.0
             np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
             x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
-            del y
+            del y, poles, v, w
             r = x @ order_zero.base.T  # G_0 x, term by term
             r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
             r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)

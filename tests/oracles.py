@@ -36,8 +36,10 @@ Matrices are in rad/s unless stated otherwise.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 from math import tau
 
@@ -499,15 +501,35 @@ STEADY_TEST_SYSTEMS = {
     "default": {}, "J217": {"j_coupling_hz": 217.0}, "T1P7": {"t1_p_s": 7.0}
 }
 
-# Traced peaks of the default tongue as measured (traced_peak in
-# tests/test_experiments.py), kept as fixed counts: a bound read from a
-# comparator at run time would move with the engine it runs.  The
-# propagated bound is the real row loop's, which summed each row's 16x16
-# real generators from the terms, with the two blocks on the diagonal, and
-# ran the engine's _propagate on the row's block views (t = 100 s).  The
-# steady bound is the pole form's own peak (liouville._steady_rows) when
-# the tongue entry, liouville._tongue, took it over; the per-cell row loop
-# it replaced peaked at 648,400 B.
+
+def traced_peak(call) -> int:
+    """The traced peak memory of a second call (shared terms and lazy
+    imports outside).  One full collection first, then none until the
+    traced call returns: a collection between the two calls empties
+    NumPy's and CPython's free lists, and the traced call would count
+    their refill (1,240 B more on the steady tongue)."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+
+
+# Traced peaks of the default tongue as measured (traced_peak), kept as
+# fixed counts: a bound read from a comparator at run time would move with
+# the engine it runs.  The propagated bound is the real row loop's, which
+# summed each row's 16x16 real generators from the terms, with the two
+# blocks on the diagonal, and ran the engine's _propagate on the row's
+# block views (t = 100 s).  The steady bound is the pole form's own peak
+# (liouville._steady_rows) when the tongue entry, liouville._tongue, took
+# it over; the per-cell row loop it replaced peaked at 648,400 B.
 PROPAGATED_ROW_LOOP_PEAK_BYTES = 337_960
 STEADY_POLE_FORM_PEAK_BYTES = 299_864
 

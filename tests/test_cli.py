@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, serialization, exit codes."""
 
 import inspect
+import itertools
 import json
 import math
 import re
@@ -867,6 +868,43 @@ def test_grid_writer_formats_axis_values_only(monkeypatch):
     )
     write_grid_csv(grid, rc)
     assert 0 < len(calls) <= 64 + 128 + len(resolved_config_dict(rc))
+
+
+def key_cell_csv_text(rc, kind, columns, values, *axes) -> str:
+    """The key/cell route the row templates replaced: one "theta,phi" key
+    string per row, zipped with the values into the %s arguments."""
+    labels = [[cli._format_number(x) for x in axis] for axis in axes]
+    keys = list(map(",".join, itertools.product(*labels)))
+    table = values.reshape(len(keys), -1)
+    cells = itertools.chain.from_iterable(zip(keys, *table.T.tolist()))
+    body = (("%s" + ",%.17g" * table.shape[1] + "\n") * len(keys)) % tuple(cells)
+    blob = dumps_json(resolved_config_dict(rc), indent=None)
+    return f"# spinsync {kind}\n# config {blob}\n{','.join(columns)}\n{body}"
+
+
+def test_grid_writer_peak_memory_within_output_multiple(monkeypatch):
+    """On the default 64x128 steady grid the writer's traced peak stays
+    within 2.75 times the output's length L (474,128 characters, 1 B each).
+
+    The peak falls inside the %-operation.  Alive there are the text in
+    CPython's string writer, over-allocated by up to a quarter (1.25 L);
+    the template, the text with each value's 16-19 digits written as
+    "%.17g" (0.76 L); the values' tuple and its 8,192 floats, 8 + 24 B each
+    (0.55 L); and the axis labels (0.03 L).  Counting the values' list too
+    (8 B each, 0.14 L; it goes before the % runs) gives 2.73 L.  Measured:
+    2.55 L.  The key/cell route, with its 8,192 keys and a 16,384-item
+    tuple, traces 3.67 L and must fail the bound."""
+    rc = RunConfig()
+    grid = husimi_grid(
+        steady_state(build_liouvillian(rc.system, rc.drive)),
+        n_theta=rc.n_theta, n_phi=rc.n_phi,
+    )
+    text = write_grid_csv(grid, rc)
+    bound = 2.75 * len(text)
+    assert oracles.traced_peak(lambda: write_grid_csv(grid, rc)) <= bound
+    monkeypatch.setattr(cli, "_csv_text", key_cell_csv_text)
+    assert write_grid_csv(grid, rc) == text
+    assert oracles.traced_peak(lambda: write_grid_csv(grid, rc)) > bound
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -63,6 +62,7 @@ from oracles import (
     propagated_tongue_rows,
     state_visibility_bound,
     steady_tongue_rows,
+    traced_peak,
 )
 
 
@@ -894,18 +894,6 @@ def spy_on_slices(monkeypatch) -> list:
 
     monkeypatch.setattr(liouville, "_slices", spy)
     return masks
-
-
-def traced_peak(call) -> int:
-    """The traced peak memory of a second call (shared terms and lazy
-    imports outside)."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestSweepEngine:

@@ -22,7 +22,9 @@ that it ignores: ``husimi``, ``imhd-verify`` and a 2 x 3 ``arnold`` at
 path: the default ``arnold`` at 60 s (below the floor's threshold, every
 cell propagated) and at 62 s (most cells settled on the steady state),
 and the two ``FALLBACK`` systems driven for 100 s, whose weak floor
-settles none.  For each job OUT.json records the exit code, stdout with
+settles none.  Last of all, ``husimi`` off the default 64 x 128 grid: a
+steady 9 x 16 and a driven 8 x 8, whose CSVs take the row templates on
+other axes.  For each job OUT.json records the exit code, stdout with
 ``runtime=`` and the temporary directory masked, stderr, and the SHA-256 of
 each file written, the config among them.  Two checkouts wrote the same
 outputs when ``cmp`` finds their digests equal.
@@ -99,6 +101,10 @@ STEADY_DURATIONS = [  # --steady takes no duration: 0 and 1e308 are ignored
 LONG_DRIVES = [  # (argv, system): refused, mixed; and the weak floors driven
     (["arnold", "--duration", "60"], None), (["arnold", "--duration", "62"], None),
 ] + [([FALLBACK[0], *FALLBACK[2:]], system) for system in FALLBACK_SYSTEMS]
+SMALL_GRIDS = [  # Husimi CSVs off the default grid, steady and driven
+    ["husimi", "--steady", "--n-theta", "9", "--n-phi", "16"],
+    ["husimi", "--n-theta", "8", "--n-phi", "8"],
+]
 
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
@@ -146,7 +152,7 @@ def digest(src: Path) -> list[dict]:
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in SLICE_EDGES
     ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in STEADY_DURATIONS] + [
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in LONG_DRIVES
-    ]
+    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in SMALL_GRIDS]
     records = []
     for argv, system in jobs:
         with tempfile.TemporaryDirectory() as tmp:
