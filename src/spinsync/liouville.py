@@ -16,11 +16,11 @@ both blocks) or solved for (``_steady_signal``) as the deviation from
 tr(rho) I/4 with rho11 eliminated, so the trace is exact.  Callers take two
 entries on a configured system, each steady at t = None and else driven
 from the thermal state for t: ``_state``, density matrices, and
-``_tongue``, |rho42| over an Arnold tongue's grid, from steady rows in pole
-form (``_steady_rows``) or driven ``_slices`` of the flat grid, with no
-16x16 generator and no density matrix per cell.  A driven tongue takes the
-steady value of each cell that the floor, a contraction rate, proves
-within half an ulp of it (``_settled``), and propagates only the rest.
+``_tongue``, |rho42| over an Arnold tongue's grid, with no 16x16 generator
+and no density matrix per cell: one pole-form pass over its rows
+(``_pole_form``) keeps each cell it certifies, a driven one only where the
+floor, a contraction rate, proves it within half an ulp (``_contracted``),
+and leaves the rest to the single-drive kernels in ``_slices``.
 
 The steady state needs no SVD to be certified unique.  In unitarily scaled
 real coordinates M, ||M x|| >= -x^T sym(M) x for a unit x, and every
@@ -53,7 +53,7 @@ DEGENERACY_RATIO = 1e-8
 # about 16 eps ||L||_2 ||vec(rho)||, and ||vec(rho)|| <= 1 for a state.
 # Checked against ||L||_F / 4 <= ||L||_2 (rank <= 16).  A backward error,
 # it passes by over four decades on the default tongue and cannot see rho42
-# off by 1e-6 relative (_steady_rows); only the tests' 40-digit checks can.
+# off by 1e-6 relative (_pole_form); only the tests' 40-digit checks can.
 RESIDUAL_RTOL = 16 * np.finfo(float).eps
 # Cells per stack of the propagated tongue and of the steady cells the pole
 # form leaves: a multiple of 8 whose traced peak stays within the recorded
@@ -502,7 +502,8 @@ def _decay_spectra(g0: np.ndarray, b: np.ndarray) -> tuple:
     h0 = _TRACELESS.T @ h0 @ _TRACELESS
     hb = -0.5 * (b + b.swapaxes(-1, -2))
     e0, eb = np.linalg.eigvalsh(h0), np.linalg.eigvalsh(hb)
-    frobenius = np.sqrt((h0 * h0).sum(axis=(-2, -1)) + (hb * hb).sum(axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # inf makes the floor non-finite: refused
+        frobenius = np.sqrt((h0 * h0).sum(axis=(-2, -1)) + (hb * hb).sum(axis=(-2, -1)))
     least = np.stack([e0[..., 0], eb[..., 0]], axis=-1)
     spread = np.maximum(np.abs(e0).max(axis=-1), np.abs(eb).max(axis=-1))
     return least, spread, frobenius
@@ -551,7 +552,7 @@ def _steady_signal(g0: np.ndarray, b: np.ndarray, floor, cells=None) -> tuple:
         return cell, note
 
     norm = _frobenius(g0, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 fails below
+    with np.errstate(all="ignore"):  # 0 / 0 and overflows fail below
         ratio = floor / norm
         if not np.all(ratio >= DEGENERACY_RATIO):  # NaN is weak too
             if not np.isfinite(norm).all():
@@ -618,18 +619,6 @@ def _slices(shape, todo=None):
         yield np.divmod(np.arange(start, min(start + stack, size))[keep], shape[1])
 
 
-def _steady_rows(terms: AffineLiouvillian, omegas, detunings) -> np.ndarray:
-    """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
-    system over an amplitude x detuning grid, each cell certified as by
-    :func:`_steady_signal`: :func:`_pole_form`'s, and a cell it leaves
-    uncertified re-solved by :func:`_steady_at` in its :func:`_slices`
-    slice, so a failure names the worst cell of the first failing slice."""
-    x, sure = _pole_form(terms, omegas, detunings)
-    for i, j in _slices(sure.shape, ~sure):
-        x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
-    return x
-
-
 def _pole_form(terms: AffineLiouvillian, omegas, detunings) -> tuple:
     """The steady order-0 coordinates x (n_omega, n_delta, 8), tr = 1, of a
     system over an amplitude x detuning grid, and the mask ``sure`` of the
@@ -638,11 +627,12 @@ def _pole_form(terms: AffineLiouvillian, omegas, detunings) -> tuple:
     Lambda V^-1, y(delta) = V (I + delta Lambda)^-1 V^-1 y(0) (pole form:
     Golub & Van Loan, Matrix Computations, 7.7).  The ratio floor / ||L||_F,
     ||L||_F^2 the terms' Gram form + _GRAM_SLACK, comes before any eig; the
-    residual bound takes the form - _GRAM_SLACK.  No cell is certified if
-    any ||L||_F overflows.  The residual cannot see the signal's scale:
-    poles moved by 1e-6 leave rho42 off by 1e-6 relative and certified (1e-4
-    is the first step caught), so only the tests' 40-digit checks pin a cell
-    to STEADY_BOUND."""
+    residual bound takes the form - _GRAM_SLACK.  It never raises: no cell is
+    certified if any ||L||_F overflows (then no eig runs) or a row is exactly
+    singular.  The residual cannot see the signal's scale: poles moved by
+    1e-6 leave rho42 off by 1e-6 relative and certified (1e-4 is the first
+    step caught), so only the tests' 40-digit checks pin a cell to
+    STEADY_BOUND."""
     order_zero = terms._blocks[0]
     g0, b = (np.stack(block) for block in terms._blocks)
     gram = np.einsum("kij,ij,lij->kl", g0, _NORM_WEIGHT, g0)
@@ -656,26 +646,28 @@ def _pole_form(terms: AffineLiouvillian, omegas, detunings) -> tuple:
         slack = _GRAM_SLACK * slack**2
         ratio = terms._floor.at(omega, detunings) / np.sqrt(square + slack)
         sure = ratio >= DEGENERACY_RATIO
-        if np.isfinite(slack).all():
+        try:
+            if not np.isfinite(slack).all():  # no eig where some ||L||_F overflows
+                raise np.linalg.LinAlgError
             aug = _augmented(order_zero.at(omegas))
             rhs = -aug  # [D | -c] once D is in
             rhs[..., :7] = _augmented(order_zero.per_detuning)[:, :7]
             k = np.linalg.solve(aug[..., :7], rhs)
             poles, v = np.linalg.eig(k[..., :7])  # of A_0^-1 D; k[..., 7] is y(0)
             w = np.linalg.solve(v, k[..., 7:]).swapaxes(-1, -2)
-            del aug, rhs, k  # the row solves' stacks go before the grid's
-            y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
-            y += 1.0
-            np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
-            x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
-            del y, poles, v, w
-            r = x @ order_zero.base.T  # G_0 x, term by term
-            r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
-            r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)
-            residual = np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE_SQUARED, r))
-            sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
-        else:  # certifying none, with no eig
-            x, sure = np.zeros(sure.shape + (8,)), np.zeros_like(sure)
+        except np.linalg.LinAlgError:  # or where a row is exactly singular
+            return np.zeros(sure.shape + (8,)), np.zeros_like(sure)
+        del aug, rhs, k  # the row solves' stacks go before the grid's
+        y = np.einsum("j,ik->ijk", detunings + 0j, poles)  # no broadcast buffers
+        y += 1.0
+        np.divide(w, y, out=y)  # V^-1 y(delta), pole by pole
+        x = _from_deviation(np.matmul(y, v.swapaxes(-1, -2), out=y).real, 1.0)
+        del y, poles, v, w
+        r = x @ order_zero.base.T  # G_0 x, term by term
+        r += np.einsum("j,ijk->ijk", detunings, x @ order_zero.per_detuning.T)
+        r += np.einsum("i,ijk->ijk", omegas, x @ order_zero.per_amplitude.T)
+        residual = np.sqrt(np.einsum("...k,k,...k->...", r, _SCALE_SQUARED, r))
+        sure &= residual <= RESIDUAL_RTOL / 4 * np.sqrt(np.fmax(square - slack, 0.0))
     return x, sure
 
 
@@ -687,36 +679,46 @@ def _coherence(x: np.ndarray) -> np.ndarray:
 
 def _tongue(config, omegas, detunings, t=None) -> np.ndarray:
     """The tongue entry: |rho42| over an amplitude x detuning grid in Hz, of
-    a system's steady states (:func:`_steady_rows`) or of its thermal state
-    driven for a time t.  A driven cell takes its steady value where
-    :func:`_settled` proves the two equal to within half an ulp; the others
-    are propagated a slice at a time, each the single-drive result bit for
-    bit.  No cell can be settled unless e^(-floor t) <= U / (2 sqrt 2), U =
-    eps / 2, for the undriven floor (t > 60.12 s on the default system),
-    nor unless the thermal trace is exactly 1; else no steady solve runs."""
+    a system's steady states or of its thermal state driven for a time t.
+    A cell keeps its :func:`_pole_form` value where the pass certifies it,
+    and a driven one only where :func:`_contracted` also settles it; the
+    rest go to :func:`_steady_at` or :func:`_evolve_signal` a :func:`_slices`
+    slice at a time, each the single-drive result bit for bit.  No driven
+    cell is settled unless e^(-floor t) <= U / (2 sqrt 2), U = eps / 2, for
+    the undriven floor (t > 60.12 s on the default system) and the thermal
+    trace is exactly 1; else no pole form runs."""
     terms = build_affine_liouvillian(config)
     if t is None:
-        return _coherence(_steady_rows(terms, omegas, detunings))
-    at, u0 = terms._blocks[0].at, _real_start(thermal_state(config))[1]
-    values, todo = np.empty((omegas.size, detunings.size)), None
-    with np.errstate(all="ignore"):  # a non-finite t settles no cell
+        x, sure = _pole_form(terms, omegas, detunings)
+        for i, j in _slices(sure.shape, ~sure):
+            x[i, j] = _steady_at(terms, omegas[i], detunings[j], (i, j))
+        return _coherence(x)
+    x0, u0 = _real_start(thermal_state(config))
+    with np.errstate(all="ignore"):  # a non-finite t or cell settles nothing
         near = 4 * np.sqrt(2.0) * np.exp(-terms._floor.base * t) <= _EPS
-    if near and u0[7] == 1.0:
-        todo = ~_settled(config, omegas, detunings, t, values)
-    for i, j in _slices(values.shape, todo):  # one stack held at a time
+        if near and u0[7] == 1.0:
+            x, sure = _pole_form(terms, omegas, detunings)
+            values = _coherence(x)
+            left = ~(sure & _contracted(terms, omegas, detunings, t, x, x0, values))
+            del x
+        else:
+            values, left = np.empty((omegas.size, detunings.size)), None
+    del x0  # the slices hold only u0
+    at = terms._blocks[0].at
+    for i, j in _slices(values.shape, left):  # one stack held at a time
         values[i, j] = _coherence(_evolve_signal(at(omegas[i], detunings[j]), u0, t))
     return values
 
 
-def _settled(config, omegas, detunings, t, values) -> np.ndarray:
-    """The mask of the grid's cells whose thermal state, driven for t, has
-    |rho42| within half an ulp of the steady state's; each such cell of
-    ``values`` takes the steady value.  A cell needs :func:`_pole_form`'s
-    certificate (an uncertified cell, or every cell if a row is exactly
-    singular, is left to propagation and its errors) and 2 t (||A_0||_1 +
-    |delta| ||A_delta||_1 + |Omega| ||A_Omega||_1) finite, A the augmented
-    order-0 terms: a bound on ||A t||_1 with room 2 for its rounding, so
-    every drive and duration the propagator refuses is left to it.
+def _contracted(terms, omegas, detunings, t, x, x0, signal) -> np.ndarray:
+    """The mask of the grid's cells whose thermal state, of real coordinates
+    x0, driven for t has |rho42| within half an ulp of ``signal``, that of
+    the cell's steady order-0 coordinates x (left holding x - x0); the
+    caller keeps only the cells its pole form certifies.  A cell needs 2 t
+    (||A_0||_1 + |delta| ||A_delta||_1 + |Omega| ||A_Omega||_1) finite, A
+    the augmented order-0 terms: a bound on ||A t||_1 with room 2 for its
+    rounding, so every drive and duration the propagator refuses is left to
+    it.
 
     The certificate (Dahlquist 1958; Soederlind, BIT 46, 631, 2006): the
     floor bounds the logarithmic norm of the order-0 block on the traceless
@@ -732,23 +734,14 @@ def _settled(config, omegas, detunings, t, values) -> np.ndarray:
     x0||.  The factor 2 covers them, and the sqrt 2 is spare: the exact
     driven |rho42| is within U |rho42_ss| / 2 of the steady one, at most
     half an ulp of it."""
-    terms = build_affine_liouvillian(config)
-    try:
-        x, sure = _pole_form(terms, omegas, detunings)
-    except np.linalg.LinAlgError:  # an exactly singular row
-        return np.zeros(values.shape, dtype=bool)
     n0, nd, na = (np.abs(_augmented(a)).sum(axis=0).max() for a in terms._blocks[0])
     omega, delta = np.abs(omegas[:, None]), np.abs(detunings)
     with np.errstate(all="ignore"):  # a non-finite cell is not settled
-        signal = _coherence(x)
-        x -= _real_start(thermal_state(config))[0][:8]
+        x -= x0[:8]
         distance = np.sqrt(np.einsum("...k,k,...k->...", x, _SCALE_SQUARED, x))
-        del x
         decay = np.exp(-terms._floor.at(omega, delta) * t)
         reach = 2 * t * (n0 + delta * nd + omega * na)
-        settled = sure & np.isfinite(reach) & (4 * decay * distance <= _EPS * signal)
-    values[settled] = signal[settled]
-    return settled
+        return np.isfinite(reach) & (4 * decay * distance <= _EPS * signal)
 
 
 class SpectralReport(namedtuple("SpectralReport", "eigenvalues gap")):

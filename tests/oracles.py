@@ -527,11 +527,15 @@ def traced_peak(call) -> int:
 # the engine it runs.  The propagated bound is the real row loop's, which
 # summed each row's 16x16 real generators from the terms, with the two
 # blocks on the diagonal, and ran the engine's _propagate on the row's
-# block views (t = 100 s).  The steady bound is the pole form's own peak
-# (liouville._steady_rows) when the tongue entry, liouville._tongue, took
-# it over; the per-cell row loop it replaced peaked at 648,400 B.
+# block views (t = 100 s); it bounds the 40 s tongue, every cell propagated
+# (331,160 B).  The pole-form bound is the largest peak of the tongues that
+# run liouville._tongue's pole form pass: the steady tongue (249,688 B) and
+# the settled 100 s and 62 s ones (250,672 B each, in a fresh process; a
+# few hundred bytes less in the suite), plus 4,096 B for the free lists a
+# call may refill (1,240 B seen).  The pass traced 299,848 B before it freed
+# its solve stacks early, and the per-cell row loop before it 648,400 B.
 PROPAGATED_ROW_LOOP_PEAK_BYTES = 337_960
-STEADY_POLE_FORM_PEAK_BYTES = 299_864
+POLE_FORM_PEAK_BYTES = 250_672 + 4_096
 
 # The pole form against the single-drive solve, in U kappa_2(V) ||y||_2.
 POLE_ULPS = 28
@@ -578,6 +582,16 @@ def pole_form_bound(config, omegas, detunings) -> np.ndarray:
 # propagation (4.1e-15, BENCH_11.json).
 STEADY_BOUND = 4e-15
 PROPAGATE_BOUND = 5e-14
+# The propagator at strong drives, by duration, as shares of the maximum of
+# the strong-wide tongue at that duration: twice the worst error against
+# the 40-digit expm of high_precision_propagated_max_sync
+# (tests/test_liouville.py) over its 147 Hz and 1 kHz rows (22 cells) on
+# each of STEADY_TEST_SYSTEMS, driven from the thermal state by the state
+# entry (liouville._state).  Measured 2.21e-12 at 1 s, 3.32e-13 at 10 s and
+# 4.12e-13 at 100 s; the error follows U ||A t||_1 times the populations'
+# deviation from I / 4 until the floor damps it, so it is largest at 1 s,
+# where drives of 3.16 Hz already miss by 1.75e-12.
+STRONG_PROPAGATE_BOUND = {1.0: 4.5e-12, 10.0: 6.7e-13, 100.0: 8.3e-13}
 
 # Unit roundoff.  The bounds below take NumPy's float64 sin and cos (and
 # so exp of an imaginary argument), validated to 1 ulp, as off by 2 U.

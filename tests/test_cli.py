@@ -1029,6 +1029,42 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "t1, argv, message",
+        [
+            pytest.param(t1, argv, message, id=f"T1={t1:g} " + " ".join(argv))
+            for t1, argv, message in [
+                (1e-200, ["steady"], "generator overflows: the drive is too large"),
+                (1e-200, ["amp-sweep", "--n-omega", "5"], "generator overflows: "),
+                *((1e200, argv, "stationary subspace is degenerate; ") for argv in (
+                    ["steady"], ["husimi", "--steady"], ["amp-sweep", "--n-omega", "5"],
+                    ["arnold", "--steady", "--n-omega", "3", "--n-detuning", "3"],
+                    ["imhd-verify", "--steady"],
+                )),
+                # exactly singular tongue rows: the single-drive solve names the cell
+                (1e300, ["arnold", "--steady", "--n-omega", "3", "--n-detuning", "3"],
+                 "stationary subspace is degenerate; steady state ambiguous "
+                 "(worst cell (0, 0))\n"),
+            ]
+        ],
+    )
+    def test_extreme_relaxation_time_is_engine_error(
+        self, tmp_path, capsys, t1, argv, message
+    ):
+        """A --config with T1P = T1F = 1e-200 s overflows the generator's
+        norms, and one at 1e200 s or 1e300 s leaves the stationary subspace
+        uncertified: exit 1, one line naming the failure, no file, and no
+        RuntimeWarning (which the suite would raise out of main)."""
+        config = write_config(tmp_path, {"t1_p_s": t1, "t1_f_s": t1})
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = argv + ["--config", config, "--output", str(out / "out.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"spinsync: engine error: {message}")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, observable",
         [
             pytest.param(argv, observable, id=" ".join(argv))

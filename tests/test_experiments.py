@@ -42,17 +42,17 @@ from spinsync.liouville import (
     DEGENERACY_RATIO,
     RESIDUAL_RTOL,
     _frobenius,
+    _pole_form,
     _residual,
-    _steady_rows,
 )
 from spinsync.phasespace import HUSIMI_PREFACTOR, SYNC_COEFFICIENT
 
 from conftest import SEED
 from oracles import (
+    POLE_FORM_PEAK_BYTES,
     PROPAGATE_BOUND,
     PROPAGATED_ROW_LOOP_PEAK_BYTES,
     STEADY_BOUND,
-    STEADY_POLE_FORM_PEAK_BYTES,
     STEADY_TEST_SYSTEMS,
     TONGUE_TEST_GRIDS,
     U,
@@ -614,25 +614,25 @@ class TestTongueStacks:
             steady_state(build_liouvillian(config, drive))
 
     def test_peak_memory_within_row_loop(self, config):
-        """The stacks keep the traced peak memory of the default tongue at
-        or below that of the row loop in real coordinates, a fixed count
-        (0.331 against 0.338 MB)."""
-        assert traced_peak(lambda: run_arnold_tongue(config)) <= (
-            PROPAGATED_ROW_LOOP_PEAK_BYTES
-        )
+        """The stacks keep the traced peak memory of the 40 s tongue, whose
+        every cell is propagated, at or below that of the row loop in real
+        coordinates, a fixed count (0.331 against 0.338 MB)."""
+        peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=40.0))
+        assert peak <= PROPAGATED_ROW_LOOP_PEAK_BYTES
 
     def test_steady_peak_memory_within_pole_form_count(self, config):
-        """The steady tongue keeps its traced peak within the pole form's
-        own, a fixed count (299,864 B)."""
+        """The steady tongue keeps its traced peak within the pole form
+        pass's own, a fixed count (POLE_FORM_PEAK_BYTES)."""
         peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=None))
-        assert peak <= STEADY_POLE_FORM_PEAK_BYTES
+        assert peak <= POLE_FORM_PEAK_BYTES
 
 
 class TestSettledTongue:
-    """Past the floor's threshold a driven cell takes the steady value where
-    e^(-floor t) ||x_ss - x0|| proves the two within half an ulp
-    (liouville._settled); the rest are propagated.  The propagator stays
-    under its own checks: the row loop here, and at 40 s above."""
+    """Past the floor's threshold a driven cell takes the steady value of
+    the tongue's pole form pass where that is certified and e^(-floor t)
+    ||x_ss - x0|| proves the two within half an ulp (liouville._contracted);
+    the rest are propagated.  The propagator stays under its own checks:
+    the row loop here, and at 40 s above."""
 
     @STEADY_SYSTEMS
     @TONGUE_GRIDS
@@ -697,15 +697,18 @@ class TestSettledTongue:
         propagated = propagated_tongue_rows(config, omegas, detunings, 20.0)
         assert np.max(np.abs(values - propagated)) > 1e-7 * propagated.max()
 
-    def test_mixed_peak_memory_within_row_loop(self, config):
-        """The 62 s tongue drops the steady coordinates before its slices
-        run: its traced peak stays within the row loop's count."""
-        peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=62.0))
-        assert peak <= PROPAGATED_ROW_LOOP_PEAK_BYTES
+    @pytest.mark.parametrize("duration_s", [100.0, 62.0])
+    def test_settled_peak_memory_within_pole_form_count(self, config, duration_s):
+        """A settled tongue runs the steady tongue's pole form pass, takes its
+        values from the pass's signal and drops the steady coordinates
+        before its slices run (9 cells at 62 s): its traced peak stays
+        within the pass's count, POLE_FORM_PEAK_BYTES."""
+        peak = traced_peak(lambda: run_arnold_tongue(config, duration_s=duration_s))
+        assert peak <= POLE_FORM_PEAK_BYTES
 
 
 class TestSteadyPoleForm:
-    """The steady tongue solves each row in pole form (liouville._steady_rows),
+    """The steady tongue solves each row in pole form (liouville._pole_form),
     certifies each cell as the single-drive solve does, and leaves a cell it
     cannot certify to that solve, in the TONGUE_STACK_CELLS stack of the
     flat grid the cell falls in: a failure names the worst cell of the first
@@ -725,16 +728,15 @@ class TestSteadyPoleForm:
 
     @STEADY_SYSTEMS
     @TONGUE_GRIDS
-    def test_every_cell_certified(self, system, omegas, detunings, monkeypatch):
-        """The kernel certifies every cell, leaving none to the single-drive
-        solve, and so does a check from each cell's own summed blocks: floor
-        / ||L||_F >= DEGENERACY_RATIO and ||L vec(rho)|| <= RESIDUAL_RTOL
-        ||L||_F / 4 (worst 0.03 of it)."""
+    def test_every_cell_certified(self, system, omegas, detunings):
+        """The pole form certifies every cell, leaving none to the
+        single-drive solve, and so does a check from each cell's own summed
+        blocks: floor / ||L||_F >= DEGENERACY_RATIO and ||L vec(rho)|| <=
+        RESIDUAL_RTOL ||L||_F / 4 (worst 0.03 of it)."""
         terms = build_affine_liouvillian(SpinSystemConfig(**system))
         omegas, detunings = np.asarray(omegas, float), np.asarray(detunings, float)
-        fallback = spy_on_fallback(monkeypatch)
-        x = _steady_rows(terms, omegas, detunings)
-        assert fallback == []
+        x, sure = _pole_form(terms, omegas, detunings)
+        assert sure.all()
         g0, b = (block.at(omegas[:, None], detunings) for block in terms._blocks)
         norm = _frobenius(g0, b)
         ratio = terms._floor.at(omegas[:, None], detunings) / norm
@@ -764,6 +766,35 @@ class TestSteadyPoleForm:
         message = r"^generator overflows: the drive is too large \(worst cell "
         with pytest.raises(ValueError, match=message + cell + r"\)$"):
             run_arnold_tongue(config, omegas, detunings, duration_s=None)
+
+    def test_singular_rows_certify_no_cell(self, config, monkeypatch):
+        """At T1P = T1F = 1e300 s each row's deviation matrix is exactly
+        singular: the pole form certifies no cell, and the single-drive solve
+        raises the degeneracy, naming the worst cell of the first slice, as
+        it does at 1e200 s, where the rows still solve.  The driven tongue,
+        which no floor can settle there, propagates.  With eig failing as on
+        a singular row, both tongues come whole from their single-drive
+        kernels, equal to the per-cell solves and the row loop bit for bit."""
+        frozen = SpinSystemConfig(t1_p_s=1e300, t1_f_s=1e300)
+        omegas, detunings = log_axis(0.01, 1.0, 3), linear_axis(-3.0, 3.0, 3)
+        message = r"^stationary subspace is degenerate; steady state ambiguous"
+        message += r" \(worst cell \(0, 0\)\)$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            run_arnold_tongue(frozen, omegas, detunings, duration_s=None)
+        driven = run_arnold_tongue(frozen, omegas, detunings).values
+        assert np.isfinite(driven).all()
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        omegas, detunings = TONGUE_TEST_GRIDS["strong-wide"]
+        monkeypatch.setattr(np.linalg, "eig", singular)
+        for duration_s, expected in (
+            (None, steady_tongue_rows(config, omegas, detunings)),
+            (100.0, propagated_tongue_rows(config, omegas, detunings, 100.0)),
+        ):
+            values = run_arnold_tongue(config, omegas, detunings, duration_s).values
+            np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
     def test_weak_floor_cells_fall_back_to_the_solve(self, monkeypatch):
         """With T1P = 3e4 s the floor cannot certify the 1 kHz drives of the
@@ -863,8 +894,8 @@ class TestSteadyPoleForm:
 
 
 def spy_on_fallback(monkeypatch) -> list:
-    """The cells (i, j) of each call _steady_rows makes to the single-drive
-    solve, ``liouville._steady_at``, recorded as the calls run."""
+    """The cells (i, j) of each call the steady tongue makes to the
+    single-drive solve, ``liouville._steady_at``, recorded as the calls run."""
     calls, steady_at = [], liouville._steady_at
 
     def spy(terms, amplitude_hz, detuning_hz=0.0, cells=None):

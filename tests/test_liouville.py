@@ -22,6 +22,7 @@ from spinsync import (
     build_lv,
     devectorize,
     propagate,
+    run_amplitude_sweep,
     run_arnold_tongue,
     run_limit_cycle,
     spectral_report,
@@ -61,6 +62,7 @@ from oracles import (
     PROPAGATE_BOUND,
     STEADY_BOUND,
     STEADY_TEST_SYSTEMS,
+    STRONG_PROPAGATE_BOUND,
     TONGUE_TEST_GRIDS,
     build_reduced_rotating_hamiltonian,
     inverse_degeneracy_bound,
@@ -994,6 +996,34 @@ class TestSteadyFloor:
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
             run_limit_cycle(slow)
 
+    @pytest.mark.parametrize(
+        "t1, error, message",
+        [
+            (1e-200, ValueError, "generator overflows: the drive is too large"),
+            (1e200, np.linalg.LinAlgError,
+             "stationary subspace is degenerate; steady state ambiguous"),
+        ],
+        ids=["T1-1e-200", "T1-1e200"],
+    )
+    def test_extreme_relaxation_times_raise_without_a_warning(self, t1, error, message):
+        """At T1P = T1F = 1e-200 s the symmetric parts' Frobenius norm
+        overflows, so the floor reads non-finite and every steady route
+        raises the overflow; at 1e200 s the floor certifies nothing and the
+        block inverses' norms overflow, so the inverse bound reads 0 and
+        every route raises the degeneracy.  No RuntimeWarning comes first
+        (the suite would raise it): the steady state, the amplitude sweep
+        (the first to read the cached floor) and the steady tongue."""
+        config = SpinSystemConfig(t1_p_s=t1, t1_f_s=t1)
+        grid = [0.1, 1.0], [-1.0, 0.0, 1.0]
+        for call, cell in (
+            (lambda: steady_state(build_liouvillian(config, DriveConfig())), ""),
+            (lambda: run_amplitude_sweep(config, [0.1, 1.0]), " (worst cell (0,))"),
+            (lambda: run_arnold_tongue(config, *grid, duration_s=None),
+             " (worst cell (0, 0))"),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(message + cell)}$"):
+                call()
+
 
 @pytest.fixture(scope="module")
 def steady_tongue(config):
@@ -1147,6 +1177,35 @@ class TestPropagateOracle:
         drive = DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
         exact = high_precision_max_sync(build_liouvillian(config, drive))
         assert abs(values[i, j] - exact) <= STEADY_BOUND * values.max()
+
+    @pytest.mark.parametrize(
+        "system, cells",
+        [
+            (STEADY_TEST_SYSTEMS["default"], [(6, 9), (5, 10), (6, 1)]),
+            (STEADY_TEST_SYSTEMS["J217"], [(6, 7), (5, 10), (5, 1)]),
+            (STEADY_TEST_SYSTEMS["T1P7"], [(6, 1), (5, 10), (5, 0)]),
+        ],
+        ids=STEADY_TEST_SYSTEMS,
+    )
+    def test_strong_drives_against_high_precision_expm(self, system, cells):
+        """The state entry's driven route at 1, 10 and 100 s against a
+        40-digit expm, each at the cell of the strong-wide grid's 147 Hz and
+        1 kHz rows where it misses most (``cells``, in that order): within
+        STRONG_PROPAGATE_BOUND of the maximum of the tongue at that
+        duration.  PROPAGATE_BOUND, measured at 100 s on drives to 1 Hz,
+        does not hold here (up to 4.1e-13 at 100 s)."""
+        config = SpinSystemConfig(**system)
+        omegas, deltas = TONGUE_TEST_GRIDS["strong-wide"]
+        rho0 = thermal_state(config)
+        for (t, bound), (i, j) in zip(STRONG_PROPAGATE_BOUND.items(), cells):
+            drive = DriveConfig(amplitude_hz=omegas[i], detuning_hz=deltas[j])
+            rho = liouville._state(config, omegas[i], deltas[j], t)
+            value = SYNC_COEFFICIENT * abs(rho[0, 2])
+            exact = high_precision_propagated_max_sync(
+                build_liouvillian(config, drive), rho0, t
+            )
+            scale = run_arnold_tongue(config, omegas, deltas, duration_s=t).values.max()
+            assert abs(value - exact) <= bound * scale
 
     def test_long_time_limit_against_steady_state(self, config, driven, steady_tongue):
         """Past 1e4 s, exp(-gap t) < 1e-1000, so the exact propagated state

@@ -22,10 +22,15 @@ that it ignores: ``husimi``, ``imhd-verify`` and a 2 x 3 ``arnold`` at
 path: the default ``arnold`` at 60 s (below the floor's threshold, every
 cell propagated) and at 62 s (most cells settled on the steady state),
 and the two ``FALLBACK`` systems driven for 100 s, whose weak floor
-settles none.  Last of all, ``husimi`` off the default 64 x 128 grid: a
-steady 9 x 16 and a driven 8 x 8, whose CSVs take the row templates on
-other axes.  For each job OUT.json records the exit code, stdout with
-``runtime=`` and the temporary directory masked, stderr, and the SHA-256 of
+settles none.  Then ``husimi`` off the default 64 x 128 grid: a steady
+9 x 16 and a driven 8 x 8, whose CSVs take the row templates on other
+axes.  Last of all, the failure paths at extreme relaxation times, each
+with a ``--config`` of T1P = T1F: a 3 x 3 steady ``arnold`` at 1e300 s,
+whose rows are exactly singular; ``steady`` and a 5-point ``amp-sweep``
+at 1e-200 s, whose generator norms overflow; and the same ``amp-sweep``
+and ``arnold`` at 1e200 s, which no bound certifies.  For each job
+OUT.json records the exit code, stdout with ``runtime=`` and the
+temporary directory masked, stderr, and the SHA-256 of
 each file written, the config among them.  Two checkouts wrote the same
 outputs when ``cmp`` finds their digests equal.
 """
@@ -105,6 +110,12 @@ SMALL_GRIDS = [  # Husimi CSVs off the default grid, steady and driven
     ["husimi", "--steady", "--n-theta", "9", "--n-phi", "16"],
     ["husimi", "--n-theta", "8", "--n-phi", "8"],
 ]
+SMALL_TONGUE = ["arnold", "--steady", "--n-omega", "3", "--n-detuning", "3"]
+SMALL_SWEEP = ["amp-sweep", "--n-omega", "5"]
+EXTREME_T1 = [  # (argv, T1P = T1F): singular rows; overflowing; degenerate
+    (SMALL_TONGUE, 1e300), (["steady"], 1e-200), (SMALL_SWEEP, 1e-200),
+    (SMALL_SWEEP, 1e200), (SMALL_TONGUE, 1e200),
+]
 
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
@@ -152,7 +163,11 @@ def digest(src: Path) -> list[dict]:
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in SLICE_EDGES
     ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in STEADY_DURATIONS] + [
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in LONG_DRIVES
-    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in SMALL_GRIDS]
+    ] + [(argv + ["--output", f"{TMP}/out.csv"], None) for argv in SMALL_GRIDS] + [
+        (argv + ["--config", f"{TMP}/system.json", "--output", f"{TMP}/out.csv"],
+         {"t1_p_s": t1, "t1_f_s": t1})
+        for argv, t1 in EXTREME_T1
+    ]
     records = []
     for argv, system in jobs:
         with tempfile.TemporaryDirectory() as tmp:
