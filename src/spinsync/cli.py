@@ -173,27 +173,74 @@ def dumps_json(obj, indent: int | None = 0) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + tail
 
 
+_BLOCK_ROWS = 8  # leading-label rows per %-operation
+
+
+def _value_slot(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """The %-slot of every value and its arguments, writing what "%.17g" does.
+
+    If all values lie in one decade [10^X, 10^(X+1)) with -4 <= X <= -1,
+    "%.17g" writes each value x as "0.", -X-1 zeros and its 17 digits: the
+    integer D = x*10^k rounded half to even, k = 16 - X, trailing zeros
+    stripped.  10^k is an exact double (k <= 22), and Dekker's TwoProduct
+    with Veltkamp's split (Numer. Math. 18, 224, 1971) gives the exact
+    x*10^k = p + e with p = fl(x*10^k).  p >= 10^16 > 2^53 is an even
+    integer, so D = p + rint(e), rint rounding a tie to even as dtoa does.
+    The decade is decided on the exact rationals of the least and the
+    greatest value (x*10^k is monotone in x): the least product must be
+    at least 10^16 and the greatest must round below 10^17.  Otherwise
+    (two decades, one outside -4..-1, NaN, inf, 0, a subnormal, or
+    log10(min) rounded across a power of ten) the slot stays "%.17g" on
+    the floats themselves.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    if 1e-4 <= lo and hi < 1.0:
+        x = math.floor(math.log10(lo))
+        scale = 10 ** (16 - x)
+        (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if n_lo * scale >= 10**16 * d_lo and 2 * n_hi * scale < (2 * 10**17 - 1) * d_hi:
+            c = float(scale)
+            c_hi = 134217729.0 * c - (134217729.0 * c - c)  # 2^27 + 1
+            c_lo = c - c_hi
+            t = 134217729.0 * values
+            v_hi = t - (t - values)
+            v_lo = values - v_hi
+            p = values * c
+            e = ((v_hi * c_hi - p) + v_hi * c_lo + v_lo * c_hi) + v_lo * c_lo
+            digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+            while (tens := digits % 10 == 0).any():
+                digits[tens] //= 10
+            return ",0." + "0" * (-x - 1) + "%d", digits
+    return ",%.17g", values
+
+
 def _csv_text(rc: RunConfig, kind: str, columns, values: np.ndarray, *axes) -> str:
-    """CSV under the reproducibility header, the body in one %-operation.
+    """CSV under the reproducibility header, the body %-formatted in blocks.
 
     Rows are (axis..., value...) in row-major order, one value or one row
-    of values per label row, each value "%.17g" as in _format_number.  Each
-    axis value is formatted once and joined into the %-template: a row
-    template per label of the last axis, joined once per combination of
-    the leading labels.  _format_number writes only digits, sign, '.',
-    'e', 'inf', 'nan', 'true' or 'false', so a label holds no '%' and the
-    values are the template's only arguments.  Column names stay in the
-    header, outside the template.
+    of values per label row, each value written as "%.17g" writes it
+    (_value_slot).  Each axis value is formatted once and joined into the
+    %-templates: a row template per label of the last axis, joined once
+    per combination of the leading labels, _BLOCK_ROWS combinations to a
+    template and its %-operation.  _format_number writes only digits,
+    sign, '.', 'e', 'inf', 'nan', 'true' or 'false', so a label holds no
+    '%' and the values are the templates' only arguments.  Column names
+    stay in the header, outside the templates.
     """
     *lead, last = [[_format_number(x) for x in axis] for axis in axes]
-    width = values.size // len(last) // math.prod(map(len, lead))
-    row = ["", *(label + ",%.17g" * width + "\n" for label in last)]
-    prefixes = (",".join((*labels, "")) for labels in itertools.product(*lead))
-    body = "".join(prefix.join(row) for prefix in prefixes) % tuple(
-        values.ravel().tolist()
-    )
+    slot, args = _value_slot(values.ravel())
+    prefixes = [",".join((*labels, "")) for labels in itertools.product(*lead)]
+    per_prefix = args.size // len(prefixes)
+    row = ["", *(label + slot * (per_prefix // len(last)) + "\n" for label in last)]
     blob = dumps_json(resolved_config_dict(rc), indent=None)
-    return f"# spinsync {kind}\n# config {blob}\n{','.join(columns)}\n{body}"
+    pieces = [f"# spinsync {kind}\n# config {blob}\n{','.join(columns)}\n"]
+    for start in range(0, len(prefixes), _BLOCK_ROWS):
+        block = prefixes[start : start + _BLOCK_ROWS]
+        pieces.append("".join(prefix.join(row) for prefix in block) % tuple(
+            args[start * per_prefix : (start + _BLOCK_ROWS) * per_prefix].tolist()
+        ))
+    del args  # the integer slot's digits go before the join
+    return "".join(pieces)
 
 
 def _report(kind: str, rc: RunConfig, **entries) -> str:

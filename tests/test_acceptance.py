@@ -6,8 +6,10 @@ pytest capture, so a plain ``pytest -v`` run shows the scorecard.
 
 Criterion 4 is knowingly red: its resonance-maximality clause does not
 hold for this model once the drive saturates the transition (strong-drive
-rows develop symmetric side maxima at |detuning| of roughly 0.9 times the
-amplitude, with a local minimum on resonance).  The test asserts the
+rows develop symmetric side maxima, with a local minimum on resonance;
+on fine steady grids the side maxima sit at |detuning| = 0.593, 0.706,
+0.860 and 0.8660 times the amplitude at amplitudes of 0.1585, 0.1995, 1
+and 10 Hz, tending to sqrt(3)/2 as the drive grows).  The test asserts the
 stated clause anyway and reports the model's actual behavior in its
 detail line rather than weakening the check to make it pass.
 """

@@ -849,6 +849,110 @@ class TestCsvWriterBytes:
         assert write_series_csv(points, rc) == oracles.series_csv(points, rc)
 
 
+INTEGER_SLOTS = {x: ",0." + "0" * (-x - 1) + "%d" for x in range(-4, 0)}
+
+
+class TestValueSlot:
+    """The integer slot writes the bytes of the per-value "%.17g" writer of
+    tests/oracles.py, and only one-decade grids in 10^-4 .. 1 take it.  The
+    17 x 8 grids span three %-blocks, the last of one theta row."""
+
+    @staticmethod
+    def grid_slot(values) -> str:
+        """Write ``values`` as a 17 x 8 grid, check its bytes, return its slot."""
+        grid = HusimiGrid(
+            thetas=np.linspace(0.0, np.pi, 17),
+            phis=np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False),
+            values=np.asarray(values, dtype=float).reshape(17, 8),
+        )
+        rc = RunConfig(n_theta=17, n_phi=8)
+        assert write_grid_csv(grid, rc) == oracles.grid_csv(grid, rc)
+        return cli._value_slot(grid.values.ravel())[0]
+
+    @staticmethod
+    def decade(rng, x, *placed) -> np.ndarray:
+        """17 x 8 values uniform over [10^x, 10^(x+1)), ``placed`` at random
+        cells."""
+        values = rng.uniform(10.0**x, 10.0 ** (x + 1), 17 * 8)
+        values[rng.choice(values.size, len(placed), replace=False)] = placed
+        return values
+
+    @pytest.mark.parametrize("x", range(-5, 1))
+    def test_one_decade(self, rng, x):
+        slot = self.grid_slot(self.decade(rng, x))
+        assert slot == INTEGER_SLOTS.get(x, ",%.17g")
+
+    @pytest.mark.parametrize("x", range(-5, 1))
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_powers_of_ten_give_or_take_ulps(self, rng, x, ulps):
+        """10^x moved by ``ulps`` ulps and 10^(x+1) by ``ulps`` - 1, each in a
+        grid of decade x: a value below 10^x has an exact product below
+        10^16 even where fl(p) rounds up to it (0.1 - 1 ulp)."""
+
+        def moved(value, ulps):
+            for _ in range(abs(ulps)):
+                value = np.nextafter(value, math.copysign(math.inf, ulps))
+            return value
+
+        low, high = moved(10.0**x, ulps), moved(10.0 ** (x + 1), ulps - 1)
+        for edge, inside in ((low, ulps >= 0), (high, ulps <= 0)):
+            slot = self.grid_slot(self.decade(rng, x, edge))
+            assert slot == (INTEGER_SLOTS.get(x, ",%.17g") if inside else ",%.17g")
+
+    @pytest.mark.parametrize("x", range(-4, 0))
+    def test_exact_ties_round_to_even(self, rng, x):
+        """m / 2^(17-x) with m odd: x*10^(16-x) = m*5^(16-x)/2, halfway
+        between two integers."""
+        scale = 2.0 ** (17 - x)
+        m = rng.integers(math.ceil(10.0**x * scale), 10.0 ** (x + 1) * scale, 17 * 8)
+        assert self.grid_slot((m | 1) / scale) == INTEGER_SLOTS[x]
+
+    @pytest.mark.parametrize(
+        "x, short",
+        [
+            (-1, (0.5, 0.25, 0.125, 0.2, 0.75, 0.1, 0.9)),
+            (-2, (0.0625, 0.03125, 0.015625, 0.05, 0.01)),
+            (-3, (0.001953125, 0.005, 0.001)),
+            (-4, (0.0009765625, 0.00048828125, 0.0001220703125, 0.0005)),
+        ],
+    )
+    def test_digits_ending_in_zeros(self, rng, x, short):
+        slot = self.grid_slot(self.decade(rng, x, *short))
+        assert slot == INTEGER_SLOTS[x]
+
+    @pytest.mark.parametrize("x", range(-5, 0))
+    def test_two_decades(self, rng, x):
+        values = rng.uniform(10.0**x, 10.0 ** (x + 2), 17 * 8)
+        assert self.grid_slot(values) == ",%.17g"
+
+    @pytest.mark.parametrize(
+        "special", [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -0.25]
+    )
+    @pytest.mark.parametrize("x", [-4, -1])
+    def test_special_values(self, rng, special, x):
+        slot = self.grid_slot(self.decade(rng, x, special))
+        assert slot == ",%.17g"
+
+    def test_default_grid_takes_the_integer_slot_and_tongue_does_not(
+        self, monkeypatch, tmp_path
+    ):
+        """A silent fallback would keep the bytes and lose the speed: the
+        default steady Husimi grid (Q about 0.1935) takes the integer slot,
+        the default tongue (values 8.3e-11 to 1.4e-8) "%.17g"."""
+        slots = []
+        value_slot = cli._value_slot
+
+        def spied(values):
+            slot, args = value_slot(values)
+            slots.append(slot)
+            return slot, args
+
+        monkeypatch.setattr(cli, "_value_slot", spied)
+        for command in (["husimi", "--steady"], ["arnold"]):
+            assert main(command + ["--output", str(tmp_path / "out.csv")]) == 0
+        assert slots == [INTEGER_SLOTS[-1], ",%.17g"]
+
+
 def test_grid_writer_formats_axis_values_only(monkeypatch):
     """Per-cell formatting must not return: on 64x128 the grid writer calls
     _format_number once per axis value, plus once per number of the
@@ -884,23 +988,24 @@ def key_cell_csv_text(rc, kind, columns, values, *axes) -> str:
 
 def test_grid_writer_peak_memory_within_output_multiple(monkeypatch):
     """On the default 64x128 steady grid the writer's traced peak stays
-    within 2.75 times the output's length L (474,128 characters, 1 B each).
+    within 2.3 times the output's length L (474,128 characters, 1 B each).
 
-    The peak falls inside the %-operation.  Alive there are the text in
-    CPython's string writer, over-allocated by up to a quarter (1.25 L);
-    the template, the text with each value's 16-19 digits written as
-    "%.17g" (0.76 L); the values' tuple and its 8,192 floats, 8 + 24 B each
-    (0.55 L); and the axis labels (0.03 L).  Counting the values' list too
-    (8 B each, 0.14 L; it goes before the % runs) gives 2.73 L.  Measured:
-    2.55 L.  The key/cell route, with its 8,192 keys and a 16,384-item
-    tuple, traces 3.67 L and must fail the bound."""
+    The peak falls in the final join.  Alive there are the pieces, header
+    and eight blocks (L), the joined text (L), and the axis labels, the
+    leading-label prefixes and the row templates (0.06 L); the integer
+    slot's digits (8 B each, 0.14 L) go before the join.  Counting as if
+    they lived on one block's template (1,024 rows, 0.09 L), its tuple of
+    1,024 ints, 8 + 32 B each (0.09 L), and the list it came from (0.02 L)
+    gives 2.26 L.  Measured: 2.07 L.  The one-%-operation route traces
+    2.55 L, and the key/cell route, with its 8,192 keys and a 16,384-item
+    tuple, 3.67 L; the latter must fail the bound."""
     rc = RunConfig()
     grid = husimi_grid(
         steady_state(build_liouvillian(rc.system, rc.drive)),
         n_theta=rc.n_theta, n_phi=rc.n_phi,
     )
     text = write_grid_csv(grid, rc)
-    bound = 2.75 * len(text)
+    bound = 2.3 * len(text)
     assert oracles.traced_peak(lambda: write_grid_csv(grid, rc)) <= bound
     monkeypatch.setattr(cli, "_csv_text", key_cell_csv_text)
     assert write_grid_csv(grid, rc) == text

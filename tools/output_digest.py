@@ -28,7 +28,11 @@ axes.  Last of all, the failure paths at extreme relaxation times, each
 with a ``--config`` of T1P = T1F: a 3 x 3 steady ``arnold`` at 1e300 s,
 whose rows are exactly singular; ``steady`` and a 5-point ``amp-sweep``
 at 1e-200 s, whose generator norms overflow; and the same ``amp-sweep``
-and ``arnold`` at 1e200 s, which no bound certifies.  For each job
+and ``arnold`` at 1e200 s, which no bound certifies.  Then the edges of
+the CSV writer's integer slot: a steady 65 x 9 ``husimi``, whose last
+%-block holds one theta row, and the default steady grid at purity
+factors (0.099, 0.099) and (0.099, 0), Q from 0.13 to 0.18 and from
+0.16 to 0.22.  For each job
 OUT.json records the exit code, stdout with ``runtime=`` and the
 temporary directory masked, stderr, and the SHA-256 of
 each file written, the config among them.  Two checkouts wrote the same
@@ -116,6 +120,13 @@ EXTREME_T1 = [  # (argv, T1P = T1F): singular rows; overflowing; degenerate
     (SMALL_TONGUE, 1e300), (["steady"], 1e-200), (SMALL_SWEEP, 1e-200),
     (SMALL_SWEEP, 1e200), (SMALL_TONGUE, 1e200),
 ]
+WRITER_EDGES = [  # (argv, system): a partial last %-block; wider Q spreads
+    (["husimi", "--steady", "--n-theta", "65", "--n-phi", "9"], None),
+    (["husimi", "--steady", "--config", f"{TMP}/system.json"],
+     {"epsilon_p": 0.099, "epsilon_f": 0.099}),
+    (["husimi", "--steady", "--config", f"{TMP}/system.json"],
+     {"epsilon_p": 0.099, "epsilon_f": 0.0}),
+]
 
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
@@ -167,6 +178,8 @@ def digest(src: Path) -> list[dict]:
         (argv + ["--config", f"{TMP}/system.json", "--output", f"{TMP}/out.csv"],
          {"t1_p_s": t1, "t1_f_s": t1})
         for argv, t1 in EXTREME_T1
+    ] + [
+        (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in WRITER_EDGES
     ]
     records = []
     for argv, system in jobs:
