@@ -44,15 +44,13 @@ from .experiments import (
 )
 from .imhd import VARIANTS, deviation_bound, imhd_scan
 from .phasespace import HusimiGrid, husimi_grid, state_visibility, sync_measure_max
-from .system import ConfigError, DriveConfig, SpinSystemConfig, _checked_make
+from .system import (
+    BASIS_DESCRIPTION, ConfigError, DriveConfig, SpinSystemConfig, _checked_make,
+)
 
 _SYSTEM_KEYS = SpinSystemConfig._fields
 _DRIVE_KEYS = DriveConfig._fields
 _INT_KEYS = ("n_theta", "n_phi", "seed")
-
-BASIS_DESCRIPTION = (
-    "|4>=(mP=-1/2,mF=-1/2) |3>=(-1/2,+1/2) |2>=(+1/2,-1/2) |1>=(+1/2,+1/2)"
-)
 
 
 class RunConfig(namedtuple("RunConfig", "system drive n_theta n_phi seed")):

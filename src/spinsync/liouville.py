@@ -39,10 +39,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dissipation import JumpOperator, build_jump_operators
-from .hamiltonians import detuning_term, drive_term, rotating_drift
 from .system import (
-    LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig, _worst_cell, thermal_state,
+    LEVEL_LABELS, LEVELS, DriveConfig, JumpOperator, SpinSystemConfig, _worst_cell,
+    build_jump_operators, detuning_term, drive_term, rotating_drift, thermal_state,
 )
 
 # Ratio of second-smallest to largest singular value below which the

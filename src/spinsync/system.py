@@ -1,15 +1,27 @@
-"""Two-spin system definition: configuration, operators, thermal state.
+"""The two-spin model: configuration, operators, Hamiltonian terms,
+relaxation and the thermal state it restores.
 
 The model is a heteronuclear spin-1/2 pair (labelled P and F) in a strong
 static field, described in the product basis ordered by decreasing energy
 of the lab-frame Hamiltonian.  All frequencies in configuration objects are
 plain Hz; operator-valued functions return matrices in rad/s.
+
+In the frame rotating with both transmitter carriers only the offsets, the
+scalar coupling, the detuning and the drive survive; the generator is built
+from three terms: the drift at zero detuning, the detuning term and the
+static drive term.  Each spin exchanges quanta with its own bath; the
+partner spin is a spectator, so every allowed transition flips exactly one
+spin while the other keeps its orientation.  One rule,
+``_orientation_weight``, weights a spin's orientation in the thermal
+populations and in the rates of the jumps into it, so the jumps balance the
+thermal state in detail.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +50,10 @@ LEVELS = (
     (-0.5, +0.5),  # |3>
     (+0.5, -0.5),  # |2>  P-flip partner of |4>
     (+0.5, +0.5),  # |1>  lowest energy
+)
+# LEVEL_LABELS and LEVELS in index order, as output metadata states the basis.
+BASIS_DESCRIPTION = (
+    "|4>=(mP=-1/2,mF=-1/2) |3>=(-1/2,+1/2) |2>=(+1/2,-1/2) |1>=(+1/2,+1/2)"
 )
 
 _SINGLE_SPIN = {
@@ -205,6 +221,34 @@ class DriveConfig(namedtuple("DriveConfig", "amplitude_hz detuning_hz duration_s
         return super().__new__(cls, amplitude_hz, detuning_hz, duration_s)
 
 
+def detuning_term(detuning_hz: float) -> np.ndarray:
+    """Drive detuning as a P offset shift, -2pi delta Iz^P (rad/s).
+
+    The detuning shifts the P carrier, so it adds to offset_p.
+    """
+    return -math.tau * detuning_hz * spin_operator("P", "z")
+
+
+def rotating_drift(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:
+    """Drift part of the doubly-rotating-frame Hamiltonian (rad/s).
+
+    At offset_p = -J/2 and zero detuning the |2><->|4> transition has
+    zero frequency in this frame.
+    """
+    return (
+        -math.tau * config.offset_p_hz * spin_operator("P", "z")
+        - math.tau * config.offset_f_hz * spin_operator("F", "z")
+        + math.tau * config.j_coupling_hz
+        * spin_operator("P", "z") @ spin_operator("F", "z")
+        + detuning_term(drive.detuning_hz)
+    )
+
+
+def drive_term(drive: DriveConfig) -> np.ndarray:
+    """Static drive Hamiltonian 2pi Omega Iy^P in the rotating frame."""
+    return math.tau * drive.amplitude_hz * spin_operator("P", "y")
+
+
 def fermionic_probabilities(epsilon: float) -> tuple[float, float]:
     """Boltzmann weights (p_plus, p_minus) of one spin's m = -1/2 and
     m = +1/2 states, which are also its bath occupations.
@@ -219,6 +263,14 @@ def fermionic_probabilities(epsilon: float) -> tuple[float, float]:
     return p_plus, 1.0 - p_plus
 
 
+def _orientation_weight(epsilon: float, m: float) -> float:
+    """Boltzmann weight of one spin at orientation m: p_plus for the upper
+    level m = -1/2, p_minus for m = +1/2.  It is the spin's factor in a
+    level's thermal population and the rate weight of a jump of that spin
+    into m."""
+    return fermionic_probabilities(epsilon)[0 if m < 0 else 1]
+
+
 def thermal_state(config: SpinSystemConfig) -> np.ndarray:
     """Equilibrium density matrix of the undriven pair.
 
@@ -228,13 +280,62 @@ def thermal_state(config: SpinSystemConfig) -> np.ndarray:
     form 1/4 + epsilon_P I_z^P + epsilon_F I_z^F to O(epsilon^2).
     Lower-energy states are more populated.
     """
-    wp = fermionic_probabilities(config.epsilon_p)
-    wf = fermionic_probabilities(config.epsilon_f)
     pops = [
-        wp[0 if mp < 0 else 1] * wf[0 if mf < 0 else 1]
+        _orientation_weight(config.epsilon_p, mp)
+        * _orientation_weight(config.epsilon_f, mf)
         for mp, mf in LEVELS
     ]
     return np.diag(np.asarray(pops, dtype=complex))
+
+
+def transition_rate(t1_s: float) -> float:
+    """Base rate g = 2 pi / T1 in rad/s."""
+    if t1_s <= 0.0:
+        raise ValueError("T1 must be positive")
+    return 2.0 * math.pi / t1_s
+
+
+class JumpOperator(
+    namedtuple("JumpOperator", "matrix species direction source target")
+):
+    """One weighted transition |target><source| in the four-level basis.
+
+    ``species`` is "P" or "F", ``direction`` "up" (energy-gaining) or
+    "down", and ``source`` and ``target`` are level labels 1..4.
+    """
+
+    __slots__ = ()
+
+
+def build_jump_operators(config: SpinSystemConfig) -> list[JumpOperator]:
+    """All eight single-quantum jump operators for the configured system.
+
+    Weights are sqrt(g * p) with g = 2 pi / T1 of the flipping spin and p
+    the fermionic probability for the jump direction.  Upward means the
+    flipping spin moves from m = +1/2 to m = -1/2 (its higher-energy
+    orientation for the positive gyromagnetic ratios used here).
+    """
+    ops = []
+    for species, slot, t1_s, epsilon in (
+        ("P", 0, config.t1_p_s, config.epsilon_p),
+        ("F", 1, config.t1_f_s, config.epsilon_f),
+    ):
+        g = transition_rate(t1_s)
+        # pairs of levels in energy order; a spin flip keeps the spectator
+        for upper, lower in combinations(range(4), 2):
+            if LEVELS[upper][1 - slot] != LEVELS[lower][1 - slot]:
+                continue
+            for direction, source, target in (
+                ("up", lower, upper), ("down", upper, lower),
+            ):
+                m = np.zeros((4, 4), dtype=complex)
+                m[target, source] = math.sqrt(
+                    g * _orientation_weight(epsilon, LEVELS[target][slot])
+                )
+                ops.append(JumpOperator(
+                    m, species, direction, LEVEL_LABELS[source], LEVEL_LABELS[target]
+                ))
+    return ops
 
 
 def _worst_cell(severity: np.ndarray) -> tuple[tuple[int, ...], str]:

@@ -18,6 +18,8 @@ from spinsync import (
 )
 from spinsync.system import LEVEL_LABELS, LEVELS
 
+from oracles import STEADY_TEST_SYSTEMS
+
 
 class TestFermionicProbabilities:
     def test_infinite_temperature(self):
@@ -68,7 +70,42 @@ def escape_rates(ops):
     return np.diag(total).real
 
 
+# (species, direction, source, target) of every jump, in builder order.
+JUMPS = [
+    ("P", "up", 2, 4), ("P", "down", 4, 2), ("P", "up", 1, 3), ("P", "down", 3, 1),
+    ("F", "up", 3, 4), ("F", "down", 4, 3), ("F", "up", 1, 2), ("F", "down", 2, 1),
+]
+
+
 class TestJumpOperators:
+    @pytest.mark.parametrize(
+        "system",
+        [{}, {"t1_p_s": 5.0, "t1_f_s": 20.0, "epsilon_p": 0.01, "epsilon_f": 0.03}],
+        ids=["default", "asymmetric"],
+    )
+    def test_jump_list_is_pinned(self, system):
+        """Exactly the eight jumps of JUMPS, in that order, each a single
+        entry |target><source| of weight sqrt(2 pi p / T1), p the flipping
+        spin's weight for its target orientation: p_plus going up to
+        m = -1/2, p_minus going down.  build_l0 sums the dissipators in list
+        order, and so does the kron oracle, so only this test sees a
+        reorder, which moves every output's last bits."""
+        cfg = SpinSystemConfig(**system)
+        ops = build_jump_operators(cfg)
+        assert [(op.species, op.direction, op.source, op.target) for op in ops] == JUMPS
+        t1 = {"P": cfg.t1_p_s, "F": cfg.t1_f_s}
+        probs = {
+            "P": fermionic_probabilities(cfg.epsilon_p),
+            "F": fermionic_probabilities(cfg.epsilon_f),
+        }
+        for op in ops:
+            p = probs[op.species][0 if op.direction == "up" else 1]
+            expected = np.zeros((4, 4), dtype=complex)
+            expected[LEVEL_LABELS.index(op.target), LEVEL_LABELS.index(op.source)] = (
+                math.sqrt(2.0 * math.pi / t1[op.species] * p)
+            )
+            assert op.matrix.tobytes() == expected.tobytes()
+
     def test_count_and_sparsity(self, config):
         ops = build_jump_operators(config)
         assert len(ops) == 8
@@ -148,7 +185,16 @@ class TestDetailedBalance:
             p_up, p_down = probs[op.species]
             assert upper / lower == pytest.approx(p_up / p_down, rel=1e-12)
 
-    def test_undriven_steady_state_is_thermal(self, config):
-        lv = build_liouvillian(config, DriveConfig(amplitude_hz=0.0))
-        rho = steady_state(lv)
-        assert np.max(np.abs(rho - thermal_state(config))) < 1e-8
+    def test_undriven_steady_state_is_thermal(self):
+        """On each of STEADY_TEST_SYSTEMS.  Oracle: ``thermal_state``, the
+        closed-form products of per-spin Boltzmann weights, which the jumps
+        balance in detail, so it spans the undriven generator's kernel in
+        exact arithmetic.  Against 40-digit products of the weights the
+        solve misses by 1.68 ulps of 1/4 and thermal_state by 0.68 on each
+        system; the two differ by one ulp of 1/4 (5.55e-17).  Bound: 3 ulps
+        of 1/4, the two misses summed and rounded up.  Criterion 9 keeps its
+        specified 1e-8."""
+        for system in STEADY_TEST_SYSTEMS.values():
+            cfg = SpinSystemConfig(**system)
+            rho = steady_state(build_liouvillian(cfg, DriveConfig(amplitude_hz=0.0)))
+            assert np.max(np.abs(rho - thermal_state(cfg))) <= 3 * np.spacing(0.25)

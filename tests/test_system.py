@@ -1,6 +1,7 @@
 """Basis conventions, spin operators, thermal state, purity factors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spinsync import (
     thermal_state,
 )
 from spinsync.system import (
+    BASIS_DESCRIPTION,
     ConfigError,
     GAMMA_F_HZ_PER_TESLA,
     GAMMA_P_HZ_PER_TESLA,
@@ -92,6 +94,15 @@ class TestBasisOrdering:
         m_p = np.diag(spin_operator("P", "z")).real
         m_f = np.diag(spin_operator("F", "z")).real
         assert tuple(zip(m_p, m_f)) == LEVELS
+
+    def test_basis_description_names_the_levels_in_index_order(self):
+        """The basis that output metadata states: one ``|label>=(m_P,m_F)``
+        entry per matrix index, the first with the quantum numbers named."""
+        entry = re.compile(r"\|(\d)>=\((?:mP=)?([+-]1/2),(?:mF=)?([+-]1/2)\)")
+        parsed = [entry.fullmatch(text).groups() for text in BASIS_DESCRIPTION.split()]
+        half = {"-1/2": -0.5, "+1/2": +0.5}
+        assert [int(label) for label, _, _ in parsed] == list(LEVEL_LABELS)
+        assert [(half[m_p], half[m_f]) for _, m_p, m_f in parsed] == list(LEVELS)
 
 
 class TestThermalState:
