@@ -1,7 +1,8 @@
 """Vectorized master-equation engine.
 
-Density matrices are flattened by column stacking, so B rho C maps to
-(C^T kron B) vec(rho).  The 16x16 generator is affine in the drive,
+Density matrices are flattened by column stacking, and column k of a
+16x16 generator is vec(L(E_k)), the master equation's right side at the
+matrix unit E_k = devectorize(e_k).  The generator is affine in the drive,
 L(Omega, delta) = base + delta per_detuning + Omega per_amplitude; the
 terms are built once per system and process and shared read-only.
 
@@ -40,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .system import (
-    LEVEL_LABELS, LEVELS, DriveConfig, JumpOperator, SpinSystemConfig, _worst_cell,
+    LEVEL_LABELS, LEVELS, DriveConfig, SpinSystemConfig, _worst_cell,
     build_jump_operators, detuning_term, drive_term, rotating_drift, thermal_state,
 )
 
@@ -74,55 +75,6 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     if vec.shape[-1:] != (16,):
         raise ValueError(f"expected a 16-vector, got shape {vec.shape}")
     return vec.reshape(vec.shape[:-1] + (4, 4)).swapaxes(-1, -2)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of the matrices in two broadcast (..., n, n) stacks: the
-    same products, as one broadcast multiply."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    n = prod.shape[-4] * prod.shape[-3]
-    return prod.reshape(prod.shape[:-4] + (n, n))
-
-
-def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (_kron(eye, h) - _kron(h.T, eye))
-
-
-def _dissipator_superoperator(o: np.ndarray) -> np.ndarray:
-    """The dissipator of each jump operator in a (..., n, n) stack."""
-    eye = np.eye(o.shape[-1], dtype=complex)
-    odo = o.conj().swapaxes(-1, -2) @ o
-    return (
-        _kron(o.conj(), o)
-        - 0.5 * _kron(eye, odo)
-        - 0.5 * _kron(odo.swapaxes(-1, -2), eye)
-    )
-
-
-def _hermitian_part(h0: np.ndarray, name: str) -> np.ndarray:
-    h = np.asarray(h0, dtype=complex)
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > 1e-12:
-        raise ValueError(f"{name} must be Hermitian, deviation {dev:.3e}")
-    # exactly Hermitian, so the generator preserves Hermiticity exactly as
-    # propagate requires; an exactly Hermitian h comes back unchanged
-    return 0.5 * (h + h.conj().T)
-
-
-def build_l0(h0: np.ndarray, jumps: list[JumpOperator]) -> np.ndarray:
-    """Drift generator: -i[H0, .] plus the sum of all dissipators."""
-    h = _hermitian_part(h0, "drift Hamiltonian")
-    l0 = _commutator_superoperator(h)
-    ops = np.array([jump.matrix for jump in jumps], dtype=complex)
-    for dissipator in _dissipator_superoperator(ops.reshape((-1,) + h.shape)):
-        l0 += dissipator  # in list order
-    return l0
-
-
-def build_lv(v: np.ndarray) -> np.ndarray:
-    """Drive generator -i[V, .]."""
-    return _commutator_superoperator(_hermitian_part(v, "drive term"))
 
 
 class AffineLiouvillian(
@@ -201,14 +153,23 @@ def build_affine_liouvillian(config: SpinSystemConfig) -> AffineLiouvillian:
 
 @lru_cache(maxsize=8)
 def _affine_terms(key: str, config: SpinSystemConfig) -> AffineLiouvillian:
-    return _read_only(
-        build_l0(
-            rotating_drift(config, DriveConfig(amplitude_hz=0.0)),
-            build_jump_operators(config),
-        ),
-        build_lv(detuning_term(1.0)),
-        build_lv(drive_term(DriveConfig(amplitude_hz=1.0))),
-    )
+    """Column k of each term is vec of the master equation's right side at
+    the matrix unit E_k: -i[H, E_k] for the drift, detuning and drive
+    Hamiltonians, plus, for the base term, each jump's O E_k O^+ - {O^+ O,
+    E_k} / 2, added in list order."""
+    units = devectorize(np.eye(16))
+    h = np.stack([
+        rotating_drift(config, DriveConfig(amplitude_hz=0.0)),
+        detuning_term(1.0),
+        drive_term(DriveConfig(amplitude_hz=1.0)),
+    ])[:, None]
+    images = -1j * (h @ units - units @ h)
+    o = np.array([jump.matrix for jump in build_jump_operators(config)])[:, None]
+    o_dag = o.conj().swapaxes(-1, -2)
+    odo = o_dag @ o
+    for dissipator in o @ units @ o_dag - 0.5 * (odo @ units) - 0.5 * (units @ odo):
+        images[0] += dissipator  # in list order
+    return _read_only(*np.ascontiguousarray(vectorize(images).swapaxes(-1, -2)))
 
 
 def build_liouvillian(config: SpinSystemConfig, drive: DriveConfig) -> np.ndarray:

@@ -15,7 +15,10 @@ checkable:
 * the one-point IMHD readout, the grid kernel at a single probe point
   beside the closed-form signal;
 * the generator's affine terms assembled from ``np.kron`` products, which
-  the broadcast assembly must reproduce bit for bit;
+  the terms built from the matrix units must equal in value, and their
+  real blocks and ``at`` stacks bit for bit;
+* a seeded draw of systems over J, both T1 and the purity factors'
+  field and temperature, for checks beyond the default system;
 * the singular values of a generator from its real blocks, which the
   steady state's certified degeneracy bound must never exceed;
 * the steady state's earlier degeneracy bound from the inverses of both
@@ -50,6 +53,7 @@ from spinsync import (
     HUSIMI_PREFACTOR,
     AffineLiouvillian,
     DriveConfig,
+    SpinSystemConfig,
     build_affine_liouvillian,
     build_controlled_phase,
     build_jump_operators,
@@ -358,6 +362,29 @@ def kron_affine_liouvillian(config) -> AffineLiouvillian:
         per_detuning=kron_commutator(detuning_term(1.0)),
         per_amplitude=kron_commutator(drive_term(DriveConfig(amplitude_hz=1.0))),
     )
+
+
+# --- a seeded draw of systems ---------------------------------------------------
+
+
+def random_systems(n: int, seed: int) -> list[SpinSystemConfig]:
+    """n systems from NumPy's generator seeded with ``seed``, each drawn
+    log-uniformly: J over 100-5000 Hz (offset_P the default -J/2), T1P and
+    T1F over 1-1000 s, and a field over 1-25 T and a temperature over
+    4-400 K, which set the purity factors (``default_purity_factors``)."""
+    rng = np.random.default_rng(seed)
+    draws = 10.0 ** rng.uniform(
+        np.log10([100.0, 1.0, 1.0, 1.0, 4.0]),
+        np.log10([5000.0, 1000.0, 1000.0, 25.0, 400.0]),
+        size=(n, 5),
+    )
+    return [
+        SpinSystemConfig(
+            j_coupling_hz=j, t1_p_s=t1_p, t1_f_s=t1_f,
+            field_tesla=field, temperature_k=temperature,
+        )
+        for j, t1_p, t1_f, field, temperature in draws.tolist()
+    ]
 
 
 # --- singular values of the generator -----------------------------------------

@@ -87,9 +87,10 @@ class TestJumpOperators:
         """Exactly the eight jumps of JUMPS, in that order, each a single
         entry |target><source| of weight sqrt(2 pi p / T1), p the flipping
         spin's weight for its target orientation: p_plus going up to
-        m = -1/2, p_minus going down.  build_l0 sums the dissipators in list
-        order, and so does the kron oracle, so only this test sees a
-        reorder, which moves every output's last bits."""
+        m = -1/2, p_minus going down.  build_affine_liouvillian adds the
+        dissipators to its base term in list order, and so does the kron
+        oracle, so only this test sees a reorder, which moves every output's
+        last bits."""
         cfg = SpinSystemConfig(**system)
         ops = build_jump_operators(cfg)
         assert [(op.species, op.direction, op.source, op.target) for op in ops] == JUMPS

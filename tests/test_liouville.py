@@ -17,9 +17,7 @@ from spinsync import (
     SpinSystemConfig,
     build_affine_liouvillian,
     build_jump_operators,
-    build_l0,
     build_liouvillian,
-    build_lv,
     devectorize,
     propagate,
     run_amplitude_sweep,
@@ -31,7 +29,6 @@ from spinsync import (
     thermal_state,
     vectorize,
 )
-from spinsync.system import JumpOperator
 from spinsync.experiments import (
     AMPLITUDE_SWEEP_AXIS,
     ARNOLD_DETUNING_AXIS,
@@ -40,7 +37,7 @@ from spinsync.experiments import (
     log_axis,
 )
 from spinsync import liouville
-from spinsync.system import drive_term, rotating_drift
+from spinsync.system import detuning_term, drive_term, rotating_drift
 from spinsync.liouville import (
     _AUGMENT,
     _FROM_REAL,
@@ -65,12 +62,13 @@ from oracles import (
     STRONG_PROPAGATE_BOUND,
     TONGUE_TEST_GRIDS,
     WEAK_PROPAGATE_BOUND,
-    build_reduced_rotating_hamiltonian,
     inverse_degeneracy_bound,
     kron_affine_liouvillian,
+    kron_commutator,
     kron_l0,
     mp_decay_floor,
     propagated_tongue_rows,
+    random_systems,
     singular_values,
 )
 
@@ -152,80 +150,41 @@ class TestVectorization:
 
 
 class TestBuildL0:
-    def test_empty_generator_is_zero(self):
-        l0 = build_l0(np.zeros((4, 4), dtype=complex), [])
-        assert np.max(np.abs(l0)) == 0.0
+    """The base term: the undriven drift and every dissipator."""
 
     def test_thermal_state_is_stationary(self, config):
-        h0 = rotating_drift(config, DriveConfig(amplitude_hz=0.0))
-        l0 = build_l0(h0, build_jump_operators(config))
+        l0 = build_affine_liouvillian(config).base
         drift = np.linalg.norm(l0 @ vectorize(thermal_state(config)))
         assert drift < 1e-10
 
     def test_matches_matrix_form_oracle(self, config, rng):
         h0 = rotating_drift(config, DriveConfig(amplitude_hz=0.0, detuning_hz=0.4))
-        jumps = build_jump_operators(config)
-        l0 = build_l0(h0, jumps)
-        mats = [j.matrix for j in jumps]
+        l0 = build_affine_liouvillian(config).at(0.0, 0.4)
+        mats = [j.matrix for j in build_jump_operators(config)]
         for _ in range(20):
             rho = random_density(rng)
             direct = master_equation_rhs(rho, h0, mats)
             assert np.max(np.abs(devectorize(l0 @ vectorize(rho)) - direct)) < 1e-12
 
-    def test_equals_kron_assembly_bit_for_bit(self, rng):
-        """One broadcast product per term family over the stacked jump
-        operators makes the np.kron products, added in the same order:
-        random dense Hermitian drifts with 0 to 9 dense jump operators."""
-        for count in list(range(10)) * 3:
-            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = h + h.conj().T
-            mats = [
-                rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                for _ in range(count)
-            ]
-            jumps = [JumpOperator(m, "P", "up", 1, 3) for m in mats]
-            l0 = build_l0(h, jumps)
-            assert l0.tobytes() == kron_l0(h, mats).tobytes()
-
-    def test_rejects_non_hermitian_drift(self):
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            build_l0(h, [])
-
-    def test_tolerated_asymmetry_is_symmetrized(self, config, rng):
-        """A drift within the Hermiticity tolerance builds from its exact
-        Hermitian part, so propagate's exact checks accept the generator."""
-        h = rotating_drift(config, DriveConfig(amplitude_hz=0.0))
-        h[0, 2] += 1e-14
-        jumps = build_jump_operators(config)
-        l0 = build_l0(h, jumps)
-        np.testing.assert_array_equal(l0, build_l0(0.5 * (h + h.conj().T), jumps))
-        propagate(l0, random_density(rng), 1.0)
-
 
 class TestBuildLV:
-    def test_zero_drive_is_zero(self):
-        assert np.max(np.abs(build_lv(np.zeros((4, 4), dtype=complex)))) == 0.0
+    """The drive terms, per Hz of detuning and of amplitude."""
 
-    def test_identity_state_is_annihilated(self):
-        v = build_reduced_rotating_hamiltonian(0.0, 0.4)
-        lv = build_lv(v)
-        assert np.max(np.abs(lv @ vectorize(np.eye(4) / 4.0))) < 1e-15
+    def test_identity_state_is_annihilated(self, config):
+        terms = build_affine_liouvillian(config)
+        for lv in (terms.per_detuning, terms.per_amplitude):
+            assert np.max(np.abs(lv @ vectorize(np.eye(4) / 4.0))) < 1e-15
 
-    def test_matches_commutator_oracle(self, rng):
-        v = drive_term(DriveConfig(amplitude_hz=0.37))
-        lv = build_lv(v)
-        for _ in range(20):
-            rho = random_density(rng)
-            residual = devectorize(lv @ vectorize(rho)) + 1j * (v @ rho - rho @ v)
-            assert np.max(np.abs(residual)) < 1e-13
-
-    def test_rejects_non_hermitian_drive(self):
-        v = np.zeros((4, 4), dtype=complex)
-        v[2, 0] = 1j
-        with pytest.raises(ValueError):
-            build_lv(v)
+    def test_matches_commutator_oracle(self, config, rng):
+        terms = build_affine_liouvillian(config)
+        for lv, v in (
+            (0.37 * terms.per_amplitude, drive_term(DriveConfig(amplitude_hz=0.37))),
+            (0.4 * terms.per_detuning, detuning_term(0.4)),
+        ):
+            for _ in range(20):
+                rho = random_density(rng)
+                residual = devectorize(lv @ vectorize(rho)) + 1j * (v @ rho - rho @ v)
+                assert np.max(np.abs(residual)) < 1e-13
 
 
 class TestAffineLiouvillian:
@@ -238,20 +197,23 @@ class TestAffineLiouvillian:
             np.array(omegas)[:, None], np.array(deltas)
         )
         assert stack.shape == (5, 5, 16, 16)
-        jumps = build_jump_operators(config)
+        mats = [j.matrix for j in build_jump_operators(config)]
         eps = np.finfo(float).eps
         for i, omega in enumerate(omegas):
             for j, delta in enumerate(deltas):
                 drive = DriveConfig(amplitude_hz=omega, detuning_hz=delta)
-                direct = build_l0(rotating_drift(config, drive), jumps) + build_lv(
+                direct = kron_l0(rotating_drift(config, drive), mats) + kron_commutator(
                     drive_term(drive)
                 )
                 bound = 4.0 * eps * np.linalg.norm(direct, 1)
                 assert np.max(np.abs(stack[i, j] - direct)) <= bound
 
     def test_terms_equal_kron_assembly_bit_for_bit(self, rng):
-        """All three terms equal the np.kron assembly, bit for bit, on the
-        default system and 100 random ones."""
+        """The terms from the matrix units equal the np.kron assembly in
+        value, and everything a caller reads of them bit for bit: the real
+        blocks and ``at`` stacks at drives that include 0 and -0, on the
+        default system, 100 random ones and 200 from ``random_systems``.
+        Only the signs of some zeros of the stored terms differ."""
         configs = [SpinSystemConfig()] + [
             SpinSystemConfig(
                 j_coupling_hz=rng.uniform(1.0, 2000.0),
@@ -262,13 +224,17 @@ class TestAffineLiouvillian:
                 epsilon_f=rng.uniform(0.0, 1e-3),
             )
             for _ in range(100)
-        ]
+        ] + random_systems(200, seed=1)
+        omegas = np.array([0.0, -0.0, 0.01, 1.0, 1e3])[:, None]
+        detunings = np.array([0.0, -0.0, -3.0, 0.35])
         for config in configs:
             terms = build_affine_liouvillian(config)
             expected = kron_affine_liouvillian(config)
-            for name in ("base", "per_detuning", "per_amplitude"):
-                got, want = getattr(terms, name), getattr(expected, name)
-                assert got.tobytes() == want.tobytes(), name
+            for got, want in zip(terms, expected):
+                np.testing.assert_array_equal(got, want)
+            assert np.stack(terms._blocks).tobytes() == np.stack(expected._blocks).tobytes()
+            stack = terms.at(omegas, detunings)
+            assert stack.tobytes() == expected.at(omegas, detunings).tobytes()
 
     def test_real_terms_sum_to_the_mapped_generator(self, config, rng):
         """The map to real coordinates is linear and each of its entries
@@ -505,7 +471,7 @@ class TestPropagate:
         engine names the coupling and, for a stack, the cell."""
         _, _, lv = driven
         rho = random_density(rng)
-        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        flip = kron_commutator(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
         with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
             propagate(lv + flip, rho, 1.0)
         stack = np.stack([lv, lv + flip, lv])
@@ -632,7 +598,7 @@ class TestSteadyState:
         # state stationary
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
-            steady_state(build_l0(h, []))
+            steady_state(kron_commutator(h))
 
     def test_degenerate_order_one_block_is_rejected(self, driven):
         """Zeroing the columns of rho12 and rho21, an order +-1 pair, makes
@@ -651,7 +617,7 @@ class TestSteadyState:
         """The solve takes the generator to propagate's real coordinates and
         rejects what propagate rejects, naming a stack's worst cell."""
         _, _, lv = driven
-        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        flip = kron_commutator(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
         with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
             steady_state(lv + flip)
         with pytest.raises(ValueError, match=r"worst cell \(1,\)"):
@@ -699,12 +665,12 @@ class TestSteadyState:
         """Scaling every jump rate by e -> 0 leaves the Hamiltonian part,
         whose stationary subspace is degenerate: wherever the SVD ratio
         falls below DEGENERACY_RATIO the solve raises, naming the cell."""
-        jumps = build_jump_operators(config)
-        dissipator = build_l0(np.zeros((4, 4)), jumps)
+        mats = [j.matrix for j in build_jump_operators(config)]
+        dissipator = kron_l0(np.zeros((4, 4)), mats)
         scales = np.logspace(-12.0, 0.0, 49)
         for amplitude, detuning in ((0.0, 0.0), (0.1, 0.0), (1.0, -2.0), (30.0, 3.0)):
             drive = DriveConfig(amplitude_hz=amplitude, detuning_hz=detuning)
-            coherent = build_l0(rotating_drift(config, drive) + drive_term(drive), [])
+            coherent = kron_commutator(rotating_drift(config, drive) + drive_term(drive))
             stack = coherent + scales[:, None, None] * dissipator
             s = singular_values(*_real_generator(stack))
             ratio = s[..., -2] / s[..., 0]
@@ -1311,7 +1277,7 @@ class TestSpectralReport:
         """A drive on the F spin couples the blocks, so there is no real
         block spectrum to report; propagate's message names it."""
         _, _, lv = driven
-        flip = build_lv(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
+        flip = kron_commutator(2.0 * math.pi * 0.01 * spin_operator("F", "x"))
         with pytest.raises(ValueError, match="couples the F-spin coherence-order"):
             spectral_report(lv + flip)
 

@@ -36,9 +36,7 @@ EXPORTS = [
     "build_affine_liouvillian",
     "build_controlled_phase",
     "build_jump_operators",
-    "build_l0",
     "build_liouvillian",
-    "build_lv",
     "build_pseudo_hadamard",
     "calibrate_drive",
     "check_density_matrix",

@@ -32,7 +32,9 @@ and ``arnold`` at 1e200 s, which no bound certifies.  Then the edges of
 the CSV writer's integer slot: a steady 65 x 9 ``husimi``, whose last
 %-block holds one theta row, and the default steady grid at purity
 factors (0.099, 0.099) and (0.099, 0), Q from 0.13 to 0.18 and from
-0.16 to 0.22.  For each job
+0.16 to 0.22.  Last, the term builder on a system whose J, F offset and
+unequal T1s are all ordinary values (``ORDINARY``): ``steady``, a driven
+``series`` and a 5 x 7 steady ``arnold``.  For each job
 OUT.json records the exit code, stdout with ``runtime=`` and the
 temporary directory masked, stderr, and the SHA-256 of
 each file written, the config among them.  Two checkouts wrote the same
@@ -128,6 +130,12 @@ WRITER_EDGES = [  # (argv, system): a partial last %-block; wider Q spreads
      {"epsilon_p": 0.099, "epsilon_f": 0.0}),
 ]
 
+ORDINARY = {"j_coupling_hz": 217, "offset_f_hz": 30, "t1_p_s": 3, "t1_f_s": 900}
+ORDINARY_JOBS = [
+    ["steady"], ["series"],
+    ["arnold", "--steady", "--n-omega", "5", "--n-detuning", "7"],
+]
+
 
 def run(main, argv, tmp: str, system: dict | None = None) -> dict:
     """One job through ``main`` in the directory ``tmp``, digested; a
@@ -180,6 +188,10 @@ def digest(src: Path) -> list[dict]:
         for argv, t1 in EXTREME_T1
     ] + [
         (argv + ["--output", f"{TMP}/out.csv"], system) for argv, system in WRITER_EDGES
+    ] + [
+        (argv + ["--config", f"{TMP}/system.json", "--output", f"{TMP}/out.csv"],
+         ORDINARY)
+        for argv in ORDINARY_JOBS
     ]
     records = []
     for argv, system in jobs:
